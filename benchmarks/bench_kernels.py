@@ -49,7 +49,7 @@ def _measure() -> dict:
     t0 = time.perf_counter()
     for _ in range(20_000):
         _kernels.fermat_on_segment(*args)
-    results["fermat_search_2e4"] = time.perf_counter() - t0
+    results["fermat_on_segment_2e4"] = time.perf_counter() - t0
 
     offsets = -1.5 + 0.01 * np.arange(301)
     run_crossing_sweep(SweepGeometry(), offsets[:5])

@@ -37,17 +37,7 @@ from .errors import (
     RayBlockError,
     TraceFormatError,
 )
-from .geometry import (
-    Point3,
-    RectScreen,
-    Segment,
-    Sphere,
-    Vector3,
-    distance_point_segment,
-    orthogonalize_screen,
-    segment_rect_intersection,
-    segment_sphere_intersection,
-)
+from .geometry import Point3, RectScreen, Segment, Vector3, distance_point_segment
 from .linkeval import ArrayConfig, LinkBudget, noise_power_dbm, snr_timeline, steering_vector
 from .obstacles import (
     InteractionCounters,

@@ -340,75 +340,44 @@ def segment_segment_distance(ax, ay, az, bx, by, bz, cx, cy, cz, dx, dy, dz):
 
 
 @njit(cache=True)
-def fermat_on_segment(ax, ay, az, bx, by, bz, tx, ty, tz, rx, ry, rz, tol=1e-6):
+def fermat_on_segment(ax, ay, az, bx, by, bz, tx, ty, tz, rx, ry, rz):
     """Point of a segment minimizing transmitter->point->receiver length.
 
-    Golden-section search; the objective is convex so bracketing on the
-    whole segment is safe. Returns (d_tx, d_rx) at the minimizer.
+    Exact closed form: unfolding both nodes into one plane around the edge
+    line turns the shortest path into a straight line, which meets the
+    edge line at the nodes' projections weighted by the other node's
+    perpendicular distance. The path length is convex along the line, so
+    clamping that point to the segment gives the constrained minimum.
+    Returns (d_tx, d_rx) at the minimizer.
     """
     ex = bx - ax
     ey = by - ay
     ez = bz - az
     length = math.sqrt(ex * ex + ey * ey + ez * ez)
-    if length <= tol:
-        sx = 0.5 * (ax + bx)
-        sy = 0.5 * (ay + by)
-        sz = 0.5 * (az + bz)
-        d1 = math.sqrt((sx - tx) ** 2 + (sy - ty) ** 2 + (sz - tz) ** 2)
-        d2 = math.sqrt((sx - rx) ** 2 + (sy - ry) ** 2 + (sz - rz) ** 2)
+    if length <= 0.0:
+        d1 = math.sqrt((ax - tx) ** 2 + (ay - ty) ** 2 + (az - tz) ** 2)
+        d2 = math.sqrt((ax - rx) ** 2 + (ay - ry) ** 2 + (az - rz) ** 2)
         return d1, d2
     ux = ex / length
     uy = ey / length
     uz = ez / length
-
-    inv_phi = 0.6180339887498949
-    inv_phi2 = 0.3819660112501051
-    lo = 0.0
-    hi = length
-    span = hi - lo
-    c = lo + inv_phi2 * span
-    d = lo + inv_phi * span
-    # objective inlined: the plain-Python path pays dearly for helper calls
-    px = ax + c * ux
-    py = ay + c * uy
-    pz = az + c * uz
-    fc = (math.sqrt((px - tx) ** 2 + (py - ty) ** 2 + (pz - tz) ** 2)
-          + math.sqrt((px - rx) ** 2 + (py - ry) ** 2 + (pz - rz) ** 2))
-    px = ax + d * ux
-    py = ay + d * uy
-    pz = az + d * uz
-    fd = (math.sqrt((px - tx) ** 2 + (py - ty) ** 2 + (pz - tz) ** 2)
-          + math.sqrt((px - rx) ** 2 + (py - ry) ** 2 + (pz - rz) ** 2))
-    while span > tol:
-        if fc < fd:
-            hi = d
-            d = c
-            fd = fc
-            span = hi - lo
-            c = lo + inv_phi2 * span
-            px = ax + c * ux
-            py = ay + c * uy
-            pz = az + c * uz
-            fc = (math.sqrt((px - tx) ** 2 + (py - ty) ** 2 + (pz - tz) ** 2)
-                  + math.sqrt((px - rx) ** 2 + (py - ry) ** 2 + (pz - rz) ** 2))
-        else:
-            lo = c
-            c = d
-            fc = fd
-            span = hi - lo
-            d = lo + inv_phi * span
-            px = ax + d * ux
-            py = ay + d * uy
-            pz = az + d * uz
-            fd = (math.sqrt((px - tx) ** 2 + (py - ty) ** 2 + (pz - tz) ** 2)
-                  + math.sqrt((px - rx) ** 2 + (py - ry) ** 2 + (pz - rz) ** 2))
-    s = 0.5 * (lo + hi)
-    px = ax + s * ux
-    py = ay + s * uy
-    pz = az + s * uz
-    d1 = math.sqrt((px - tx) ** 2 + (py - ty) ** 2 + (pz - tz) ** 2)
-    d2 = math.sqrt((px - rx) ** 2 + (py - ry) ** 2 + (pz - rz) ** 2)
-    return d1, d2
+    # along-edge coordinates of the nodes and their distances from the line,
+    # the latter as norms of the rejection (no cancellation near the line)
+    st = (tx - ax) * ux + (ty - ay) * uy + (tz - az) * uz
+    sr = (rx - ax) * ux + (ry - ay) * uy + (rz - az) * uz
+    rt = math.sqrt((tx - ax - st * ux) ** 2 + (ty - ay - st * uy) ** 2
+                   + (tz - az - st * uz) ** 2)
+    rr = math.sqrt((rx - ax - sr * ux) ** 2 + (ry - ay - sr * uy) ** 2
+                   + (rz - az - sr * uz) ** 2)
+    if rt + rr == 0.0:
+        s = 0.5 * (st + sr)
+    else:
+        s = (st * rr + sr * rt) / (rt + rr)
+    if s < 0.0:
+        s = 0.0
+    elif s > length:
+        s = length
+    return math.hypot(s - st, rt), math.hypot(s - sr, rr)
 
 
 @njit(cache=True)

@@ -26,21 +26,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffraction import MODEL_REGISTRY, LossModel, Metis, Obstruction, model_name
+from .diffraction import DEFAULT_CONFIG, MODEL_REGISTRY, LossModel, Metis, Obstruction, model_name
 from .environment import RunStats, SimulationConfig, run as run_environment
 from .errors import ConfigError, NumericBudgetError, RayBlockError, TraceFormatError
 from .linkeval import ArrayConfig, LinkBudget, snr_timeline
 from .obstacles import (
+    InteractionCounters,
     LinearMobility,
+    LossOutcome,
     Obstacle,
     OrthoScreenShape,
     ScreenShape,
     SphereShape,
     Static,
     WaypointMobility,
-    interact,
+    _segment_outcome,
 )
-from .trace import SPEED_OF_LIGHT, Ray, export_scenario, import_scenario
+from .trace import SPEED_OF_LIGHT, export_scenario, import_scenario
 
 MODEL_NAMES = tuple(MODEL_REGISTRY)
 
@@ -319,20 +321,19 @@ class SweepGeometry:
     obstruction_db: float = 10.0
 
 
-def _direct_ray(geom: SweepGeometry) -> Ray:
-    tx = (0.0, 0.0, geom.node_height_m)
-    rx = (geom.distance_m, 0.0, geom.node_height_m)
-    return Ray(delay=geom.distance_m / SPEED_OF_LIGHT, path_gain_db=0.0, phase_rad=0.0,
-               vertices=np.array([tx, rx]))
-
-
-def _sweep_obstacle(geom: SweepGeometry, center, model: LossModel) -> Obstacle:
-    return Obstacle(
+def _sweep_outcome(geom: SweepGeometry, center, model: LossModel,
+                   wavelength: float) -> LossOutcome:
+    """The screen at center against the direct path, with no range gating:
+    sweeps plot the raw model."""
+    obstacle = Obstacle(
         shape=OrthoScreenShape(width=geom.screen_width_m, height=geom.screen_height_m),
-        mobility=Static(position=tuple(float(c) for c in center)),
+        mobility=Static(position=center),
         model=model,
-        distance_threshold=1e9,  # sweeps plot the raw model, no range gating
     )
+    tx = np.array([0.0, 0.0, geom.node_height_m])
+    rx = np.array([geom.distance_m, 0.0, geom.node_height_m])
+    return _segment_outcome(obstacle, model, np.array(center), tx, rx, wavelength,
+                            DEFAULT_CONFIG, InteractionCounters())
 
 
 def _sweep_model(name: str, geom: SweepGeometry) -> LossModel:
@@ -347,7 +348,6 @@ def run_crossing_sweep(geom: SweepGeometry = SweepGeometry(),
     """Loss curves while the screen crosses the path laterally at midspan."""
     if offsets is None:
         offsets = -1.5 + 0.004 * np.arange(751)
-    ray = _direct_ray(geom)
     wavelength = SPEED_OF_LIGHT / geom.frequency_hz
     columns: dict = {"offset_m": np.asarray(offsets, dtype=np.float64)}
     blocked_col = np.zeros(len(offsets), dtype=np.int64)
@@ -356,7 +356,7 @@ def run_crossing_sweep(geom: SweepGeometry = SweepGeometry(),
         losses = np.empty(len(offsets))
         for i, offset in enumerate(offsets):
             center = (0.5 * geom.distance_m, float(offset), 0.5 * geom.screen_height_m)
-            outcome = interact(_sweep_obstacle(geom, center, model), ray, 0.0, wavelength)
+            outcome = _sweep_outcome(geom, center, model, wavelength)
             losses[i] = outcome.loss_db
             blocked_col[i] = int(outcome.blocked)
         columns[f"loss_db_{name}"] = losses
@@ -374,7 +374,6 @@ def run_position_sweep(geom: SweepGeometry = SweepGeometry(), samples: int = 101
     if not 0 < margin_m < 0.5 * geom.distance_m:
         raise ConfigError("margin must lie inside the path")
     positions = np.linspace(margin_m, geom.distance_m - margin_m, samples)
-    ray = _direct_ray(geom)
     wavelength = SPEED_OF_LIGHT / geom.frequency_hz
     columns: dict = {"position_m": positions}
     for name in models:
@@ -382,8 +381,7 @@ def run_position_sweep(geom: SweepGeometry = SweepGeometry(), samples: int = 101
         losses = np.empty(samples)
         for i, x in enumerate(positions):
             center = (float(x), 0.0, 0.5 * geom.screen_height_m)
-            losses[i] = interact(_sweep_obstacle(geom, center, model), ray, 0.0,
-                                 wavelength).loss_db
+            losses[i] = _sweep_outcome(geom, center, model, wavelength).loss_db
         columns[f"loss_db_{name}"] = losses
     return columns
 
@@ -420,7 +418,7 @@ def _write_csv(path: Path, columns: dict, order: list[str]) -> None:
             if key == "blocked":
                 cells.append(str(int(value)))
             else:
-                cells.append(f"{value:.6f}")
+                cells.append(f"{value + 0.0:.6f}")  # + 0.0: a -0.0 loss prints as 0.000000
         lines.append(",".join(cells))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")

@@ -41,7 +41,6 @@ class DiffractionConfig:
     metis_log_floor: float = 1e-8         # log argument floor before clamping
     far_field_nu: float = FAR_FIELD_NU    # edge contributions beyond are asymptotic
     quadrature_tol: float = 1e-9
-    golden_section_tol: float = 1e-6      # meters, edge stationary-point search
 
 
 DEFAULT_CONFIG = DiffractionConfig()

@@ -13,6 +13,7 @@ slots, so the single-threaded mode produces identical output.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -20,19 +21,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _kernels, diffraction
+from . import diffraction
 from .diffraction import DEFAULT_CONFIG, DiffractionConfig
 from .errors import ConfigError
-from .obstacles import (
-    InteractionCounters,
-    Obstacle,
-    _effective_model,
-    _segment_outcome,
-    position_at,
-    screen_beyond_threshold,
-    screen_vertical_axis,
-)
+from .obstacles import InteractionCounters, Obstacle, obstacle_losses, path_segments
 from .trace import SPEED_OF_LIGHT, ChannelTrace, Ray
+
+log = logging.getLogger(__name__)
 
 WORKERS_ENV_VAR = "RAYBLOCK_WORKERS"
 
@@ -42,7 +37,6 @@ class SimulationConfig:
     obstacles: tuple[Obstacle, ...]
     time_step: float | None = None          # defaults to the trace's step
     removal_floor_db: float = -500.0
-    rng_seed: int = 0                       # reserved for stochastic mobility models
     carrier_frequency_hz: float = 60e9
     diffraction: DiffractionConfig = DEFAULT_CONFIG
 
@@ -94,12 +88,15 @@ def _pose_stride(trace: ChannelTrace, cfg: SimulationConfig) -> tuple[int, float
 
 
 def primary_ray_index(rays: list[Ray]) -> int | None:
-    """The direct ray when present, else the strongest ray."""
+    """The direct ray when present, else the shortest-delay ray (ties: lower index).
+
+    The choice never reads path gains, so a run on rays another run has
+    already attenuated picks the same primary ray.
+    """
     if not rays:
         return None
-    direct = [i for i, r in enumerate(rays) if r.reflection_order == 0]
-    candidates = direct if direct else range(len(rays))
-    return max(candidates, key=lambda i: (rays[i].path_gain_db, -i))
+    return min(range(len(rays)),
+               key=lambda i: (rays[i].reflection_order != 0, rays[i].delay, i))
 
 
 def _step_gains(rays: list[Ray], obstacles: tuple[Obstacle, ...], t_pose: float,
@@ -110,44 +107,10 @@ def _step_gains(rays: list[Ray], obstacles: tuple[Obstacle, ...], t_pose: float,
     if not rays or not obstacles:
         return gains
     primary = primary_ray_index(rays)
-
-    starts = []
-    ends = []
-    seg_ray = []
-    for ri, ray in enumerate(rays):
-        v = ray.vertices
-        for i in range(v.shape[0] - 1):
-            starts.append(v[i])
-            ends.append(v[i + 1])
-            seg_ray.append(ri)
-    starts = np.ascontiguousarray(starts, dtype=np.float64)
-    ends = np.ascontiguousarray(ends, dtype=np.float64)
-    seg_ray = np.asarray(seg_ray)
-    seg_len = np.linalg.norm(ends - starts, axis=1)
-    thr_default = 5.0 * np.sqrt(wavelength * seg_len)  # 10 half-sqrt Fresnel radii
-
+    segments = path_segments(rays, wavelength)
     for obstacle in obstacles:
-        center = position_at(obstacle.mobility, t_pose)
-        v_axis = screen_vertical_axis(obstacle.shape)
-        if obstacle.distance_threshold is not None:
-            thr = np.full_like(seg_len, obstacle.distance_threshold)
-        else:
-            thr = thr_default
-        dists = _kernels.point_segment_distance_batch(center, starts, ends)
-        candidates = np.nonzero(dists <= thr + obstacle.bounding_radius)[0]
-        counters.far_skips += starts.shape[0] - candidates.shape[0]
-        losses = np.zeros(len(rays))
-        for si in candidates:
-            if v_axis is not None and screen_beyond_threshold(
-                    center, v_axis, 0.5 * obstacle.shape.width,
-                    0.5 * obstacle.shape.height, starts[si], ends[si], float(thr[si])):
-                counters.far_skips += 1
-                continue
-            ri = int(seg_ray[si])
-            model = _effective_model(obstacle, ri == primary)
-            outcome = _segment_outcome(obstacle, model, center, starts[si], ends[si],
-                                       wavelength, config, counters)
-            losses[ri] += outcome.loss_db
+        losses, _ = obstacle_losses(obstacle, t_pose, segments, len(rays), primary,
+                                    wavelength, config, counters)
         gains -= losses
     return gains
 
@@ -204,12 +167,17 @@ def run(trace: ChannelTrace, cfg: SimulationConfig, workers: int | None = None,
     else:
         results = [_run_chunk(c) for c in chunks]
 
+    degenerate_skips = 0
     for pair, k_lo, step_gains, counters, diag_delta in results:
         for offset, gains in enumerate(step_gains):
             gains_by_pair[pair][k_lo + offset] = gains
         stats.counters.merge(counters)
         stats.metis_clamps += diag_delta["metis_clamps"]
         stats.cap_hits += diag_delta["cap_hits"]
+        degenerate_skips += counters.degenerate_skips
+    if degenerate_skips:
+        log.warning("skipped %d degenerate segment/screen configurations",
+                    degenerate_skips)
 
     new_pairs: dict[tuple[int, int], list[list[Ray]]] = {}
     for pair, steps in trace.pairs.items():

@@ -1,4 +1,7 @@
-"""Self-contained 3D primitives and predicates for ray/obstacle interaction.
+"""Self-contained 3D primitives for ray/obstacle interaction.
+
+The per-segment blocking tests live in ``obstacles``, next to the loss
+models that read them.
 
 Points and directions are plain float64 numpy arrays of shape (3,), in
 meters. All comparisons use an absolute tolerance of 1e-9 m, which is
@@ -11,12 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateGeometryError, GeometryError
+from .errors import GeometryError
 
 TOL = 1e-9
 
@@ -109,17 +111,6 @@ class RectScreen:
         return np.stack([c - u - v, c + u - v, c + u + v, c - u + v])
 
 
-@dataclass(frozen=True, eq=False)
-class Sphere:
-    center: Point3
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_point3(self.center))
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise GeometryError("sphere radius must be positive")
-
-
 def distance_point_segment(p: Point3, s: Segment) -> tuple[float, float]:
     """Euclidean distance from p to s and the parametric foot t in [0, 1]."""
     p = as_point3(p)
@@ -127,63 +118,4 @@ def distance_point_segment(p: Point3, s: Segment) -> tuple[float, float]:
         p[0], p[1], p[2],
         s.start[0], s.start[1], s.start[2],
         s.end[0], s.end[1], s.end[2],
-    )
-
-
-def segment_rect_intersection(s: Segment, r: RectScreen) -> Optional[Point3]:
-    """Crossing point of the segment with the screen rectangle, if any.
-
-    The boundary is inclusive: a segment touching an edge or corner counts
-    as intersecting. A segment lying inside the screen plane raises
-    DegenerateGeometryError so the caller can decide (the environment
-    treats such rays as unblocked and logs a warning).
-    """
-    n = r.normal
-    d = s.direction
-    denom = float(np.dot(d, n))
-    off_start = float(np.dot(r.center - s.start, n))
-    if abs(denom) < 1e-12 * s.length:
-        if abs(off_start) <= TOL:
-            raise DegenerateGeometryError("segment lies in the screen plane")
-        return None
-    t = off_start / denom
-    t_tol = TOL / s.length
-    if t < -t_tol or t > 1.0 + t_tol:
-        return None
-    point = s.start + min(max(t, 0.0), 1.0) * d
-    rel = point - r.center
-    u = float(np.dot(rel, r.width_axis))
-    v = float(np.dot(rel, r.height_axis))
-    if abs(u) <= 0.5 * r.width + TOL and abs(v) <= 0.5 * r.height + TOL:
-        out = point.copy()
-        out.setflags(write=False)
-        return out
-    return None
-
-
-def segment_sphere_intersection(s: Segment, sp: Sphere) -> bool:
-    """True iff the segment passes within the radius (tangency included)."""
-    dist, _ = distance_point_segment(sp.center, s)
-    return dist <= sp.radius + TOL
-
-
-def orthogonalize_screen(r: RectScreen, s: Segment) -> RectScreen:
-    """Re-orient a screen to be vertical and broadside to the segment.
-
-    The output keeps center, width and height; its plane contains the
-    vertical axis and its normal is the horizontal projection of the
-    segment direction. Vertical segments have no horizontal projection
-    and raise DegenerateGeometryError.
-    """
-    d = s.direction
-    horiz = math.hypot(d[0], d[1])
-    if horiz < 1e-12 * s.length:
-        raise DegenerateGeometryError("cannot orthogonalize against a vertical segment")
-    azimuth = math.atan2(d[1], d[0])
-    return RectScreen(
-        center=r.center,
-        width=r.width,
-        height=r.height,
-        azimuth=azimuth,
-        elevation=0.0,
     )

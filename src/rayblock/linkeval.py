@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .trace import SPEED_OF_LIGHT, ChannelTrace, Ray, angles_of_arrival, angles_of_departure
-from .environment import primary_ray_index
 
 NOISE_DENSITY_DBM_HZ = -174.0  # thermal noise at the 290 K reference
 
@@ -83,8 +82,8 @@ def noise_power_dbm(budget: LinkBudget) -> float:
 
 def _beamformed_amplitude(rays: list[Ray], budget: LinkBudget) -> complex:
     wavelength = budget.wavelength
-    strongest = primary_ray_index(rays)
-    # conjugate-matched weights toward the strongest ray
+    # conjugate-matched weights toward the strongest ray (ties: lower index)
+    strongest = max(range(len(rays)), key=lambda i: (rays[i].path_gain_db, -i))
     aod0 = angles_of_departure(rays[strongest])
     aoa0 = angles_of_arrival(rays[strongest])
     w_tx = steering_vector(budget.tx_array, aod0[0], aod0[1], wavelength)

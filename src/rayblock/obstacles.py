@@ -14,7 +14,6 @@ environment); spheres only ever obstruct.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -37,8 +36,6 @@ from .diffraction import (
 )
 from .errors import ConfigError, DegenerateGeometryError
 from .geometry import RectScreen, Segment
-
-log = logging.getLogger(__name__)
 
 _BOUNDARY_TOL = 1e-9
 
@@ -203,9 +200,12 @@ class Obstacle:
         return 0.5 * math.hypot(self.shape.width, self.shape.height)
 
 
-def default_threshold(segment_length: float, wavelength: float) -> float:
-    """Ten times the widest first-Fresnel radius of the segment."""
-    return 10.0 * 0.5 * math.sqrt(wavelength * segment_length)
+def default_threshold(segment_length, wavelength: float):
+    """Ten times the widest first-Fresnel radius of the segment(s).
+
+    Takes a length or an array of lengths.
+    """
+    return 5.0 * np.sqrt(wavelength * np.asarray(segment_length))
 
 
 def screen_vertical_axis(shape: Shape) -> np.ndarray | None:
@@ -286,7 +286,7 @@ def _screen_cross_section(center, u, v, half_w, half_h, seg_start, seg_end):
 
 
 def _screen_geometry(center, u, v, half_w, half_h, seg_start, seg_end,
-                     wavelength: float, config: DiffractionConfig) -> ScreenDiffractionGeometry:
+                     wavelength: float) -> ScreenDiffractionGeometry:
     t, depths = _screen_cross_section(center, u, v, half_w, half_h, seg_start, seg_end)
     tx0, tx1, tx2 = float(seg_start[0]), float(seg_start[1]), float(seg_start[2])
     rx0, rx1, rx2 = float(seg_end[0]), float(seg_end[1]), float(seg_end[2])
@@ -315,8 +315,9 @@ def _screen_geometry(center, u, v, half_w, half_h, seg_start, seg_end,
         d_tx, d_rx = _kernels.fermat_on_segment(
             a[0], a[1], a[2], b[0], b[1], b[2],
             tx0, tx1, tx2, rx0, rx1, rx2,
-            config.golden_section_tol,
         )
+        if d_tx == 0.0 or d_rx == 0.0:
+            raise DegenerateGeometryError("segment endpoint on a screen edge")
         los_dist = _kernels.line_segment_distance(
             tx0, tx1, tx2, d0, d1, d2,
             a[0], a[1], a[2], b[0], b[1], b[2],
@@ -331,13 +332,13 @@ def _screen_geometry(center, u, v, half_w, half_h, seg_start, seg_end,
     )
 
 
-def screen_edge_geometries(screen: RectScreen, segment: Segment, wavelength: float,
-                           config: DiffractionConfig = DEFAULT_CONFIG) -> ScreenDiffractionGeometry:
+def screen_edge_geometries(screen: RectScreen, segment: Segment,
+                           wavelength: float) -> ScreenDiffractionGeometry:
     """Edge records of a concrete screen against one segment (public wiring)."""
     return _screen_geometry(
         screen.center, screen.width_axis, screen.height_axis,
         0.5 * screen.width, 0.5 * screen.height,
-        segment.start, segment.end, wavelength, config,
+        segment.start, segment.end, wavelength,
     )
 
 
@@ -384,11 +385,9 @@ def _segment_outcome(obstacle: Obstacle, model: LossModel, center: np.ndarray,
                        and all(h >= -_BOUNDARY_TOL for h in depths))
             counters.obstruction_evals += 1
             return LossOutcome(diffraction.obstruction_loss(blocked, model.loss_db), blocked)
-        geom = _screen_geometry(center, u, v, half_w, half_h, seg_start, seg_end,
-                                wavelength, config)
-    except DegenerateGeometryError as exc:
+        geom = _screen_geometry(center, u, v, half_w, half_h, seg_start, seg_end, wavelength)
+    except DegenerateGeometryError:
         counters.degenerate_skips += 1
-        log.warning("skipping degenerate segment/screen configuration: %s", exc)
         return LossOutcome(0.0, False)
     counters.diffraction_evals += 1
     return LossOutcome(_screen_model_loss(model, geom, wavelength, config), geom.los_blocked)
@@ -401,47 +400,65 @@ def _effective_model(obstacle: Obstacle, is_primary_ray: bool) -> LossModel:
     return obstacle.model
 
 
+class PathSegments(NamedTuple):
+    """Every segment of a list of rays, ray by ray in vertex order."""
+
+    starts: np.ndarray      # (n, 3)
+    ends: np.ndarray        # (n, 3)
+    ray: np.ndarray         # (n,) index of the owning ray
+    thresholds: np.ndarray  # (n,) default distance thresholds
+
+
+def path_segments(rays, wavelength: float) -> PathSegments:
+    starts = np.ascontiguousarray(np.concatenate([r.vertices[:-1] for r in rays]))
+    ends = np.ascontiguousarray(np.concatenate([r.vertices[1:] for r in rays]))
+    ray = np.repeat(np.arange(len(rays)), [r.vertices.shape[0] - 1 for r in rays])
+    thresholds = default_threshold(np.linalg.norm(ends - starts, axis=1), wavelength)
+    return PathSegments(starts, ends, ray, thresholds)
+
+
+def obstacle_losses(obstacle: Obstacle, t: float, segments: PathSegments, num_rays: int,
+                    primary: int | None, wavelength: float, config: DiffractionConfig,
+                    counters: InteractionCounters) -> tuple[np.ndarray, list[bool]]:
+    """Per-ray loss (dB) and blocked flag one obstacle imposes at time t.
+
+    Segments farther from the obstacle than the distance threshold are
+    skipped outright; the others add their losses in dB to their ray, in
+    segment order. A ray is blocked when any of its segments is
+    geometrically obstructed. primary is the index of the primary ray
+    (None: no ray is primary), which decides the secondary-ray fallback.
+    """
+    starts, ends, seg_ray, thresholds = segments
+    if obstacle.distance_threshold is not None:
+        thresholds = np.full_like(thresholds, obstacle.distance_threshold)
+    center = position_at(obstacle.mobility, t)
+    v_axis = screen_vertical_axis(obstacle.shape)
+    dists = _kernels.point_segment_distance_batch(center, starts, ends)
+    candidates = np.nonzero(dists <= thresholds + obstacle.bounding_radius)[0]
+    counters.far_skips += dists.shape[0] - candidates.shape[0]
+    losses = np.zeros(num_rays)
+    blocked = [False] * num_rays
+    for si in candidates:
+        if v_axis is not None and screen_beyond_threshold(
+                center, v_axis, 0.5 * obstacle.shape.width, 0.5 * obstacle.shape.height,
+                starts[si], ends[si], float(thresholds[si])):
+            counters.far_skips += 1
+            continue
+        ri = int(seg_ray[si])
+        model = _effective_model(obstacle, ri == primary)
+        outcome = _segment_outcome(obstacle, model, center, starts[si], ends[si],
+                                   wavelength, config, counters)
+        losses[ri] += outcome.loss_db
+        blocked[ri] = blocked[ri] or outcome.blocked
+    return losses, blocked
+
+
 def interact(obstacle: Obstacle, ray, t: float, wavelength: float,
              is_primary_ray: bool = True,
              config: DiffractionConfig = DEFAULT_CONFIG,
              counters: InteractionCounters | None = None) -> LossOutcome:
-    """Total loss an obstacle imposes on one ray at time t.
-
-    Segment losses add in dB; the ray is blocked when any segment is
-    geometrically obstructed. Segments farther from the obstacle than the
-    distance threshold are skipped outright.
-    """
-    if counters is None:
-        counters = InteractionCounters()
-    center = position_at(obstacle.mobility, t)
-    model = _effective_model(obstacle, is_primary_ray)
-    bound = obstacle.bounding_radius
-    v_axis = screen_vertical_axis(obstacle.shape)
-    total = 0.0
-    blocked = False
-    verts = ray.vertices
-    for i in range(verts.shape[0] - 1):
-        seg_start = verts[i]
-        seg_end = verts[i + 1]
-        seg_len = float(np.linalg.norm(seg_end - seg_start))
-        threshold = obstacle.distance_threshold
-        if threshold is None:
-            threshold = default_threshold(seg_len, wavelength)
-        dist, _ = _kernels.point_segment_distance(
-            center[0], center[1], center[2],
-            seg_start[0], seg_start[1], seg_start[2],
-            seg_end[0], seg_end[1], seg_end[2],
-        )
-        if dist > threshold + bound:
-            counters.far_skips += 1
-            continue
-        if v_axis is not None and screen_beyond_threshold(
-                center, v_axis, 0.5 * obstacle.shape.width, 0.5 * obstacle.shape.height,
-                seg_start, seg_end, threshold):
-            counters.far_skips += 1
-            continue
-        outcome = _segment_outcome(obstacle, model, center, seg_start, seg_end,
-                                   wavelength, config, counters)
-        total += outcome.loss_db
-        blocked = blocked or outcome.blocked
-    return LossOutcome(total, blocked)
+    """Total loss an obstacle imposes on one ray at time t (see obstacle_losses)."""
+    losses, blocked = obstacle_losses(
+        obstacle, t, path_segments([ray], wavelength), 1, 0 if is_primary_ray else None,
+        wavelength, config, InteractionCounters() if counters is None else counters)
+    return LossOutcome(float(losses[0]), blocked[0])

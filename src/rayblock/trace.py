@@ -105,8 +105,8 @@ class ChannelTrace:
     num_steps: int
 
     def __post_init__(self):
-        if self.time_step <= 0:
-            raise TraceFormatError("time step must be positive")
+        if not (math.isfinite(self.time_step) and self.time_step > 0):
+            raise TraceFormatError(f"time step must be finite and positive, got {self.time_step}")
         if self.num_steps < 1:
             raise TraceFormatError("need at least one timestep")
         for pair, steps in self.pairs.items():
@@ -212,6 +212,15 @@ def import_scenario(directory, time_step: float | None = None) -> ChannelTrace:
     if not qd_files:
         raise TraceFormatError(f"{qd_dir}: no TxiRxj.txt ray files")
 
+    # pair -> (reflection order, timestep) -> coordinate file
+    mpc_files: dict[tuple[int, int], dict[tuple[int, int], Path]] = {}
+    if mpc_dir.is_dir():
+        for vpath in mpc_dir.iterdir():
+            m = _MPC_FILE_RE.match(vpath.name)
+            if m:
+                tx, rx, order, step = map(int, m.groups())
+                mpc_files.setdefault((tx, rx), {})[(order, step)] = vpath
+
     pairs: dict[tuple[int, int], list[list[Ray]]] = {}
     num_steps = None
     delay_mismatches = 0
@@ -223,12 +232,7 @@ def import_scenario(directory, time_step: float | None = None) -> ChannelTrace:
             raise TraceFormatError(
                 f"{path}: {len(blocks)} timesteps, other pairs have {num_steps}")
 
-        vertex_files: dict[tuple[int, int], Path] = {}
-        if mpc_dir.is_dir():
-            for vpath in mpc_dir.iterdir():
-                m = _MPC_FILE_RE.match(vpath.name)
-                if m and (int(m.group(1)), int(m.group(2))) == pair:
-                    vertex_files[(int(m.group(3)), int(m.group(4)))] = vpath
+        vertex_files = mpc_files.get(pair, {})
         if not vertex_files and any(b["count"] > 0 for b in blocks):
             raise TraceFormatError(
                 f"missing multipath coordinate files for pair Tx{pair[0]}Rx{pair[1]}")
@@ -275,7 +279,12 @@ def import_scenario(directory, time_step: float | None = None) -> ChannelTrace:
     if time_step is None:
         ts_file = root / "Output" / "Ns3" / "TimeStep.txt"
         if ts_file.exists():
-            time_step = float(ts_file.read_text().strip())
+            text = ts_file.read_text().strip()
+            try:
+                time_step = float(text)
+            except ValueError:
+                raise TraceFormatError(
+                    f"{ts_file}: expected a sampling period in seconds, got {text!r}") from None
         else:
             log.warning("no sampling period recorded in %s, assuming 1.0 s", root)
             time_step = 1.0

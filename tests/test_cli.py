@@ -148,6 +148,15 @@ def test_run_malformed_scenario_exits_3(tmp_path, capsys):
     assert "Tx0Rx1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("recorded", ["0.1 s", "nan"])
+def test_malformed_time_step_file_exits_3(tmp_path, small_scenario, capsys, recorded):
+    (small_scenario / "Output" / "Ns3" / "TimeStep.txt").write_text(recorded + "\n")
+    assert main(["inspect", str(small_scenario)]) == 3
+    assert "time" in capsys.readouterr().err.lower()
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out"))
+    assert main(["run", str(spec)]) == 3
+
+
 def test_run_missing_scenario_dir_exits_3(tmp_path):
     spec = write_spec(tmp_path, minimal_spec(tmp_path / "nowhere", tmp_path / "out"))
     assert main(["run", str(spec)]) == 3

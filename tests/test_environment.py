@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,51 @@ def test_primary_ray_selection():
     bounce = make_ray(tx, (4, 2, 1.5), rx, gain_db=-70.0)
     assert primary_ray_index([bounce, direct]) == 1  # direct wins even when weaker
     assert primary_ray_index([bounce]) == 0
-    strong = make_ray(tx, (4, -2, 1.5), rx, gain_db=-60.0)
-    assert primary_ray_index([bounce, strong]) == 1  # strongest when no direct ray
+    strong_far = make_ray(tx, (4, -3, 1.5), rx, gain_db=-60.0)
+    # shortest delay when no direct ray, however strong the others are: the
+    # choice must not read gains that an earlier run may have attenuated
+    assert primary_ray_index([strong_far, bounce]) == 1
+    assert primary_ray_index([bounce, make_ray(tx, (4, -2, 1.5), rx)]) == 0  # tie: lower index
     assert primary_ray_index([]) is None
+
+
+def test_sequential_equals_combined_with_fallback_and_no_direct_ray():
+    """A blocker that weakens the first-choice primary ray must not move the
+    fallback's primary ray in a later run."""
+    tx, rx = (0.0, 0.0, 1.6), (8.0, 0.0, 1.6)
+    near, far = (4.0, 2.0, 1.6), (4.0, -3.0, 1.6)
+    steps = [[make_ray(tx, near, rx, gain_db=-60.0), make_ray(tx, far, rx, gain_db=-65.0)]
+             for _ in range(3)]
+    trace = ChannelTrace(node_positions={0: np.tile(tx, (3, 1)), 1: np.tile(rx, (3, 1))},
+                         pairs={(0, 1): steps}, time_step=0.005, num_steps=3)
+    sphere = Obstacle(shape=SphereShape(0.3), mobility=Static((2.0, 1.0, 1.6)),
+                      model=Obstruction(20.0))
+    screens = tuple(
+        Obstacle(shape=OrthoScreenShape(0.3, 1.7), mobility=Static(center), model=Dked(),
+                 obstruction_fallback_for_secondary=True)
+        for center in ((6.0, 1.0, 0.85), (6.0, -1.5, 0.85)))
+    combined = run(trace, SimulationConfig(obstacles=(sphere,) + screens))
+    sequential = run(run(trace, SimulationConfig(obstacles=(sphere,))),
+                     SimulationConfig(obstacles=screens))
+    assert_traces_equal(combined, sequential)
+    gains = [r.path_gain_db for r in combined.pairs[(0, 1)][0]]
+    # the near reflection keeps diffraction, the far one takes the fallback
+    assert gains[0] < -80.0
+    assert gains[1] == -75.0
+
+
+def test_degenerate_segments_log_one_summary_line(caplog):
+    # the last segment of every ray is vertical, next to an orthogonal screen
+    tx, top, rx = (0.0, 0.0, 1.6), (2.0, 0.0, 1.6), (2.0, 0.0, 2.8)
+    steps = [[make_ray(tx, top, rx)] for _ in range(50)]
+    trace = ChannelTrace(node_positions={0: np.tile(tx, (50, 1)), 1: np.tile(rx, (50, 1))},
+                         pairs={(0, 1): steps}, time_step=0.005, num_steps=50)
+    screen = Obstacle(shape=OrthoScreenShape(0.2, 1.7), mobility=Static((2.0, 0.3, 0.85)),
+                      model=Dked(), distance_threshold=5.0)
+    stats = RunStats()
+    with caplog.at_level(logging.WARNING):
+        run(trace, SimulationConfig(obstacles=(screen,)), workers=1, stats=stats)
+    assert stats.counters.degenerate_skips == 50
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) <= 1
+    assert "50" in warnings[0].getMessage()

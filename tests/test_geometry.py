@@ -1,19 +1,29 @@
+"""Geometric primitives, plus the blocking tests and per-segment screen
+orientation as the obstacles module computes them."""
+
 import math
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from conftest import make_ray
+from rayblock.diffraction import Obstruction
 from rayblock.errors import DegenerateGeometryError, GeometryError
-from rayblock.geometry import (
-    RectScreen,
-    Segment,
-    Sphere,
-    distance_point_segment,
-    orthogonalize_screen,
-    segment_rect_intersection,
-    segment_sphere_intersection,
+from rayblock.geometry import RectScreen, Segment, distance_point_segment
+from rayblock.obstacles import (
+    InteractionCounters,
+    Obstacle,
+    OrthoScreenShape,
+    ScreenShape,
+    SphereShape,
+    Static,
+    _screen_axes,
+    _screen_cross_section,
+    interact,
 )
+
+WAVELENGTH = 299792458.0 / 60e9
 
 
 def test_segment_rejects_zero_length():
@@ -82,119 +92,128 @@ def test_distance_invariant_under_rigid_motion(rng):
         assert d1 == pytest.approx(d0, abs=1e-9)
 
 
+def _obstruct(shape, center, *points, counters=None):
+    """Outcome of a 10 dB obstruction of the given shape, with no range gating."""
+    obstacle = Obstacle(shape=shape, mobility=Static(tuple(float(c) for c in center)),
+                        model=Obstruction(10.0), distance_threshold=1e3)
+    return interact(obstacle, make_ray(*points), 0.0, WAVELENGTH, counters=counters)
+
+
+def _ortho_normal(a, b) -> np.ndarray:
+    u, v = _screen_axes(OrthoScreenShape(1.0, 1.0), np.zeros(3), np.asarray(a, float),
+                        np.asarray(b, float))
+    return np.cross(u, v)
+
+
 def test_rect_intersection_symmetric_crossing():
-    seg = Segment((0, 0, 1), (2, 0, 1))
+    out = _obstruct(ScreenShape(1.0, 1.0), (1, 0, 1), (0, 0, 1), (2, 0, 1))
+    assert out.blocked
+    assert out.loss_db == 10.0
     screen = RectScreen(center=(1, 0, 1), width=1.0, height=1.0)
-    hit = segment_rect_intersection(seg, screen)
-    assert hit is not None
-    np.testing.assert_allclose(hit, [1, 0, 1], atol=1e-12)
+    t, depths = _screen_cross_section(screen.center, screen.width_axis, screen.height_axis,
+                                      0.5, 0.5, np.array([0.0, 0, 1]), np.array([2.0, 0, 1]))
+    assert t == pytest.approx(0.5, abs=1e-12)
+    np.testing.assert_allclose(depths, [0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
 
 def test_rect_intersection_disjoint():
-    seg = Segment((0, 0, 1), (2, 0, 1))
-    screen = RectScreen(center=(1, 5, 1), width=1.0, height=1.0)
-    assert segment_rect_intersection(seg, screen) is None
-
-
-def _point_in_rect_brute(point, screen, grid=2001):
-    """Brute-force membership: nearest cell of a fine grid over the rectangle."""
-    us = np.linspace(-0.5 * screen.width, 0.5 * screen.width, grid)
-    vs = np.linspace(-0.5 * screen.height, 0.5 * screen.height, grid)
-    rel = point - screen.center
-    u = float(rel @ screen.width_axis)
-    v = float(rel @ screen.height_axis)
-    du = us[1] - us[0]
-    dv = vs[1] - vs[0]
-    return (us[0] - du <= u <= us[-1] + du) and (vs[0] - dv <= v <= vs[-1] + dv)
+    out = _obstruct(ScreenShape(1.0, 1.0), (1, 5, 1), (0, 0, 1), (2, 0, 1))
+    assert not out.blocked
+    assert out.loss_db == 0.0
 
 
 def test_rect_intersection_grazing_edge_inclusive():
     # segment passes exactly through the vertical edge at u = +w/2
-    screen = RectScreen(center=(1, 0, 1), width=1.0, height=1.0)
-    seg = Segment((0, 0.5, 1), (2, 0.5, 1))
-    hit = segment_rect_intersection(seg, screen)
-    assert hit is not None
-    assert _point_in_rect_brute(hit, screen)
-    np.testing.assert_allclose(hit, [1, 0.5, 1], atol=1e-9)
+    assert _obstruct(ScreenShape(1.0, 1.0), (1, 0, 1), (0, 0.5, 1), (2, 0.5, 1)).blocked
+    # and through a corner
+    assert _obstruct(ScreenShape(1.0, 1.0), (1, 0, 1), (0, 0.5, 1.5), (2, 0.5, 1.5)).blocked
+    # a nanometre beyond the tolerance it misses
+    assert not _obstruct(ScreenShape(1.0, 1.0), (1, 0, 1), (0, 0.5 + 2e-9, 1),
+                         (2, 0.5 + 2e-9, 1)).blocked
 
 
 def test_rect_intersection_coplanar_raises():
+    # segment lies inside the screen plane x=1: the cross-section raises and
+    # the obstacle skips the segment as degenerate
     screen = RectScreen(center=(1, 0, 1), width=1.0, height=1.0)
-    seg = Segment((1, -2, 1), (1, 2, 1))  # lies inside the screen plane x=1
     with pytest.raises(DegenerateGeometryError):
-        segment_rect_intersection(seg, screen)
+        _screen_cross_section(screen.center, screen.width_axis, screen.height_axis,
+                              0.5, 0.5, np.array([1.0, -2, 1]), np.array([1.0, 2, 1]))
+    counters = InteractionCounters()
+    out = _obstruct(ScreenShape(1.0, 1.0), (1, 0, 1), (1, -2, 1), (1, 2, 1),
+                    counters=counters)
+    assert (out.loss_db, out.blocked) == (0.0, False)
+    assert counters.degenerate_skips == 1
 
 
 def test_rect_intersection_reversal_symmetry(rng):
+    checked = 0
     for _ in range(200):
-        screen = RectScreen(center=rng.normal(size=3) * 2, width=rng.uniform(0.2, 3),
-                            height=rng.uniform(0.2, 3),
+        shape = ScreenShape(width=rng.uniform(0.2, 3), height=rng.uniform(0.2, 3),
                             azimuth=rng.uniform(-np.pi, np.pi),
                             elevation=rng.uniform(-1.2, 1.2))
-        seg = Segment(rng.normal(size=3) * 4, rng.normal(size=3) * 4)
-        try:
-            fwd = segment_rect_intersection(seg, screen)
-            bwd = segment_rect_intersection(seg.reversed(), screen)
-        except DegenerateGeometryError:
-            continue
-        assert (fwd is None) == (bwd is None)
-        if fwd is not None:
-            np.testing.assert_allclose(fwd, bwd, atol=1e-9)
+        center = rng.normal(size=3) * 2
+        # segments pass near the center, so both outcomes occur often
+        a = center + rng.normal(size=3) * 3
+        b = 2.0 * center - a + rng.normal(size=3)
+        counters = InteractionCounters()
+        fwd = _obstruct(shape, center, a, b, counters=counters)
+        bwd = _obstruct(shape, center, b, a, counters=counters)
+        assert counters.degenerate_skips in (0, 2)
+        assert fwd == bwd
+        checked += fwd.blocked
+    assert 20 < checked < 180
 
 
 def test_sphere_intersection_through_center():
-    seg = Segment((-2, 0, 0), (2, 0, 0))
-    assert segment_sphere_intersection(seg, Sphere(center=(0, 0, 0), radius=0.5))
+    assert _obstruct(SphereShape(0.5), (0, 0, 0), (-2, 0, 0), (2, 0, 0)).blocked
 
 
 def test_sphere_tangency_counts_as_blocked():
-    seg = Segment((-1, 0, 0), (1, 0, 0))
-    assert segment_sphere_intersection(seg, Sphere(center=(0, 1, 0), radius=1.0))
+    assert _obstruct(SphereShape(1.0), (0, 1, 0), (-1, 0, 0), (1, 0, 0)).blocked
 
 
 def test_sphere_miss_at_twice_radius():
-    seg = Segment((-1, 0, 0), (1, 0, 0))
-    assert not segment_sphere_intersection(seg, Sphere(center=(0, 1, 0), radius=0.5))
+    assert not _obstruct(SphereShape(0.5), (0, 1, 0), (-1, 0, 0), (1, 0, 0)).blocked
 
 
 def test_orthogonalize_fixed_point():
-    seg = Segment((0, 0, 1), (4, 0, 1))
-    screen = RectScreen(center=(2, 0, 1), width=1.0, height=2.0, azimuth=0.0)
-    out = orthogonalize_screen(screen, seg)
-    # corner sets coincide (the normal may flip, swapping corner labels)
-    got = sorted(map(tuple, np.round(out.corners, 12)))
-    want = sorted(map(tuple, np.round(screen.corners, 12)))
-    np.testing.assert_allclose(got, want, atol=1e-9)
+    # a segment along +x orients the screen like an unrotated fixed screen
+    a, b = np.array([0.0, 0, 1]), np.array([4.0, 0, 1])
+    ortho = _screen_axes(OrthoScreenShape(1.0, 2.0), np.array([2.0, 0, 1]), a, b)
+    fixed = _screen_axes(ScreenShape(1.0, 2.0), np.array([2.0, 0, 1]), a, b)
+    np.testing.assert_allclose(ortho, fixed, atol=1e-12)
 
 
 def test_orthogonalize_rotated_screen():
-    seg = Segment((0, 0, 1), (4, 0, 1))
-    screen = RectScreen(center=(2, 0, 1), width=1.0, height=2.0, azimuth=np.pi / 4)
-    out = orthogonalize_screen(screen, seg)
-    d = seg.direction / seg.length
-    assert abs(abs(float(out.normal @ d)) - 1.0) < 1e-12
-    np.testing.assert_allclose(out.center, screen.center, atol=1e-12)
-    assert out.width == screen.width
-    assert out.height == screen.height
+    d = np.array([1.0, 0.0, 0.0])
+    assert abs(abs(float(_ortho_normal((0, 0, 1), (4, 0, 1)) @ d)) - 1.0) < 1e-12
+    # the orientation ignores how the fixed shape would have been rotated
+    u, v = _screen_axes(OrthoScreenShape(1.0, 2.0), np.array([2.0, 0, 1]),
+                        np.array([0.0, 0, 1]), np.array([4.0, 0, 1]))
+    np.testing.assert_allclose(v, [0, 0, 1], atol=0)
+    assert float(u @ d) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_orthogonalize_vertical_segment_raises():
-    seg = Segment((1, 1, 0), (1, 1, 3))
-    screen = RectScreen(center=(1, 1, 1), width=1.0, height=1.0)
     with pytest.raises(DegenerateGeometryError):
-        orthogonalize_screen(screen, seg)
+        _screen_axes(OrthoScreenShape(1.0, 1.0), np.array([1.0, 1, 1]),
+                     np.array([1.0, 1, 0]), np.array([1.0, 1, 3]))
+    counters = InteractionCounters()
+    out = _obstruct(OrthoScreenShape(1.0, 1.0), (1, 1.1, 1), (1, 1, 0), (1, 1, 3),
+                    counters=counters)
+    assert (out.loss_db, out.blocked) == (0.0, False)
+    assert counters.degenerate_skips == 1
 
 
 def test_orthogonalize_idempotent(rng):
+    # the axes depend only on the segment, never on where the screen stands
     for _ in range(50):
-        seg = Segment(rng.normal(size=3), rng.normal(size=3) + np.array([3, 0, 0]))
-        screen = RectScreen(center=rng.normal(size=3), width=rng.uniform(0.2, 2),
-                            height=rng.uniform(0.2, 2),
-                            azimuth=rng.uniform(-np.pi, np.pi),
-                            elevation=rng.uniform(-1.0, 1.0))
-        once = orthogonalize_screen(screen, seg)
-        twice = orthogonalize_screen(once, seg)
-        np.testing.assert_allclose(twice.corners, once.corners, atol=1e-9)
+        a = rng.normal(size=3)
+        b = rng.normal(size=3) + np.array([3, 0, 0])
+        first = _screen_axes(OrthoScreenShape(1.0, 1.0), rng.normal(size=3), a, b)
+        again = _screen_axes(OrthoScreenShape(1.0, 1.0), rng.normal(size=3), a, b)
+        np.testing.assert_array_equal(first, again)
 
 
 def test_orthogonalized_normal_parallel_to_horizontal_projection(rng):
@@ -203,12 +222,7 @@ def test_orthogonalized_normal_parallel_to_horizontal_projection(rng):
         b = a + rng.normal(size=3)
         if math.hypot(b[0] - a[0], b[1] - a[1]) < 1e-3:
             continue
-        seg = Segment(a, b)
-        screen = RectScreen(center=rng.normal(size=3), width=1.0, height=1.0,
-                            azimuth=rng.uniform(-np.pi, np.pi))
-        out = orthogonalize_screen(screen, seg)
-        d = seg.direction
+        d = b - a
         horiz = np.array([d[0], d[1], 0.0])
         horiz /= np.linalg.norm(horiz)
-        cross = np.cross(out.normal, horiz)
-        assert np.linalg.norm(cross) < 1e-9
+        assert np.linalg.norm(np.cross(_ortho_normal(a, b), horiz)) < 1e-9

@@ -116,6 +116,25 @@ def test_blocked_snr_drop_exceeds_mean_shadow_loss_minus_3db():
     assert baseline - blocked >= mean_shadow_loss - 3.0
 
 
+def test_beam_follows_reflection_stronger_than_blocked_direct_ray():
+    tx, rx, wall = (0.0, 0.0, 1.6), (8.0, 0.0, 1.6), (4.0, 2.5, 1.4)
+    positions = {0: np.tile(tx, (1, 1)), 1: np.tile(rx, (1, 1))}
+
+    def snr(rays):
+        trace = ChannelTrace(node_positions=positions, pairs={(0, 1): [rays]},
+                             time_step=1.0, num_steps=1)
+        return snr_timeline(trace, (0, 1), TABLE_BUDGET)[0, 1]
+
+    reflection = make_ray(tx, wall, rx, gain_db=-70.0)
+    blocked_direct = make_ray(tx, rx, gain_db=-90.0)
+    both = snr([blocked_direct, reflection])
+    # steered at the reflection, the link keeps its full array gain; the
+    # direct ray, 20 dB weaker and off-beam, moves it by well under 1 dB
+    assert abs(both - snr([reflection])) < 1.0
+    # a beam on the direct ray would have landed about 20 dB lower
+    assert both - snr([blocked_direct]) > 15.0
+
+
 def test_empty_step_reports_minus_infinity():
     tx, rx = (0, 0, 1.6), (8, 0, 1.6)
     positions = {0: np.tile(tx, (2, 1)), 1: np.tile(rx, (2, 1))}

@@ -92,6 +92,35 @@ def test_import_two_steps_varying_counts(tmp_path):
     assert loaded.time_step == pytest.approx(0.0034)
 
 
+def test_import_pairs_sharing_an_id_prefix(tmp_path, monkeypatch):
+    tx, rx1, rx11 = (0.0, 0.0, 1.6), (8.0, 0.0, 1.6), (3.0, 4.0, 1.2)
+    wall = (4.0, -2.5, 1.4)
+    pairs = {
+        (0, 1): [[make_ray(tx, rx1), make_ray(tx, wall, rx1, gain_db=-91.0)]],
+        (0, 11): [[make_ray(tx, rx11, gain_db=-77.0)]],
+    }
+    positions = {0: np.tile(tx, (1, 1)), 1: np.tile(rx1, (1, 1)), 11: np.tile(rx11, (1, 1))}
+    trace = ChannelTrace(node_positions=positions, pairs=pairs, time_step=0.5, num_steps=1)
+    export_scenario(trace, tmp_path)
+
+    listed = []
+    iterdir = type(tmp_path).iterdir
+
+    def counting_iterdir(self):
+        listed.append(self.name)
+        return iterdir(self)
+
+    monkeypatch.setattr(type(tmp_path), "iterdir", counting_iterdir)
+    loaded = import_scenario(tmp_path)
+    assert listed.count("MpcCoordinates") == 1
+    assert sorted(loaded.pairs) == [(0, 1), (0, 11)]
+    for pair, steps in pairs.items():
+        got = loaded.pairs[pair][0]
+        assert [r.path_gain_db for r in got] == [r.path_gain_db for r in steps[0]]
+        for r_got, r_want in zip(got, steps[0]):
+            np.testing.assert_allclose(r_got.vertices, r_want.vertices, atol=1e-6)
+
+
 def test_round_trip_identity(tmp_path):
     trace = build_mixed_trace()
     first_dir = tmp_path / "first"
