@@ -1,8 +1,9 @@
 """Benchmark the hot kernels under the compiled and pure-numpy paths.
 
-Runs itself twice in subprocesses, once as-is and once with
-RAYBLOCK_NO_NUMBA=1, then prints a side-by-side table. Invoke from the
-repository root:
+Runs itself in a subprocess as-is and, when numba is importable, again
+with RAYBLOCK_NO_NUMBA=1, then prints a side-by-side table. Without numba
+both runs would time the same numpy path, so it prints the one column.
+Invoke from the repository root:
 
     python benchmarks/bench_kernels.py
 """
@@ -69,22 +70,27 @@ def main() -> int:
         print(json.dumps(_measure()))
         return 0
 
-    rows = {}
-    for label, extra_env in (("numba", {}), ("numpy", {"RAYBLOCK_NO_NUMBA": "1"})):
-        env = dict(os.environ, **extra_env)
+    def measure(extra_env: dict) -> dict:
         out = subprocess.run(
             [sys.executable, __file__, "--mode", "single"],
-            capture_output=True, text=True, env=env, check=True,
+            capture_output=True, text=True, env=dict(os.environ, **extra_env), check=True,
         )
-        rows[label] = json.loads(out.stdout.strip().splitlines()[-1])
+        return json.loads(out.stdout.strip().splitlines()[-1])
 
-    if not rows["numba"]["numba"]:
-        print("note: numba unavailable, both columns ran the numpy path")
-    keys = [k for k in rows["numba"] if k != "numba"]
+    default = measure({})
+    keys = [k for k in default if k != "numba"]
     width = max(len(k) for k in keys)
+    if not default["numba"]:
+        print("note: numba unavailable, timing the numpy path only")
+        print(f"{'kernel':<{width}}  {'numpy [s]':>10}")
+        for key in keys:
+            print(f"{key:<{width}}  {default[key]:10.4f}")
+        return 0
+
+    numpy_only = measure({"RAYBLOCK_NO_NUMBA": "1"})
     print(f"{'kernel':<{width}}  {'numba [s]':>10}  {'numpy [s]':>10}  {'speedup':>8}")
     for key in keys:
-        a, b = rows["numba"][key], rows["numpy"][key]
+        a, b = default[key], numpy_only[key]
         print(f"{key:<{width}}  {a:10.4f}  {b:10.4f}  {b / a:7.1f}x")
     return 0
 

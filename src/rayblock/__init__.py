@@ -7,8 +7,8 @@ format alongside SNR/loss time series.
 """
 
 from .diffraction import (
-    DEFAULT_CONFIG,
-    DiffractionConfig,
+    FAR_FIELD_NU,
+    LOSS_CAP_DB,
     Dked,
     DkedPc,
     EdgeGeometry,

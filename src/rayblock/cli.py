@@ -10,7 +10,7 @@ Verbs:
     inspect <dir>        summarize a scenario directory
 
 Exit codes: 0 ok, 2 config error, 3 trace format error, 4 numeric failure
-(clamp/cap budget exceeded). Worker count comes from --workers or the
+(clamp event budget exceeded). Worker count comes from --workers or the
 RAYBLOCK_WORKERS environment variable, defaulting to the available cores.
 """
 
@@ -20,13 +20,14 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .diffraction import DEFAULT_CONFIG, MODEL_REGISTRY, LossModel, Metis, Obstruction, model_name
+from .diffraction import MODEL_REGISTRY, LossModel, Metis, Obstruction, model_name
 from .environment import RunStats, SimulationConfig, run as run_environment
 from .errors import ConfigError, NumericBudgetError, RayBlockError, TraceFormatError
 from .linkeval import ArrayConfig, LinkBudget, snr_timeline
@@ -86,10 +87,21 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
+def _number(value, context: str) -> float:
+    """Every number of a spec passes here: JSON admits NaN and Infinity."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{context}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{context}: expected a finite number, got {value!r}")
+    return number
+
+
 def _vec3(value, context: str) -> tuple[float, float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{context}: expected [x, y, z]")
-    return tuple(float(v) for v in value)
+    return tuple(_number(v, context) for v in value)
 
 
 def _parse_shape(data: dict, context: str):
@@ -98,17 +110,17 @@ def _parse_shape(data: dict, context: str):
     kind = _require(data, "kind", context)
     if kind == "ortho_screen":
         _check_keys(data, ("kind", "width", "height"), context)
-        return OrthoScreenShape(width=float(_require(data, "width", context)),
-                                height=float(_require(data, "height", context)))
+        return OrthoScreenShape(width=_number(_require(data, "width", context), context),
+                                height=_number(_require(data, "height", context), context))
     if kind == "screen":
         _check_keys(data, ("kind", "width", "height", "azimuth", "elevation"), context)
-        return ScreenShape(width=float(_require(data, "width", context)),
-                           height=float(_require(data, "height", context)),
-                           azimuth=float(data.get("azimuth", 0.0)),
-                           elevation=float(data.get("elevation", 0.0)))
+        return ScreenShape(width=_number(_require(data, "width", context), context),
+                           height=_number(_require(data, "height", context), context),
+                           azimuth=_number(data.get("azimuth", 0.0), context),
+                           elevation=_number(data.get("elevation", 0.0), context))
     if kind == "sphere":
         _check_keys(data, ("kind", "radius"), context)
-        return SphereShape(radius=float(_require(data, "radius", context)))
+        return SphereShape(radius=_number(_require(data, "radius", context), context))
     raise ConfigError(f"{context}: unknown shape kind {kind!r}")
 
 
@@ -133,7 +145,7 @@ def _parse_mobility(data: dict, context: str):
         for item in points:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ConfigError(f"{context}: each waypoint is [time, [x, y, z]]")
-            times.append(float(item[0]))
+            times.append(_number(item[0], context))
             coords.append(_vec3(item[1], context))
         return WaypointMobility(times=tuple(times), points=tuple(coords))
     raise ConfigError(f"{context}: unknown mobility kind {kind!r}")
@@ -148,7 +160,7 @@ def _parse_model(data: dict, context: str) -> LossModel:
                           f"expected one of {sorted(MODEL_REGISTRY)}")
     if kind == "obstruction":
         _check_keys(data, ("kind", "loss_db"), context)
-        return Obstruction(loss_db=float(data.get("loss_db", 10.0)))
+        return Obstruction(loss_db=_number(data.get("loss_db", 10.0), context))
     _check_keys(data, ("kind",), context)
     return MODEL_REGISTRY[kind]()
 
@@ -164,17 +176,17 @@ def _parse_obstacle(data: dict, index: int) -> Obstacle:
         shape=_parse_shape(_require(data, "shape", context), f"{context}.shape"),
         mobility=_parse_mobility(_require(data, "mobility", context), f"{context}.mobility"),
         model=_parse_model(_require(data, "model", context), f"{context}.model"),
-        distance_threshold=None if threshold is None else float(threshold),
+        distance_threshold=None if threshold is None else _number(threshold, context),
         obstruction_fallback_for_secondary=bool(data.get("fallback", False)),
-        fallback_loss_db=float(data.get("fallback_loss_db", 10.0)),
+        fallback_loss_db=_number(data.get("fallback_loss_db", 10.0), context),
     )
 
 
 def _parse_array(data: dict, context: str) -> ArrayConfig:
     _check_keys(data, ("rows", "cols", "spacing"), context)
-    return ArrayConfig(rows=int(_require(data, "rows", context)),
-                       cols=int(_require(data, "cols", context)),
-                       spacing=float(data.get("spacing", 0.5)))
+    return ArrayConfig(rows=int(_number(_require(data, "rows", context), context)),
+                       cols=int(_number(_require(data, "cols", context), context)),
+                       spacing=_number(data.get("spacing", 0.5), context))
 
 
 def _parse_link_budget(data: dict, context: str) -> LinkBudget:
@@ -182,11 +194,12 @@ def _parse_link_budget(data: dict, context: str) -> LinkBudget:
                        "noise_figure_db", "tx_array", "rx_array"), context)
     defaults = LinkBudget()
     return LinkBudget(
-        carrier_frequency_hz=float(data.get("carrier_frequency_hz",
-                                            defaults.carrier_frequency_hz)),
-        bandwidth_hz=float(data.get("bandwidth_hz", defaults.bandwidth_hz)),
-        tx_power_dbm=float(data.get("tx_power_dbm", defaults.tx_power_dbm)),
-        noise_figure_db=float(data.get("noise_figure_db", defaults.noise_figure_db)),
+        carrier_frequency_hz=_number(data.get("carrier_frequency_hz",
+                                              defaults.carrier_frequency_hz), context),
+        bandwidth_hz=_number(data.get("bandwidth_hz", defaults.bandwidth_hz), context),
+        tx_power_dbm=_number(data.get("tx_power_dbm", defaults.tx_power_dbm), context),
+        noise_figure_db=_number(data.get("noise_figure_db", defaults.noise_figure_db),
+                                context),
         tx_array=_parse_array(data["tx_array"], f"{context}.tx_array")
         if "tx_array" in data else defaults.tx_array,
         rx_array=_parse_array(data["rx_array"], f"{context}.rx_array")
@@ -207,15 +220,19 @@ def parse_run_spec(data: dict) -> RunSpec:
     if not isinstance(models, list):
         raise ConfigError("spec: models_to_compare must be a list")
     for m in models:
-        if m not in MODEL_REGISTRY:
+        if not isinstance(m, str) or m not in MODEL_REGISTRY:
             raise ConfigError(f"spec: models_to_compare contains unknown model {m!r}")
+    repeated = sorted({m for m in models if models.count(m) > 1})
+    if repeated:
+        raise ConfigError(f"spec: models_to_compare lists {repeated} more than once")
     sampling = None
     if data.get("sampling") is not None:
         sdata = data["sampling"]
         _check_keys(sdata, ("time_step", "num_steps"), "spec.sampling")
         sampling = SamplingSpec(
-            time_step=float(_require(sdata, "time_step", "spec.sampling")),
-            num_steps=None if sdata.get("num_steps") is None else int(sdata["num_steps"]),
+            time_step=_number(_require(sdata, "time_step", "spec.sampling"), "spec.sampling"),
+            num_steps=None if sdata.get("num_steps") is None
+            else int(_number(sdata["num_steps"], "spec.sampling")),
         )
         if sampling.time_step <= 0:
             raise ConfigError("spec.sampling: time_step must be positive")
@@ -225,11 +242,11 @@ def parse_run_spec(data: dict) -> RunSpec:
             scenario_dir=str(_require(data, "scenario_dir", "spec")),
             output_dir=str(_require(data, "output_dir", "spec")),
             obstacles=tuple(_parse_obstacle(o, i) for i, o in enumerate(obstacles)),
-            models_to_compare=tuple(str(m) for m in models),
+            models_to_compare=tuple(models),
             link_budget=_parse_link_budget(data.get("link_budget", {}), "spec.link_budget"),
             sampling=sampling,
-            removal_floor_db=float(data.get("removal_floor_db", -500.0)),
-            max_clamp_events=None if max_clamp is None else int(max_clamp),
+            removal_floor_db=_number(data.get("removal_floor_db", -500.0), "spec"),
+            max_clamp_events=None if max_clamp is None else int(_number(max_clamp, "spec")),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"spec: {exc}") from None
@@ -333,7 +350,7 @@ def _sweep_outcome(geom: SweepGeometry, center, model: LossModel,
     tx = np.array([0.0, 0.0, geom.node_height_m])
     rx = np.array([geom.distance_m, 0.0, geom.node_height_m])
     return _segment_outcome(obstacle, model, np.array(center), tx, rx, wavelength,
-                            DEFAULT_CONFIG, InteractionCounters())
+                            InteractionCounters())
 
 
 def _sweep_model(name: str, geom: SweepGeometry) -> LossModel:
@@ -477,11 +494,12 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
         carrier_frequency_hz=spec.link_budget.carrier_frequency_hz,
     )
 
-    stats = RunStats()
     pairs = sorted(trace.pairs)
     baseline_snr = {pair: snr_timeline(trace, pair, spec.link_budget) for pair in pairs}
 
-    configured = run_environment(trace, cfg, workers=workers, stats=stats)
+    # one RunStats per run; runs[0] is the configured run
+    runs = [RunStats()]
+    configured = run_environment(trace, cfg, workers=workers, stats=runs[0])
     configured_snr = {pair: snr_timeline(configured, pair, spec.link_budget)
                       for pair in pairs}
 
@@ -489,7 +507,8 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
     for name in spec.models_to_compare:
         model_cfg = dataclasses.replace(
             cfg, obstacles=tuple(_override_model(o, name) for o in spec.obstacles))
-        model_trace = run_environment(trace, model_cfg, workers=workers, stats=stats)
+        runs.append(RunStats())
+        model_trace = run_environment(trace, model_cfg, workers=workers, stats=runs[-1])
         model_snr[name] = {pair: snr_timeline(model_trace, pair, spec.link_budget)
                            for pair in pairs}
 
@@ -533,21 +552,24 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
     (output_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
+    # rays describe the configured run; clamp events and interactions sum
+    # every run, the compared models' included
+    clamp_events = sum(r.clamp_events for r in runs)
+    c = InteractionCounters()
+    for r in runs:
+        c.merge(r.counters)
     print(f"pairs: {len(pairs)}")
     print(f"steps: {trace.num_steps}")
-    print(f"rays: {stats.rays_in} in, {stats.rays_dropped} dropped")
-    print(f"clamp events: {stats.clamp_events} "
-          f"(metis {stats.metis_clamps}, cap {stats.cap_hits})")
-    c = stats.counters
+    print(f"rays: {runs[0].rays_in} in, {runs[0].rays_dropped} dropped")
+    print(f"clamp events: {clamp_events}")
     print(f"interactions: {c.diffraction_evals} diffraction, "
           f"{c.obstruction_evals} obstruction, {c.far_skips} skipped far, "
           f"{c.degenerate_skips} degenerate")
     print(f"outputs: {output_dir}")
 
-    if spec.max_clamp_events is not None and stats.clamp_events > spec.max_clamp_events:
+    if spec.max_clamp_events is not None and clamp_events > spec.max_clamp_events:
         raise NumericBudgetError(
-            f"{stats.clamp_events} clamp events exceed the budget of "
-            f"{spec.max_clamp_events}")
+            f"{clamp_events} clamp events exceed the budget of {spec.max_clamp_events}")
     return 0
 
 

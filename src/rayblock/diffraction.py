@@ -9,10 +9,13 @@ screen construction).
 
 Two Fresnel evaluators sit behind one contract: a closed-form series
 (production path, see _kernels) and an adaptive quadrature used as the
-reference oracle. ``DiffractionConfig.fresnel_method`` selects one.
+reference oracle. The ``method`` argument of ``fresnel_integral`` selects
+one; the loss models always take the closed form.
 
-All functions are pure; the module-level ``diagnostics`` object only counts
-clamp/cap events and exists per process.
+The models share fixed constants rather than a settings object: every
+loss is capped at ``LOSS_CAP_DB``, and edges beyond ``FAR_FIELD_NU`` take
+their asymptotic value. All functions are pure; the module-level
+``diagnostics`` object only counts capped losses and exists per process.
 """
 
 from __future__ import annotations
@@ -33,36 +36,22 @@ log = logging.getLogger(__name__)
 # Fresnel radii away from the path has nu = 10*sqrt(2).
 FAR_FIELD_NU = 10.0 * math.sqrt(2.0)
 
+# Every model clamps its loss to this; amplitudes at or below the matching
+# floor count as capped without taking their logarithm.
+LOSS_CAP_DB = 80.0
+_CAP_AMPLITUDE = 10.0 ** (-LOSS_CAP_DB / 20.0)
 
-@dataclass(frozen=True)
-class DiffractionConfig:
-    fresnel_method: str = "approx"        # "approx" | "quadrature"
-    loss_cap_db: float = 80.0             # all models clamp to this
-    metis_log_floor: float = 1e-8         # log argument floor before clamping
-    far_field_nu: float = FAR_FIELD_NU    # edge contributions beyond are asymptotic
-    quadrature_tol: float = 1e-9
-
-
-DEFAULT_CONFIG = DiffractionConfig()
+_QUADRATURE_TOL = 1e-9
 
 
 class Diagnostics:
-    """Per-process counters for numeric clamping, reported by the CLI."""
+    """Per-process count of losses capped at LOSS_CAP_DB, reported by the CLI."""
 
     def __init__(self):
-        self.metis_clamps = 0
-        self.cap_hits = 0
+        self.total = 0
 
     def reset(self):
-        self.metis_clamps = 0
-        self.cap_hits = 0
-
-    def snapshot(self) -> dict:
-        return {"metis_clamps": self.metis_clamps, "cap_hits": self.cap_hits}
-
-    @property
-    def total(self) -> int:
-        return self.metis_clamps + self.cap_hits
+        self.total = 0
 
 
 diagnostics = Diagnostics()
@@ -214,26 +203,25 @@ def _fresnel_quadrature(nu: float, tol: float) -> tuple[float, float]:
     return c, s
 
 
-def fresnel_integral(nu: float, config: DiffractionConfig = DEFAULT_CONFIG,
-                     method: str | None = None) -> FresnelResult:
+def fresnel_integral(nu: float, method: str = "approx") -> FresnelResult:
     """Complex Fresnel integral F(nu) = C(nu) + j S(nu).
 
     method "approx" uses the closed-form series, "quadrature" the adaptive
-    reference integrator (absolute tolerance config.quadrature_tol).
+    reference integrator (absolute tolerance 1e-9).
     """
     if not math.isfinite(nu):
         raise GeometryError("nu must be finite")
-    method = method or config.fresnel_method
     if method == "approx":
         c, s = _kernels.fresnel_cs(nu)
     elif method == "quadrature":
-        c, s = _fresnel_quadrature(nu, config.quadrature_tol)
+        c, s = _fresnel_quadrature(nu, _QUADRATURE_TOL)
     else:
         raise GeometryError(f"unknown fresnel method {method!r}")
     return FresnelResult(c, s)
 
 
-def fresnel_integral_grid(nus: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def fresnel_integral_grid(nus: np.ndarray,
+                          tol: float = _QUADRATURE_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature C, S over a sorted grid, integrating increment by increment.
 
     Used as the oracle against the closed-form path on dense grids, where
@@ -274,14 +262,22 @@ def obstruction_loss(blocked: bool, loss_db: float) -> float:
     return loss_db if blocked else 0.0
 
 
-def _capped(loss_db: float, config: DiffractionConfig) -> float:
-    if loss_db > config.loss_cap_db:
-        diagnostics.cap_hits += 1
-        return config.loss_cap_db
+def _capped(loss_db: float) -> float:
+    if loss_db > LOSS_CAP_DB:
+        diagnostics.total += 1
+        return LOSS_CAP_DB
     return loss_db
 
 
-def metis_edge_term(edge: EdgeGeometry, sign: float, config: DiffractionConfig = DEFAULT_CONFIG) -> float:
+def _magnitude_loss(amplitude: float) -> float:
+    """-20 log10(amplitude), capped at LOSS_CAP_DB (one capped event at most)."""
+    if amplitude <= _CAP_AMPLITUDE:
+        diagnostics.total += 1
+        return LOSS_CAP_DB
+    return _capped(-20.0 * math.log10(amplitude))
+
+
+def metis_edge_term(edge: EdgeGeometry, sign: float) -> float:
     """Single-edge shadowing term of the arctan approximation, in (-1/2, 1/2]."""
     if sign not in (1.0, -1.0, 1, -1):
         raise GeometryError("sign must be +1 or -1")
@@ -290,7 +286,7 @@ def metis_edge_term(edge: EdgeGeometry, sign: float, config: DiffractionConfig =
         raise GeometryError("edge path shorter than the direct path")
     excess = max(excess, 0.0)
     # beyond the far-field cutoff the arctan has saturated to +-1/2
-    if 2.0 * math.sqrt(excess / edge.wavelength) >= config.far_field_nu:
+    if 2.0 * math.sqrt(excess / edge.wavelength) >= FAR_FIELD_NU:
         return 0.5 * sign
     return math.atan(sign * 0.5 * math.pi * math.sqrt(math.pi * excess / edge.wavelength)) / math.pi
 
@@ -310,49 +306,36 @@ def _metis_signs(geom: ScreenDiffractionGeometry) -> dict[str, float]:
     return signs
 
 
-def metis_loss(geom: ScreenDiffractionGeometry, config: DiffractionConfig = DEFAULT_CONFIG) -> float:
+def metis_loss(geom: ScreenDiffractionGeometry) -> float:
     """Four-edge arctan knife-edge loss.
 
     Shadowed paths take all four terms positive; otherwise only the edge of
     each pair farther from the direct line contributes positively.
     """
     signs = _metis_signs(geom)
-    terms = {name: metis_edge_term(getattr(geom, name), signs[name], config)
+    terms = {name: metis_edge_term(getattr(geom, name), signs[name])
              for name in ("w1", "w2", "h1", "h2")}
-    arg = 1.0 - (terms["h1"] + terms["h2"]) * (terms["w1"] + terms["w2"])
-    if arg < config.metis_log_floor:
-        diagnostics.metis_clamps += 1
-        arg = config.metis_log_floor
-    return _capped(-20.0 * math.log10(arg), config)
+    return _magnitude_loss(1.0 - (terms["h1"] + terms["h2"]) * (terms["w1"] + terms["w2"]))
 
 
-def sked(nu: float, config: DiffractionConfig = DEFAULT_CONFIG) -> complex:
+def sked(nu: float) -> complex:
     """Complex single knife-edge factor for a signed diffraction parameter.
 
     Positive nu means the edge's half-plane shadows the path. Beyond the
     far-field cutoff the exact asymptotes (0 in deep shadow, 1 in open
     space) are returned.
     """
-    if nu >= config.far_field_nu:
+    if nu >= FAR_FIELD_NU:
         return 0.0 + 0.0j
-    if nu <= -config.far_field_nu:
+    if nu <= -FAR_FIELD_NU:
         return 1.0 + 0.0j
-    f = fresnel_integral(nu, config)
+    f = fresnel_integral(nu)
     return 0.5 * (1.0 + 1.0j) * ((0.5 - f.c) - 1.0j * (0.5 - f.s))
 
 
-def _magnitude_loss(amplitude: float, config: DiffractionConfig) -> float:
-    floor = 10.0 ** (-config.loss_cap_db / 20.0)
-    if amplitude <= floor:
-        diagnostics.cap_hits += 1
-        return config.loss_cap_db
-    return _capped(-20.0 * math.log10(amplitude), config)
-
-
-def dked_loss(nu1: float, nu2: float, config: DiffractionConfig = DEFAULT_CONFIG) -> float:
+def dked_loss(nu1: float, nu2: float) -> float:
     """Double knife-edge loss from the two lateral-edge parameters."""
-    total = sked(nu1, config) + sked(nu2, config)
-    return _magnitude_loss(abs(total), config)
+    return _magnitude_loss(abs(sked(nu1) + sked(nu2)))
 
 
 def _turn_phasor(path_delta: float, wavelength: float) -> complex:
@@ -368,7 +351,7 @@ def _turn_phasor(path_delta: float, wavelength: float) -> complex:
 
 
 def dked_pc_loss(nu1: float, nu2: float, delta1: float, delta2: float,
-                 wavelength: float, config: DiffractionConfig = DEFAULT_CONFIG) -> float:
+                 wavelength: float) -> float:
     """Double knife-edge loss with per-edge phase correction.
 
     delta1/delta2 are the excess lengths of the two diffracted paths over
@@ -378,12 +361,12 @@ def dked_pc_loss(nu1: float, nu2: float, delta1: float, delta2: float,
         raise GeometryError("excess path lengths must be >= 0")
     if wavelength <= 0:
         raise GeometryError("wavelength must be positive")
-    total = (sked(nu1, config) * _turn_phasor(delta1, wavelength)
-             + sked(nu2, config) * _turn_phasor(delta2, wavelength))
-    return _magnitude_loss(abs(total), config)
+    total = (sked(nu1) * _turn_phasor(delta1, wavelength)
+             + sked(nu2) * _turn_phasor(delta2, wavelength))
+    return _magnitude_loss(abs(total))
 
 
-def _itu_edge_factor(nu: float, config: DiffractionConfig) -> complex:
+def _itu_edge_factor(nu: float) -> complex:
     """Semi-empirical complex edge contribution.
 
     Shadow side: amplitude from the knife-edge loss approximation, phase
@@ -391,18 +374,18 @@ def _itu_edge_factor(nu: float, config: DiffractionConfig) -> complex:
     the edge wave). Lit side by Babinet complement, which produces the
     fringes near the transition.
     """
-    if nu >= config.far_field_nu:
+    if nu >= FAR_FIELD_NU:
         return 0.0 + 0.0j
-    if nu <= -config.far_field_nu:
+    if nu <= -FAR_FIELD_NU:
         return 1.0 + 0.0j
     if nu >= 0.0:
         amp = 10.0 ** (-_kernels.knife_edge_loss_db(nu) / 20.0)
         phase = -(0.25 * math.pi + 0.5 * math.pi * nu * nu)
         return amp * complex(math.cos(phase), math.sin(phase))
-    return 1.0 - _itu_edge_factor(-nu, config)
+    return 1.0 - _itu_edge_factor(-nu)
 
 
-def itu_se_loss(geom: ScreenDiffractionGeometry, config: DiffractionConfig = DEFAULT_CONFIG) -> float:
+def itu_se_loss(geom: ScreenDiffractionGeometry) -> float:
     """Semi-empirical thin-screen loss without Fresnel integrals.
 
     In shadow the four single-edge estimates combine on a power basis (the
@@ -423,13 +406,13 @@ def itu_se_loss(geom: ScreenDiffractionGeometry, config: DiffractionConfig = DEF
     if geom.los_blocked:
         power = 0.0
         for nu in nus.values():
-            if nu < config.far_field_nu:
+            if nu < FAR_FIELD_NU:
                 power += 10.0 ** (-_kernels.knife_edge_loss_db(nu) / 10.0)
-        if power <= 10.0 ** (-config.loss_cap_db / 10.0):
-            diagnostics.cap_hits += 1
-            return config.loss_cap_db
-        return _capped(-10.0 * math.log10(power), config)
-    strip_w = _itu_edge_factor(nus["w1"], config) + _itu_edge_factor(nus["w2"], config)
-    strip_h = _itu_edge_factor(nus["h1"], config) + _itu_edge_factor(nus["h2"], config)
+        if power <= 10.0 ** (-LOSS_CAP_DB / 10.0):
+            diagnostics.total += 1
+            return LOSS_CAP_DB
+        return _capped(-10.0 * math.log10(power))
+    strip_w = _itu_edge_factor(nus["w1"]) + _itu_edge_factor(nus["w2"])
+    strip_h = _itu_edge_factor(nus["h1"]) + _itu_edge_factor(nus["h2"])
     total = 1.0 - (1.0 - strip_w) * (1.0 - strip_h)
-    return _magnitude_loss(abs(total), config)
+    return _magnitude_loss(abs(total))

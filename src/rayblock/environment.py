@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diffraction
-from .diffraction import DEFAULT_CONFIG, DiffractionConfig
 from .errors import ConfigError
 from .obstacles import InteractionCounters, Obstacle, obstacle_losses, path_segments
 from .trace import SPEED_OF_LIGHT, ChannelTrace, Ray
@@ -38,7 +37,6 @@ class SimulationConfig:
     time_step: float | None = None          # defaults to the trace's step
     removal_floor_db: float = -500.0
     carrier_frequency_hz: float = 60e9
-    diffraction: DiffractionConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
@@ -52,17 +50,15 @@ class SimulationConfig:
 
 @dataclass
 class RunStats:
-    """Optional out-parameter of run(); aggregated across workers."""
+    """Optional out-parameter of run(); aggregated across workers.
+
+    clamp_events counts the losses capped at diffraction.LOSS_CAP_DB.
+    """
 
     rays_in: int = 0
     rays_dropped: int = 0
     counters: InteractionCounters = field(default_factory=InteractionCounters)
-    metis_clamps: int = 0
-    cap_hits: int = 0
-
-    @property
-    def clamp_events(self) -> int:
-        return self.metis_clamps + self.cap_hits
+    clamp_events: int = 0
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -100,8 +96,7 @@ def primary_ray_index(rays: list[Ray]) -> int | None:
 
 
 def _step_gains(rays: list[Ray], obstacles: tuple[Obstacle, ...], t_pose: float,
-                wavelength: float, config: DiffractionConfig,
-                counters: InteractionCounters) -> np.ndarray:
+                wavelength: float, counters: InteractionCounters) -> np.ndarray:
     """Final gains after all obstacles, applied in order, for one timestep."""
     gains = np.array([r.path_gain_db for r in rays], dtype=np.float64)
     if not rays or not obstacles:
@@ -110,23 +105,21 @@ def _step_gains(rays: list[Ray], obstacles: tuple[Obstacle, ...], t_pose: float,
     segments = path_segments(rays, wavelength)
     for obstacle in obstacles:
         losses, _ = obstacle_losses(obstacle, t_pose, segments, len(rays), primary,
-                                    wavelength, config, counters)
+                                    wavelength, counters)
         gains -= losses
     return gains
 
 
 def _run_chunk(args) -> tuple:
-    (pair, k_lo, step_rays, obstacles, stride, pose_step, wavelength, config) = args
+    (pair, k_lo, step_rays, obstacles, stride, pose_step, wavelength) = args
     counters = InteractionCounters()
-    diag_before = diffraction.diagnostics.snapshot()
+    capped_before = diffraction.diagnostics.total
     out = []
     for offset, rays in enumerate(step_rays):
         k = k_lo + offset
         t_pose = (k // stride) * pose_step
-        out.append(_step_gains(rays, obstacles, t_pose, wavelength, config, counters))
-    diag_after = diffraction.diagnostics.snapshot()
-    diag_delta = {key: diag_after[key] - diag_before[key] for key in diag_after}
-    return pair, k_lo, out, counters, diag_delta
+        out.append(_step_gains(rays, obstacles, t_pose, wavelength, counters))
+    return pair, k_lo, out, counters, diffraction.diagnostics.total - capped_before
 
 
 def run(trace: ChannelTrace, cfg: SimulationConfig, workers: int | None = None,
@@ -156,7 +149,7 @@ def run(trace: ChannelTrace, cfg: SimulationConfig, workers: int | None = None,
         for k_lo in range(0, trace.num_steps, chunk_len):
             step_rays = steps[k_lo:k_lo + chunk_len]
             chunks.append((pair, k_lo, step_rays, cfg.obstacles, stride, pose_step,
-                           wavelength, cfg.diffraction))
+                           wavelength))
 
     gains_by_pair: dict[tuple[int, int], list[np.ndarray | None]] = {
         pair: [None] * trace.num_steps for pair in trace.pairs
@@ -168,12 +161,11 @@ def run(trace: ChannelTrace, cfg: SimulationConfig, workers: int | None = None,
         results = [_run_chunk(c) for c in chunks]
 
     degenerate_skips = 0
-    for pair, k_lo, step_gains, counters, diag_delta in results:
+    for pair, k_lo, step_gains, counters, capped in results:
         for offset, gains in enumerate(step_gains):
             gains_by_pair[pair][k_lo + offset] = gains
         stats.counters.merge(counters)
-        stats.metis_clamps += diag_delta["metis_clamps"]
-        stats.cap_hits += diag_delta["cap_hits"]
+        stats.clamp_events += capped
         degenerate_skips += counters.degenerate_skips
     if degenerate_skips:
         log.warning("skipped %d degenerate segment/screen configurations",

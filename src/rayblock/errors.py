@@ -28,4 +28,4 @@ class TraceFormatError(RayBlockError):
 
 
 class NumericBudgetError(RayBlockError):
-    """Clamp/cap diagnostic counters exceeded the configured budget."""
+    """The clamp events of a run exceeded its configured budget."""

@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
 
 from . import _kernels, diffraction
 from .diffraction import (
-    DEFAULT_CONFIG,
     Dked,
     DkedPc,
-    DiffractionConfig,
     EdgeGeometry,
     ItuSe,
     LossModel,
@@ -38,6 +37,8 @@ from .errors import ConfigError, DegenerateGeometryError
 from .geometry import RectScreen, Segment
 
 _BOUNDARY_TOL = 1e-9
+_VERTICAL = np.array([0.0, 0.0, 1.0])
+_VERTICAL.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,20 @@ class ScreenShape:
     def tilted(self) -> bool:
         return self.azimuth != 0.0 or self.elevation != 0.0
 
+    @cached_property
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unit width and height axes; they depend on the angles only."""
+        plane = RectScreen(center=(0.0, 0.0, 0.0), width=self.width, height=self.height,
+                           azimuth=self.azimuth, elevation=self.elevation)
+        axes = (plane.width_axis, plane.height_axis)
+        for axis in axes:
+            axis.setflags(write=False)  # shared by every evaluation of this shape
+        return axes
+
+    @property
+    def height_axis(self) -> np.ndarray:
+        return self.axes[1]
+
 
 @dataclass(frozen=True)
 class OrthoScreenShape:
@@ -68,6 +83,10 @@ class OrthoScreenShape:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ConfigError("screen extents must be positive")
+
+    @property
+    def height_axis(self) -> np.ndarray:
+        return _VERTICAL
 
 
 @dataclass(frozen=True)
@@ -162,14 +181,6 @@ class InteractionCounters:
         self.far_skips += other.far_skips
         self.degenerate_skips += other.degenerate_skips
 
-    def as_dict(self) -> dict:
-        return {
-            "diffraction_evals": self.diffraction_evals,
-            "obstruction_evals": self.obstruction_evals,
-            "far_skips": self.far_skips,
-            "degenerate_skips": self.degenerate_skips,
-        }
-
 
 @dataclass(frozen=True)
 class Obstacle:
@@ -208,16 +219,6 @@ def default_threshold(segment_length, wavelength: float):
     return 5.0 * np.sqrt(wavelength * np.asarray(segment_length))
 
 
-def screen_vertical_axis(shape: Shape) -> np.ndarray | None:
-    """Unit height axis of a screen shape, pose-independent; None for spheres."""
-    if isinstance(shape, OrthoScreenShape):
-        return np.array([0.0, 0.0, 1.0])
-    if isinstance(shape, ScreenShape):
-        return RectScreen(center=(0.0, 0.0, 0.0), width=shape.width, height=shape.height,
-                          azimuth=shape.azimuth, elevation=shape.elevation).height_axis
-    return None
-
-
 def screen_beyond_threshold(center, v_axis, half_w: float, half_h: float,
                             seg_start, seg_end, threshold: float) -> bool:
     """Provably-far test against the screen's vertical center line.
@@ -238,30 +239,28 @@ def screen_beyond_threshold(center, v_axis, half_w: float, half_h: float,
     return dist - half_w > threshold + 1e-4
 
 
-def _screen_axes(shape: Shape, center: np.ndarray, seg_start: np.ndarray,
+def _screen_axes(shape: Shape, seg_start: np.ndarray,
                  seg_end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit width/height axes of the screen plane at this pose."""
+    """Unit width/height axes of the screen plane against this segment."""
     if isinstance(shape, OrthoScreenShape):
         d = seg_end - seg_start
         horiz = math.hypot(d[0], d[1])
         if horiz < 1e-12 * max(float(np.linalg.norm(d)), 1e-30):
             raise DegenerateGeometryError("vertical segment cannot orient an orthogonal screen")
         az = math.atan2(d[1], d[0])
-        u = np.array([-math.sin(az), math.cos(az), 0.0])
-        v = np.array([0.0, 0.0, 1.0])
-        return u, v
-    screen = RectScreen(center=center, width=shape.width, height=shape.height,
-                        azimuth=shape.azimuth, elevation=shape.elevation)
-    return screen.width_axis, screen.height_axis
+        return np.array([-math.sin(az), math.cos(az), 0.0]), _VERTICAL
+    return shape.axes
 
 
 def _screen_cross_section(center, u, v, half_w, half_h, seg_start, seg_end):
-    """Plane crossing of the segment and per-edge signed depths.
+    """Per-edge signed depths of the segment's plane crossing, and blocking.
 
-    Returns (t, depths) with depths ordered (w1 left, w2 right, h1 bottom,
-    h2 top); positive depth means that edge's half-plane covers the
-    crossing point. Raises DegenerateGeometryError when the segment is
-    parallel to the screen plane.
+    Returns (depths, blocked) with depths ordered (w1 left, w2 right, h1
+    bottom, h2 top); positive depth means that edge's half-plane covers the
+    crossing point. The segment is blocked when it crosses the plane
+    within its span and inside every edge, both within _BOUNDARY_TOL.
+    Raises DegenerateGeometryError when the segment is parallel to the
+    screen plane.
     """
     # scalar arithmetic: this sits inside the per-segment hot loop
     dx = seg_end[0] - seg_start[0]
@@ -282,19 +281,19 @@ def _screen_cross_section(center, u, v, half_w, half_h, seg_start, seg_end):
     xu = rx * u[0] + ry * u[1] + rz * u[2]
     xv = rx * v[0] + ry * v[1] + rz * v[2]
     depths = (xu + half_w, half_w - xu, xv + half_h, half_h - xv)
-    return float(t), depths
+    t_tol = _BOUNDARY_TOL / seg_len
+    blocked = (-t_tol <= t <= 1.0 + t_tol
+               and all(h >= -_BOUNDARY_TOL for h in depths))
+    return depths, blocked
 
 
 def _screen_geometry(center, u, v, half_w, half_h, seg_start, seg_end,
                      wavelength: float) -> ScreenDiffractionGeometry:
-    t, depths = _screen_cross_section(center, u, v, half_w, half_h, seg_start, seg_end)
+    depths, blocked = _screen_cross_section(center, u, v, half_w, half_h, seg_start, seg_end)
     tx0, tx1, tx2 = float(seg_start[0]), float(seg_start[1]), float(seg_start[2])
     rx0, rx1, rx2 = float(seg_end[0]), float(seg_end[1]), float(seg_end[2])
     d0, d1, d2 = rx0 - tx0, rx1 - tx1, rx2 - tx2
     seg_len = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-    t_tol = _BOUNDARY_TOL / seg_len
-    in_span = -t_tol <= t <= 1.0 + t_tol
-    blocked = in_span and all(h >= -_BOUNDARY_TOL for h in depths)
 
     bl = (center[0] - half_w * u[0] - half_h * v[0],
           center[1] - half_w * u[1] - half_h * v[1],
@@ -343,24 +342,24 @@ def screen_edge_geometries(screen: RectScreen, segment: Segment,
 
 
 def _screen_model_loss(model: LossModel, geom: ScreenDiffractionGeometry,
-                       wavelength: float, config: DiffractionConfig) -> float:
+                       wavelength: float) -> float:
     if isinstance(model, Metis):
-        return diffraction.metis_loss(geom, config)
+        return diffraction.metis_loss(geom)
     nu1 = diffraction_parameter(geom.w1)
     nu2 = diffraction_parameter(geom.w2)
     if isinstance(model, Dked):
-        return diffraction.dked_loss(nu1, nu2, config)
+        return diffraction.dked_loss(nu1, nu2)
     if isinstance(model, DkedPc):
         return diffraction.dked_pc_loss(
-            nu1, nu2, geom.w1.excess_path, geom.w2.excess_path, wavelength, config)
+            nu1, nu2, geom.w1.excess_path, geom.w2.excess_path, wavelength)
     if isinstance(model, ItuSe):
-        return diffraction.itu_se_loss(geom, config)
+        return diffraction.itu_se_loss(geom)
     raise ConfigError(f"unsupported loss model {model!r}")
 
 
 def _segment_outcome(obstacle: Obstacle, model: LossModel, center: np.ndarray,
                      seg_start: np.ndarray, seg_end: np.ndarray, wavelength: float,
-                     config: DiffractionConfig, counters: InteractionCounters) -> LossOutcome:
+                     counters: InteractionCounters) -> LossOutcome:
     """Loss of one segment against one resolved obstacle pose."""
     if isinstance(obstacle.shape, SphereShape):
         dist, _ = _kernels.point_segment_distance(
@@ -376,13 +375,9 @@ def _segment_outcome(obstacle: Obstacle, model: LossModel, center: np.ndarray,
     half_w = 0.5 * obstacle.shape.width
     half_h = 0.5 * obstacle.shape.height
     try:
-        u, v = _screen_axes(obstacle.shape, center, seg_start, seg_end)
+        u, v = _screen_axes(obstacle.shape, seg_start, seg_end)
         if isinstance(model, Obstruction):
-            t, depths = _screen_cross_section(center, u, v, half_w, half_h, seg_start, seg_end)
-            seg_len = float(np.linalg.norm(seg_end - seg_start))
-            t_tol = _BOUNDARY_TOL / seg_len
-            blocked = (-t_tol <= t <= 1.0 + t_tol
-                       and all(h >= -_BOUNDARY_TOL for h in depths))
+            _, blocked = _screen_cross_section(center, u, v, half_w, half_h, seg_start, seg_end)
             counters.obstruction_evals += 1
             return LossOutcome(diffraction.obstruction_loss(blocked, model.loss_db), blocked)
         geom = _screen_geometry(center, u, v, half_w, half_h, seg_start, seg_end, wavelength)
@@ -390,7 +385,7 @@ def _segment_outcome(obstacle: Obstacle, model: LossModel, center: np.ndarray,
         counters.degenerate_skips += 1
         return LossOutcome(0.0, False)
     counters.diffraction_evals += 1
-    return LossOutcome(_screen_model_loss(model, geom, wavelength, config), geom.los_blocked)
+    return LossOutcome(_screen_model_loss(model, geom, wavelength), geom.los_blocked)
 
 
 def _effective_model(obstacle: Obstacle, is_primary_ray: bool) -> LossModel:
@@ -418,7 +413,7 @@ def path_segments(rays, wavelength: float) -> PathSegments:
 
 
 def obstacle_losses(obstacle: Obstacle, t: float, segments: PathSegments, num_rays: int,
-                    primary: int | None, wavelength: float, config: DiffractionConfig,
+                    primary: int | None, wavelength: float,
                     counters: InteractionCounters) -> tuple[np.ndarray, list[bool]]:
     """Per-ray loss (dB) and blocked flag one obstacle imposes at time t.
 
@@ -432,7 +427,7 @@ def obstacle_losses(obstacle: Obstacle, t: float, segments: PathSegments, num_ra
     if obstacle.distance_threshold is not None:
         thresholds = np.full_like(thresholds, obstacle.distance_threshold)
     center = position_at(obstacle.mobility, t)
-    v_axis = screen_vertical_axis(obstacle.shape)
+    v_axis = None if isinstance(obstacle.shape, SphereShape) else obstacle.shape.height_axis
     dists = _kernels.point_segment_distance_batch(center, starts, ends)
     candidates = np.nonzero(dists <= thresholds + obstacle.bounding_radius)[0]
     counters.far_skips += dists.shape[0] - candidates.shape[0]
@@ -447,7 +442,7 @@ def obstacle_losses(obstacle: Obstacle, t: float, segments: PathSegments, num_ra
         ri = int(seg_ray[si])
         model = _effective_model(obstacle, ri == primary)
         outcome = _segment_outcome(obstacle, model, center, starts[si], ends[si],
-                                   wavelength, config, counters)
+                                   wavelength, counters)
         losses[ri] += outcome.loss_db
         blocked[ri] = blocked[ri] or outcome.blocked
     return losses, blocked
@@ -455,10 +450,9 @@ def obstacle_losses(obstacle: Obstacle, t: float, segments: PathSegments, num_ra
 
 def interact(obstacle: Obstacle, ray, t: float, wavelength: float,
              is_primary_ray: bool = True,
-             config: DiffractionConfig = DEFAULT_CONFIG,
              counters: InteractionCounters | None = None) -> LossOutcome:
     """Total loss an obstacle imposes on one ray at time t (see obstacle_losses)."""
     losses, blocked = obstacle_losses(
         obstacle, t, path_segments([ray], wavelength), 1, 0 if is_primary_ray else None,
-        wavelength, config, InteractionCounters() if counters is None else counters)
+        wavelength, InteractionCounters() if counters is None else counters)
     return LossOutcome(float(losses[0]), blocked[0])

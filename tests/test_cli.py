@@ -249,3 +249,105 @@ def test_crossing_sweep_obstruction_is_two_valued():
                               models=("obstruction",))
     values = set(np.round(cols["loss_db_obstruction"], 12))
     assert values == {0.0, 10.0}
+
+
+def test_run_summary_reports_the_configured_run(tmp_path, small_scenario, capsys):
+    # the sphere's 30 dB drops every -80 dB ray below the -100 dB floor, in
+    # the configured run and in each compared run alike
+    spec = write_spec(tmp_path, minimal_spec(
+        small_scenario, tmp_path / "out",
+        obstacles=[{"shape": {"kind": "sphere", "radius": 0.3},
+                    "mobility": {"kind": "static", "position": [5.0, 3.0, 1.6]},
+                    "model": {"kind": "obstruction", "loss_db": 30.0}}],
+        models_to_compare=["obstruction", "dked"],
+        removal_floor_db=-100.0))
+    assert main(["run", str(spec)]) == 0
+    stdout = capsys.readouterr().out
+    assert "rays: 20 in, 20 dropped" in stdout
+    # interactions sum all three runs
+    assert "60 obstruction" in stdout
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _full_spec(scenario_dir, output_dir) -> dict:
+    """A valid spec holding every kind of number the schema has."""
+    return minimal_spec(
+        scenario_dir, output_dir,
+        obstacles=[
+            obstacle_entry(threshold=1.5, fallback=True, fallback_loss_db=10.0),
+            {"shape": {"kind": "screen", "width": 0.5, "height": 1.0,
+                       "azimuth": 0.2, "elevation": 0.0},
+             "mobility": {"kind": "static", "position": [3.0, 0.0, 1.0]},
+             "model": {"kind": "dked"}},
+            {"shape": {"kind": "sphere", "radius": 0.3},
+             "mobility": {"kind": "waypoints",
+                          "waypoints": [[0.0, [1, 2, 0.5]], [2.0, [3, 2, 0.5]]]},
+             "model": {"kind": "obstruction", "loss_db": 12.0}},
+        ],
+        link_budget={"carrier_frequency_hz": 60e9, "bandwidth_hz": 2.16e9,
+                     "tx_power_dbm": 20.0, "noise_figure_db": 10.0,
+                     "tx_array": {"rows": 4, "cols": 4, "spacing": 0.5}},
+        sampling={"time_step": 0.0034, "num_steps": 20},
+        removal_floor_db=-500.0,
+        max_clamp_events=10,
+    )
+
+
+NON_FINITE_CASES = {
+    "start": (("obstacles", 0, "mobility", "start", 0), NAN),
+    "velocity": (("obstacles", 0, "mobility", "velocity", 1), INF),
+    "width": (("obstacles", 0, "shape", "width"), NAN),
+    "height": (("obstacles", 1, "shape", "height"), INF),
+    "azimuth": (("obstacles", 1, "shape", "azimuth"), NAN),
+    "position": (("obstacles", 1, "mobility", "position", 2), -INF),
+    "radius": (("obstacles", 2, "shape", "radius"), NAN),
+    "waypoint_time": (("obstacles", 2, "mobility", "waypoints", 1, 0), NAN),
+    "obstruction_loss": (("obstacles", 2, "model", "loss_db"), INF),
+    "threshold": (("obstacles", 0, "threshold"), NAN),
+    "fallback_loss": (("obstacles", 0, "fallback_loss_db"), NAN),
+    "carrier": (("link_budget", "carrier_frequency_hz"), INF),
+    "bandwidth": (("link_budget", "bandwidth_hz"), NAN),
+    "tx_power": (("link_budget", "tx_power_dbm"), INF),
+    "noise_figure": (("link_budget", "noise_figure_db"), NAN),
+    "spacing": (("link_budget", "tx_array", "spacing"), NAN),
+    "rows": (("link_budget", "tx_array", "rows"), INF),
+    "time_step": (("sampling", "time_step"), NAN),
+    "num_steps": (("sampling", "num_steps"), INF),
+    "removal_floor": (("removal_floor_db",), -INF),
+    "max_clamp_events": (("max_clamp_events",), INF),
+}
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_non_finite_spec_number_exits_2(tmp_path, small_scenario, capsys, verb, case):
+    path, value = NON_FINITE_CASES[case]
+    data = _full_spec(small_scenario, tmp_path / "out")
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    spec = write_spec(tmp_path, data)  # json writes NaN and Infinity literally
+    assert main([verb, str(spec)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_full_spec_is_valid(tmp_path, small_scenario):
+    spec = write_spec(tmp_path, _full_spec(small_scenario, tmp_path / "out"))
+    assert main(["validate", str(spec)]) == 0
+    assert main(["run", str(spec)]) == 0
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+@pytest.mark.parametrize("models", [["dked", "metis", "dked"], [["dked"]]],
+                         ids=["repeated", "nested_list"])
+def test_malformed_compared_models_exit_2(tmp_path, small_scenario, capsys, verb, models):
+    spec = write_spec(tmp_path, minimal_spec(
+        small_scenario, tmp_path / "out", obstacles=[obstacle_entry()],
+        models_to_compare=models))
+    assert main([verb, str(spec)]) == 2
+    assert "'dked'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -100,7 +100,7 @@ def _obstruct(shape, center, *points, counters=None):
 
 
 def _ortho_normal(a, b) -> np.ndarray:
-    u, v = _screen_axes(OrthoScreenShape(1.0, 1.0), np.zeros(3), np.asarray(a, float),
+    u, v = _screen_axes(OrthoScreenShape(1.0, 1.0), np.asarray(a, float),
                         np.asarray(b, float))
     return np.cross(u, v)
 
@@ -110,9 +110,16 @@ def test_rect_intersection_symmetric_crossing():
     assert out.blocked
     assert out.loss_db == 10.0
     screen = RectScreen(center=(1, 0, 1), width=1.0, height=1.0)
-    t, depths = _screen_cross_section(screen.center, screen.width_axis, screen.height_axis,
-                                      0.5, 0.5, np.array([0.0, 0, 1]), np.array([2.0, 0, 1]))
-    assert t == pytest.approx(0.5, abs=1e-12)
+    depths, blocked = _screen_cross_section(
+        screen.center, screen.width_axis, screen.height_axis,
+        0.5, 0.5, np.array([0.0, 0, 1]), np.array([2.0, 0, 1]))
+    assert blocked
+    np.testing.assert_allclose(depths, [0.5, 0.5, 0.5, 0.5], atol=1e-12)
+    # the same line stopping short of the plane crosses it outside its span
+    depths, blocked = _screen_cross_section(
+        screen.center, screen.width_axis, screen.height_axis,
+        0.5, 0.5, np.array([0.0, 0, 1]), np.array([0.9, 0, 1]))
+    assert not blocked
     np.testing.assert_allclose(depths, [0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
 
@@ -180,8 +187,8 @@ def test_sphere_miss_at_twice_radius():
 def test_orthogonalize_fixed_point():
     # a segment along +x orients the screen like an unrotated fixed screen
     a, b = np.array([0.0, 0, 1]), np.array([4.0, 0, 1])
-    ortho = _screen_axes(OrthoScreenShape(1.0, 2.0), np.array([2.0, 0, 1]), a, b)
-    fixed = _screen_axes(ScreenShape(1.0, 2.0), np.array([2.0, 0, 1]), a, b)
+    ortho = _screen_axes(OrthoScreenShape(1.0, 2.0), a, b)
+    fixed = _screen_axes(ScreenShape(1.0, 2.0), a, b)
     np.testing.assert_allclose(ortho, fixed, atol=1e-12)
 
 
@@ -189,7 +196,7 @@ def test_orthogonalize_rotated_screen():
     d = np.array([1.0, 0.0, 0.0])
     assert abs(abs(float(_ortho_normal((0, 0, 1), (4, 0, 1)) @ d)) - 1.0) < 1e-12
     # the orientation ignores how the fixed shape would have been rotated
-    u, v = _screen_axes(OrthoScreenShape(1.0, 2.0), np.array([2.0, 0, 1]),
+    u, v = _screen_axes(OrthoScreenShape(1.0, 2.0),
                         np.array([0.0, 0, 1]), np.array([4.0, 0, 1]))
     np.testing.assert_allclose(v, [0, 0, 1], atol=0)
     assert float(u @ d) == pytest.approx(0.0, abs=1e-12)
@@ -197,7 +204,7 @@ def test_orthogonalize_rotated_screen():
 
 def test_orthogonalize_vertical_segment_raises():
     with pytest.raises(DegenerateGeometryError):
-        _screen_axes(OrthoScreenShape(1.0, 1.0), np.array([1.0, 1, 1]),
+        _screen_axes(OrthoScreenShape(1.0, 1.0),
                      np.array([1.0, 1, 0]), np.array([1.0, 1, 3]))
     counters = InteractionCounters()
     out = _obstruct(OrthoScreenShape(1.0, 1.0), (1, 1.1, 1), (1, 1, 0), (1, 1, 3),
@@ -207,13 +214,29 @@ def test_orthogonalize_vertical_segment_raises():
 
 
 def test_orthogonalize_idempotent(rng):
-    # the axes depend only on the segment, never on where the screen stands
+    # the axes depend only on the segment's direction, never on where it lies
     for _ in range(50):
         a = rng.normal(size=3)
         b = rng.normal(size=3) + np.array([3, 0, 0])
-        first = _screen_axes(OrthoScreenShape(1.0, 1.0), rng.normal(size=3), a, b)
-        again = _screen_axes(OrthoScreenShape(1.0, 1.0), rng.normal(size=3), a, b)
-        np.testing.assert_array_equal(first, again)
+        shift = rng.normal(size=3)
+        first = _screen_axes(OrthoScreenShape(1.0, 1.0), a, b)
+        again = _screen_axes(OrthoScreenShape(1.0, 1.0), a + shift, b + shift)
+        np.testing.assert_allclose(first, again, atol=1e-12)
+
+
+def test_fixed_screen_axes_computed_once_per_shape(rng):
+    shape = ScreenShape(1.0, 2.0, azimuth=0.7, elevation=-0.3)
+    assert shape.axes is shape.axes
+    for _ in range(5):
+        screen = RectScreen(center=rng.normal(size=3), width=1.0, height=2.0,
+                            azimuth=0.7, elevation=-0.3)
+        np.testing.assert_array_equal(shape.axes[0], screen.width_axis)
+        np.testing.assert_array_equal(shape.axes[1], screen.height_axis)
+        a, b = rng.normal(size=3), rng.normal(size=3) + np.array([3, 0, 0])
+        u, v = _screen_axes(shape, a, b)
+        assert u is shape.axes[0] and v is shape.axes[1]
+    np.testing.assert_array_equal(shape.height_axis, shape.axes[1])
+    np.testing.assert_array_equal(OrthoScreenShape(1.0, 2.0).height_axis, [0.0, 0.0, 1.0])
 
 
 def test_orthogonalized_normal_parallel_to_horizontal_projection(rng):

@@ -64,7 +64,7 @@ def near_a_cutoff(obstacle: Obstacle, tx: np.ndarray, rx: np.ndarray) -> bool:
     edge, or the arctan model's choice of the positive edge of a pair."""
     center = np.array(obstacle.mobility.position)
     try:
-        u, v = _screen_axes(obstacle.shape, center, tx, rx)
+        u, v = _screen_axes(obstacle.shape, tx, rx)
         geom = _screen_geometry(center, u, v, 0.5 * obstacle.shape.width,
                                 0.5 * obstacle.shape.height, tx, rx, WAVELENGTH)
     except DegenerateGeometryError:
