@@ -1,10 +1,15 @@
-"""Numeric kernels for the hot inner loops.
+"""Numeric kernels: scalar loss-model helpers and batch geometry.
 
-Everything here is written so numba can compile it. When numba is missing,
-or when the environment variable ``RAYBLOCK_NO_NUMBA=1`` is set, the same
-scalar functions run as plain Python and the batch helpers switch to
-vectorized numpy implementations. ``benchmarks/bench_kernels.py`` compares
-the two paths.
+The scalar kernels (the Fresnel series, the knife-edge loss, the
+point-segment distance) run once per evaluation and are written so numba
+can compile them; when numba is missing, or when the environment variable
+``RAYBLOCK_NO_NUMBA=1`` is set, they run as plain Python and
+``fresnel_cs_batch`` switches to its vectorized numpy twin.
+
+The batch geometry kernels work row by row on the candidate table of a
+chunk (see ``obstacles``): one row per (segment, obstacle pose) candidate,
+(n, 3) arrays in, (n,) arrays out. They are plain numpy with no compiled
+twin, and sum vector components x + y + z in the scalar order.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ __all__ = [
     "fresnel_cs",
     "fresnel_cs_batch",
     "point_segment_distance",
+    "dot3",
     "point_segment_distance_batch",
-    "line_segment_distance",
-    "segment_segment_distance",
-    "fermat_on_segment",
+    "line_segment_distance_batch",
+    "segment_segment_distance_batch",
+    "fermat_on_segment_batch",
     "knife_edge_loss_db",
 ]
 
@@ -201,183 +207,114 @@ def point_segment_distance(px, py, pz, ax, ay, az, bx, by, bz):
     return math.sqrt(dx * dx + dy * dy + dz * dz), t
 
 
-@njit(cache=True)
-def _point_segment_distance_batch_loop(px, py, pz, starts, ends, out):
-    for i in range(starts.shape[0]):
-        d, _ = point_segment_distance(
-            px, py, pz,
-            starts[i, 0], starts[i, 1], starts[i, 2],
-            ends[i, 0], ends[i, 1], ends[i, 2],
-        )
-        out[i] = d
+def dot3(a, b):
+    """Row-wise dot product of (..., 3) arrays, summed x + y + z like the
+    scalar kernels so both give the same bits."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def _point_segment_distance_batch_numpy(point, starts, ends):
+def point_segment_distance_batch(points, starts, ends):
+    """Distances from points (one (3,) point or one per row) to segments, shape (n,)."""
     e = ends - starts
-    w = point[np.newaxis, :] - starts
-    ee = np.einsum("ij,ij->i", e, e)
-    t = np.einsum("ij,ij->i", w, e) / np.where(ee > 0.0, ee, 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    closest = starts + t[:, np.newaxis] * e
-    return np.linalg.norm(point[np.newaxis, :] - closest, axis=1)
+    ee = dot3(e, e)
+    t = np.clip(dot3(points - starts, e) / np.where(ee > 0.0, ee, 1.0), 0.0, 1.0)
+    r = points - (starts + t[:, np.newaxis] * e)
+    return np.sqrt(dot3(r, r))
 
 
-def point_segment_distance_batch(point, starts, ends):
-    """Distances from one point to many segments, shape (n,)."""
-    if USING_NUMBA:
-        starts = np.ascontiguousarray(starts, dtype=np.float64)
-        ends = np.ascontiguousarray(ends, dtype=np.float64)
-        out = np.empty(starts.shape[0])
-        _point_segment_distance_batch_loop(
-            float(point[0]), float(point[1]), float(point[2]), starts, ends, out
-        )
-        return out
-    return _point_segment_distance_batch_numpy(np.asarray(point, dtype=np.float64), starts, ends)
-
-
-@njit(cache=True)
-def line_segment_distance(px, py, pz, dx, dy, dz, ax, ay, az, bx, by, bz):
-    """Distance between an infinite line (p + t d) and a segment [a, b]."""
-    ex = bx - ax
-    ey = by - ay
-    ez = bz - az
-    wx = ax - px
-    wy = ay - py
-    wz = az - pz
-    dd = dx * dx + dy * dy + dz * dz
-    de = dx * ex + dy * ey + dz * ez
-    ee = ex * ex + ey * ey + ez * ez
-    dw = dx * wx + dy * wy + dz * wz
-    ew = ex * wx + ey * wy + ez * wz
+def line_segment_distance_batch(p, d, a, b):
+    """Distances between infinite lines (p + t d) and segments [a, b], row by row."""
+    e = b - a
+    w = a - p
+    dd = dot3(d, d)
+    de = dot3(d, e)
+    ee = dot3(e, e)
     denom = dd * ee - de * de
-    if denom > 1e-14 * dd * max(ee, 1.0):
-        s = (de * dw - dd * ew) / denom
-        if s < 0.0:
-            s = 0.0
-        elif s > 1.0:
-            s = 1.0
-    else:
-        s = 0.0  # parallel: any point of the segment is equidistant in the free direction
-    qx = ax + s * ex
-    qy = ay + s * ey
-    qz = az + s * ez
-    # point-to-line distance from q
-    t = ((qx - px) * dx + (qy - py) * dy + (qz - pz) * dz) / dd
-    rx = qx - (px + t * dx)
-    ry = qy - (py + t * dy)
-    rz = qz - (pz + t * dz)
-    return math.sqrt(rx * rx + ry * ry + rz * rz)
+    skew = denom > 1e-14 * dd * np.maximum(ee, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.clip((de * dot3(d, w) - dd * dot3(e, w)) / denom, 0.0, 1.0)
+    # parallel: any point of the segment is equidistant in the free direction
+    s = np.where(skew, s, 0.0)
+    q = a + s[:, np.newaxis] * e
+    t = dot3(q - p, d) / dd
+    r = q - (p + t[:, np.newaxis] * d)
+    return np.sqrt(dot3(r, r))
 
 
-@njit(cache=True)
-def segment_segment_distance(ax, ay, az, bx, by, bz, cx, cy, cz, dx, dy, dz):
-    """Exact distance between segments [a, b] and [c, d].
+def segment_segment_distance_batch(a, b, c, d):
+    """Exact distances between segments [a, b] and [c, d], row by row.
 
     Standard clamped closed form (minimize the quadratic over the unit
     square, walking the active boundary). Exactness matters: the value is
     used as a provably-safe far rejection.
     """
-    ux = bx - ax
-    uy = by - ay
-    uz = bz - az
-    vx = dx - cx
-    vy = dy - cy
-    vz = dz - cz
-    wx = ax - cx
-    wy = ay - cy
-    wz = az - cz
-    big_a = ux * ux + uy * uy + uz * uz
-    big_b = ux * vx + uy * vy + uz * vz
-    big_c = vx * vx + vy * vy + vz * vz
-    big_d = ux * wx + uy * wy + uz * wz
-    big_e = vx * wx + vy * wy + vz * wz
+    u = b - a
+    v = d - c
+    w = a - c
+    big_a = dot3(u, u)
+    big_b = dot3(u, v)
+    big_c = dot3(v, v)
+    big_d = dot3(u, w)
+    big_e = dot3(v, w)
     denom = big_a * big_c - big_b * big_b
 
-    if denom > 1e-12 * max(big_a, 1e-30) * max(big_c, 1e-30):
-        s_n = big_b * big_e - big_c * big_d
-        s_d = denom
-        t_n = big_a * big_e - big_b * big_d
-        t_d = denom
-        if s_n < 0.0:
-            s_n = 0.0
-            t_n = big_e
-            t_d = big_c
-        elif s_n > s_d:
-            s_n = s_d
-            t_n = big_e + big_b
-            t_d = big_c
-    else:  # (nearly) parallel
-        s_n = 0.0
-        s_d = 1.0
-        t_n = big_e
-        t_d = big_c
+    # interior minimum, clamped to s in [0, 1]; (nearly) parallel: s = 0
+    skew = denom > 1e-12 * np.maximum(big_a, 1e-30) * np.maximum(big_c, 1e-30)
+    s_n = np.where(skew, big_b * big_e - big_c * big_d, 0.0)
+    s_d = np.where(skew, denom, 1.0)
+    t_n = np.where(skew, big_a * big_e - big_b * big_d, big_e)
+    t_d = np.where(skew, denom, big_c)
+    s_low = skew & (s_n < 0.0)
+    s_high = skew & ~s_low & (s_n > s_d)
+    s_n = np.where(s_low, 0.0, np.where(s_high, s_d, s_n))
+    t_n = np.where(s_low, big_e, np.where(s_high, big_e + big_b, t_n))
+    t_d = np.where(s_low | s_high, big_c, t_d)
 
-    if t_n < 0.0:
-        t_n = 0.0
-        if -big_d < 0.0:
-            s_n = 0.0
-        elif -big_d > big_a:
-            s_n = s_d
-        else:
-            s_n = -big_d
-            s_d = big_a
-    elif t_n > t_d:
-        t_n = t_d
-        if -big_d + big_b < 0.0:
-            s_n = 0.0
-        elif -big_d + big_b > big_a:
-            s_n = s_d
-        else:
-            s_n = -big_d + big_b
-            s_d = big_a
+    # t clamped to [0, 1] moves s to its best value on that boundary
+    t_low = t_n < 0.0
+    t_high = ~t_low & (t_n > t_d)
+    t_n = np.where(t_low, 0.0, np.where(t_high, t_d, t_n))
+    num = np.where(t_low, -big_d, -big_d + big_b)
+    inside = ~(num < 0.0) & ~(num > big_a)
+    s_edge = np.where(num < 0.0, 0.0, np.where(num > big_a, s_d, num))
+    boundary = t_low | t_high
+    s_n = np.where(boundary, s_edge, s_n)
+    s_d = np.where(boundary & inside, big_a, s_d)
 
-    s = s_n / s_d if abs(s_d) > 1e-30 else 0.0
-    t = t_n / t_d if abs(t_d) > 1e-30 else 0.0
-    gx = wx + s * ux - t * vx
-    gy = wy + s * uy - t * vy
-    gz = wz + s * uz - t * vz
-    return math.sqrt(gx * gx + gy * gy + gz * gz)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(np.abs(s_d) > 1e-30, s_n / s_d, 0.0)
+        t = np.where(np.abs(t_d) > 1e-30, t_n / t_d, 0.0)
+    g = w + s[:, np.newaxis] * u - t[:, np.newaxis] * v
+    return np.sqrt(dot3(g, g))
 
 
-@njit(cache=True)
-def fermat_on_segment(ax, ay, az, bx, by, bz, tx, ty, tz, rx, ry, rz):
-    """Point of a segment minimizing transmitter->point->receiver length.
+def fermat_on_segment_batch(a, b, tx, rx):
+    """Points of segments [a, b] (positive length) minimizing
+    transmitter->point->receiver length, row by row.
 
     Exact closed form: unfolding both nodes into one plane around the edge
     line turns the shortest path into a straight line, which meets the
     edge line at the nodes' projections weighted by the other node's
     perpendicular distance. The path length is convex along the line, so
     clamping that point to the segment gives the constrained minimum.
-    Returns (d_tx, d_rx) at the minimizer.
+    Returns (d_tx, d_rx) arrays at the minimizers.
     """
-    ex = bx - ax
-    ey = by - ay
-    ez = bz - az
-    length = math.sqrt(ex * ex + ey * ey + ez * ez)
-    if length <= 0.0:
-        d1 = math.sqrt((ax - tx) ** 2 + (ay - ty) ** 2 + (az - tz) ** 2)
-        d2 = math.sqrt((ax - rx) ** 2 + (ay - ry) ** 2 + (az - rz) ** 2)
-        return d1, d2
-    ux = ex / length
-    uy = ey / length
-    uz = ez / length
+    e = b - a
+    length = np.sqrt(dot3(e, e))
+    u = e / length[:, np.newaxis]
     # along-edge coordinates of the nodes and their distances from the line,
     # the latter as norms of the rejection (no cancellation near the line)
-    st = (tx - ax) * ux + (ty - ay) * uy + (tz - az) * uz
-    sr = (rx - ax) * ux + (ry - ay) * uy + (rz - az) * uz
-    rt = math.sqrt((tx - ax - st * ux) ** 2 + (ty - ay - st * uy) ** 2
-                   + (tz - az - st * uz) ** 2)
-    rr = math.sqrt((rx - ax - sr * ux) ** 2 + (ry - ay - sr * uy) ** 2
-                   + (rz - az - sr * uz) ** 2)
-    if rt + rr == 0.0:
-        s = 0.5 * (st + sr)
-    else:
-        s = (st * rr + sr * rt) / (rt + rr)
-    if s < 0.0:
-        s = 0.0
-    elif s > length:
-        s = length
-    return math.hypot(s - st, rt), math.hypot(s - sr, rr)
+    st = dot3(tx - a, u)
+    sr = dot3(rx - a, u)
+    pt = tx - a - st[:, np.newaxis] * u
+    pr = rx - a - sr[:, np.newaxis] * u
+    rt = np.sqrt(dot3(pt, pt))
+    rr = np.sqrt(dot3(pr, pr))
+    both = rt + rr
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(both == 0.0, 0.5 * (st + sr), (st * rr + sr * rt) / both)
+    s = np.minimum(np.maximum(s, 0.0), length)
+    return np.hypot(s - st, rt), np.hypot(s - sr, rr)
 
 
 @njit(cache=True)

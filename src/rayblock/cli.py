@@ -34,14 +34,14 @@ from .linkeval import ArrayConfig, LinkBudget, snr_timeline
 from .obstacles import (
     InteractionCounters,
     LinearMobility,
-    LossOutcome,
     Obstacle,
     OrthoScreenShape,
+    PathSegments,
     ScreenShape,
     SphereShape,
     Static,
     WaypointMobility,
-    _segment_outcome,
+    obstacle_losses,
 )
 from .trace import SPEED_OF_LIGHT, export_scenario, import_scenario
 
@@ -75,6 +75,13 @@ class RunSpec:
     max_clamp_events: int | None = None
 
 
+def _object(value, context: str) -> dict:
+    """A value the schema requires to be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context}: must be an object, got {value!r}")
+    return value
+
+
 def _check_keys(data: dict, allowed: tuple[str, ...], context: str) -> None:
     unknown = sorted(set(data) - set(allowed))
     if unknown:
@@ -105,9 +112,7 @@ def _vec3(value, context: str) -> tuple[float, float, float]:
 
 
 def _parse_shape(data: dict, context: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context}: shape must be an object")
-    kind = _require(data, "kind", context)
+    kind = _require(_object(data, context), "kind", context)
     if kind == "ortho_screen":
         _check_keys(data, ("kind", "width", "height"), context)
         return OrthoScreenShape(width=_number(_require(data, "width", context), context),
@@ -125,9 +130,7 @@ def _parse_shape(data: dict, context: str):
 
 
 def _parse_mobility(data: dict, context: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context}: mobility must be an object")
-    kind = _require(data, "kind", context)
+    kind = _require(_object(data, context), "kind", context)
     if kind == "static":
         _check_keys(data, ("kind", "position"), context)
         return Static(position=_vec3(_require(data, "position", context), context))
@@ -152,9 +155,7 @@ def _parse_mobility(data: dict, context: str):
 
 
 def _parse_model(data: dict, context: str) -> LossModel:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context}: model must be an object")
-    kind = _require(data, "kind", context)
+    kind = _require(_object(data, context), "kind", context)
     if kind not in MODEL_REGISTRY:
         raise ConfigError(f"{context}: unknown model kind {kind!r}, "
                           f"expected one of {sorted(MODEL_REGISTRY)}")
@@ -167,10 +168,8 @@ def _parse_model(data: dict, context: str) -> LossModel:
 
 def _parse_obstacle(data: dict, index: int) -> Obstacle:
     context = f"obstacles[{index}]"
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context}: must be an object")
-    _check_keys(data, ("shape", "mobility", "model", "threshold", "fallback",
-                       "fallback_loss_db"), context)
+    _check_keys(_object(data, context), ("shape", "mobility", "model", "threshold",
+                                         "fallback", "fallback_loss_db"), context)
     threshold = data.get("threshold")
     return Obstacle(
         shape=_parse_shape(_require(data, "shape", context), f"{context}.shape"),
@@ -183,15 +182,16 @@ def _parse_obstacle(data: dict, index: int) -> Obstacle:
 
 
 def _parse_array(data: dict, context: str) -> ArrayConfig:
-    _check_keys(data, ("rows", "cols", "spacing"), context)
+    _check_keys(_object(data, context), ("rows", "cols", "spacing"), context)
     return ArrayConfig(rows=int(_number(_require(data, "rows", context), context)),
                        cols=int(_number(_require(data, "cols", context), context)),
                        spacing=_number(data.get("spacing", 0.5), context))
 
 
 def _parse_link_budget(data: dict, context: str) -> LinkBudget:
-    _check_keys(data, ("carrier_frequency_hz", "bandwidth_hz", "tx_power_dbm",
-                       "noise_figure_db", "tx_array", "rx_array"), context)
+    _check_keys(_object(data, context), ("carrier_frequency_hz", "bandwidth_hz",
+                                         "tx_power_dbm", "noise_figure_db", "tx_array",
+                                         "rx_array"), context)
     defaults = LinkBudget()
     return LinkBudget(
         carrier_frequency_hz=_number(data.get("carrier_frequency_hz",
@@ -208,11 +208,9 @@ def _parse_link_budget(data: dict, context: str) -> LinkBudget:
 
 
 def parse_run_spec(data: dict) -> RunSpec:
-    if not isinstance(data, dict):
-        raise ConfigError("run spec must be a JSON object")
-    _check_keys(data, ("scenario_dir", "output_dir", "obstacles", "models_to_compare",
-                       "link_budget", "sampling", "removal_floor_db",
-                       "max_clamp_events"), "spec")
+    _check_keys(_object(data, "spec"), ("scenario_dir", "output_dir", "obstacles",
+                                        "models_to_compare", "link_budget", "sampling",
+                                        "removal_floor_db", "max_clamp_events"), "spec")
     obstacles = data.get("obstacles", [])
     if not isinstance(obstacles, list):
         raise ConfigError("spec: obstacles must be a list")
@@ -227,7 +225,7 @@ def parse_run_spec(data: dict) -> RunSpec:
         raise ConfigError(f"spec: models_to_compare lists {repeated} more than once")
     sampling = None
     if data.get("sampling") is not None:
-        sdata = data["sampling"]
+        sdata = _object(data["sampling"], "spec.sampling")
         _check_keys(sdata, ("time_step", "num_steps"), "spec.sampling")
         sampling = SamplingSpec(
             time_step=_number(_require(sdata, "time_step", "spec.sampling"), "spec.sampling"),
@@ -338,25 +336,24 @@ class SweepGeometry:
     obstruction_db: float = 10.0
 
 
-def _sweep_outcome(geom: SweepGeometry, center, model: LossModel,
-                   wavelength: float) -> LossOutcome:
-    """The screen at center against the direct path, with no range gating:
-    sweeps plot the raw model."""
+def _sweep_losses(geom: SweepGeometry, centers: np.ndarray, name: str,
+                  wavelength: float) -> tuple[np.ndarray, np.ndarray]:
+    """Loss and blocked flag of the screen at each of centers (n, 3) against
+    the direct path, in one table with no range gating: sweeps plot the raw
+    model."""
+    model = Obstruction(geom.obstruction_db) if name == "obstruction" else MODEL_REGISTRY[name]()
     obstacle = Obstacle(
         shape=OrthoScreenShape(width=geom.screen_width_m, height=geom.screen_height_m),
-        mobility=Static(position=center),
+        mobility=Static(position=(0.0, 0.0, 0.0)),  # the table gives the centers
         model=model,
     )
-    tx = np.array([0.0, 0.0, geom.node_height_m])
-    rx = np.array([geom.distance_m, 0.0, geom.node_height_m])
-    return _segment_outcome(obstacle, model, np.array(center), tx, rx, wavelength,
-                            InteractionCounters())
-
-
-def _sweep_model(name: str, geom: SweepGeometry) -> LossModel:
-    if name == "obstruction":
-        return Obstruction(geom.obstruction_db)
-    return MODEL_REGISTRY[name]()
+    n = centers.shape[0]
+    segments = PathSegments(
+        starts=np.tile([0.0, 0.0, geom.node_height_m], (n, 1)),
+        ends=np.tile([geom.distance_m, 0.0, geom.node_height_m], (n, 1)),
+        step=np.arange(n), slot=np.arange(n), primary=np.ones(n, dtype=bool),
+        thresholds=np.full(n, np.inf), num_slots=n)
+    return obstacle_losses(obstacle, centers, segments, wavelength, InteractionCounters())
 
 
 def run_crossing_sweep(geom: SweepGeometry = SweepGeometry(),
@@ -366,18 +363,14 @@ def run_crossing_sweep(geom: SweepGeometry = SweepGeometry(),
     if offsets is None:
         offsets = -1.5 + 0.004 * np.arange(751)
     wavelength = SPEED_OF_LIGHT / geom.frequency_hz
-    columns: dict = {"offset_m": np.asarray(offsets, dtype=np.float64)}
-    blocked_col = np.zeros(len(offsets), dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.float64)
+    centers = np.stack([np.full(len(offsets), 0.5 * geom.distance_m), offsets,
+                        np.full(len(offsets), 0.5 * geom.screen_height_m)], axis=1)
+    columns: dict = {"offset_m": offsets}
+    blocked = np.zeros(len(offsets), dtype=bool)
     for name in models:
-        model = _sweep_model(name, geom)
-        losses = np.empty(len(offsets))
-        for i, offset in enumerate(offsets):
-            center = (0.5 * geom.distance_m, float(offset), 0.5 * geom.screen_height_m)
-            outcome = _sweep_outcome(geom, center, model, wavelength)
-            losses[i] = outcome.loss_db
-            blocked_col[i] = int(outcome.blocked)
-        columns[f"loss_db_{name}"] = losses
-    columns["blocked"] = blocked_col
+        columns[f"loss_db_{name}"], blocked = _sweep_losses(geom, centers, name, wavelength)
+    columns["blocked"] = blocked.astype(np.int64)
     return columns
 
 
@@ -392,14 +385,11 @@ def run_position_sweep(geom: SweepGeometry = SweepGeometry(), samples: int = 101
         raise ConfigError("margin must lie inside the path")
     positions = np.linspace(margin_m, geom.distance_m - margin_m, samples)
     wavelength = SPEED_OF_LIGHT / geom.frequency_hz
+    centers = np.stack([positions, np.zeros(samples),
+                        np.full(samples, 0.5 * geom.screen_height_m)], axis=1)
     columns: dict = {"position_m": positions}
     for name in models:
-        model = _sweep_model(name, geom)
-        losses = np.empty(samples)
-        for i, x in enumerate(positions):
-            center = (float(x), 0.0, 0.5 * geom.screen_height_m)
-            losses[i] = _sweep_outcome(geom, center, model, wavelength).loss_db
-        columns[f"loss_db_{name}"] = losses
+        columns[f"loss_db_{name}"] = _sweep_losses(geom, centers, name, wavelength)[0]
     return columns
 
 

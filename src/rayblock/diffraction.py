@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import _kernels
 from .errors import GeometryError
@@ -185,6 +184,8 @@ def fresnel_zone_radius(n: int, wavelength: float, d_tx: float, d_rx: float) -> 
 
 def _fresnel_quadrature(nu: float, tol: float) -> tuple[float, float]:
     """Adaptive quadrature of the Fresnel integrand, split per unit interval."""
+    from scipy import integrate  # the oracle alone needs scipy; keep it off the import path
+
     a = abs(nu)
     if a == 0.0:
         return 0.0, 0.0
@@ -227,6 +228,8 @@ def fresnel_integral_grid(nus: np.ndarray,
     Used as the oracle against the closed-form path on dense grids, where
     per-point integration from zero would be needlessly slow.
     """
+    from scipy import integrate
+
     nus = np.asarray(nus, dtype=np.float64)
     order = np.argsort(nus)
     sorted_nus = nus[order]
@@ -249,8 +252,12 @@ def fresnel_integral_grid(nus: np.ndarray,
 
 
 def diffraction_parameter(edge: EdgeGeometry) -> float:
-    """Signed Fresnel-Kirchhoff parameter of one edge."""
-    return edge.depth * math.sqrt(
+    """Signed Fresnel-Kirchhoff parameter of one edge.
+
+    Reads only depth, d_tx, d_rx and wavelength, which may also be arrays
+    (one value per candidate of the obstacles table).
+    """
+    return edge.depth * np.sqrt(
         (2.0 / edge.wavelength) * (edge.d_tx + edge.d_rx) / (edge.d_tx * edge.d_rx)
     )
 
@@ -277,45 +284,39 @@ def _magnitude_loss(amplitude: float) -> float:
     return _capped(-20.0 * math.log10(amplitude))
 
 
-def metis_edge_term(edge: EdgeGeometry, sign: float) -> float:
-    """Single-edge shadowing term of the arctan approximation, in (-1/2, 1/2]."""
+def metis_edge_term(excess: float, wavelength: float, sign: float) -> float:
+    """Single-edge shadowing term of the arctan approximation, in (-1/2, 1/2].
+
+    excess is the edge path's length over the direct path, in meters.
+    """
     if sign not in (1.0, -1.0, 1, -1):
         raise GeometryError("sign must be +1 or -1")
-    excess = edge.d_tx + edge.d_rx - edge.distance
     if excess < -1e-9:
         raise GeometryError("edge path shorter than the direct path")
     excess = max(excess, 0.0)
     # beyond the far-field cutoff the arctan has saturated to +-1/2
-    if 2.0 * math.sqrt(excess / edge.wavelength) >= FAR_FIELD_NU:
+    if 2.0 * math.sqrt(excess / wavelength) >= FAR_FIELD_NU:
         return 0.5 * sign
-    return math.atan(sign * 0.5 * math.pi * math.sqrt(math.pi * excess / edge.wavelength)) / math.pi
+    return math.atan(sign * 0.5 * math.pi * math.sqrt(math.pi * excess / wavelength)) / math.pi
 
 
-def _metis_signs(geom: ScreenDiffractionGeometry) -> dict[str, float]:
-    if geom.los_blocked:
-        return {"w1": 1.0, "w2": 1.0, "h1": 1.0, "h2": 1.0}
-    signs: dict[str, float] = {}
-    for a, b in (("w1", "w2"), ("h1", "h2")):
-        ea, eb = getattr(geom, a), getattr(geom, b)
-        key_a = ea.los_distance if ea.los_distance is not None else abs(ea.depth)
-        key_b = eb.los_distance if eb.los_distance is not None else abs(eb.depth)
-        if key_a >= key_b:
-            signs[a], signs[b] = 1.0, -1.0
-        else:
-            signs[a], signs[b] = -1.0, 1.0
-    return signs
-
-
-def metis_loss(geom: ScreenDiffractionGeometry) -> float:
+def metis_loss(excess: tuple[float, float, float, float],
+               los_distance: tuple[float, float, float, float],
+               wavelength: float, blocked: bool) -> float:
     """Four-edge arctan knife-edge loss.
 
+    excess and los_distance hold the edges' excess path lengths and their
+    distances from the direct-path line, ordered (w1, w2, h1, h2).
     Shadowed paths take all four terms positive; otherwise only the edge of
     each pair farther from the direct line contributes positively.
     """
-    signs = _metis_signs(geom)
-    terms = {name: metis_edge_term(getattr(geom, name), signs[name])
-             for name in ("w1", "w2", "h1", "h2")}
-    return _magnitude_loss(1.0 - (terms["h1"] + terms["h2"]) * (terms["w1"] + terms["w2"]))
+    signs = [1.0] * 4
+    if not blocked:
+        for a, b in ((0, 1), (2, 3)):
+            far = a if los_distance[a] >= los_distance[b] else b
+            signs[a + b - far] = -1.0
+    w1, w2, h1, h2 = (metis_edge_term(x, wavelength, sign) for x, sign in zip(excess, signs))
+    return _magnitude_loss(1.0 - (h1 + h2) * (w1 + w2))
 
 
 def sked(nu: float) -> complex:
@@ -385,34 +386,36 @@ def _itu_edge_factor(nu: float) -> complex:
     return 1.0 - _itu_edge_factor(-nu)
 
 
-def itu_se_loss(geom: ScreenDiffractionGeometry) -> float:
+def itu_se_loss(nus: tuple[float, float, float, float],
+                depths: tuple[float, float, float, float],
+                wavelength: float, blocked: bool) -> float:
     """Semi-empirical thin-screen loss without Fresnel integrals.
 
-    In shadow the four single-edge estimates combine on a power basis (the
-    standard's average-loss composition for a finite screen); outside it
-    the coherent lit-side edge factors reproduce the rapid fluctuations
-    across the transition. Valid when the wavelength is small against the
-    screen; larger wavelengths only log a warning.
+    nus and depths hold the edges' diffraction parameters and signed
+    depths, ordered (w1, w2, h1, h2). In shadow the four single-edge
+    estimates combine on a power basis (the standard's average-loss
+    composition for a finite screen); outside it the coherent lit-side
+    edge factors reproduce the rapid fluctuations across the transition.
+    Valid when the wavelength is small against the screen; larger
+    wavelengths only log a warning.
     """
-    width = geom.w1.depth + geom.w2.depth
-    height = geom.h1.depth + geom.h2.depth
-    lam = geom.w1.wavelength
-    if lam > 0.25 * min(abs(width), abs(height)):
+    width = depths[0] + depths[1]
+    height = depths[2] + depths[3]
+    if wavelength > 0.25 * min(abs(width), abs(height)):
         log.warning(
             "semi-empirical screen model outside its small-wavelength regime "
-            "(lambda=%.3g m, screen %.3g x %.3g m)", lam, width, height,
+            "(lambda=%.3g m, screen %.3g x %.3g m)", wavelength, width, height,
         )
-    nus = {name: diffraction_parameter(getattr(geom, name)) for name in ("w1", "w2", "h1", "h2")}
-    if geom.los_blocked:
+    if blocked:
         power = 0.0
-        for nu in nus.values():
+        for nu in nus:
             if nu < FAR_FIELD_NU:
                 power += 10.0 ** (-_kernels.knife_edge_loss_db(nu) / 10.0)
         if power <= 10.0 ** (-LOSS_CAP_DB / 10.0):
             diagnostics.total += 1
             return LOSS_CAP_DB
         return _capped(-10.0 * math.log10(power))
-    strip_w = _itu_edge_factor(nus["w1"]) + _itu_edge_factor(nus["w2"])
-    strip_h = _itu_edge_factor(nus["h1"]) + _itu_edge_factor(nus["h2"])
+    strip_w = _itu_edge_factor(nus[0]) + _itu_edge_factor(nus[1])
+    strip_h = _itu_edge_factor(nus[2]) + _itu_edge_factor(nus[3])
     total = 1.0 - (1.0 - strip_w) * (1.0 - strip_h)
     return _magnitude_loss(abs(total))

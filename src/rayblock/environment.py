@@ -1,14 +1,18 @@
 """Simulation core: apply every obstacle to every ray at every timestep.
 
-Work decomposes into independent (pair, timestep) items: obstacle poses are
-sampled at trace timestamps, each ray's path gain is reduced by the summed
-interaction losses (applied obstacle by obstacle, in configuration order,
-so that running two obstacle sets sequentially equals one combined run
-bit-for-bit), and rays attenuated below the removal floor are dropped.
-Delays, phases and vertex paths are never modified.
+Work decomposes into independent chunks of consecutive timesteps of one
+pair. A chunk flattens its rays once into a segment table (see
+``obstacles.path_segments``); each obstacle, in configuration order,
+samples its poses at the chunk's trace timestamps as a (steps, 3) array and
+returns one loss per ray of the chunk, which is subtracted from the rays'
+path gains. Applying obstacles one after another this way makes running
+two obstacle sets sequentially equal one combined run bit-for-bit. Rays
+attenuated below the removal floor are dropped. Delays, phases and vertex
+paths are never modified.
 
-Items may run in parallel worker processes; results land in pre-sized
-slots, so the single-threaded mode produces identical output.
+Chunks may run in parallel worker processes; results land in pre-sized
+slots, and a ray's result never depends on the other rays of its chunk, so
+any chunking and the single-threaded mode produce identical output.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import diffraction
 from .errors import ConfigError
-from .obstacles import InteractionCounters, Obstacle, obstacle_losses, path_segments
+from .obstacles import InteractionCounters, Obstacle, obstacle_losses, path_segments, position_at
 from .trace import SPEED_OF_LIGHT, ChannelTrace, Ray
 
 log = logging.getLogger(__name__)
@@ -95,30 +99,21 @@ def primary_ray_index(rays: list[Ray]) -> int | None:
                key=lambda i: (rays[i].reflection_order != 0, rays[i].delay, i))
 
 
-def _step_gains(rays: list[Ray], obstacles: tuple[Obstacle, ...], t_pose: float,
-                wavelength: float, counters: InteractionCounters) -> np.ndarray:
-    """Final gains after all obstacles, applied in order, for one timestep."""
-    gains = np.array([r.path_gain_db for r in rays], dtype=np.float64)
-    if not rays or not obstacles:
-        return gains
-    primary = primary_ray_index(rays)
-    segments = path_segments(rays, wavelength)
-    for obstacle in obstacles:
-        losses, _ = obstacle_losses(obstacle, t_pose, segments, len(rays), primary,
-                                    wavelength, counters)
-        gains -= losses
-    return gains
-
-
 def _run_chunk(args) -> tuple:
+    """Final gains of a run of steps of one pair after all obstacles, step by step."""
     (pair, k_lo, step_rays, obstacles, stride, pose_step, wavelength) = args
     counters = InteractionCounters()
     capped_before = diffraction.diagnostics.total
-    out = []
-    for offset, rays in enumerate(step_rays):
-        k = k_lo + offset
-        t_pose = (k // stride) * pose_step
-        out.append(_step_gains(rays, obstacles, t_pose, wavelength, counters))
+    gains = np.array([ray.path_gain_db for rays in step_rays for ray in rays], dtype=np.float64)
+    if gains.shape[0] and obstacles:
+        segments = path_segments(step_rays, [primary_ray_index(rays) for rays in step_rays],
+                                 wavelength)
+        times = [((k_lo + offset) // stride) * pose_step for offset in range(len(step_rays))]
+        for obstacle in obstacles:
+            centers = np.array([position_at(obstacle.mobility, t) for t in times])
+            losses, _ = obstacle_losses(obstacle, centers, segments, wavelength, counters)
+            gains -= losses
+    out = np.split(gains, np.cumsum([len(rays) for rays in step_rays])[:-1])
     return pair, k_lo, out, counters, diffraction.diagnostics.total - capped_before
 
 

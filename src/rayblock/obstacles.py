@@ -1,19 +1,28 @@
-"""Obstacles: shape + mobility + loss model, and their per-ray interaction.
+"""Obstacles: shape + mobility + loss model, and their interaction with rays.
 
 An obstacle couples a shape (fixed-orientation rectangular screen, per-ray
 orthogonalized screen, or sphere), a deterministic mobility model giving its
 center at any time, and the loss model applied to rays passing nearby.
 
-Interaction walks every segment of a ray's vertex path. Segments whose
-distance from the obstacle exceeds the diffraction distance threshold
-contribute nothing; the default threshold is ten first-Fresnel radii of the
-segment, where every diffraction model has decayed to a negligible level.
-Losses add in dB across segments (and across obstacles, handled by the
+Interaction works on a candidate table. A chunk's rays are flattened once
+into segment arrays (``PathSegments``: start, end, step, ray slot, primary
+flag, distance threshold), and ``obstacle_losses`` takes the obstacle's
+pose at every step as a (steps, 3) array. It culls every (segment, pose)
+pair at once: segments farther from the obstacle than the diffraction
+distance threshold contribute nothing. The default threshold is ten
+first-Fresnel radii of the segment, where every diffraction model has
+decayed to a negligible level. Over the surviving candidates the plane
+crossing, blocking, edge points and diffraction parameters are arrays,
+computed only for the edges the model reads; each diffraction candidate's
+loss then comes from one call of the scalar model function
+(``_segment_outcome``). Losses add in dB across a ray's segments, in
+segment order (and across obstacles in configuration order, handled by the
 environment); spheres only ever obstruct.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,6 +42,7 @@ from .diffraction import (
     ScreenDiffractionGeometry,
     diffraction_parameter,
 )
+from ._kernels import dot3
 from .errors import ConfigError, DegenerateGeometryError
 from .geometry import RectScreen, Segment
 
@@ -219,233 +229,269 @@ def default_threshold(segment_length, wavelength: float):
     return 5.0 * np.sqrt(wavelength * np.asarray(segment_length))
 
 
-def screen_beyond_threshold(center, v_axis, half_w: float, half_h: float,
-                            seg_start, seg_end, threshold: float) -> bool:
-    """Provably-far test against the screen's vertical center line.
+def screen_beyond_threshold(centers, v_axis, half_w: float, half_h: float,
+                            starts, ends, thresholds) -> np.ndarray:
+    """Provably-far test of screens against segments, row by row.
 
-    Every screen point lies within half_w of that line, so the line-segment
-    distance minus half_w bounds the true screen distance from below. The
-    0.1 mm slack absorbs the distance routine's worst-case suboptimality in
-    its near-parallel branch, so a screen actually inside the threshold is
-    never rejected.
+    Every screen point lies within half_w of the screen's vertical center
+    line, so the line-segment distance minus half_w bounds the true screen
+    distance from below. A screen is therefore still evaluated when it lies
+    up to half its width beyond the threshold. The 0.1 mm slack absorbs the
+    distance routine's worst-case suboptimality in its near-parallel
+    branch, so a screen actually inside the threshold is never rejected.
     """
-    a = center - half_h * v_axis
-    b = center + half_h * v_axis
-    dist = _kernels.segment_segment_distance(
-        seg_start[0], seg_start[1], seg_start[2],
-        seg_end[0], seg_end[1], seg_end[2],
-        a[0], a[1], a[2], b[0], b[1], b[2],
-    )
-    return dist - half_w > threshold + 1e-4
+    dist = _kernels.segment_segment_distance_batch(
+        starts, ends, centers - half_h * v_axis, centers + half_h * v_axis)
+    return dist - half_w > thresholds + 1e-4
 
 
-def _screen_axes(shape: Shape, seg_start: np.ndarray,
-                 seg_end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit width/height axes of the screen plane against this segment."""
+def _screen_axes(shape: Shape, starts: np.ndarray,
+                 ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit width/height axes of the screen plane against each segment.
+
+    Returns (u, v, vertical), u and v of shape (n, 3); vertical marks the
+    segments that cannot orient an orthogonal screen.
+    """
+    n = starts.shape[0]
     if isinstance(shape, OrthoScreenShape):
-        d = seg_end - seg_start
-        horiz = math.hypot(d[0], d[1])
-        if horiz < 1e-12 * max(float(np.linalg.norm(d)), 1e-30):
-            raise DegenerateGeometryError("vertical segment cannot orient an orthogonal screen")
-        az = math.atan2(d[1], d[0])
-        return np.array([-math.sin(az), math.cos(az), 0.0]), _VERTICAL
-    return shape.axes
+        d = ends - starts
+        horiz = np.hypot(d[:, 0], d[:, 1])
+        vertical = horiz < 1e-12 * np.maximum(np.linalg.norm(d, axis=1), 1e-30)
+        horiz = np.where(vertical, 1.0, horiz)
+        u = np.stack([-d[:, 1] / horiz, d[:, 0] / horiz, np.zeros(n)], axis=1)
+        return u, np.broadcast_to(_VERTICAL, (n, 3)), vertical
+    u, v = shape.axes
+    return np.broadcast_to(u, (n, 3)), np.broadcast_to(v, (n, 3)), np.zeros(n, dtype=bool)
 
 
-def _screen_cross_section(center, u, v, half_w, half_h, seg_start, seg_end):
-    """Per-edge signed depths of the segment's plane crossing, and blocking.
+def _screen_cross_section(centers, u, v, half_w: float, half_h: float, starts, ends):
+    """Per-edge signed depths of each segment's plane crossing, and blocking.
 
-    Returns (depths, blocked) with depths ordered (w1 left, w2 right, h1
-    bottom, h2 top); positive depth means that edge's half-plane covers the
-    crossing point. The segment is blocked when it crosses the plane
-    within its span and inside every edge, both within _BOUNDARY_TOL.
-    Raises DegenerateGeometryError when the segment is parallel to the
-    screen plane.
+    Returns (depths, blocked, parallel): depths of shape (n, 4) ordered (w1
+    left, w2 right, h1 bottom, h2 top), positive where that edge's
+    half-plane covers the crossing point. A segment is blocked when it
+    crosses the plane within its span and inside every edge, both within
+    _BOUNDARY_TOL. parallel marks segments parallel to the screen plane,
+    which have no crossing (and are never blocked).
     """
-    # scalar arithmetic: this sits inside the per-segment hot loop
-    dx = seg_end[0] - seg_start[0]
-    dy = seg_end[1] - seg_start[1]
-    dz = seg_end[2] - seg_start[2]
-    nx = u[1] * v[2] - u[2] * v[1]
-    ny = u[2] * v[0] - u[0] * v[2]
-    nz = u[0] * v[1] - u[1] * v[0]
-    denom = dx * nx + dy * ny + dz * nz
-    seg_len = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if abs(denom) < 1e-12 * seg_len:
-        raise DegenerateGeometryError("segment parallel to screen plane")
-    t = ((center[0] - seg_start[0]) * nx + (center[1] - seg_start[1]) * ny
-         + (center[2] - seg_start[2]) * nz) / denom
-    rx = seg_start[0] + t * dx - center[0]
-    ry = seg_start[1] + t * dy - center[1]
-    rz = seg_start[2] + t * dz - center[2]
-    xu = rx * u[0] + ry * u[1] + rz * u[2]
-    xv = rx * v[0] + ry * v[1] + rz * v[2]
-    depths = (xu + half_w, half_w - xu, xv + half_h, half_h - xv)
+    d = ends - starts
+    normal = np.cross(u, v)
+    denom = dot3(d, normal)
+    seg_len = np.sqrt(dot3(d, d))
+    parallel = np.abs(denom) < 1e-12 * seg_len
+    t = dot3(centers - starts, normal) / np.where(parallel, 1.0, denom)
+    r = starts + t[:, np.newaxis] * d - centers
+    xu = dot3(r, u)
+    xv = dot3(r, v)
+    depths = np.stack([xu + half_w, half_w - xu, xv + half_h, half_h - xv], axis=1)
     t_tol = _BOUNDARY_TOL / seg_len
-    blocked = (-t_tol <= t <= 1.0 + t_tol
-               and all(h >= -_BOUNDARY_TOL for h in depths))
-    return depths, blocked
+    blocked = ((-t_tol <= t) & (t <= 1.0 + t_tol)
+               & np.all(depths >= -_BOUNDARY_TOL, axis=1) & ~parallel)
+    return depths, blocked, parallel
 
 
-def _screen_geometry(center, u, v, half_w, half_h, seg_start, seg_end,
-                     wavelength: float) -> ScreenDiffractionGeometry:
-    depths, blocked = _screen_cross_section(center, u, v, half_w, half_h, seg_start, seg_end)
-    tx0, tx1, tx2 = float(seg_start[0]), float(seg_start[1]), float(seg_start[2])
-    rx0, rx1, rx2 = float(seg_end[0]), float(seg_end[1]), float(seg_end[2])
-    d0, d1, d2 = rx0 - tx0, rx1 - tx1, rx2 - tx2
-    seg_len = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+_EDGES = ("w1", "w2", "h1", "h2")
+# the edges each diffraction model reads; only metis reads the edges'
+# distances from the direct-path line
+_MODEL_EDGES = {Dked: _EDGES[:2], DkedPc: _EDGES[:2], ItuSe: _EDGES, Metis: _EDGES}
 
-    bl = (center[0] - half_w * u[0] - half_h * v[0],
-          center[1] - half_w * u[1] - half_h * v[1],
-          center[2] - half_w * u[2] - half_h * v[2])
-    br = (center[0] + half_w * u[0] - half_h * v[0],
-          center[1] + half_w * u[1] - half_h * v[1],
-          center[2] + half_w * u[2] - half_h * v[2])
-    tl = (center[0] - half_w * u[0] + half_h * v[0],
-          center[1] - half_w * u[1] + half_h * v[1],
-          center[2] - half_w * u[2] + half_h * v[2])
-    tr = (center[0] + half_w * u[0] + half_h * v[0],
-          center[1] + half_w * u[1] + half_h * v[1],
-          center[2] + half_w * u[2] + half_h * v[2])
-    edge_points = {"w1": (bl, tl), "w2": (br, tr), "h1": (bl, br), "h2": (tl, tr)}
-    records = {}
-    for name, depth in zip(("w1", "w2", "h1", "h2"), depths):
-        a, b = edge_points[name]
-        d_tx, d_rx = _kernels.fermat_on_segment(
-            a[0], a[1], a[2], b[0], b[1], b[2],
-            tx0, tx1, tx2, rx0, rx1, rx2,
-        )
-        if d_tx == 0.0 or d_rx == 0.0:
-            raise DegenerateGeometryError("segment endpoint on a screen edge")
-        los_dist = _kernels.line_segment_distance(
-            tx0, tx1, tx2, d0, d1, d2,
-            a[0], a[1], a[2], b[0], b[1], b[2],
-        )
-        records[name] = EdgeGeometry(
-            d_tx=d_tx, d_rx=d_rx, distance=seg_len, depth=depth,
-            wavelength=wavelength, los_distance=los_dist,
-        )
-    return ScreenDiffractionGeometry(
-        w1=records["w1"], w2=records["w2"], h1=records["h1"], h2=records["h2"],
-        los_blocked=blocked,
-    )
+
+class _EdgeColumns(NamedTuple):
+    """The fields of EdgeGeometry, one value per candidate row."""
+
+    d_tx: np.ndarray
+    d_rx: np.ndarray
+    distance: np.ndarray
+    depth: np.ndarray
+    wavelength: float
+    los_distance: np.ndarray | None
+
+
+def _edge_columns(centers, u, v, half_w: float, half_h: float, starts, ends, depths,
+                  names: tuple[str, ...], wavelength: float,
+                  los: bool) -> dict[str, _EdgeColumns]:
+    """Closed-form edge points of the named screen edges, row by row."""
+    hu = half_w * u
+    hv = half_h * v
+    bl, br = centers - hu - hv, centers + hu - hv
+    tl, tr = centers - hu + hv, centers + hu + hv
+    edge_ends = {"w1": (bl, tl), "w2": (br, tr), "h1": (bl, br), "h2": (tl, tr)}
+    d = ends - starts
+    distance = np.sqrt(dot3(d, d))
+    columns = {}
+    for name in names:
+        a, b = edge_ends[name]
+        d_tx, d_rx = _kernels.fermat_on_segment_batch(a, b, starts, ends)
+        columns[name] = _EdgeColumns(
+            d_tx, d_rx, distance, depths[:, _EDGES.index(name)], wavelength,
+            _kernels.line_segment_distance_batch(starts, d, a, b) if los else None)
+    return columns
+
+
+def _on_an_edge(columns) -> np.ndarray:
+    """Rows with a segment endpoint on an edge, which leaves no edge-to-node path."""
+    return np.any([(c.d_tx == 0.0) | (c.d_rx == 0.0) for c in columns], axis=0)
 
 
 def screen_edge_geometries(screen: RectScreen, segment: Segment,
                            wavelength: float) -> ScreenDiffractionGeometry:
-    """Edge records of a concrete screen against one segment (public wiring)."""
-    return _screen_geometry(
-        screen.center, screen.width_axis, screen.height_axis,
-        0.5 * screen.width, 0.5 * screen.height,
-        segment.start, segment.end, wavelength,
-    )
+    """Validated edge records of a concrete screen against one segment.
+
+    The public form of one candidate-table row. Raises
+    DegenerateGeometryError when the segment is parallel to the screen or
+    has an endpoint on one of its edges.
+    """
+    args = (screen.center[np.newaxis], screen.width_axis[np.newaxis],
+            screen.height_axis[np.newaxis], 0.5 * screen.width, 0.5 * screen.height,
+            segment.start[np.newaxis], segment.end[np.newaxis])
+    depths, blocked, parallel = _screen_cross_section(*args)
+    if parallel[0]:
+        raise DegenerateGeometryError("segment parallel to screen plane")
+    columns = _edge_columns(*args, depths, _EDGES, wavelength, los=True)
+    if _on_an_edge(columns.values())[0]:
+        raise DegenerateGeometryError("segment endpoint on a screen edge")
+    edges = [EdgeGeometry(d_tx=float(c.d_tx[0]), d_rx=float(c.d_rx[0]),
+                          distance=float(c.distance[0]), depth=float(c.depth[0]),
+                          wavelength=wavelength, los_distance=float(c.los_distance[0]))
+             for c in columns.values()]
+    return ScreenDiffractionGeometry(*edges, los_blocked=bool(blocked[0]))
 
 
-def _screen_model_loss(model: LossModel, geom: ScreenDiffractionGeometry,
-                       wavelength: float) -> float:
-    if isinstance(model, Metis):
-        return diffraction.metis_loss(geom)
-    nu1 = diffraction_parameter(geom.w1)
-    nu2 = diffraction_parameter(geom.w2)
+def _segment_outcome(model: LossModel, wavelength: float, blocked: bool, nus: tuple,
+                     excess: tuple, depths: tuple, los: tuple | None) -> LossOutcome:
+    """Loss of one diffraction candidate from its table row of plain floats.
+
+    The tuples hold the values of the edges the model reads, in (w1, w2,
+    h1, h2) order; excess is the edge paths' length over the direct path.
+    """
     if isinstance(model, Dked):
-        return diffraction.dked_loss(nu1, nu2)
-    if isinstance(model, DkedPc):
-        return diffraction.dked_pc_loss(
-            nu1, nu2, geom.w1.excess_path, geom.w2.excess_path, wavelength)
-    if isinstance(model, ItuSe):
-        return diffraction.itu_se_loss(geom)
-    raise ConfigError(f"unsupported loss model {model!r}")
-
-
-def _segment_outcome(obstacle: Obstacle, model: LossModel, center: np.ndarray,
-                     seg_start: np.ndarray, seg_end: np.ndarray, wavelength: float,
-                     counters: InteractionCounters) -> LossOutcome:
-    """Loss of one segment against one resolved obstacle pose."""
-    if isinstance(obstacle.shape, SphereShape):
-        dist, _ = _kernels.point_segment_distance(
-            center[0], center[1], center[2],
-            seg_start[0], seg_start[1], seg_start[2],
-            seg_end[0], seg_end[1], seg_end[2],
-        )
-        blocked = dist <= obstacle.shape.radius + _BOUNDARY_TOL
-        counters.obstruction_evals += 1
-        assert isinstance(model, Obstruction)
-        return LossOutcome(diffraction.obstruction_loss(blocked, model.loss_db), blocked)
-
-    half_w = 0.5 * obstacle.shape.width
-    half_h = 0.5 * obstacle.shape.height
-    try:
-        u, v = _screen_axes(obstacle.shape, seg_start, seg_end)
-        if isinstance(model, Obstruction):
-            _, blocked = _screen_cross_section(center, u, v, half_w, half_h, seg_start, seg_end)
-            counters.obstruction_evals += 1
-            return LossOutcome(diffraction.obstruction_loss(blocked, model.loss_db), blocked)
-        geom = _screen_geometry(center, u, v, half_w, half_h, seg_start, seg_end, wavelength)
-    except DegenerateGeometryError:
-        counters.degenerate_skips += 1
-        return LossOutcome(0.0, False)
-    counters.diffraction_evals += 1
-    return LossOutcome(_screen_model_loss(model, geom, wavelength), geom.los_blocked)
-
-
-def _effective_model(obstacle: Obstacle, is_primary_ray: bool) -> LossModel:
-    if (obstacle.obstruction_fallback_for_secondary and not is_primary_ray
-            and not isinstance(obstacle.model, Obstruction)):
-        return Obstruction(obstacle.fallback_loss_db)
-    return obstacle.model
+        loss = diffraction.dked_loss(*nus)
+    elif isinstance(model, DkedPc):
+        loss = diffraction.dked_pc_loss(*nus, *excess, wavelength)
+    elif isinstance(model, Metis):
+        loss = diffraction.metis_loss(excess, los, wavelength, blocked)
+    elif isinstance(model, ItuSe):
+        loss = diffraction.itu_se_loss(nus, depths, wavelength, blocked)
+    else:
+        raise ConfigError(f"unsupported loss model {model!r}")
+    return LossOutcome(loss, blocked)
 
 
 class PathSegments(NamedTuple):
-    """Every segment of a list of rays, ray by ray in vertex order."""
+    """Every segment of a chunk's rays: step by step, ray by ray, in vertex order."""
 
     starts: np.ndarray      # (n, 3)
     ends: np.ndarray        # (n, 3)
-    ray: np.ndarray         # (n,) index of the owning ray
+    step: np.ndarray        # (n,) index of the owning step, the row of its obstacle pose
+    slot: np.ndarray        # (n,) index of the owning ray among all the chunk's rays
+    primary: np.ndarray     # (n,) the owning ray is its step's primary ray
     thresholds: np.ndarray  # (n,) default distance thresholds
+    num_slots: int          # rays in the chunk
 
 
-def path_segments(rays, wavelength: float) -> PathSegments:
-    starts = np.ascontiguousarray(np.concatenate([r.vertices[:-1] for r in rays]))
-    ends = np.ascontiguousarray(np.concatenate([r.vertices[1:] for r in rays]))
-    ray = np.repeat(np.arange(len(rays)), [r.vertices.shape[0] - 1 for r in rays])
-    thresholds = default_threshold(np.linalg.norm(ends - starts, axis=1), wavelength)
-    return PathSegments(starts, ends, ray, thresholds)
+def path_segments(step_rays, primaries, wavelength: float) -> PathSegments:
+    """Flatten a chunk's rays (a list of rays per step) into one segment table.
 
-
-def obstacle_losses(obstacle: Obstacle, t: float, segments: PathSegments, num_rays: int,
-                    primary: int | None, wavelength: float,
-                    counters: InteractionCounters) -> tuple[np.ndarray, list[bool]]:
-    """Per-ray loss (dB) and blocked flag one obstacle imposes at time t.
-
-    Segments farther from the obstacle than the distance threshold are
-    skipped outright; the others add their losses in dB to their ray, in
-    segment order. A ray is blocked when any of its segments is
-    geometrically obstructed. primary is the index of the primary ray
-    (None: no ray is primary), which decides the secondary-ray fallback.
+    primaries[k] is the index of step k's primary ray (None: no ray is
+    primary), which decides the secondary-ray fallback.
     """
-    starts, ends, seg_ray, thresholds = segments
+    rays = [ray for rays in step_rays for ray in rays]
+    starts = np.concatenate([ray.vertices[:-1] for ray in rays])
+    ends = np.concatenate([ray.vertices[1:] for ray in rays])
+    slot = np.repeat(np.arange(len(rays)), [ray.vertices.shape[0] - 1 for ray in rays])
+    ray_step = np.repeat(np.arange(len(step_rays)), [len(rays) for rays in step_rays])
+    is_primary = np.array([i == p for rays, p in zip(step_rays, primaries)
+                           for i in range(len(rays))], dtype=bool)
+    thresholds = default_threshold(np.linalg.norm(ends - starts, axis=1), wavelength)
+    return PathSegments(starts, ends, ray_step[slot], slot, is_primary[slot], thresholds,
+                        len(rays))
+
+
+def obstacle_losses(obstacle: Obstacle, centers: np.ndarray, segments: PathSegments,
+                    wavelength: float,
+                    counters: InteractionCounters) -> tuple[np.ndarray, np.ndarray]:
+    """Per-ray loss (dB) and blocked flag one obstacle imposes on a segment table.
+
+    centers is the obstacle's center at every step of the table, shape
+    (steps, 3); its mobility is not read. Segments farther from the
+    obstacle than the distance threshold are skipped outright: first by
+    the bounding sphere, then for screens by screen_beyond_threshold. The
+    others add their losses in dB to their ray, in segment order. A ray is
+    blocked when any of its segments is geometrically obstructed. Segments
+    of non-primary rays take the constant fallback loss when the obstacle
+    asks for it.
+    """
+    shape, model = obstacle.shape, obstacle.model
+    thresholds = segments.thresholds
     if obstacle.distance_threshold is not None:
         thresholds = np.full_like(thresholds, obstacle.distance_threshold)
-    center = position_at(obstacle.mobility, t)
-    v_axis = None if isinstance(obstacle.shape, SphereShape) else obstacle.shape.height_axis
-    dists = _kernels.point_segment_distance_batch(center, starts, ends)
-    candidates = np.nonzero(dists <= thresholds + obstacle.bounding_radius)[0]
-    counters.far_skips += dists.shape[0] - candidates.shape[0]
-    losses = np.zeros(num_rays)
-    blocked = [False] * num_rays
-    for si in candidates:
-        if v_axis is not None and screen_beyond_threshold(
-                center, v_axis, 0.5 * obstacle.shape.width, 0.5 * obstacle.shape.height,
-                starts[si], ends[si], float(thresholds[si])):
-            counters.far_skips += 1
-            continue
-        ri = int(seg_ray[si])
-        model = _effective_model(obstacle, ri == primary)
-        outcome = _segment_outcome(obstacle, model, center, starts[si], ends[si],
-                                   wavelength, counters)
-        losses[ri] += outcome.loss_db
-        blocked[ri] = blocked[ri] or outcome.blocked
-    return losses, blocked
+    at = centers[segments.step]  # the obstacle's pose for each segment
+    dists = _kernels.point_segment_distance_batch(at, segments.starts, segments.ends)
+    near = dists <= thresholds + obstacle.bounding_radius
+    if not isinstance(shape, SphereShape):
+        near[near] = ~screen_beyond_threshold(
+            at[near], shape.height_axis, 0.5 * shape.width, 0.5 * shape.height,
+            segments.starts[near], segments.ends[near], thresholds[near])
+    rows = np.flatnonzero(near)
+    counters.far_skips += dists.shape[0] - rows.shape[0]
+
+    if isinstance(shape, SphereShape):
+        blocked = dists[rows] <= shape.radius + _BOUNDARY_TOL
+        loss = np.where(blocked, model.loss_db, 0.0)
+        counters.obstruction_evals += rows.shape[0]
+    else:
+        loss, blocked = _screen_losses(obstacle, at[rows], segments.starts[rows],
+                                       segments.ends[rows], segments.primary[rows],
+                                       wavelength, counters)
+    slots = segments.slot[rows]
+    ray_blocked = np.zeros(segments.num_slots, dtype=bool)
+    ray_blocked[slots[blocked]] = True
+    return np.bincount(slots, weights=loss, minlength=segments.num_slots), ray_blocked
+
+
+def _screen_losses(obstacle: Obstacle, centers, starts, ends, primary, wavelength: float,
+                   counters: InteractionCounters) -> tuple[np.ndarray, np.ndarray]:
+    """Loss and blocked flag of each candidate row of one screen obstacle."""
+    shape, model = obstacle.shape, obstacle.model
+    half_w, half_h = 0.5 * shape.width, 0.5 * shape.height
+    u, v, degenerate = _screen_axes(shape, starts, ends)
+    depths, blocked, parallel = _screen_cross_section(centers, u, v, half_w, half_h,
+                                                      starts, ends)
+    degenerate |= parallel
+    blocked &= ~degenerate
+    if isinstance(model, Obstruction):
+        obstruct, loss_db = np.ones_like(blocked), model.loss_db
+    else:
+        obstruct = (~primary if obstacle.obstruction_fallback_for_secondary
+                    else np.zeros_like(blocked))
+        loss_db = obstacle.fallback_loss_db
+    loss = np.where(blocked & obstruct, loss_db, 0.0)
+    counters.obstruction_evals += int(np.count_nonzero(obstruct & ~degenerate))
+    counters.degenerate_skips += int(np.count_nonzero(degenerate))
+
+    rows = np.flatnonzero(~obstruct & ~degenerate)
+    if rows.shape[0] == 0:
+        return loss, blocked
+    is_metis = isinstance(model, Metis)
+    columns = _edge_columns(centers[rows], u[rows], v[rows], half_w, half_h, starts[rows],
+                            ends[rows], depths[rows], _MODEL_EDGES[type(model)], wavelength,
+                            los=is_metis).values()
+    on_an_edge = _on_an_edge(columns)
+    counters.degenerate_skips += int(np.count_nonzero(on_an_edge))
+    blocked[rows[on_an_edge]] = False
+    ok = ~on_an_edge
+    rows = rows[ok]
+    counters.diffraction_evals += rows.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows on an edge are dropped
+        nus = [diffraction_parameter(c)[ok].tolist() for c in columns]
+    excess = [np.maximum(c.d_tx + c.d_rx - c.distance, 0.0)[ok].tolist() for c in columns]
+    edge_depths = [c.depth[ok].tolist() for c in columns]
+    los = (zip(*(c.los_distance[ok].tolist() for c in columns)) if is_metis
+           else itertools.repeat(None))
+    loss[rows] = [_segment_outcome(model, wavelength, b, *row).loss_db
+                  for b, *row in zip(blocked[rows].tolist(), zip(*nus), zip(*excess),
+                                     zip(*edge_depths), los)]
+    return loss, blocked
 
 
 def interact(obstacle: Obstacle, ray, t: float, wavelength: float,
@@ -453,6 +499,7 @@ def interact(obstacle: Obstacle, ray, t: float, wavelength: float,
              counters: InteractionCounters | None = None) -> LossOutcome:
     """Total loss an obstacle imposes on one ray at time t (see obstacle_losses)."""
     losses, blocked = obstacle_losses(
-        obstacle, t, path_segments([ray], wavelength), 1, 0 if is_primary_ray else None,
-        wavelength, InteractionCounters() if counters is None else counters)
-    return LossOutcome(float(losses[0]), blocked[0])
+        obstacle, position_at(obstacle.mobility, t)[np.newaxis],
+        path_segments([[ray]], [0 if is_primary_ray else None], wavelength), wavelength,
+        InteractionCounters() if counters is None else counters)
+    return LossOutcome(float(losses[0]), bool(blocked[0]))

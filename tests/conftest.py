@@ -3,6 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from rayblock.diffraction import (
+    ScreenDiffractionGeometry,
+    diffraction_parameter,
+    itu_se_loss,
+    metis_loss,
+)
 from rayblock.trace import SPEED_OF_LIGHT, ChannelTrace, Ray
 
 
@@ -17,6 +23,20 @@ def make_ray(*points, gain_db: float = -80.0, frequency_hz: float = 60e9) -> Ray
     delay = length / SPEED_OF_LIGHT
     return Ray(delay=delay, path_gain_db=gain_db, phase_rad=carrier_phase(delay, frequency_hz),
                vertices=vertices)
+
+
+def metis_of(geom: ScreenDiffractionGeometry) -> float:
+    """metis_loss fed from the validated edge records."""
+    return metis_loss(tuple(e.excess_path for e in geom.edges),
+                      tuple(e.los_distance for e in geom.edges),
+                      geom.w1.wavelength, geom.los_blocked)
+
+
+def itu_se_of(geom: ScreenDiffractionGeometry) -> float:
+    """itu_se_loss fed from the validated edge records."""
+    return itu_se_loss(tuple(float(diffraction_parameter(e)) for e in geom.edges),
+                       tuple(e.depth for e in geom.edges),
+                       geom.w1.wavelength, geom.los_blocked)
 
 
 def fspl_db(length: float, frequency_hz: float) -> float:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -351,3 +354,28 @@ def test_malformed_compared_models_exit_2(tmp_path, small_scenario, capsys, verb
     assert main([verb, str(spec)]) == 2
     assert "'dked'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+@pytest.mark.parametrize("section,value,context", [
+    ("sampling", 5, "spec.sampling"),
+    ("link_budget", 5, "spec.link_budget"),
+    ("link_budget", {"tx_array": 3}, "spec.link_budget.tx_array"),
+    ("link_budget", {"rx_array": [4, 4]}, "spec.link_budget.rx_array"),
+], ids=["sampling", "link_budget", "tx_array", "rx_array"])
+def test_spec_section_that_is_not_an_object_exits_2(tmp_path, small_scenario, capsys, verb,
+                                                    section, value, context):
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out",
+                                             **{section: value}))
+    assert main([verb, str(spec)]) == 2
+    assert f"{context}: must be an object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # only the quadrature oracle needs scipy; every CLI process would pay its import
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = "import sys, rayblock.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -19,12 +19,11 @@ from rayblock.diffraction import (
     diffraction_parameter,
     dked_loss,
     dked_pc_loss,
-    itu_se_loss,
     metis_edge_term,
-    metis_loss,
     obstruction_loss,
     sked,
 )
+from conftest import itu_se_of, metis_of
 from rayblock.errors import GeometryError
 from rayblock.geometry import RectScreen, Segment
 from rayblock.obstacles import screen_edge_geometries
@@ -46,6 +45,10 @@ def crossing_geometry(lateral_offset: float, wavelength: float = WAVELENGTH_60GH
 def _edge(depth, d_tx=4.0, d_rx=4.0, distance=8.0, wavelength=0.005, los=None):
     return EdgeGeometry(d_tx=d_tx, d_rx=d_rx, distance=distance, depth=depth,
                         wavelength=wavelength, los_distance=los)
+
+
+def _metis_term(edge: EdgeGeometry, sign: float) -> float:
+    return metis_edge_term(edge.d_tx + edge.d_rx - edge.distance, edge.wavelength, sign)
 
 
 def test_obstruction_loss_values():
@@ -84,50 +87,44 @@ def test_sked_magnitude_monotone_in_shadow():
 # --- arctan four-edge model --------------------------------------------------
 
 def test_metis_edge_term_on_the_path():
-    assert metis_edge_term(_edge(0.0, d_tx=4.0, d_rx=4.0, distance=8.0), 1.0) == 0.0
+    assert _metis_term(_edge(0.0, d_tx=4.0, d_rx=4.0, distance=8.0), 1.0) == 0.0
 
 
 def test_metis_edge_term_saturates():
     deep = _edge(3.0, d_tx=5.0, d_rx=5.0, distance=8.0)
-    assert metis_edge_term(deep, 1.0) == pytest.approx(0.5, abs=1e-3)
+    assert _metis_term(deep, 1.0) == pytest.approx(0.5, abs=1e-3)
     very_deep = _edge(3.0, d_tx=8.0, d_rx=8.0, distance=8.0)
-    assert metis_edge_term(very_deep, 1.0) == 0.5
+    assert _metis_term(very_deep, 1.0) == 0.5
 
 
 def test_metis_edge_term_odd_in_sign(rng):
     for _ in range(20):
         extra = rng.uniform(0, 0.5)
         edge = _edge(0.1, d_tx=4.0 + extra, d_rx=4.0, distance=8.0)
-        assert metis_edge_term(edge, -1.0) == -metis_edge_term(edge, 1.0)
+        assert _metis_term(edge, -1.0) == -_metis_term(edge, 1.0)
 
 
 def test_metis_edge_term_rejects_short_path():
-    bad = EdgeGeometry.__new__(EdgeGeometry)
-    object.__setattr__(bad, "d_tx", 3.9)
-    object.__setattr__(bad, "d_rx", 3.9)
-    object.__setattr__(bad, "distance", 8.0)
-    object.__setattr__(bad, "depth", 0.1)
-    object.__setattr__(bad, "wavelength", 0.005)
-    object.__setattr__(bad, "los_distance", None)
+    # an edge path of 3.9 + 3.9 m around an 8 m direct path
     with pytest.raises(GeometryError):
-        metis_edge_term(bad, 1.0)
+        metis_edge_term(3.9 + 3.9 - 8.0, 0.005, 1.0)
 
 
 def test_metis_symmetric_center_crossing():
     geom = crossing_geometry(0.0)
     assert geom.los_blocked
-    t_w1 = metis_edge_term(geom.w1, 1.0)
-    t_w2 = metis_edge_term(geom.w2, 1.0)
+    t_w1 = _metis_term(geom.w1, 1.0)
+    t_w2 = _metis_term(geom.w2, 1.0)
     assert t_w1 == pytest.approx(t_w2, abs=1e-9)
 
 
 def test_metis_center_crossing_golden_value():
     # oracle: direct four-edge evaluation, frozen
-    assert metis_loss(crossing_geometry(0.0)) == pytest.approx(7.873226, abs=1e-3)
+    assert metis_of(crossing_geometry(0.0)) == pytest.approx(7.873226, abs=1e-3)
 
 
 def test_metis_far_from_path_vanishes():
-    loss = metis_loss(crossing_geometry(2.0))
+    loss = metis_of(crossing_geometry(2.0))
     assert abs(loss) < 0.05
 
 
@@ -136,7 +133,7 @@ def test_metis_clamp_counter():
     # far-field cutoff: the arctan product reaches 1 and the log argument 0
     diagnostics.reset()
     screen = RectScreen(center=(4.0, 0.0, 1.6), width=4.0, height=4.0)
-    loss = metis_loss(screen_edge_geometries(screen, Segment(TX, RX), WAVELENGTH_60GHZ))
+    loss = metis_of(screen_edge_geometries(screen, Segment(TX, RX), WAVELENGTH_60GHZ))
     assert loss == LOSS_CAP_DB
     assert diagnostics.total == 1  # one capped evaluation, counted once
     diagnostics.reset()
@@ -203,13 +200,13 @@ def test_dked_pc_cap_on_destructive_null():
 # --- semi-empirical thin screen ----------------------------------------------
 
 def test_itu_se_far_from_path_vanishes():
-    assert abs(itu_se_loss(crossing_geometry(2.0))) < 0.1
+    assert abs(itu_se_of(crossing_geometry(2.0))) < 0.1
 
 
 def test_itu_se_tracks_dked_in_shadow():
     geom = crossing_geometry(0.0)
     dked = dked_loss(diffraction_parameter(geom.w1), diffraction_parameter(geom.w2))
-    itu = itu_se_loss(geom)
+    itu = itu_se_of(geom)
     # frozen from the implemented composition; the independent oracle that
     # keeps the ground-level edge (which the far-field cutoff drops here)
     # gives 11.5658, 0.007 dB away
@@ -219,8 +216,8 @@ def test_itu_se_tracks_dked_in_shadow():
 
 
 def test_itu_se_mirror_symmetry():
-    left = itu_se_loss(crossing_geometry(-0.4))
-    right = itu_se_loss(crossing_geometry(+0.4))
+    left = itu_se_of(crossing_geometry(-0.4))
+    right = itu_se_of(crossing_geometry(+0.4))
     assert left == pytest.approx(right, abs=1e-9)
 
 
@@ -228,14 +225,14 @@ def test_itu_se_warns_outside_small_wavelength_regime(caplog):
     import logging
 
     with caplog.at_level(logging.WARNING, logger="rayblock.diffraction"):
-        itu_se_loss(crossing_geometry(0.0, wavelength=0.125))
+        itu_se_of(crossing_geometry(0.0, wavelength=0.125))
     assert any("small-wavelength" in r.message for r in caplog.records)
 
 
 def test_itu_se_fluctuates_across_shadow_transition():
     # fringes on the lit side approaching the shadow edge
     offsets = np.arange(-0.6, -0.101, 0.002)
-    losses = np.array([itu_se_loss(crossing_geometry(float(o))) for o in offsets])
+    losses = np.array([itu_se_of(crossing_geometry(float(o))) for o in offsets])
     sign_changes = np.sum(np.diff(np.sign(np.diff(losses))) != 0)
     assert sign_changes >= 10
 
@@ -257,7 +254,7 @@ def _swap(geom: ScreenDiffractionGeometry) -> ScreenDiffractionGeometry:
 def test_reciprocity_under_node_swap(offset):
     geom = crossing_geometry(offset, along=2.5)  # asymmetric split
     swapped = _swap(geom)
-    for fn in (metis_loss, itu_se_loss):
+    for fn in (metis_of, itu_se_of):
         assert fn(geom) == pytest.approx(fn(swapped), abs=1e-9)
     nu = (diffraction_parameter(geom.w1), diffraction_parameter(geom.w2))
     nu_s = (diffraction_parameter(swapped.w1), diffraction_parameter(swapped.w2))
@@ -272,8 +269,8 @@ def test_vanishing_obstacle_limit_all_models():
     r1 = math.sqrt(WAVELENGTH_60GHZ * 16.0 / 8.0)
     for radii in (11.0, 15.0, 22.0, 30.0):
         geom = crossing_geometry(radii * r1 + 0.1)  # near edge beyond radii * r1
-        assert abs(metis_loss(geom)) < 0.1
-        assert abs(itu_se_loss(geom)) < 0.1
+        assert abs(metis_of(geom)) < 0.1
+        assert abs(itu_se_of(geom)) < 0.1
         nu1, nu2 = diffraction_parameter(geom.w1), diffraction_parameter(geom.w2)
         assert abs(dked_loss(nu1, nu2)) < 0.1
         assert abs(dked_pc_loss(nu1, nu2, geom.w1.excess_path, geom.w2.excess_path,
@@ -284,7 +281,7 @@ def test_transition_jump_measured_not_asserted(capsys):
     """The models are discontinuous at the shadow boundary; report the size."""
     just_out = crossing_geometry(0.10001 + 0.1)
     just_in = crossing_geometry(0.09999 + 0.1 - 0.1)  # offset 0.09999: still blocked
-    jump_metis = abs(metis_loss(just_in) - metis_loss(just_out))
-    jump_itu = abs(itu_se_loss(just_in) - itu_se_loss(just_out))
+    jump_metis = abs(metis_of(just_in) - metis_of(just_out))
+    jump_itu = abs(itu_se_of(just_in) - itu_se_of(just_out))
     print(f"shadow-transition jumps: metis {jump_metis:.3f} dB, itu_se {jump_itu:.3f} dB")
     assert math.isfinite(jump_metis) and math.isfinite(jump_itu)

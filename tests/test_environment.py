@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import assert_traces_equal, build_los_trace, make_ray
-from rayblock.diffraction import Dked, Obstruction
+from rayblock.diffraction import (
+    Dked,
+    EdgeGeometry,
+    ItuSe,
+    Metis,
+    Obstruction,
+    ScreenDiffractionGeometry,
+)
 from rayblock.environment import (
     RunStats,
     SimulationConfig,
@@ -16,6 +23,7 @@ from rayblock.obstacles import (
     LinearMobility,
     Obstacle,
     OrthoScreenShape,
+    ScreenShape,
     SphereShape,
     Static,
 )
@@ -210,3 +218,21 @@ def test_degenerate_segments_log_one_summary_line(caplog):
     warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
     assert len(warnings) <= 1
     assert "50" in warnings[0].getMessage()
+
+
+@pytest.mark.parametrize("model", [Dked(), Metis(), ItuSe()], ids=["dked", "metis", "itu_se"])
+@pytest.mark.parametrize("shape", [OrthoScreenShape(0.2, 1.7), ScreenShape(0.3, 1.7)],
+                         ids=["ortho_screen", "screen"])
+def test_run_builds_no_edge_records(monkeypatch, shape, model):
+    # the run path reads the candidate table's arrays; the validated
+    # records are for the public screen_edge_geometries only
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built during a run")
+
+    monkeypatch.setattr(EdgeGeometry, "__post_init__", refuse)
+    monkeypatch.setattr(ScreenDiffractionGeometry, "__post_init__", refuse)
+    screen = Obstacle(shape=shape, model=model,
+                      mobility=LinearMobility((4.0, -0.3, 0.85), (0.0, 20.0, 0.0)))
+    stats = RunStats()
+    run(multi_ray_trace(), SimulationConfig(obstacles=(screen,)), workers=1, stats=stats)
+    assert stats.counters.diffraction_evals > 0

@@ -1,5 +1,5 @@
 """Geometric primitives, plus the blocking tests and per-segment screen
-orientation as the obstacles module computes them."""
+orientation as the obstacles module computes them (one table row here)."""
 
 import math
 
@@ -9,7 +9,7 @@ from scipy.spatial.transform import Rotation
 
 from conftest import make_ray
 from rayblock.diffraction import Obstruction
-from rayblock.errors import DegenerateGeometryError, GeometryError
+from rayblock.errors import GeometryError
 from rayblock.geometry import RectScreen, Segment, distance_point_segment
 from rayblock.obstacles import (
     InteractionCounters,
@@ -99,10 +99,23 @@ def _obstruct(shape, center, *points, counters=None):
     return interact(obstacle, make_ray(*points), 0.0, WAVELENGTH, counters=counters)
 
 
+def _axes(shape, a, b) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Screen axes against the one segment a -> b, and whether it is vertical."""
+    u, v, vertical = _screen_axes(shape, np.array([a], float), np.array([b], float))
+    return u[0], v[0], bool(vertical[0])
+
+
 def _ortho_normal(a, b) -> np.ndarray:
-    u, v = _screen_axes(OrthoScreenShape(1.0, 1.0), np.asarray(a, float),
-                        np.asarray(b, float))
+    u, v, _ = _axes(OrthoScreenShape(1.0, 1.0), a, b)
     return np.cross(u, v)
+
+
+def _cross_section(screen: RectScreen, a, b) -> tuple[np.ndarray, bool, bool]:
+    """(depths, blocked, parallel) of the one segment a -> b against screen."""
+    depths, blocked, parallel = _screen_cross_section(
+        screen.center[np.newaxis], screen.width_axis, screen.height_axis,
+        0.5 * screen.width, 0.5 * screen.height, np.array([a], float), np.array([b], float))
+    return depths[0], bool(blocked[0]), bool(parallel[0])
 
 
 def test_rect_intersection_symmetric_crossing():
@@ -110,15 +123,11 @@ def test_rect_intersection_symmetric_crossing():
     assert out.blocked
     assert out.loss_db == 10.0
     screen = RectScreen(center=(1, 0, 1), width=1.0, height=1.0)
-    depths, blocked = _screen_cross_section(
-        screen.center, screen.width_axis, screen.height_axis,
-        0.5, 0.5, np.array([0.0, 0, 1]), np.array([2.0, 0, 1]))
+    depths, blocked, _ = _cross_section(screen, (0, 0, 1), (2, 0, 1))
     assert blocked
     np.testing.assert_allclose(depths, [0.5, 0.5, 0.5, 0.5], atol=1e-12)
     # the same line stopping short of the plane crosses it outside its span
-    depths, blocked = _screen_cross_section(
-        screen.center, screen.width_axis, screen.height_axis,
-        0.5, 0.5, np.array([0.0, 0, 1]), np.array([0.9, 0, 1]))
+    depths, blocked, _ = _cross_section(screen, (0, 0, 1), (0.9, 0, 1))
     assert not blocked
     np.testing.assert_allclose(depths, [0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
@@ -140,12 +149,10 @@ def test_rect_intersection_grazing_edge_inclusive():
 
 
 def test_rect_intersection_coplanar_raises():
-    # segment lies inside the screen plane x=1: the cross-section raises and
-    # the obstacle skips the segment as degenerate
+    # segment lies inside the screen plane x=1: the cross-section flags it
+    # parallel and the obstacle skips the segment as degenerate
     screen = RectScreen(center=(1, 0, 1), width=1.0, height=1.0)
-    with pytest.raises(DegenerateGeometryError):
-        _screen_cross_section(screen.center, screen.width_axis, screen.height_axis,
-                              0.5, 0.5, np.array([1.0, -2, 1]), np.array([1.0, 2, 1]))
+    assert _cross_section(screen, (1, -2, 1), (1, 2, 1))[1:] == (False, True)
     counters = InteractionCounters()
     out = _obstruct(ScreenShape(1.0, 1.0), (1, 0, 1), (1, -2, 1), (1, 2, 1),
                     counters=counters)
@@ -186,26 +193,23 @@ def test_sphere_miss_at_twice_radius():
 
 def test_orthogonalize_fixed_point():
     # a segment along +x orients the screen like an unrotated fixed screen
-    a, b = np.array([0.0, 0, 1]), np.array([4.0, 0, 1])
-    ortho = _screen_axes(OrthoScreenShape(1.0, 2.0), a, b)
-    fixed = _screen_axes(ScreenShape(1.0, 2.0), a, b)
-    np.testing.assert_allclose(ortho, fixed, atol=1e-12)
+    a, b = (0, 0, 1), (4, 0, 1)
+    ortho = _axes(OrthoScreenShape(1.0, 2.0), a, b)
+    fixed = _axes(ScreenShape(1.0, 2.0), a, b)
+    np.testing.assert_allclose(ortho[:2], fixed[:2], atol=1e-12)
 
 
 def test_orthogonalize_rotated_screen():
     d = np.array([1.0, 0.0, 0.0])
     assert abs(abs(float(_ortho_normal((0, 0, 1), (4, 0, 1)) @ d)) - 1.0) < 1e-12
     # the orientation ignores how the fixed shape would have been rotated
-    u, v = _screen_axes(OrthoScreenShape(1.0, 2.0),
-                        np.array([0.0, 0, 1]), np.array([4.0, 0, 1]))
+    u, v, _ = _axes(OrthoScreenShape(1.0, 2.0), (0, 0, 1), (4, 0, 1))
     np.testing.assert_allclose(v, [0, 0, 1], atol=0)
     assert float(u @ d) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_orthogonalize_vertical_segment_raises():
-    with pytest.raises(DegenerateGeometryError):
-        _screen_axes(OrthoScreenShape(1.0, 1.0),
-                     np.array([1.0, 1, 0]), np.array([1.0, 1, 3]))
+    assert _axes(OrthoScreenShape(1.0, 1.0), (1, 1, 0), (1, 1, 3))[2]
     counters = InteractionCounters()
     out = _obstruct(OrthoScreenShape(1.0, 1.0), (1, 1.1, 1), (1, 1, 0), (1, 1, 3),
                     counters=counters)
@@ -219,9 +223,9 @@ def test_orthogonalize_idempotent(rng):
         a = rng.normal(size=3)
         b = rng.normal(size=3) + np.array([3, 0, 0])
         shift = rng.normal(size=3)
-        first = _screen_axes(OrthoScreenShape(1.0, 1.0), a, b)
-        again = _screen_axes(OrthoScreenShape(1.0, 1.0), a + shift, b + shift)
-        np.testing.assert_allclose(first, again, atol=1e-12)
+        first = _axes(OrthoScreenShape(1.0, 1.0), a, b)
+        again = _axes(OrthoScreenShape(1.0, 1.0), a + shift, b + shift)
+        np.testing.assert_allclose(first[:2], again[:2], atol=1e-12)
 
 
 def test_fixed_screen_axes_computed_once_per_shape(rng):
@@ -233,8 +237,8 @@ def test_fixed_screen_axes_computed_once_per_shape(rng):
         np.testing.assert_array_equal(shape.axes[0], screen.width_axis)
         np.testing.assert_array_equal(shape.axes[1], screen.height_axis)
         a, b = rng.normal(size=3), rng.normal(size=3) + np.array([3, 0, 0])
-        u, v = _screen_axes(shape, a, b)
-        assert u is shape.axes[0] and v is shape.axes[1]
+        u, v, _ = _screen_axes(shape, np.array([a]), np.array([b]))
+        assert np.shares_memory(u, shape.axes[0]) and np.shares_memory(v, shape.axes[1])
     np.testing.assert_array_equal(shape.height_axis, shape.axes[1])
     np.testing.assert_array_equal(OrthoScreenShape(1.0, 2.0).height_axis, [0.0, 0.0, 1.0])
 

@@ -1,4 +1,5 @@
-"""Compiled vs pure-numpy kernel paths must agree; the env flag selects them."""
+"""Kernels: compiled vs pure-numpy paths agree, the env flag selects them, and
+the batch geometry kernels match brute-force oracles row by row."""
 
 import json
 import os
@@ -21,12 +22,13 @@ from rayblock import _kernels
 nus = np.linspace(-8, 8, 41)
 c, s = _kernels.fresnel_cs_batch(nus)
 d, t = _kernels.point_segment_distance(0.3, 2.0, -1.0, 0.0, 0.0, 0.0, 4.0, 1.0, 2.0)
-d_tx, d_rx = _kernels.fermat_on_segment(2.0, -0.5, 0.0, 2.0, 0.5, 3.4,
-                                        0.0, 0.0, 1.6, 8.0, 0.0, 1.6)
+d_tx, d_rx = _kernels.fermat_on_segment_batch(
+    np.array([[2.0, -0.5, 0.0]]), np.array([[2.0, 0.5, 3.4]]),
+    np.array([[0.0, 0.0, 1.6]]), np.array([[8.0, 0.0, 1.6]]))
 print(json.dumps({
     "numba": _kernels.USING_NUMBA,
     "c": c.tolist(), "s": s.tolist(),
-    "dist": [d, t], "fermat": [d_tx, d_rx],
+    "dist": [d, t], "fermat": [float(d_tx[0]), float(d_rx[0])],
 }))
 """
 
@@ -57,21 +59,26 @@ def test_batch_distance_matches_scalar(rng):
     starts = rng.uniform(-5, 5, (200, 3))
     ends = starts + rng.uniform(-3, 3, (200, 3))
     point = rng.uniform(-5, 5, 3)
+    points = rng.uniform(-5, 5, (200, 3))
     batch = _kernels.point_segment_distance_batch(point, starts, ends)
+    per_row = _kernels.point_segment_distance_batch(points, starts, ends)
     for i in range(200):
         d, _ = _kernels.point_segment_distance(*point, *starts[i], *ends[i])
-        assert batch[i] == pytest.approx(d, abs=1e-12)
+        assert batch[i] == d
+        d, _ = _kernels.point_segment_distance(*points[i], *starts[i], *ends[i])
+        assert per_row[i] == d
 
 
 def test_line_segment_distance_vs_brute_force(rng):
-    for _ in range(100):
-        p = rng.uniform(-3, 3, 3)
-        d = rng.uniform(-1, 1, 3)
+    p = rng.uniform(-3, 3, (100, 3))
+    d = rng.uniform(-1, 1, (100, 3))
+    a = rng.uniform(-4, 4, (100, 3))
+    b = rng.uniform(-4, 4, (100, 3))
+    b[:10] = a[:10] + 2.0 * d[:10]  # parallel pairs take the other branch
+    distances = _kernels.line_segment_distance_batch(p, d, a, b)
+    for p, d, a, b, got in zip(p, d, a, b, distances):
         if np.linalg.norm(d) < 1e-3:
             continue
-        a = rng.uniform(-4, 4, 3)
-        b = rng.uniform(-4, 4, 3)
-        got = _kernels.line_segment_distance(*p, *d, *a, *b)
         ts = np.linspace(-60, 60, 4001)
         ss = np.linspace(0, 1, 401)
         line_pts = p[None, :] + ts[:, None] * d[None, :]
@@ -82,6 +89,7 @@ def test_line_segment_distance_vs_brute_force(rng):
 
 
 def test_segment_segment_distance_vs_brute_force(rng):
+    rows = []
     for trial in range(300):
         a, b = rng.uniform(-3, 3, (2, 3))
         if trial % 3 == 0:  # near-parallel pairs stress the branch cutoff
@@ -89,7 +97,10 @@ def test_segment_segment_distance_vs_brute_force(rng):
             d = c + (b - a) * rng.uniform(0.2, 2.0) + rng.normal(0, 1e-6, 3)
         else:
             c, d = rng.uniform(-3, 3, (2, 3))
-        got = _kernels.segment_segment_distance(*a, *b, *c, *d)
+        rows.append((a, b, c, d))
+    a, b, c, d = (np.array(column) for column in zip(*rows))
+    distances = _kernels.segment_segment_distance_batch(a, b, c, d)
+    for a, b, c, d, got in zip(a, b, c, d, distances):
         ss = np.linspace(0, 1, 301)
         p1 = a[None, :] + ss[:, None] * (b - a)[None, :]
         p2 = c[None, :] + ss[:, None] * (d - c)[None, :]

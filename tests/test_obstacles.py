@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_ray
+from conftest import itu_se_of, make_ray, metis_of
 from rayblock import _kernels
-from rayblock.diffraction import Dked, DkedPc, ItuSe, Metis, Obstruction, metis_loss
+from rayblock.diffraction import Dked, DkedPc, ItuSe, Metis, Obstruction
 from rayblock.errors import ConfigError
 from rayblock.geometry import RectScreen, Segment
 from rayblock.obstacles import (
@@ -95,6 +95,21 @@ def test_far_screen_skipped_by_default_threshold():
     assert counters.diffraction_evals == 0
 
 
+def test_screen_up_to_half_a_width_beyond_the_threshold_is_evaluated():
+    # README: a screen counts as beyond the threshold when its vertical center
+    # line, less half its width, is. The top of a 1 x 1 m screen 0.6 m below
+    # the path lies beyond the 0.5 m threshold, but its center line less half
+    # its width is 0.1 m away: evaluated. 1.05 m below, farther than the
+    # threshold plus half the width: skipped as far.
+    for gap, want in ((0.6, (1, 0)), (1.05, (0, 1))):
+        counters = InteractionCounters()
+        obstacle = Obstacle(shape=OrthoScreenShape(1.0, 1.0),
+                            mobility=Static((4.0, 0.0, 1.6 - gap - 0.5)), model=Dked(),
+                            distance_threshold=0.5)
+        interact(obstacle, LOS_RAY, 0.0, WAVELENGTH, counters=counters)
+        assert (counters.diffraction_evals, counters.far_skips) == want
+
+
 def test_default_threshold_value():
     # 10 * max first-Fresnel radius of an 8 m segment
     assert default_threshold(8.0, WAVELENGTH) == pytest.approx(
@@ -156,8 +171,7 @@ def test_threshold_monotonicity_via_counters(rng):
 @pytest.mark.parametrize("model", [Metis(), Dked(), DkedPc(), ItuSe()])
 def test_interact_matches_diffraction_module_exactly(model):
     """Wiring check: midpoint crossing reproduces the module-level value."""
-    from rayblock.diffraction import (diffraction_parameter, dked_loss, dked_pc_loss,
-                                      itu_se_loss)
+    from rayblock.diffraction import diffraction_parameter, dked_loss, dked_pc_loss
 
     obstacle = Obstacle(shape=OrthoScreenShape(0.2, 1.7),
                         mobility=Static((4.0, 0.0, 0.85)), model=model,
@@ -170,14 +184,14 @@ def test_interact_matches_diffraction_module_exactly(model):
                                   WAVELENGTH)
     assert geom.los_blocked
     if isinstance(model, Metis):
-        want = metis_loss(geom)
+        want = metis_of(geom)
     elif isinstance(model, Dked):
         want = dked_loss(diffraction_parameter(geom.w1), diffraction_parameter(geom.w2))
     elif isinstance(model, DkedPc):
         want = dked_pc_loss(diffraction_parameter(geom.w1), diffraction_parameter(geom.w2),
                             geom.w1.excess_path, geom.w2.excess_path, WAVELENGTH)
     else:
-        want = itu_se_loss(geom)
+        want = itu_se_of(geom)
     assert got.blocked
     assert got.loss_db == want
 
@@ -189,14 +203,14 @@ def test_fermat_search_matches_closed_form(rng):
     sample; the path length is convex along the edge, so the true minimum
     lies within one coarse step of that sample.
     """
-    for _ in range(200):
-        a = rng.uniform(-3, 3, 3)
-        b = a + rng.uniform(-3, 3, 3)
+    a = rng.uniform(-3, 3, (200, 3))
+    b = a + rng.uniform(-3, 3, (200, 3))
+    tx = rng.uniform(-6, 6, (200, 3))
+    rx = rng.uniform(-6, 6, (200, 3))
+    d_txs, d_rxs = _kernels.fermat_on_segment_batch(a, b, tx, rx)
+    for a, b, tx, rx, d_tx, d_rx in zip(a, b, tx, rx, d_txs, d_rxs):
         if np.linalg.norm(b - a) < 1e-3:
             continue
-        tx = rng.uniform(-6, 6, 3)
-        rx = rng.uniform(-6, 6, 3)
-        d_tx, d_rx = _kernels.fermat_on_segment(*a, *b, *tx, *rx)
 
         def path_lengths(ts):
             points = a + ts[:, None] * (b - a)

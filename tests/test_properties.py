@@ -1,27 +1,31 @@
-"""Property tests (hypothesis, derandomized): reciprocity of every loss model
-and the sequential-equals-combined obstacle order."""
+"""Property tests (hypothesis, derandomized): reciprocity of every loss model,
+the sequential-equals-combined obstacle order, and the candidate table's
+invariances: a whole run equals its rays taken one at a time, and any
+chunking of a pair's steps gives the same gains."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_traces_equal, make_ray
 from rayblock.diffraction import FAR_FIELD_NU, MODEL_REGISTRY, Metis, Obstruction, \
     diffraction_parameter
-from rayblock.environment import SimulationConfig, run
+from rayblock.environment import SimulationConfig, _run_chunk, primary_ray_index, run
 from rayblock.errors import DegenerateGeometryError
+from rayblock.geometry import RectScreen, Segment
 from rayblock.obstacles import (
+    InteractionCounters,
     LinearMobility,
     Obstacle,
     OrthoScreenShape,
     ScreenShape,
     SphereShape,
     Static,
-    _screen_axes,
-    _screen_geometry,
     interact,
+    screen_edge_geometries,
 )
 from rayblock.trace import ChannelTrace
 
@@ -62,15 +66,18 @@ def near_a_cutoff(obstacle: Obstacle, tx: np.ndarray, rx: np.ndarray) -> bool:
     """True when a rule switches within CUTOFF_MARGIN of this configuration:
     screen edge on the path, screen plane at a node, far-field limit of an
     edge, or the arctan model's choice of the positive edge of a pair."""
-    center = np.array(obstacle.mobility.position)
+    shape = obstacle.shape
+    if isinstance(shape, OrthoScreenShape):  # broadside to the segment
+        azimuth, elevation = math.atan2(rx[1] - tx[1], rx[0] - tx[0]), 0.0
+    else:
+        azimuth, elevation = shape.azimuth, shape.elevation
+    screen = RectScreen(center=obstacle.mobility.position, width=shape.width,
+                        height=shape.height, azimuth=azimuth, elevation=elevation)
     try:
-        u, v = _screen_axes(obstacle.shape, tx, rx)
-        geom = _screen_geometry(center, u, v, 0.5 * obstacle.shape.width,
-                                0.5 * obstacle.shape.height, tx, rx, WAVELENGTH)
+        geom = screen_edge_geometries(screen, Segment(tx, rx), WAVELENGTH)
     except DegenerateGeometryError:
         return False  # skipped in both directions
-    normal = np.cross(u, v)
-    t = float((center - tx) @ normal / ((rx - tx) @ normal))
+    t = float((screen.center - tx) @ screen.normal / ((rx - tx) @ screen.normal))
     if min(abs(t), abs(t - 1.0)) < CUTOFF_MARGIN:
         return True
     for edge in geom.edges:
@@ -100,15 +107,17 @@ TX, RX = (0.0, 0.0, 1.6), (8.0, 0.0, 1.6)
 
 
 @st.composite
-def obstacles(draw, anchors):
-    """An obstacle of any shape and model starting near one of the anchors."""
+def obstacles(draw, anchors, name=None, fallback=None):
+    """An obstacle of any shape and model (a screen of the named model, if
+    given) starting near one of the anchors."""
     kind = draw(st.sampled_from(("sphere", "ortho", "screen")))
     if kind == "sphere":
         shape = SphereShape(draw(st.floats(0.1, 0.6)))
         model = Obstruction(draw(st.floats(0.0, 30.0)))
     else:
         width, height = draw(st.floats(0.1, 1.0)), draw(st.floats(0.5, 2.0))
-        name = draw(st.sampled_from(sorted(MODEL_REGISTRY)))
+        if name is None:
+            name = draw(st.sampled_from(sorted(MODEL_REGISTRY)))
         if kind == "ortho":
             shape = OrthoScreenShape(width, height)
         elif name == "metis":
@@ -125,27 +134,38 @@ def obstacles(draw, anchors):
         mobility = LinearMobility(start, draw(coords((-1.5, -1.5, 0), (1.5, 1.5, 0))))
     return Obstacle(shape=shape, mobility=mobility, model=model,
                     distance_threshold=draw(st.one_of(st.none(), st.floats(0.05, 3.0))),
-                    obstruction_fallback_for_secondary=draw(st.booleans()),
+                    obstruction_fallback_for_secondary=(draw(st.booleans()) if fallback is None
+                                                        else fallback),
                     fallback_loss_db=draw(st.floats(0.0, 20.0)))
+
+
+@st.composite
+def scenes(draw, max_steps=3, vary_rays=False):
+    """A one-pair trace of direct and single-bounce rays, and anchor points
+    in the middle of its segments, where obstacles interact. With
+    vary_rays, each step carries its own subset of the rays (maybe none)."""
+    num_steps = draw(st.integers(1, max_steps))
+    bounces = draw(st.lists(coords((2, -3, 0.3), (6, 3, 2.8)), min_size=1, max_size=3))
+    with_direct = draw(st.booleans())
+    gains = st.floats(-90.0, -55.0)
+    paths = ([(TX, RX)] if with_direct else []) + [(TX, b, RX) for b in bounces]
+    steps = []
+    for _ in range(num_steps):
+        chosen = (draw(st.lists(st.sampled_from(paths), unique=True)) if vary_rays
+                  else paths)
+        steps.append([make_ray(*path, gain_db=draw(gains)) for path in chosen])
+    trace = ChannelTrace(
+        node_positions={0: np.tile(TX, (num_steps, 1)), 1: np.tile(RX, (num_steps, 1))},
+        pairs={(0, 1): steps}, time_step=0.25, num_steps=num_steps)
+    anchors = [0.5 * (np.array(a) + np.array(b)) for path in paths
+               for a, b in zip(path, path[1:])]
+    return trace, anchors
 
 
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_sequential_runs_equal_combined_run_for_random_obstacles(data):
-    num_steps = data.draw(st.integers(1, 3))
-    bounces = data.draw(st.lists(coords((2, -3, 0.3), (6, 3, 2.8)), min_size=1, max_size=3))
-    with_direct = data.draw(st.booleans())
-    gains = st.floats(-90.0, -55.0)
-    steps = []
-    for _ in range(num_steps):
-        rays = [make_ray(TX, RX, gain_db=data.draw(gains))] if with_direct else []
-        rays += [make_ray(TX, b, RX, gain_db=data.draw(gains)) for b in bounces]
-        steps.append(rays)
-    trace = ChannelTrace(
-        node_positions={0: np.tile(TX, (num_steps, 1)), 1: np.tile(RX, (num_steps, 1))},
-        pairs={(0, 1): steps}, time_step=0.25, num_steps=num_steps)
-    # obstacles start near the middle of a ray segment, where they interact
-    anchors = [0.5 * (a + b) for ray in steps[0] for a, b in zip(ray.vertices, ray.vertices[1:])]
+    trace, anchors = data.draw(scenes())
     obstacle_list = data.draw(st.lists(obstacles(anchors), min_size=1, max_size=4))
     split = data.draw(st.integers(0, len(obstacle_list)))
 
@@ -154,3 +174,52 @@ def test_sequential_runs_equal_combined_run_for_random_obstacles(data):
                          workers=1),
                      SimulationConfig(obstacles=tuple(obstacle_list[split:])), workers=1)
     assert_traces_equal(combined, sequential)
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_run_equals_its_rays_one_at_a_time(name, fallback, data):
+    trace, anchors = data.draw(scenes(vary_rays=True))
+    obstacle_list = data.draw(st.lists(obstacles(anchors, name, fallback),
+                                       min_size=1, max_size=4))
+    # no ray may drop out below the floor: the comparison is ray by ray
+    out = run(trace, SimulationConfig(obstacles=tuple(obstacle_list), removal_floor_db=-1e9),
+              workers=1)
+    for k, (rays, out_rays) in enumerate(zip(trace.pairs[(0, 1)], out.pairs[(0, 1)])):
+        primary = primary_ray_index(rays)
+        assert len(out_rays) == len(rays)
+        for i, (ray, out_ray) in enumerate(zip(rays, out_rays)):
+            gain = ray.path_gain_db
+            for obstacle in obstacle_list:
+                gain -= interact(obstacle, ray, k * trace.time_step, WAVELENGTH,
+                                 is_primary_ray=i == primary).loss_db
+            assert out_ray.path_gain_db == gain
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_any_chunking_gives_the_same_gains(data):
+    trace, anchors = data.draw(scenes(max_steps=8, vary_rays=True))
+    obstacle_list = tuple(data.draw(st.lists(obstacles(anchors), min_size=1, max_size=4)))
+    steps = trace.pairs[(0, 1)]
+    stride = data.draw(st.integers(1, 3))
+    cuts = data.draw(st.sets(st.integers(1, len(steps) - 1))) if len(steps) > 1 else set()
+    bounds = [0, *sorted(cuts), len(steps)]
+
+    def chunk(lo, hi):
+        return _run_chunk(((0, 1), lo, steps[lo:hi], obstacle_list, stride,
+                           stride * trace.time_step, WAVELENGTH))
+
+    _, _, whole, whole_counters, whole_capped = chunk(0, len(steps))
+    parts = [chunk(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    split = [gains for part in parts for gains in part[2]]
+    assert len(split) == len(whole) == len(steps)
+    for a, b in zip(whole, split):
+        np.testing.assert_array_equal(a, b)
+    counters = InteractionCounters()
+    for part in parts:
+        counters.merge(part[3])
+    assert counters == whole_counters
+    assert sum(part[4] for part in parts) == whole_capped
