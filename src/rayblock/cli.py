@@ -27,7 +27,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffraction import MODEL_REGISTRY, LossModel, Metis, Obstruction, model_name
+from .diffraction import (
+    MODEL_REGISTRY,
+    LossModel,
+    Metis,
+    Obstruction,
+    log_itu_se_out_of_regime,
+    model_name,
+)
 from .environment import RunStats, SimulationConfig, run as run_environment
 from .errors import ConfigError, NumericBudgetError, RayBlockError, TraceFormatError
 from .linkeval import ArrayConfig, LinkBudget, snr_timeline
@@ -353,7 +360,10 @@ def _sweep_losses(geom: SweepGeometry, centers: np.ndarray, name: str,
         ends=np.tile([geom.distance_m, 0.0, geom.node_height_m], (n, 1)),
         step=np.arange(n), slot=np.arange(n), primary=np.ones(n, dtype=bool),
         thresholds=np.full(n, np.inf), num_slots=n)
-    return obstacle_losses(obstacle, centers, segments, wavelength, InteractionCounters())
+    counters = InteractionCounters()
+    losses = obstacle_losses(obstacle, centers, segments, wavelength, counters)
+    log_itu_se_out_of_regime(counters.out_of_regime, wavelength)
+    return losses
 
 
 def run_crossing_sweep(geom: SweepGeometry = SweepGeometry(),

@@ -386,9 +386,21 @@ def _itu_edge_factor(nu: float) -> complex:
     return 1.0 - _itu_edge_factor(-nu)
 
 
+def itu_se_in_regime(wavelength: float, width: float, height: float) -> bool:
+    """Whether the wavelength is small against the screen, where itu_se is valid."""
+    return wavelength <= 0.25 * min(abs(width), abs(height))
+
+
+def log_itu_se_out_of_regime(evaluations: int, wavelength: float) -> None:
+    """One warning line for a run's itu_se evaluations outside the model's regime."""
+    if evaluations:
+        log.warning("semi-empirical screen model outside its small-wavelength regime "
+                    "in %d evaluations (lambda=%.3g m)", evaluations, wavelength)
+
+
 def itu_se_loss(nus: tuple[float, float, float, float],
                 depths: tuple[float, float, float, float],
-                wavelength: float, blocked: bool) -> float:
+                wavelength: float, blocked: bool, warn: bool = True) -> float:
     """Semi-empirical thin-screen loss without Fresnel integrals.
 
     nus and depths hold the edges' diffraction parameters and signed
@@ -397,11 +409,12 @@ def itu_se_loss(nus: tuple[float, float, float, float],
     composition for a finite screen); outside it the coherent lit-side
     edge factors reproduce the rapid fluctuations across the transition.
     Valid when the wavelength is small against the screen; larger
-    wavelengths only log a warning.
+    wavelengths only log a warning, unless warn is false: the candidate
+    table tests the regime once per obstacle and a run logs one line.
     """
     width = depths[0] + depths[1]
     height = depths[2] + depths[3]
-    if wavelength > 0.25 * min(abs(width), abs(height)):
+    if warn and not itu_se_in_regime(wavelength, width, height):
         log.warning(
             "semi-empirical screen model outside its small-wavelength regime "
             "(lambda=%.3g m, screen %.3g x %.3g m)", wavelength, width, height,

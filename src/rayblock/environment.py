@@ -21,7 +21,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -155,16 +155,17 @@ def run(trace: ChannelTrace, cfg: SimulationConfig, workers: int | None = None,
     else:
         results = [_run_chunk(c) for c in chunks]
 
-    degenerate_skips = 0
+    run_counters = InteractionCounters()
     for pair, k_lo, step_gains, counters, capped in results:
         for offset, gains in enumerate(step_gains):
             gains_by_pair[pair][k_lo + offset] = gains
-        stats.counters.merge(counters)
+        run_counters.merge(counters)
         stats.clamp_events += capped
-        degenerate_skips += counters.degenerate_skips
-    if degenerate_skips:
+    stats.counters.merge(run_counters)
+    if run_counters.degenerate_skips:
         log.warning("skipped %d degenerate segment/screen configurations",
-                    degenerate_skips)
+                    run_counters.degenerate_skips)
+    diffraction.log_itu_se_out_of_regime(run_counters.out_of_regime, wavelength)
 
     new_pairs: dict[tuple[int, int], list[list[Ray]]] = {}
     for pair, steps in trace.pairs.items():
@@ -176,10 +177,7 @@ def run(trace: ChannelTrace, cfg: SimulationConfig, workers: int | None = None,
                 if gain < cfg.removal_floor_db:
                     stats.rays_dropped += 1
                     continue
-                if gain == ray.path_gain_db:
-                    kept.append(ray)
-                else:
-                    kept.append(replace(ray, path_gain_db=float(gain)))
+                kept.append(ray if gain == ray.path_gain_db else ray.with_gain(float(gain)))
             new_steps.append(kept)
         new_pairs[pair] = new_steps
 

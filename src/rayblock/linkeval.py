@@ -4,7 +4,15 @@ toward the strongest ray, thermal noise floor, per-timestep SNR.
 Rays combine coherently with carrier phases derived from their delays
 (narrowband assumption), which reproduces the small-scale fading of traces
 with several comparable paths. Beams re-match the strongest ray at every
-timestep; no tracking hysteresis is modeled.
+timestep (ties: lower ray index); no tracking hysteresis is modeled.
+
+``snr_timeline`` evaluates one pair in one batch: it gathers every ray of
+every step into a table (step index, departure and arrival directions,
+gain, delay), computes all angles at once, picks each step's beam target
+with one sort, and sums each step's rays with ``np.bincount`` in ray
+order. A planar array's phasors separate into a row factor and a column
+factor, so array gains come from (rays, rows) and (rays, cols) tables;
+no (rays, elements) steering matrix is built.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .trace import SPEED_OF_LIGHT, ChannelTrace, Ray, angles_of_arrival, angles_of_departure
+from .trace import SPEED_OF_LIGHT, ChannelTrace, Ray, direction_angles, path_directions
 
 NOISE_DENSITY_DBM_HZ = -174.0  # thermal noise at the 290 K reference
 
@@ -57,6 +65,20 @@ class LinkBudget:
         return SPEED_OF_LIGHT / self.carrier_frequency_hz
 
 
+def _array_factors(array: ArrayConfig, azimuth: np.ndarray,
+                   elevation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column phasors, (n, rows) and (n, cols), toward n directions.
+
+    Each factor has unit norm, so the outer product of a direction's two
+    rows is its unit-norm steering vector.
+    """
+    col_phase = 2.0 * math.pi * array.spacing * np.cos(elevation) * np.sin(azimuth)
+    row_phase = 2.0 * math.pi * array.spacing * np.sin(elevation)
+    rows = np.exp(1j * row_phase[:, np.newaxis] * np.arange(array.rows))
+    cols = np.exp(1j * col_phase[:, np.newaxis] * np.arange(array.cols))
+    return rows / math.sqrt(array.rows), cols / math.sqrt(array.cols)
+
+
 def steering_vector(array: ArrayConfig, azimuth: float, elevation: float,
                     wavelength: float) -> np.ndarray:
     """Unit-norm phasor vector of a planar array toward (azimuth, elevation).
@@ -67,12 +89,20 @@ def steering_vector(array: ArrayConfig, azimuth: float, elevation: float,
     """
     if wavelength <= 0:
         raise ConfigError("wavelength must be positive")
-    col_phase = 2.0 * math.pi * array.spacing * math.cos(elevation) * math.sin(azimuth)
-    row_phase = 2.0 * math.pi * array.spacing * math.sin(elevation)
-    rows = np.arange(array.rows)[:, np.newaxis]
-    cols = np.arange(array.cols)[np.newaxis, :]
-    phases = rows * row_phase + cols * col_phase
-    return np.exp(1j * phases).reshape(-1) / math.sqrt(array.size)
+    rows, cols = _array_factors(array, np.array([azimuth]), np.array([elevation]))
+    return np.outer(rows[0], cols[0]).reshape(-1)
+
+
+def _array_gains(array: ArrayConfig, azimuth: np.ndarray, elevation: np.ndarray,
+                 target: np.ndarray) -> np.ndarray:
+    """Array gain toward each direction of weights matched to direction target[i].
+
+    The steering vectors' inner product is the product of their row and
+    column factors' inner products.
+    """
+    rows, cols = _array_factors(array, azimuth, elevation)
+    return (np.sum(rows[target].conj() * rows, axis=1)
+            * np.sum(cols[target].conj() * cols, axis=1))
 
 
 def noise_power_dbm(budget: LinkBudget) -> float:
@@ -80,27 +110,36 @@ def noise_power_dbm(budget: LinkBudget) -> float:
     return NOISE_DENSITY_DBM_HZ + 10.0 * math.log10(budget.bandwidth_hz) + budget.noise_figure_db
 
 
-def _beamformed_amplitude(rays: list[Ray], budget: LinkBudget) -> complex:
-    wavelength = budget.wavelength
-    # conjugate-matched weights toward the strongest ray (ties: lower index)
-    strongest = max(range(len(rays)), key=lambda i: (rays[i].path_gain_db, -i))
-    aod0 = angles_of_departure(rays[strongest])
-    aoa0 = angles_of_arrival(rays[strongest])
-    w_tx = steering_vector(budget.tx_array, aod0[0], aod0[1], wavelength)
-    w_rx = steering_vector(budget.rx_array, aoa0[0], aoa0[1], wavelength)
-    scale = math.sqrt(budget.tx_array.size * budget.rx_array.size)
+def _beamformed_amplitudes(rays: list[Ray], counts: np.ndarray,
+                           budget: LinkBudget) -> np.ndarray:
+    """|coherent sum| of each step's rays, beams matched to the step's strongest ray.
 
-    total = 0.0 + 0.0j
-    for ray in rays:
-        aod = angles_of_departure(ray)
-        aoa = angles_of_arrival(ray)
-        g_tx = np.vdot(w_tx, steering_vector(budget.tx_array, aod[0], aod[1], wavelength))
-        g_rx = np.vdot(w_rx, steering_vector(budget.rx_array, aoa[0], aoa[1], wavelength))
-        amplitude = 10.0 ** (ray.path_gain_db / 20.0)
-        turns = budget.carrier_frequency_hz * ray.delay
-        phase = -2.0 * math.pi * (turns - round(turns))
-        total += amplitude * complex(math.cos(phase), math.sin(phase)) * g_tx * g_rx * scale
-    return total
+    rays lists every step's rays in step order; counts holds the number of
+    rays of each step.
+    """
+    num_steps = counts.shape[0]
+    step = np.repeat(np.arange(num_steps), counts)
+    gain_db = np.array([ray.path_gain_db for ray in rays], dtype=np.float64)
+    delay = np.array([ray.delay for ray in rays], dtype=np.float64)
+    departure, arrival = path_directions(rays)
+    aod_az, aod_el = direction_angles(departure)
+    aoa_az, aoa_el = direction_angles(arrival)
+
+    # the strongest ray of each step, ties to the lower index: sorting by
+    # (step, -gain, index) puts it first among its step's rays
+    order = np.lexsort((np.arange(step.shape[0]), -gain_db, step))
+    filled = counts[counts > 0]
+    target = np.repeat(order[np.cumsum(filled) - filled], filled)
+    g_tx = _array_gains(budget.tx_array, aod_az, aod_el, target)
+    g_rx = _array_gains(budget.rx_array, aoa_az, aoa_el, target)
+
+    amplitude = 10.0 ** (gain_db / 20.0)
+    turns = budget.carrier_frequency_hz * delay
+    phase = -2.0 * math.pi * (turns - np.round(turns))
+    scale = math.sqrt(budget.tx_array.size * budget.rx_array.size)
+    field = amplitude * np.exp(1j * phase) * g_tx * g_rx * scale
+    return np.hypot(np.bincount(step, weights=field.real, minlength=num_steps),
+                    np.bincount(step, weights=field.imag, minlength=num_steps))
 
 
 def snr_timeline(trace: ChannelTrace, pair: tuple[int, int],
@@ -111,17 +150,14 @@ def snr_timeline(trace: ChannelTrace, pair: tuple[int, int],
     """
     if pair not in trace.pairs:
         raise ConfigError(f"pair {pair} not present in trace")
-    noise = noise_power_dbm(budget)
+    steps = trace.pairs[pair]
+    counts = np.array([len(rays) for rays in steps], dtype=np.intp)
+    amplitude = _beamformed_amplitudes([ray for rays in steps for ray in rays], counts,
+                                       budget)
     out = np.empty((trace.num_steps, 2))
     out[:, 0] = trace.times()
-    for k, rays in enumerate(trace.pairs[pair]):
-        if not rays:
-            out[k, 1] = -math.inf
-            continue
-        amplitude = abs(_beamformed_amplitude(rays, budget))
-        if amplitude <= 0.0:
-            out[k, 1] = -math.inf
-            continue
-        rx_power = budget.tx_power_dbm + 20.0 * math.log10(amplitude)
-        out[k, 1] = rx_power - noise
+    out[:, 1] = -math.inf
+    heard = amplitude > 0.0
+    out[heard, 1] = (budget.tx_power_dbm + 20.0 * np.log10(amplitude[heard])
+                     - noise_power_dbm(budget))
     return out

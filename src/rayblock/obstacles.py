@@ -184,12 +184,14 @@ class InteractionCounters:
     obstruction_evals: int = 0
     far_skips: int = 0
     degenerate_skips: int = 0
+    out_of_regime: int = 0  # itu_se evaluations with a wavelength too large for the screen
 
     def merge(self, other: "InteractionCounters") -> None:
         self.diffraction_evals += other.diffraction_evals
         self.obstruction_evals += other.obstruction_evals
         self.far_skips += other.far_skips
         self.degenerate_skips += other.degenerate_skips
+        self.out_of_regime += other.out_of_regime
 
 
 @dataclass(frozen=True)
@@ -371,7 +373,7 @@ def _segment_outcome(model: LossModel, wavelength: float, blocked: bool, nus: tu
     elif isinstance(model, Metis):
         loss = diffraction.metis_loss(excess, los, wavelength, blocked)
     elif isinstance(model, ItuSe):
-        loss = diffraction.itu_se_loss(nus, depths, wavelength, blocked)
+        loss = diffraction.itu_se_loss(nus, depths, wavelength, blocked, warn=False)
     else:
         raise ConfigError(f"unsupported loss model {model!r}")
     return LossOutcome(loss, blocked)
@@ -482,6 +484,9 @@ def _screen_losses(obstacle: Obstacle, centers, starts, ends, primary, wavelengt
     ok = ~on_an_edge
     rows = rows[ok]
     counters.diffraction_evals += rows.shape[0]
+    if isinstance(model, ItuSe) and not diffraction.itu_se_in_regime(
+            wavelength, shape.width, shape.height):
+        counters.out_of_regime += rows.shape[0]
     with np.errstate(divide="ignore", invalid="ignore"):  # rows on an edge are dropped
         nus = [diffraction_parameter(c)[ok].tolist() for c in columns]
     excess = [np.maximum(c.d_tx + c.d_rx - c.distance, 0.0)[ok].tolist() for c in columns]

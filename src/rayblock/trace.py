@@ -71,28 +71,76 @@ class Ray:
 
     @property
     def path_length(self) -> float:
-        return float(np.sum(np.linalg.norm(np.diff(self.vertices, axis=0), axis=1)))
+        return float(path_lengths([self])[0])
+
+    def with_gain(self, path_gain_db: float) -> "Ray":
+        """This ray with another path gain, sharing its validated vertex array.
+
+        Only the new gain is checked; the other fields were checked when
+        this ray was built.
+        """
+        if math.isnan(path_gain_db):
+            raise TraceFormatError("NaN path gain")
+        ray = object.__new__(Ray)
+        ray.__dict__.update(self.__dict__, path_gain_db=path_gain_db)
+        return ray
 
 
-def _direction_angles(direction: np.ndarray) -> tuple[float, float]:
-    norm = float(np.linalg.norm(direction))
-    if norm < 1e-12:
+def _stacked_vertices(rays: list[Ray]) -> tuple[np.ndarray, np.ndarray]:
+    """All rays' vertices in one (m, 3) array, and each ray's last row in it."""
+    if not rays:
+        return np.empty((0, 3)), np.empty(0, dtype=np.intp)
+    vertices = np.concatenate([ray.vertices for ray in rays])
+    return vertices, np.cumsum([ray.vertices.shape[0] for ray in rays]) - 1
+
+
+def path_lengths(rays: list[Ray]) -> np.ndarray:
+    """Length (m) of each ray's vertex path, one batch for the whole list."""
+    vertices, last = _stacked_vertices(rays)
+    d = np.diff(vertices, axis=0)
+    lengths = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+    lengths[last[:-1]] = 0.0  # the step from one ray's last vertex to the next ray
+    ray_of_step = np.repeat(np.arange(len(rays)), np.diff(last, prepend=-1))[:-1]
+    return np.bincount(ray_of_step, weights=lengths, minlength=len(rays))
+
+
+def path_directions(rays: list[Ray]) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 3) departure and arrival direction vectors of each ray.
+
+    Departure is the first path segment, arrival the last one reversed
+    (pointing from the receiver back along the path).
+    """
+    vertices, last = _stacked_vertices(rays)
+    first = np.concatenate(([0], last[:-1] + 1)) if rays else last
+    return vertices[first + 1] - vertices[first], vertices[last - 1] - vertices[last]
+
+
+def direction_angles(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(azimuth, elevation) arrays, radians, of each row of (n, 3) directions.
+
+    Azimuth lies in (-pi, pi]. Raises GeometryError when any direction is
+    (numerically) zero, i.e. two consecutive ray vertices coincide.
+    """
+    x, y, z = directions[:, 0], directions[:, 1], directions[:, 2]
+    norm = np.sqrt(x * x + y * y + z * z)
+    if np.any(norm < 1e-12):
         raise GeometryError("coincident consecutive ray vertices")
-    azimuth = math.atan2(direction[1], direction[0])
-    if azimuth <= -math.pi:  # keep azimuth in (-pi, pi]
-        azimuth += 2.0 * math.pi
-    elevation = math.asin(min(max(direction[2] / norm, -1.0), 1.0))
+    azimuth = np.arctan2(y, x)
+    azimuth[azimuth <= -math.pi] += 2.0 * math.pi  # keep azimuth in (-pi, pi]
+    elevation = np.arcsin(np.clip(z / norm, -1.0, 1.0))
     return azimuth, elevation
 
 
 def angles_of_departure(ray: Ray) -> tuple[float, float]:
     """(azimuth, elevation) of the first path segment, radians."""
-    return _direction_angles(ray.vertices[1] - ray.vertices[0])
+    azimuth, elevation = direction_angles(path_directions([ray])[0])
+    return float(azimuth[0]), float(elevation[0])
 
 
 def angles_of_arrival(ray: Ray) -> tuple[float, float]:
     """(azimuth, elevation) of the last path segment reversed, radians."""
-    return _direction_angles(ray.vertices[-2] - ray.vertices[-1])
+    azimuth, elevation = direction_angles(path_directions([ray])[1])
+    return float(azimuth[0]), float(elevation[0])
 
 
 @dataclass(eq=False)
@@ -249,19 +297,15 @@ def import_scenario(directory, time_step: float | None = None) -> ChannelTrace:
                 raise TraceFormatError(
                     f"pair Tx{pair[0]}Rx{pair[1]} timestep {t}: ray file declares "
                     f"{block['count']} rays but coordinate files hold {len(vertices)}")
-            rays = []
-            for i in range(block["count"]):
-                ray = Ray(
-                    delay=block["delay"][i],
-                    path_gain_db=block["gain"][i],
-                    phase_rad=block["phase"][i],
-                    vertices=vertices[i],
-                )
-                if abs(ray.path_length / SPEED_OF_LIGHT - ray.delay) > 1e-6:
-                    delay_mismatches += 1
-                rays.append(ray)
-            per_step_rays.append(rays)
+            per_step_rays.append([
+                Ray(delay=block["delay"][i], path_gain_db=block["gain"][i],
+                    phase_rad=block["phase"][i], vertices=vertices[i])
+                for i in range(block["count"])])
         pairs[pair] = per_step_rays
+        pair_rays = [ray for rays in per_step_rays for ray in rays]
+        delays = np.array([ray.delay for ray in pair_rays], dtype=np.float64)
+        delay_mismatches += int(np.count_nonzero(
+            np.abs(path_lengths(pair_rays) / SPEED_OF_LIGHT - delays) > 1e-6))
 
     if delay_mismatches:
         log.warning("%d rays have delays inconsistent with their vertex paths (> 1 us)",
@@ -342,20 +386,24 @@ def export_scenario(trace: ChannelTrace, directory, drop_below_db: float = -500.
         d.mkdir(parents=True, exist_ok=True)
 
     for (tx, rx), steps in sorted(trace.pairs.items()):
+        kept_steps = [[r for r in rays if r.path_gain_db >= drop_below_db] for rays in steps]
+        # angle rows of every kept ray of the pair, in degrees: AoD elevation,
+        # AoD azimuth, AoA elevation, AoA azimuth
+        departure, arrival = path_directions([r for kept in kept_steps for r in kept])
+        aod_az, aod_el = direction_angles(departure)
+        aoa_az, aoa_el = direction_angles(arrival)
+        angles = np.degrees(np.stack([aod_el, aod_az, aoa_el, aoa_az], axis=1)).tolist()
         lines: list[str] = []
-        for t, rays in enumerate(steps):
-            kept = [r for r in rays if r.path_gain_db >= drop_below_db]
+        lo = 0
+        for t, kept in enumerate(kept_steps):
             lines.append(str(len(kept)))
             if kept:
-                aod = [angles_of_departure(r) for r in kept]
-                aoa = [angles_of_arrival(r) for r in kept]
                 lines.append(",".join(_fmt_delay(r.delay) for r in kept))
                 lines.append(",".join(_fmt_gain(r.path_gain_db) for r in kept))
                 lines.append(",".join(_fmt_gain(r.phase_rad) for r in kept))
-                lines.append(",".join(_fmt_gain(math.degrees(a[1])) for a in aod))
-                lines.append(",".join(_fmt_gain(math.degrees(a[0])) for a in aod))
-                lines.append(",".join(_fmt_gain(math.degrees(a[1])) for a in aoa))
-                lines.append(",".join(_fmt_gain(math.degrees(a[0])) for a in aoa))
+                for column in zip(*angles[lo:lo + len(kept)]):
+                    lines.append(",".join(_fmt_gain(a) for a in column))
+                lo += len(kept)
             by_order: dict[int, list[Ray]] = {}
             for r in kept:
                 by_order.setdefault(r.reflection_order, []).append(r)

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from rayblock.environment import (
     primary_ray_index,
     run,
 )
-from rayblock.errors import ConfigError
+from rayblock.errors import ConfigError, TraceFormatError
 from rayblock.obstacles import (
     LinearMobility,
     Obstacle,
@@ -27,7 +28,7 @@ from rayblock.obstacles import (
     SphereShape,
     Static,
 )
-from rayblock.trace import ChannelTrace
+from rayblock.trace import ChannelTrace, Ray
 
 
 def multi_ray_trace(num_steps=6, time_step=0.005):
@@ -236,3 +237,70 @@ def test_run_builds_no_edge_records(monkeypatch, shape, model):
     stats = RunStats()
     run(multi_ray_trace(), SimulationConfig(obstacles=(screen,)), workers=1, stats=stats)
     assert stats.counters.diffraction_evals > 0
+
+
+def test_attenuated_rays_are_not_revalidated(monkeypatch):
+    # attenuated rays share the input rays' validated vertex arrays, so a
+    # run builds no Ray through its validating constructor
+    trace = multi_ray_trace()
+    obstacles = (
+        Obstacle(shape=SphereShape(0.3), mobility=Static((4.0, 0.0, 1.6)),
+                 model=Obstruction(10.0)),
+        Obstacle(shape=OrthoScreenShape(0.2, 1.7), model=Dked(),
+                 mobility=LinearMobility((4.0, -0.3, 0.85), (0.0, 20.0, 0.0))),
+    )
+    cfg = SimulationConfig(obstacles=obstacles)
+    want = run(trace, cfg, workers=1)
+
+    def refuse(self):
+        raise AssertionError("Ray validated during a run")
+
+    monkeypatch.setattr(Ray, "__post_init__", refuse)
+    got = run(trace, cfg, workers=1)
+    assert_traces_equal(got, want)
+    changed = [(a, b) for steps_a, steps_b in zip(got.pairs[(0, 1)], trace.pairs[(0, 1)])
+               for a, b in zip(steps_a, steps_b) if a.path_gain_db != b.path_gain_db]
+    assert changed
+    for attenuated, original in changed:
+        assert attenuated.vertices is original.vertices
+        assert not attenuated.vertices.flags.writeable
+
+
+def test_ray_with_gain_checks_only_the_gain():
+    ray = make_ray((0.0, 0.0, 1.6), (8.0, 0.0, 1.6), gain_db=-80.0)
+    weaker = ray.with_gain(-95.5)
+    assert (weaker.path_gain_db, weaker.delay, weaker.phase_rad) == (-95.5, ray.delay,
+                                                                      ray.phase_rad)
+    assert ray.path_gain_db == -80.0
+    assert ray.with_gain(-math.inf).path_gain_db == -math.inf
+    with pytest.raises(TraceFormatError):
+        ray.with_gain(math.nan)
+
+
+def test_itu_se_out_of_regime_logs_one_line_per_run(caplog):
+    # 2.4 GHz (12.5 cm) against a 0.2 m wide screen: every evaluation is
+    # outside the semi-empirical model's small-wavelength regime
+    trace = multi_ray_trace(num_steps=40)
+    screen = Obstacle(shape=OrthoScreenShape(0.2, 1.7), model=ItuSe(),
+                      mobility=LinearMobility((4.0, -0.3, 0.85), (0.0, 3.0, 0.0)))
+    stats = RunStats()
+    with caplog.at_level(logging.WARNING):
+        run(trace, SimulationConfig(obstacles=(screen,), carrier_frequency_hz=2.4e9),
+            workers=1, stats=stats)
+    assert stats.counters.diffraction_evals > 20
+    assert stats.counters.out_of_regime == stats.counters.diffraction_evals
+    lines = [r.getMessage() for r in caplog.records if "small-wavelength" in r.getMessage()]
+    assert len(lines) == 1
+    assert f"in {stats.counters.diffraction_evals} evaluations" in lines[0]
+
+
+def test_itu_se_in_regime_logs_nothing(caplog):
+    screen = Obstacle(shape=OrthoScreenShape(0.2, 1.7), model=ItuSe(),
+                      mobility=LinearMobility((4.0, -0.3, 0.85), (0.0, 3.0, 0.0)))
+    stats = RunStats()
+    with caplog.at_level(logging.WARNING):
+        run(multi_ray_trace(num_steps=40), SimulationConfig(obstacles=(screen,)),
+            workers=1, stats=stats)
+    assert stats.counters.diffraction_evals > 0
+    assert stats.counters.out_of_regime == 0
+    assert not [r for r in caplog.records if "small-wavelength" in r.getMessage()]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import build_los_trace, make_ray
-from rayblock.errors import ConfigError
+from rayblock.errors import ConfigError, GeometryError
 from rayblock.linkeval import (
     ArrayConfig,
     LinkBudget,
@@ -12,7 +12,7 @@ from rayblock.linkeval import (
     snr_timeline,
     steering_vector,
 )
-from rayblock.trace import ChannelTrace
+from rayblock.trace import ChannelTrace, Ray
 
 TABLE_BUDGET = LinkBudget()  # 60 GHz, 2.16 GHz, 20 dBm, NF 10, 8x8 / 4x4
 SINGLE_BUDGET = LinkBudget(tx_array=ArrayConfig(1, 1), rx_array=ArrayConfig(1, 1))
@@ -157,3 +157,47 @@ def test_array_config_validation():
         ArrayConfig(0, 4)
     with pytest.raises(ConfigError):
         ArrayConfig(4, 4, spacing=0.0)
+
+
+@pytest.mark.parametrize("vertices", [[(0, 0, 1.6), (0, 0, 1.6), (8, 0, 1.6)],
+                                      [(0, 0, 1.6), (8, 0, 1.6), (8, 0, 1.6)]],
+                         ids=["departure", "arrival"])
+def test_coincident_vertices_raise_geometry_error(vertices):
+    tx, rx = (0, 0, 1.6), (8, 0, 1.6)
+    degenerate = Ray(delay=8.0 / 299792458.0, path_gain_db=-120.0, phase_rad=0.0,
+                     vertices=np.array(vertices, dtype=np.float64))
+    positions = {0: np.tile(tx, (2, 1)), 1: np.tile(rx, (2, 1))}
+    trace = ChannelTrace(node_positions=positions,
+                         pairs={(0, 1): [[make_ray(tx, rx)], [make_ray(tx, rx), degenerate]]},
+                         time_step=0.5, num_steps=2)
+    with pytest.raises(GeometryError):
+        snr_timeline(trace, (0, 1), TABLE_BUDGET)
+
+
+def test_steering_vector_is_the_outer_product_of_its_factors():
+    arr = ArrayConfig(3, 5, spacing=0.4)
+    az, el = 0.7, -0.3
+    v = steering_vector(arr, az, el, 0.005)
+    row = np.exp(2j * math.pi * 0.4 * math.sin(el) * np.arange(3))
+    col = np.exp(2j * math.pi * 0.4 * math.cos(el) * math.sin(az) * np.arange(5))
+    np.testing.assert_allclose(v, np.outer(row, col).reshape(-1) / math.sqrt(15), atol=1e-14)
+
+
+def test_equal_gains_steer_to_the_lower_index():
+    tx, rx = (0.0, 0.0, 1.6), (8.0, 0.0, 1.6)
+    wall_a, wall_b = (4.0, 2.5, 1.4), (4.0, -3.5, 1.4)
+    positions = {0: np.tile(tx, (2, 1)), 1: np.tile(rx, (2, 1))}
+
+    def snr(*steps):
+        trace = ChannelTrace(node_positions=positions, pairs={(0, 1): list(steps)},
+                             time_step=0.5, num_steps=2)
+        return snr_timeline(trace, (0, 1), TABLE_BUDGET)[:, 1]
+
+    a, b = make_ray(tx, wall_a, rx, gain_db=-80.0), make_ray(tx, wall_b, rx, gain_db=-80.0)
+    c = make_ray(tx, rx, gain_db=-83.0)  # weaker; its array gain depends on the beam
+    tied = snr([a, b, c], [b, a, c])
+    # a hair weaker second ray leaves each step's beam on its first ray
+    a_leads = snr([a, b.with_gain(-80.0 - 1e-9), c], [a, b.with_gain(-80.0 - 1e-9), c])
+    b_leads = snr([b, a.with_gain(-80.0 - 1e-9), c], [b, a.with_gain(-80.0 - 1e-9), c])
+    np.testing.assert_allclose(tied, [a_leads[0], b_leads[1]], rtol=0.0, atol=1e-6)
+    assert abs(a_leads[0] - b_leads[0]) > 0.1  # the two beams do differ

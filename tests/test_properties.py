@@ -1,7 +1,8 @@
 """Property tests (hypothesis, derandomized): reciprocity of every loss model,
-the sequential-equals-combined obstacle order, and the candidate table's
-invariances: a whole run equals its rays taken one at a time, and any
-chunking of a pair's steps gives the same gains."""
+the sequential-equals-combined obstacle order, the candidate table's
+invariances (a whole run equals its rays taken one at a time, and any
+chunking of a pair's steps gives the same gains), and the batch SNR
+against a per-ray reference."""
 
 import math
 
@@ -15,6 +16,8 @@ from rayblock.diffraction import FAR_FIELD_NU, MODEL_REGISTRY, Metis, Obstructio
     diffraction_parameter
 from rayblock.environment import SimulationConfig, _run_chunk, primary_ray_index, run
 from rayblock.errors import DegenerateGeometryError
+from rayblock.linkeval import ArrayConfig, LinkBudget, noise_power_dbm, snr_timeline, \
+    steering_vector
 from rayblock.geometry import RectScreen, Segment
 from rayblock.obstacles import (
     InteractionCounters,
@@ -27,7 +30,7 @@ from rayblock.obstacles import (
     interact,
     screen_edge_geometries,
 )
-from rayblock.trace import ChannelTrace
+from rayblock.trace import ChannelTrace, angles_of_arrival, angles_of_departure
 
 WAVELENGTH = 299792458.0 / 60e9
 CUTOFF_MARGIN = 1e-6
@@ -223,3 +226,70 @@ def test_any_chunking_gives_the_same_gains(data):
         counters.merge(part[3])
     assert counters == whole_counters
     assert sum(part[4] for part in parts) == whole_capped
+
+
+def scalar_beamformed_amplitude(rays, budget: LinkBudget) -> complex:
+    """Reference coherent sum of one step: one steering-vector inner product per ray."""
+    wavelength = budget.wavelength
+    # conjugate-matched weights toward the strongest ray (ties: lower index)
+    strongest = max(range(len(rays)), key=lambda i: (rays[i].path_gain_db, -i))
+    aod0 = angles_of_departure(rays[strongest])
+    aoa0 = angles_of_arrival(rays[strongest])
+    w_tx = steering_vector(budget.tx_array, aod0[0], aod0[1], wavelength)
+    w_rx = steering_vector(budget.rx_array, aoa0[0], aoa0[1], wavelength)
+    scale = math.sqrt(budget.tx_array.size * budget.rx_array.size)
+
+    total = 0.0 + 0.0j
+    for ray in rays:
+        aod = angles_of_departure(ray)
+        aoa = angles_of_arrival(ray)
+        g_tx = np.vdot(w_tx, steering_vector(budget.tx_array, aod[0], aod[1], wavelength))
+        g_rx = np.vdot(w_rx, steering_vector(budget.rx_array, aoa[0], aoa[1], wavelength))
+        amplitude = 10.0 ** (ray.path_gain_db / 20.0)
+        turns = budget.carrier_frequency_hz * ray.delay
+        phase = -2.0 * math.pi * (turns - round(turns))
+        total += amplitude * complex(math.cos(phase), math.sin(phase)) * g_tx * g_rx * scale
+    return total
+
+
+def scalar_snr(trace: ChannelTrace, pair, budget: LinkBudget) -> list[float]:
+    """Reference SNR (dB) per step, step by step and ray by ray."""
+    noise = noise_power_dbm(budget)
+    out = []
+    for rays in trace.pairs[pair]:
+        amplitude = abs(scalar_beamformed_amplitude(rays, budget)) if rays else 0.0
+        out.append(budget.tx_power_dbm + 20.0 * math.log10(amplitude) - noise
+                   if amplitude > 0.0 else -math.inf)
+    return out
+
+
+@st.composite
+def link_budgets(draw):
+    def array():
+        return ArrayConfig(draw(st.integers(1, 8)), draw(st.integers(1, 8)),
+                           draw(st.floats(0.1, 1.0)))
+
+    return LinkBudget(carrier_frequency_hz=draw(st.sampled_from((2.4e9, 28e9, 60e9))),
+                      tx_array=array(), rx_array=array())
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_batch_snr_matches_the_per_ray_reference(data):
+    # gains from a small set make ties; -inf gains are fully attenuated rays
+    gains = st.one_of(st.floats(-130.0, -50.0), st.sampled_from((-80.0, -95.0, -math.inf)))
+    bounces = coords((2, -4, 0.1), (6, 4, 3.0))
+    num_steps = data.draw(st.integers(1, 6))
+    steps = []
+    for _ in range(num_steps):
+        tx = data.draw(coords((-1, -1, 0.5), (1, 1, 2.5)))
+        rx = data.draw(coords((7, -1, 0.5), (9, 1, 2.5)))
+        paths = data.draw(st.lists(st.lists(bounces, max_size=2), max_size=5))
+        steps.append([make_ray(tx, *path, rx, gain_db=data.draw(gains)) for path in paths])
+    trace = ChannelTrace(node_positions={0: np.zeros((num_steps, 3)),
+                                         1: np.zeros((num_steps, 3))},
+                         pairs={(0, 1): steps}, time_step=0.1, num_steps=num_steps)
+    budget = data.draw(link_budgets())
+    batch = snr_timeline(trace, (0, 1), budget)
+    np.testing.assert_allclose(batch[:, 1], scalar_snr(trace, (0, 1), budget),
+                               rtol=0.0, atol=1e-9)

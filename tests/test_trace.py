@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -11,8 +12,11 @@ from rayblock.trace import (
     Ray,
     angles_of_arrival,
     angles_of_departure,
+    direction_angles,
     export_scenario,
     import_scenario,
+    path_directions,
+    path_lengths,
 )
 
 
@@ -248,3 +252,77 @@ def test_coincident_vertices_error():
               vertices=np.array([[0.0, 0, 0], [0, 0, 0], [1, 0, 0]]))
     with pytest.raises(GeometryError):
         angles_of_departure(ray)
+
+
+def random_rays(rng, count: int) -> list[Ray]:
+    """Rays of reflection orders 0-2 between random points, one list."""
+    rays = []
+    for i in range(count):
+        points = rng.uniform(-5.0, 5.0, size=(2 + i % 3, 3))
+        rays.append(make_ray(*points, gain_db=float(rng.uniform(-120.0, -60.0))))
+    return rays
+
+
+def test_batch_angles_equal_the_one_ray_angles_to_the_bit(rng):
+    rays = random_rays(rng, 200)
+    departure, arrival = path_directions(rays)
+    for batch, scalar in ((direction_angles(departure), angles_of_departure),
+                          (direction_angles(arrival), angles_of_arrival)):
+        want = np.array([scalar(ray) for ray in rays])
+        np.testing.assert_array_equal(np.stack(batch, axis=1), want)
+
+
+def test_path_lengths_match_the_vertex_paths(rng):
+    rays = random_rays(rng, 50)
+    want = [np.sum(np.linalg.norm(np.diff(ray.vertices, axis=0), axis=1)) for ray in rays]
+    np.testing.assert_allclose(path_lengths(rays), want, rtol=1e-14)
+    assert [ray.path_length for ray in rays] == path_lengths(rays).tolist()
+    assert path_lengths([]).shape == (0,)
+
+
+def test_exported_angles_equal_the_one_ray_angles(tmp_path, rng):
+    tx = (0.0, 0.0, 1.6)
+    steps = [random_rays(rng, 7), [], random_rays(rng, 4)]
+    trace = ChannelTrace(node_positions={0: np.tile(tx, (3, 1)), 1: np.zeros((3, 3))},
+                         pairs={(0, 1): steps}, time_step=0.1, num_steps=3)
+    export_scenario(trace, tmp_path, drop_below_db=-90.0)
+    lines = (tmp_path / "Output" / "Ns3" / "QdFiles" / "Tx0Rx1.txt").read_text().splitlines()
+    i = 0
+    for rays in steps:
+        kept = [r for r in rays if r.path_gain_db >= -90.0]
+        assert int(lines[i]) == len(kept)
+        if kept:
+            aod = [angles_of_departure(r) for r in kept]
+            aoa = [angles_of_arrival(r) for r in kept]
+            want = [[a[1] for a in aod], [a[0] for a in aod], [a[1] for a in aoa],
+                    [a[0] for a in aoa]]
+            for row, values in zip(lines[i + 4:i + 8], want):
+                assert row == ",".join(f"{math.degrees(v):.6f}" for v in values)
+            i += 8
+        else:
+            i += 1
+
+
+def test_export_ignores_a_dropped_ray_with_coincident_vertices(tmp_path):
+    tx, rx = (0.0, 0.0, 1.0), (5.0, 0.0, 1.0)
+    keep = make_ray(tx, rx, gain_db=-80.0)
+    degenerate = Ray(delay=keep.delay, path_gain_db=-math.inf, phase_rad=0.0,
+                     vertices=np.array([tx, tx, rx]))
+    trace = ChannelTrace(
+        node_positions={0: np.tile(tx, (1, 1)), 1: np.tile(rx, (1, 1))},
+        pairs={(0, 1): [[degenerate, keep]]}, time_step=1.0, num_steps=1)
+    export_scenario(trace, tmp_path)
+    loaded = import_scenario(tmp_path)
+    assert [r.path_gain_db for r in loaded.pairs[(0, 1)][0]] == [-80.0]
+
+
+def test_import_counts_rays_with_inconsistent_delays(tmp_path, caplog):
+    trace = build_mixed_trace()
+    rays = trace.pairs[(0, 2)][1]
+    rays[1] = Ray(delay=rays[1].delay + 2e-6, path_gain_db=rays[1].path_gain_db,
+                  phase_rad=rays[1].phase_rad, vertices=rays[1].vertices)
+    export_scenario(trace, tmp_path)
+    with caplog.at_level(logging.WARNING, logger="rayblock.trace"):
+        import_scenario(tmp_path)
+    assert [r.getMessage() for r in caplog.records] == [
+        "1 rays have delays inconsistent with their vertex paths (> 1 us)"]
