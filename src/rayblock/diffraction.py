@@ -400,7 +400,7 @@ def log_itu_se_out_of_regime(evaluations: int, wavelength: float) -> None:
 
 def itu_se_loss(nus: tuple[float, float, float, float],
                 depths: tuple[float, float, float, float],
-                wavelength: float, blocked: bool, warn: bool = True) -> float:
+                wavelength: float, blocked: bool) -> float:
     """Semi-empirical thin-screen loss without Fresnel integrals.
 
     nus and depths hold the edges' diffraction parameters and signed
@@ -408,17 +408,10 @@ def itu_se_loss(nus: tuple[float, float, float, float],
     estimates combine on a power basis (the standard's average-loss
     composition for a finite screen); outside it the coherent lit-side
     edge factors reproduce the rapid fluctuations across the transition.
-    Valid when the wavelength is small against the screen; larger
-    wavelengths only log a warning, unless warn is false: the candidate
-    table tests the regime once per obstacle and a run logs one line.
+    Valid when the wavelength is small against the screen
+    (itu_se_in_regime); callers test the regime once per obstacle and
+    report it with log_itu_se_out_of_regime.
     """
-    width = depths[0] + depths[1]
-    height = depths[2] + depths[3]
-    if warn and not itu_se_in_regime(wavelength, width, height):
-        log.warning(
-            "semi-empirical screen model outside its small-wavelength regime "
-            "(lambda=%.3g m, screen %.3g x %.3g m)", wavelength, width, height,
-        )
     if blocked:
         power = 0.0
         for nu in nus:

@@ -373,7 +373,7 @@ def _segment_outcome(model: LossModel, wavelength: float, blocked: bool, nus: tu
     elif isinstance(model, Metis):
         loss = diffraction.metis_loss(excess, los, wavelength, blocked)
     elif isinstance(model, ItuSe):
-        loss = diffraction.itu_se_loss(nus, depths, wavelength, blocked, warn=False)
+        loss = diffraction.itu_se_loss(nus, depths, wavelength, blocked)
     else:
         raise ConfigError(f"unsupported loss model {model!r}")
     return LossOutcome(loss, blocked)
@@ -502,9 +502,18 @@ def _screen_losses(obstacle: Obstacle, centers, starts, ends, primary, wavelengt
 def interact(obstacle: Obstacle, ray, t: float, wavelength: float,
              is_primary_ray: bool = True,
              counters: InteractionCounters | None = None) -> LossOutcome:
-    """Total loss an obstacle imposes on one ray at time t (see obstacle_losses)."""
+    """Total loss an obstacle imposes on one ray at time t (see obstacle_losses).
+
+    Without caller counters, an itu_se evaluation outside the model's
+    regime logs its warning here; callers that pass counters report it.
+    """
+    own = counters is None
+    if own:
+        counters = InteractionCounters()
     losses, blocked = obstacle_losses(
         obstacle, position_at(obstacle.mobility, t)[np.newaxis],
         path_segments([[ray]], [0 if is_primary_ray else None], wavelength), wavelength,
-        InteractionCounters() if counters is None else counters)
+        counters)
+    if own:
+        diffraction.log_itu_se_out_of_regime(counters.out_of_regime, wavelength)
     return LossOutcome(float(losses[0]), bool(blocked[0]))

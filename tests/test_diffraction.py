@@ -14,6 +14,7 @@ from rayblock.diffraction import (
     FAR_FIELD_NU,
     LOSS_CAP_DB,
     EdgeGeometry,
+    ItuSe,
     ScreenDiffractionGeometry,
     diagnostics,
     diffraction_parameter,
@@ -23,10 +24,17 @@ from rayblock.diffraction import (
     obstruction_loss,
     sked,
 )
-from conftest import itu_se_of, metis_of
+from conftest import itu_se_of, make_ray, metis_of
 from rayblock.errors import GeometryError
 from rayblock.geometry import RectScreen, Segment
-from rayblock.obstacles import screen_edge_geometries
+from rayblock.obstacles import (
+    InteractionCounters,
+    Obstacle,
+    OrthoScreenShape,
+    Static,
+    interact,
+    screen_edge_geometries,
+)
 
 WAVELENGTH_60GHZ = 299792458.0 / 60e9
 
@@ -222,11 +230,28 @@ def test_itu_se_mirror_symmetry():
 
 
 def test_itu_se_warns_outside_small_wavelength_regime(caplog):
+    # the loss function itself does not test the regime: the obstacle does,
+    # and a direct interact reports it (a run logs one line, see
+    # test_environment)
     import logging
 
+    screen = Obstacle(shape=OrthoScreenShape(0.2, 1.7), model=ItuSe(),
+                      mobility=Static((4.0, 0.0, 0.85)))
+    ray = make_ray(TX, RX)
     with caplog.at_level(logging.WARNING, logger="rayblock.diffraction"):
-        itu_se_of(crossing_geometry(0.0, wavelength=0.125))
-    assert any("small-wavelength" in r.message for r in caplog.records)
+        interact(screen, ray, 0.0, WAVELENGTH_60GHZ)
+    assert not caplog.records
+    with caplog.at_level(logging.WARNING, logger="rayblock.diffraction"):
+        interact(screen, ray, 0.0, 0.125)
+    assert [r.getMessage() for r in caplog.records] == [
+        "semi-empirical screen model outside its small-wavelength regime "
+        "in 1 evaluations (lambda=0.125 m)"]
+    caplog.clear()
+    counters = InteractionCounters()
+    with caplog.at_level(logging.WARNING, logger="rayblock.diffraction"):
+        interact(screen, ray, 0.0, 0.125, counters=counters)
+    assert counters.out_of_regime == 1  # the caller reports it
+    assert not caplog.records
 
 
 def test_itu_se_fluctuates_across_shadow_transition():

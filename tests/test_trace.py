@@ -263,13 +263,32 @@ def random_rays(rng, count: int) -> list[Ray]:
     return rays
 
 
+def reference_angles(start, end) -> tuple[float, float]:
+    """(azimuth, elevation) of end - start from the math module, one direction.
+
+    The norm sums the squares in x, y, z order: near the poles asin
+    magnifies a one-ulp change of z / norm to several ulps of elevation.
+    """
+    x, y, z = (float(b - a) for a, b in zip(start, end))
+    azimuth = math.atan2(y, x)
+    if azimuth <= -math.pi:
+        azimuth += 2.0 * math.pi
+    return azimuth, math.asin(min(max(z / math.sqrt(x * x + y * y + z * z), -1.0), 1.0))
+
+
 def test_batch_angles_equal_the_one_ray_angles_to_the_bit(rng):
     rays = random_rays(rng, 200)
+    # axis-aligned directions, including azimuth pi and elevation +-pi/2
+    rays += [make_ray(a, b) for a, b in (((1, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 0, 2)),
+                                         ((0, 0, 2), (0, 0, 0)), ((0, 0, 0), (0, -1, 0)))]
     departure, arrival = path_directions(rays)
-    for batch, scalar in ((direction_angles(departure), angles_of_departure),
-                          (direction_angles(arrival), angles_of_arrival)):
-        want = np.array([scalar(ray) for ray in rays])
-        np.testing.assert_array_equal(np.stack(batch, axis=1), want)
+    for batch, scalar, ends in ((direction_angles(departure), angles_of_departure, (0, 1)),
+                                (direction_angles(arrival), angles_of_arrival, (-1, -2))):
+        got = np.stack(batch, axis=1)
+        want = np.array([reference_angles(ray.vertices[ends[0]], ray.vertices[ends[1]])
+                         for ray in rays])
+        np.testing.assert_array_max_ulp(got, want, maxulp=1)
+        np.testing.assert_array_equal(got, [scalar(ray) for ray in rays])
 
 
 def test_path_lengths_match_the_vertex_paths(rng):
