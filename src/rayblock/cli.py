@@ -21,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +36,7 @@ from .diffraction import (
     log_itu_se_out_of_regime,
     model_name,
 )
-from .environment import RunStats, SimulationConfig, run as run_environment
+from .environment import RunStats, SimulationConfig, resolve_workers, run as run_environment
 from .errors import ConfigError, NumericBudgetError, RayBlockError, TraceFormatError
 from .linkeval import ArrayConfig, LinkBudget, snr_timeline
 from .obstacles import (
@@ -331,6 +332,7 @@ def load_run_spec(path) -> RunSpec:
 # Analytic sweeps (single direct ray, loss normalized out of the received power)
 
 DEFAULT_SWEEP_MODELS = ("obstruction", "metis", "dked", "dked_pc", "itu_se")
+MAX_SWEEP_POINTS = 1_000_000  # offsets or positions of one sweep
 
 
 @dataclass(frozen=True)
@@ -341,6 +343,15 @@ class SweepGeometry:
     screen_width_m: float = 0.2
     screen_height_m: float = 1.7
     obstruction_db: float = 10.0
+
+    def __post_init__(self):
+        # lengths and the carrier must be positive; the obstruction loss may be 0 dB
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            positive = field.name != "obstruction_db"
+            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                raise ConfigError(f"sweep {field.name} must be finite and "
+                                  f"{'positive' if positive else 'non-negative'}, got {value}")
 
 
 def _sweep_losses(geom: SweepGeometry, centers: np.ndarray, name: str,
@@ -391,6 +402,8 @@ def run_position_sweep(geom: SweepGeometry = SweepGeometry(), samples: int = 101
     if samples < 3 or samples % 2 == 0:
         raise ConfigError("position sweep needs an odd sample count >= 3 "
                           "so the midpoint is sampled exactly")
+    if samples > MAX_SWEEP_POINTS:
+        raise ConfigError(f"position sweep takes at most {MAX_SWEEP_POINTS} samples")
     if not 0 < margin_m < 0.5 * geom.distance_m:
         raise ConfigError("margin must lie inside the path")
     positions = np.linspace(margin_m, geom.distance_m - margin_m, samples)
@@ -412,8 +425,6 @@ def run_frequency_sweep(geom: SweepGeometry = SweepGeometry(),
         offsets = -1.5 + 0.004 * np.arange(751)
     tables = []
     for f in frequencies_hz:
-        if f <= 0:
-            raise ConfigError("frequencies must be positive")
         table = run_crossing_sweep(dataclasses.replace(geom, frequency_hz=float(f)),
                                    offsets=offsets, models=models)
         table["frequency_ghz"] = np.full(len(offsets), f / 1e9)
@@ -450,12 +461,29 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def _tree_files(top: str, parts: tuple[str, ...] = ()):
+    """Path parts, relative to top, of every file under it, as Path.rglob
+    finds them: symlinked directories are not entered."""
+    with os.scandir(os.path.join(top, *parts)) as entries:
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                yield from _tree_files(top, (*parts, entry.name))
+            elif entry.is_file():
+                yield (*parts, entry.name)
+
+
 def _sha256_tree(root: Path) -> str:
+    """sha256 of each file's relative path, a NUL and its bytes, in path order.
+
+    Paths sort part by part, as Path objects do ("a/b" before "a-b").
+    """
     h = hashlib.sha256()
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        h.update(str(path.relative_to(root)).encode())
+    for parts in sorted(_tree_files(str(root))):
+        rel = os.path.join(*parts)
+        h.update(rel.encode())
         h.update(b"\0")
-        h.update(path.read_bytes())
+        with open(os.path.join(root, rel), "rb") as f:
+            h.update(f.read())
     return h.hexdigest()
 
 
@@ -478,6 +506,7 @@ def _format_time(value: float) -> str:
 
 
 def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
+    workers = resolve_workers(workers)  # a malformed RAYBLOCK_WORKERS fails before any work
     scenario_dir = Path(spec.scenario_dir)
     output_dir = Path(spec.output_dir)
     trace = import_scenario(scenario_dir)
@@ -631,9 +660,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _sweep_offsets(span: float, step: float) -> np.ndarray:
-    if span <= 0 or step <= 0:
-        raise ConfigError("span and step must be positive")
-    n = int(round(2.0 * span / step)) + 1
+    if not (math.isfinite(span) and math.isfinite(step) and span > 0 and step > 0):
+        raise ConfigError(f"--span and --step must be finite and positive, got {span} and {step}")
+    intervals = 2.0 * span / step
+    if not intervals < MAX_SWEEP_POINTS:
+        raise ConfigError(f"--span and --step give more than {MAX_SWEEP_POINTS} offsets")
+    n = int(round(intervals)) + 1
     return -span + step * np.arange(n)
 
 
@@ -666,7 +698,11 @@ def _dispatch(args) -> int:
             columns = run_position_sweep(geom, args.samples, args.margin, models)
             order = ["position_m"] + [f"loss_db_{m}" for m in models]
         else:
-            freqs = tuple(float(f) * 1e9 for f in args.frequencies_ghz.split(","))
+            try:
+                freqs = tuple(float(f) * 1e9 for f in args.frequencies_ghz.split(","))
+            except ValueError:
+                raise ConfigError(f"--frequencies-ghz: expected a comma list of numbers, "
+                                  f"got {args.frequencies_ghz!r}") from None
             columns = run_frequency_sweep(geom, freqs,
                                           _sweep_offsets(args.span, args.step), models)
             order = ["frequency_ghz", "offset_m"] + [f"loss_db_{m}" for m in models] + ["blocked"]

@@ -70,7 +70,10 @@ def resolve_workers(workers: int | None) -> int:
         return max(int(workers), 1)
     env = os.environ.get(WORKERS_ENV_VAR, "").strip()
     if env:
-        return max(int(env), 1)
+        try:
+            return max(int(env), 1)
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -23,6 +23,8 @@ the original format ignore it, and import falls back to 1.0 s without it.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import math
 import re
@@ -54,16 +56,22 @@ class Ray:
         v = np.array(self.vertices, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] != 3:
             raise TraceFormatError(f"ray needs >= 2 vertices of 3 coords, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise TraceFormatError("non-finite ray vertices")
+        _check_ray_fields(bool(np.all(np.isfinite(v))), self.delay, self.phase_rad,
+                          self.path_gain_db)
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
-        if not (math.isfinite(self.delay) and self.delay >= 0):
-            raise TraceFormatError(f"invalid delay {self.delay}")
-        if not math.isfinite(self.phase_rad):
-            raise TraceFormatError(f"invalid phase {self.phase_rad}")
-        if math.isnan(self.path_gain_db):
-            raise TraceFormatError("NaN path gain")
+
+    @classmethod
+    def _trusted(cls, delay: float, path_gain_db: float, phase_rad: float,
+                 vertices: np.ndarray) -> "Ray":
+        """A ray from fields the caller has already validated, without checks.
+
+        vertices must be a read-only float64 (n >= 2, 3) array.
+        """
+        ray = object.__new__(cls)
+        ray.__dict__.update(delay=delay, path_gain_db=path_gain_db, phase_rad=phase_rad,
+                            vertices=vertices)
+        return ray
 
     @property
     def reflection_order(self) -> int:
@@ -81,9 +89,20 @@ class Ray:
         """
         if math.isnan(path_gain_db):
             raise TraceFormatError("NaN path gain")
-        ray = object.__new__(Ray)
-        ray.__dict__.update(self.__dict__, path_gain_db=path_gain_db)
-        return ray
+        return Ray._trusted(self.delay, path_gain_db, self.phase_rad, self.vertices)
+
+
+def _check_ray_fields(vertices_finite: bool, delay: float, phase_rad: float,
+                      path_gain_db: float) -> None:
+    """The checks of one ray's fields, in the order Ray raises them."""
+    if not vertices_finite:
+        raise TraceFormatError("non-finite ray vertices")
+    if not (math.isfinite(delay) and delay >= 0):
+        raise TraceFormatError(f"invalid delay {delay}")
+    if not math.isfinite(phase_rad):
+        raise TraceFormatError(f"invalid phase {phase_rad}")
+    if math.isnan(path_gain_db):
+        raise TraceFormatError("NaN path gain")
 
 
 def _stacked_vertices(rays: list[Ray]) -> tuple[np.ndarray, np.ndarray]:
@@ -184,10 +203,42 @@ def _parse_floats(line: str, path: Path, lineno: int, expected: int) -> list[flo
         raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
 
 
-def _parse_qd_file(path: Path) -> list[dict]:
-    """Per-timestep dicts with delay/gain/phase/angle columns."""
+def _parse_rows(path: Path, lines: list[str], linenos, width: int) -> np.ndarray:
+    """(len(lines), width) values of comma-separated lines: one split, one float map.
+
+    Empty parts are dropped, as _parse_floats drops them (a trailing comma
+    leaves one). Any malformed line raises _parse_floats's error for the
+    first such line, numbered by linenos.
+    """
+    if not lines:
+        return np.empty((0, width))
+    # "\n" never occurs inside a line, so it marks each line end among the parts
+    parts = list(filter(None, ",\n,".join([line.strip() for line in lines]).split(",")))
+    line_ends = slice(width, None, width + 1)
+    if (len(parts) == len(lines) * (width + 1) - 1
+            and parts[line_ends].count("\n") == len(lines) - 1):
+        del parts[line_ends]
+        try:
+            return np.array(list(map(float, parts))).reshape(len(lines), width)
+        except ValueError:
+            pass
+    for line, lineno in zip(lines, linenos):
+        _parse_floats(line, path, lineno, width)
+    raise AssertionError(f"{path}: lines parse one by one but not in bulk")
+
+
+def _read_rows(path: Path, width: int) -> np.ndarray:
+    """The rows of a comma-separated file; blank lines are skipped."""
     lines = path.read_text().splitlines()
-    steps = []
+    linenos = [n for n, line in enumerate(lines, start=1) if line.strip()]
+    return _parse_rows(path, [lines[n - 1] for n in linenos], linenos, width)
+
+
+def _parse_qd_file(path: Path) -> list[np.ndarray]:
+    """Each timestep block's (7, ray count) rows: delay, gain, phase, then the
+    AoD elevation, AoD azimuth, AoA elevation and AoA azimuth."""
+    lines = path.read_text().splitlines()
+    blocks = []
     i = 0
     while i < len(lines):
         if not lines[i].strip():
@@ -199,43 +250,43 @@ def _parse_qd_file(path: Path) -> list[dict]:
             raise TraceFormatError(f"{path}:{i + 1}: expected a ray count") from None
         if count < 0:
             raise TraceFormatError(f"{path}:{i + 1}: negative ray count")
-        block = {"count": count}
-        if count > 0:
-            if i + 7 >= len(lines):
-                raise TraceFormatError(f"{path}:{i + 1}: truncated block")
-            names = ("delay", "gain", "phase", "aod_el", "aod_az", "aoa_el", "aoa_az")
-            for off, name in enumerate(names, start=1):
-                block[name] = _parse_floats(lines[i + off], path, i + off + 1, count)
-            i += 8
-        else:
+        if count == 0:
+            blocks.append(np.empty((7, 0)))
             i += 1
-        steps.append(block)
-    if not steps:
-        raise TraceFormatError(f"{path}: no timestep blocks")
-    return steps
-
-
-def _read_vertex_rows(path: Path, order: int) -> list[np.ndarray]:
-    rows = []
-    expected = 3 * (order + 2)
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
             continue
-        values = _parse_floats(line, path, lineno, expected)
-        rows.append(np.array(values, dtype=np.float64).reshape(-1, 3))
-    return rows
+        if i + 7 >= len(lines):
+            raise TraceFormatError(f"{path}:{i + 1}: truncated block")
+        blocks.append(_parse_rows(path, lines[i + 1:i + 8], range(i + 2, i + 9), count))
+        i += 8
+    if not blocks:
+        raise TraceFormatError(f"{path}: no timestep blocks")
+    return blocks
+
+
+def _check_rays(columns: np.ndarray, tables: list[np.ndarray]) -> None:
+    """Ray's checks on all of a pair's rays at once.
+
+    columns holds the QdFiles rows of every ray, tables the vertices of the
+    same rays, file by file. The first bad ray raises the error Ray raises.
+    """
+    delay, gain, phase = columns[0], columns[1], columns[2]
+    fields_ok = np.isfinite(delay) & (delay >= 0) & np.isfinite(phase) & ~np.isnan(gain)
+    if fields_ok.all() and all(np.isfinite(table).all() for table in tables):
+        return
+    finite = np.concatenate([np.isfinite(table).all(axis=(1, 2)) for table in tables])
+    i = int(np.flatnonzero(~(finite & fields_ok))[0])
+    _check_ray_fields(bool(finite[i]), float(delay[i]), float(phase[i]), float(gain[i]))
 
 
 def _read_node_positions(dir_: Path, node: int, num_steps: int) -> np.ndarray | None:
     for role in ("Tx", "Rx"):
         path = dir_ / f"NodePositions{role}{node}.csv"
         if path.exists():
-            rows = [_parse_floats(line, path, i + 1, 3)
-                    for i, line in enumerate(path.read_text().splitlines()) if line.strip()]
+            rows = _read_rows(path, 3)
             if len(rows) != num_steps:
                 raise TraceFormatError(
                     f"{path}: {len(rows)} position rows, expected {num_steps}")
-            return np.array(rows, dtype=np.float64)
+            return rows
     return None
 
 
@@ -279,33 +330,38 @@ def import_scenario(directory, time_step: float | None = None) -> ChannelTrace:
         elif len(blocks) != num_steps:
             raise TraceFormatError(
                 f"{path}: {len(blocks)} timesteps, other pairs have {num_steps}")
+        counts = [block.shape[1] for block in blocks]
 
         vertex_files = mpc_files.get(pair, {})
-        if not vertex_files and any(b["count"] > 0 for b in blocks):
+        if not vertex_files and any(counts):
             raise TraceFormatError(
                 f"missing multipath coordinate files for pair Tx{pair[0]}Rx{pair[1]}")
 
+        # (rays, order + 2, 3) vertices per coordinate file, in ray order
         orders = sorted({k for k, _ in vertex_files})
-        per_step_rays: list[list[Ray]] = []
-        for t, block in enumerate(blocks):
-            vertices: list[np.ndarray] = []
+        tables: list[np.ndarray] = []
+        for t, count in enumerate(counts):
+            held = 0
             for k in orders:
                 vpath = vertex_files.get((k, t))
                 if vpath is not None:
-                    vertices.extend(_read_vertex_rows(vpath, k))
-            if len(vertices) != block["count"]:
+                    tables.append(_read_rows(vpath, 3 * (k + 2)).reshape(-1, k + 2, 3))
+                    held += tables[-1].shape[0]
+            if held != count:
                 raise TraceFormatError(
                     f"pair Tx{pair[0]}Rx{pair[1]} timestep {t}: ray file declares "
-                    f"{block['count']} rays but coordinate files hold {len(vertices)}")
-            per_step_rays.append([
-                Ray(delay=block["delay"][i], path_gain_db=block["gain"][i],
-                    phase_rad=block["phase"][i], vertices=vertices[i])
-                for i in range(block["count"])])
-        pairs[pair] = per_step_rays
-        pair_rays = [ray for rays in per_step_rays for ray in rays]
-        delays = np.array([ray.delay for ray in pair_rays], dtype=np.float64)
+                    f"{count} rays but coordinate files hold {held}")
+
+        columns = np.concatenate(blocks, axis=1)
+        _check_rays(columns, tables)
+        for table in tables:
+            table.setflags(write=False)  # each ray's vertices are a read-only view of it
+        pair_rays = list(map(Ray._trusted, columns[0].tolist(), columns[1].tolist(),
+                             columns[2].tolist(), [v for table in tables for v in table]))
+        remaining = iter(pair_rays)
+        pairs[pair] = [list(itertools.islice(remaining, count)) for count in counts]
         delay_mismatches += int(np.count_nonzero(
-            np.abs(path_lengths(pair_rays) / SPEED_OF_LIGHT - delays) > 1e-6))
+            np.abs(path_lengths(pair_rays) / SPEED_OF_LIGHT - columns[0]) > 1e-6))
 
     if delay_mismatches:
         log.warning("%d rays have delays inconsistent with their vertex paths (> 1 us)",
@@ -364,12 +420,19 @@ def _positions_from_rays(pairs, node: int, num_steps: int) -> np.ndarray:
     return pos
 
 
-def _fmt_gain(value: float) -> str:
-    return f"{value:.6f}"
+@functools.lru_cache(maxsize=None)
+def _template(fmt: str, width: int, rows: int = 1) -> str:
+    """rows lines of width comma-separated fmt fields, one %-template."""
+    return "\n".join([",".join([fmt] * width)] * rows)
 
 
-def _fmt_delay(value: float) -> str:
-    return f"{value:.12g}"
+def _format_rows(values: np.ndarray, fmt: str = "%.6f") -> str:
+    """The rows of a 2-D array as comma-separated lines of fmt fields.
+
+    "%.6f" and "%.12g" print a float as f"{v:.6f}" and f"{v:.12g}" do.
+    """
+    rows, width = values.shape
+    return _template(fmt, width, rows) % tuple(values.ravel().tolist())
 
 
 def export_scenario(trace: ChannelTrace, directory, drop_below_db: float = -500.0) -> None:
@@ -387,36 +450,39 @@ def export_scenario(trace: ChannelTrace, directory, drop_below_db: float = -500.
 
     for (tx, rx), steps in sorted(trace.pairs.items()):
         kept_steps = [[r for r in rays if r.path_gain_db >= drop_below_db] for rays in steps]
-        # angle rows of every kept ray of the pair, in degrees: AoD elevation,
-        # AoD azimuth, AoA elevation, AoA azimuth
-        departure, arrival = path_directions([r for kept in kept_steps for r in kept])
+        kept = [r for rays in kept_steps for r in rays]
+        # the QdFiles rows of every kept ray of the pair: delay, gain, phase,
+        # then the angles in degrees (AoD elevation, AoD azimuth, AoA
+        # elevation, AoA azimuth)
+        departure, arrival = path_directions(kept)
         aod_az, aod_el = direction_angles(departure)
         aoa_az, aoa_el = direction_angles(arrival)
-        angles = np.degrees(np.stack([aod_el, aod_az, aoa_el, aoa_az], axis=1)).tolist()
+        columns = np.empty((7, len(kept)))
+        columns[:3] = np.array([(r.delay, r.path_gain_db, r.phase_rad) for r in kept]
+                               ).reshape(-1, 3).T
+        columns[3:] = np.degrees(np.stack([aod_el, aod_az, aoa_el, aoa_az]))
         lines: list[str] = []
         lo = 0
-        for t, kept in enumerate(kept_steps):
-            lines.append(str(len(kept)))
-            if kept:
-                lines.append(",".join(_fmt_delay(r.delay) for r in kept))
-                lines.append(",".join(_fmt_gain(r.path_gain_db) for r in kept))
-                lines.append(",".join(_fmt_gain(r.phase_rad) for r in kept))
-                for column in zip(*angles[lo:lo + len(kept)]):
-                    lines.append(",".join(_fmt_gain(a) for a in column))
-                lo += len(kept)
+        for t, rays in enumerate(kept_steps):
+            lines.append(str(len(rays)))
+            if rays:
+                block = columns[:, lo:lo + len(rays)]
+                lines.append(_format_rows(block[:1], "%.12g"))
+                lines.append(_format_rows(block[1:]))
+                lo += len(rays)
             by_order: dict[int, list[Ray]] = {}
-            for r in kept:
+            for r in rays:
                 by_order.setdefault(r.reflection_order, []).append(r)
             for order, group in sorted(by_order.items()):
-                rows = "\n".join(
-                    ",".join(_fmt_gain(c) for c in r.vertices.reshape(-1)) for r in group)
-                (mpc_dir / f"MpcTx{tx}Rx{rx}Refl{order}Trc{t}.csv").write_text(rows + "\n")
+                rows = np.concatenate([r.vertices for r in group]).reshape(len(group), -1)
+                (mpc_dir / f"MpcTx{tx}Rx{rx}Refl{order}Trc{t}.csv").write_text(
+                    _format_rows(rows) + "\n")
         (qd_dir / f"Tx{tx}Rx{rx}.txt").write_text("\n".join(lines) + "\n")
 
     tx_nodes = {tx for tx, _ in trace.pairs}
     rx_nodes = {rx for _, rx in trace.pairs}
     for node, positions in sorted(trace.node_positions.items()):
-        rows = "\n".join(",".join(_fmt_gain(c) for c in row) for row in positions)
+        rows = _format_rows(positions)
         if node in tx_nodes:
             (node_dir / f"NodePositionsTx{node}.csv").write_text(rows + "\n")
         if node in rx_nodes:

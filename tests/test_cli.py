@@ -1,8 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from conftest import assert_traces_equal, build_los_trace
 from rayblock.cli import (
     SweepGeometry,
+    _sha256_tree,
     main,
     parse_run_spec,
     run_crossing_sweep,
@@ -202,6 +204,32 @@ def test_rerun_is_byte_identical(tmp_path, small_scenario):
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
 
+def sha256_tree_by_pathlib(root: Path) -> str:
+    """The tree hash as Path.rglob computes it, kept as the oracle."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(str(path.relative_to(root)).encode())
+        h.update(b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def test_tree_hash_equals_the_pathlib_walk(tmp_path, small_scenario):
+    tree = tmp_path / "tree"
+    files = {"a/b/c.txt": b"one", "a-b": b"two", "a/b-c": b"", "a.b/x": b"three",
+             "a/b.txt": b"four", "d/e/f/g.csv": b"1,2\n", "empty": b"", "Z": b"upper"}
+    for rel, data in files.items():
+        (tree / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tree / rel).write_bytes(data)
+    (tree / "no_files" / "inside").mkdir(parents=True)
+    (tree / "link_to_dir").symlink_to(tree / "d")     # not entered
+    (tree / "link_to_file").symlink_to(tree / "a-b")  # hashed as a file
+    # string order puts "a-b" before "a/b/c.txt", part order after it
+    assert sorted(files) != [str(p) for p in sorted(map(PurePosixPath, files))]
+    assert _sha256_tree(tree) == sha256_tree_by_pathlib(tree)
+    assert _sha256_tree(small_scenario) == sha256_tree_by_pathlib(small_scenario)
+
+
 def test_inspect_summarizes(small_scenario, capsys):
     assert main(["inspect", str(small_scenario)]) == 0
     out = capsys.readouterr().out
@@ -241,6 +269,48 @@ def test_sweep_rejects_unknown_model(tmp_path):
     assert main(["sweep", "crossing", "-o", str(tmp_path / "x.csv"),
                  "--models", "nonsense"]) == 2
 
+
+@pytest.mark.parametrize("argv", [
+    ["crossing", "--frequency-ghz", "0"],
+    ["crossing", "--frequency-ghz", "inf"],
+    ["crossing", "--frequency-ghz", "-5"],
+    ["crossing", "--frequency-ghz", "nan"],
+    ["frequency", "--frequencies-ghz", "abc"],
+    ["frequency", "--frequencies-ghz", "10,inf"],
+    ["frequency", "--frequencies-ghz", "10,-30"],
+    ["crossing", "--distance", "0"],
+    ["crossing", "--distance", "-1"],
+    ["position", "--distance", "inf"],
+    ["crossing", "--height", "nan"],
+    ["crossing", "--height", "-1"],
+    ["crossing", "--screen-width", "nan"],
+    ["crossing", "--screen-height", "0"],
+    ["crossing", "--obstruction-db", "-3"],
+    ["crossing", "--obstruction-db", "inf"],
+    ["crossing", "--span", "nan"],
+    ["crossing", "--span", "inf"],
+    ["crossing", "--span", "1e308"],
+    ["frequency", "--step", "0"],
+    ["crossing", "--step", "1e-12"],
+    ["position", "--margin", "nan"],
+    ["position", "--samples", "4"],
+    ["position", "--samples", "2000001"],
+], ids=lambda argv: "_".join(argv).replace("--", ""))
+def test_sweep_rejects_a_bad_flag_value(tmp_path, capsys, argv):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", argv[0], "-o", str(out), *argv[1:]]) == 2
+    assert "error: config-error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5"])
+def test_malformed_workers_variable_exits_2(tmp_path, small_scenario, capsys, monkeypatch,
+                                            value):
+    monkeypatch.setenv("RAYBLOCK_WORKERS", value)
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out"))
+    assert main(["run", str(spec)]) == 2
+    assert f"RAYBLOCK_WORKERS must be an integer, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 def test_position_sweep_requires_odd_samples():
     with pytest.raises(ConfigError):
@@ -379,3 +449,47 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# sha256 of every output of the run below and its stdout, taken before the
+# trace reader and writers worked in batches: a formatting drift in any text
+# writer changes one of them
+PINNED_RUN_DIGESTS = {
+    "loss_timeline_dked.csv": "d66f4ebb55796e6211954173408022b1afb69346212053f494309bece505cc74",
+    "loss_timeline_metis.csv": "64fbf55feb8b63898b70c0e1fa9e3d4b097fa19f527dd8d4edc20c75c5ed69a8",
+    "manifest.json": "3d6292faa2abf30d2949f87c567a00f08b91ce78b0b3d2dcf9ef97078c691eb8",
+    "snr_timeline.csv": "a434a1a1f5857bf59325a1e7c1110c2bc0eaa34627dc3d0d749a4c3aec2ac5eb",
+    "trace/Output/Ns3/QdFiles/Tx0Rx1.txt":
+        "35f3e847ab691e11e3fc59bcf837b72829f00e48bf3157731634b3a12fe844a4",
+    "trace/Output/Ns3/TimeStep.txt":
+        "6885aa3cd13a94492d3d20e338043012d36cb2638ac11edfd0f460e7608fca68",
+    **{f"trace/Output/Visualizer/MpcCoordinates/MpcTx0Rx1Refl0Trc{t}.csv":
+       "df412b6fccd1ae92874517fcd2db517c6071a6d3b9015a3542422ef38049b557" for t in range(10)},
+    "trace/Output/Visualizer/NodePositions/NodePositionsRx1.csv":
+        "e4e29587495ad21c6431a642c73d48dd4a81f3b96c2c6d37b5941db8d2dd7074",
+    "trace/Output/Visualizer/NodePositions/NodePositionsTx0.csv":
+        "f18d8ba24f126ee208bbb3769bca1a323b14c550f1d02df25f82bf8d58152f31",
+}
+PINNED_STDOUT = ("pairs: 1\nsteps: 20\nrays: 20 in, 10 dropped\nclamp events: 0\n"
+                 "interactions: 40 diffraction, 20 obstruction, 0 skipped far, 0 degenerate\n"
+                 "outputs: out\n")
+
+
+def test_run_outputs_match_the_pinned_digest(tmp_path, small_scenario, capsys, monkeypatch):
+    # relative paths keep the spec, and so its manifest hash, independent of
+    # tmp_path; a screen sweeping into the path makes its 30 dB obstruction
+    # drop the -80 dB ray below the -100 dB floor on the last ten steps only
+    monkeypatch.chdir(tmp_path)
+    write_spec(tmp_path, minimal_spec(
+        "scenario", "out",
+        obstacles=[obstacle_entry(
+            mobility={"kind": "linear", "start": [5.0, 2.8, 0.85], "velocity": [0.0, 3.0, 0.0]},
+            model={"kind": "obstruction", "loss_db": 30.0})],
+        models_to_compare=["dked", "metis"],
+        removal_floor_db=-100.0))
+    assert main(["run", "spec.json"]) == 0
+    assert capsys.readouterr().out == PINNED_STDOUT
+    out = tmp_path / "out"
+    digests = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.rglob("*") if p.is_file()}
+    assert digests == PINNED_RUN_DIGESTS

@@ -1,9 +1,10 @@
 """Property tests (hypothesis, derandomized): reciprocity of every loss model,
 the sequential-equals-combined obstacle order, the candidate table's
 invariances (a whole run equals its rays taken one at a time, and any
-chunking of a pair's steps gives the same gains), and the batch SNR
-against a per-ray reference."""
+chunking of a pair's steps gives the same gains), far culling against the
+README's threshold definition, and the batch SNR against a per-ray reference."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,8 @@ from rayblock.obstacles import (
     SphereShape,
     Static,
     interact,
+    obstacle_losses,
+    path_segments,
     screen_edge_geometries,
 )
 from rayblock.trace import ChannelTrace, angles_of_arrival, angles_of_departure
@@ -293,3 +296,86 @@ def test_batch_snr_matches_the_per_ray_reference(data):
     batch = snr_timeline(trace, (0, 1), budget)
     np.testing.assert_allclose(batch[:, 1], scalar_snr(trace, (0, 1), budget),
                                rtol=0.0, atol=1e-9)
+
+
+def segment_distance(p0, p1, q0, q1) -> float:
+    """Exact distance between segments p0p1 and q0q1: the squared distance is a
+    convex quadratic in the two segment parameters, so its minimum over the
+    unit square is the interior stationary point or an edge's clamped one."""
+    d1, d2, r = p1 - p0, q1 - q0, p0 - q0
+    a, b, c, d, e = d1 @ d1, d1 @ d2, d2 @ d2, d1 @ r, d2 @ r
+    candidates = [(s, min(max((b * s + e) / c, 0.0), 1.0) if c > 0 else 0.0) for s in (0.0, 1.0)]
+    candidates += [(min(max((b * t - d) / a, 0.0), 1.0) if a > 0 else 0.0, t) for t in (0.0, 1.0)]
+    det = a * c - b * b
+    if det > 1e-12 * a * c:
+        s, t = (b * e - c * d) / det, (a * e - b * d) / det
+        if 0 <= s <= 1 and 0 <= t <= 1:
+            candidates.append((s, t))
+    return min(float(np.linalg.norm(r + s * d1 - t * d2)) for s, t in candidates)
+
+
+def far_margins(shape, center, start, end, threshold) -> list[float]:
+    """How far beyond the threshold each of the README's far tests puts an
+    obstacle (> 0: farther): the surface of its bounding sphere and, for a
+    screen, its vertical center line less half the screen's width."""
+    if isinstance(shape, SphereShape):
+        return [segment_distance(start, end, center, center) - shape.radius - threshold]
+    half_diagonal = 0.5 * math.hypot(shape.width, shape.height)
+    half = 0.5 * shape.height * shape.height_axis
+    return [segment_distance(start, end, center, center) - half_diagonal - threshold,
+            segment_distance(start, end, center - half, center + half) - 0.5 * shape.width
+            - threshold]
+
+
+@st.composite
+def culled_tables(draw):
+    """An obstacle of any shape and model, a threshold, and single-segment rays around it."""
+    name = draw(st.sampled_from(sorted(MODEL_REGISTRY)))
+    kind = draw(st.sampled_from(["sphere", "ortho_screen", "screen"]))
+    if kind == "sphere":
+        shape, name = SphereShape(draw(st.floats(0.05, 1.0))), "obstruction"
+    elif kind == "ortho_screen":
+        shape = OrthoScreenShape(draw(st.floats(0.1, 1.0)), draw(st.floats(0.3, 2.0)))
+    elif name == "metis":
+        shape = ScreenShape(draw(st.floats(0.1, 1.0)), draw(st.floats(0.3, 2.0)))
+    else:
+        shape = ScreenShape(draw(st.floats(0.1, 1.0)), draw(st.floats(0.3, 2.0)),
+                            azimuth=draw(st.floats(-math.pi, math.pi)),
+                            elevation=draw(st.floats(-0.6, 0.6)))
+    threshold = draw(st.none() | st.floats(0.01, 0.5))
+    obstacle = Obstacle(shape=shape, mobility=Static((0.0, 0.0, 0.0)), model=make_model(name),
+                        distance_threshold=threshold,
+                        obstruction_fallback_for_secondary=draw(st.booleans()))
+    n = draw(st.integers(1, 12))
+    point = coords((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5))
+    starts = np.array(draw(st.lists(point, min_size=n, max_size=n)))
+    ends = np.array(draw(st.lists(point, min_size=n, max_size=n)))
+    assume(np.all(np.linalg.norm(ends - starts, axis=1) > 0.1))
+    return obstacle, starts, ends, draw(st.lists(st.booleans(), min_size=n, max_size=n))
+
+
+@PROPERTY_SETTINGS
+@given(culled_tables())
+def test_far_culling_changes_only_losses_beyond_the_threshold(table):
+    """Culling against the thresholds keeps the unculled loss of every
+    obstacle that no far test of the README puts beyond the threshold, and
+    drops the loss of every one that a test does (the center-line test with
+    its 0.1 mm slack)."""
+    obstacle, starts, ends, primary = table
+    n = starts.shape[0]
+    segments = path_segments([[make_ray(s, e)] for s, e in zip(starts, ends)],
+                             [0 if p else None for p in primary], WAVELENGTH)
+    centers = np.zeros((n, 3))
+    culled = obstacle_losses(obstacle, centers, segments, WAVELENGTH, InteractionCounters())
+    unculled = obstacle_losses(dataclasses.replace(obstacle, distance_threshold=math.inf),
+                               centers, segments, WAVELENGTH, InteractionCounters())
+    thresholds = (segments.thresholds if obstacle.distance_threshold is None
+                  else np.full(n, obstacle.distance_threshold))
+    for i in range(n):
+        margins = far_margins(obstacle.shape, centers[i], starts[i], ends[i], thresholds[i])
+        assume(all(abs(m) > 1e-6 and abs(m - 1e-4) > 1e-6 for m in margins))
+        if all(m <= 0 for m in margins):
+            assert culled[0][i] == pytest.approx(unculled[0][i], rel=1e-12, abs=1e-12)
+            assert culled[1][i] == unculled[1][i]
+        elif margins[0] > 0 or margins[-1] > 1e-4:
+            assert culled[0][i] == 0.0 and not culled[1][i]

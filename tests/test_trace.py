@@ -1,15 +1,20 @@
+import json
 import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_traces_equal, make_ray
+from rayblock.cli import main
 from rayblock.errors import GeometryError, TraceFormatError
 from rayblock.trace import (
     SPEED_OF_LIGHT,
     ChannelTrace,
     Ray,
+    _format_rows,
     angles_of_arrival,
     angles_of_departure,
     direction_angles,
@@ -345,3 +350,106 @@ def test_import_counts_rays_with_inconsistent_delays(tmp_path, caplog):
         import_scenario(tmp_path)
     assert [r.getMessage() for r in caplog.records] == [
         "1 rays have delays inconsistent with their vertex paths (> 1 us)"]
+
+
+
+# --- export formatting ---------------------------------------------------------
+
+def format_rows_per_value(rows, spec: str) -> str:
+    """Export's formatting before the templates: one format call per value."""
+    return "\n".join(",".join(format(v, spec) for v in row) for row in rows)
+
+
+EXPORTED_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e300, -1e300, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda width: st.lists(
+    st.lists(EXPORTED_VALUES, min_size=width, max_size=width), min_size=1, max_size=5)),
+    st.sampled_from([".6f", ".12g"]))
+def test_template_rows_equal_the_per_value_format(rows, spec):
+    assert _format_rows(np.array(rows, dtype=np.float64), "%" + spec) == \
+        format_rows_per_value(rows, spec)
+
+# --- import error paths -------------------------------------------------------
+
+def _edit_line(path, lineno: int, edit) -> None:
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _replace_value(index: int, value: str):
+    def edit(line: str) -> str:
+        values = line.split(",")
+        values[index] = value
+        return ",".join(values)
+    return edit
+
+
+MPC = ("Output", "Visualizer", "MpcCoordinates", "MpcTx0Rx1Refl1Trc0.csv")
+QD = ("Output", "Ns3", "QdFiles", "Tx0Rx2.txt")
+
+# file, line, edit of that line, and the error it raises ({path}: the file);
+# in Tx0Rx2.txt, step 1's block starts at line 9 with its ray count, and
+# lines 10-12 hold the delays, gains and phases of its two rays
+MALFORMED_LINES = {
+    "non_numeric_token": (MPC, 1, _replace_value(4, "4.0x"),
+                          "{path}:1: could not convert string to float: '4.0x'"),
+    "too_few_values": (MPC, 1, lambda line: line.rsplit(",", 1)[0],
+                       "{path}:1: expected 9 values, got 8"),
+    "nan_vertex": (MPC, 1, _replace_value(3, "nan"), "non-finite ray vertices"),
+    "negative_delay": (QD, 10, _replace_value(1, "-1e-08"), "invalid delay -1e-08"),
+    "nan_gain": (QD, 11, _replace_value(0, "nan"), "NaN path gain"),
+    "infinite_phase": (QD, 12, _replace_value(1, "-inf"), "invalid phase -inf"),
+    "blank_row_in_a_block": (QD, 11, lambda line: "", "{path}:11: expected 2 values, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LINES))
+def test_import_reports_the_first_malformed_value(tmp_path, capsys, case):
+    parts, lineno, edit, message = MALFORMED_LINES[case]
+    scenario = tmp_path / "scenario"
+    export_scenario(build_mixed_trace(), scenario)
+    path = scenario.joinpath(*parts)
+    _edit_line(path, lineno, edit)
+    expected = message.format(path=path)
+    with pytest.raises(TraceFormatError) as raised:
+        import_scenario(scenario)
+    assert str(raised.value) == expected
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"scenario_dir": str(scenario), "output_dir": str(tmp_path / "out")}))
+    assert main(["run", str(spec)]) == 3
+    assert capsys.readouterr().err == f"error: trace-format-error: {expected}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# edits the importer accepts: empty comma parts and blank lines are dropped
+TOLERATED_EDITS = {
+    "trailing_comma": (MPC, lambda text: text.replace("\n", ",\n")),
+    "doubled_commas": (QD, lambda text: text.replace(",", ",,")),
+    "blank_lines": (MPC, lambda text: "\n" + text.replace("\n", "\n  \n")),
+    "blank_lines_between_blocks": (QD, lambda text: text.replace("\n2\n", "\n\n\n2\n")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOLERATED_EDITS))
+def test_import_drops_empty_parts_and_blank_lines(tmp_path, capsys, case):
+    parts, edit = TOLERATED_EDITS[case]
+    clean, scenario = tmp_path / "clean", tmp_path / "scenario"
+    export_scenario(build_mixed_trace(), clean)
+    export_scenario(build_mixed_trace(), scenario)
+    path = scenario.joinpath(*parts)
+    path.write_text(edit(path.read_text()))
+    assert path.read_text() != clean.joinpath(*parts).read_text()
+    assert_traces_equal(import_scenario(scenario), import_scenario(clean))
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"scenario_dir": str(scenario), "output_dir": str(tmp_path / "out")}))
+    assert main(["run", str(spec)]) == 0
