@@ -37,7 +37,7 @@ from .errors import (
     RayBlockError,
     TraceFormatError,
 )
-from .geometry import Point3, RectScreen, Segment, Vector3, distance_point_segment
+from .geometry import Point3, RectScreen, Segment, Vector3
 from .linkeval import ArrayConfig, LinkBudget, noise_power_dbm, snr_timeline, steering_vector
 from .obstacles import (
     InteractionCounters,

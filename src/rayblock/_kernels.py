@@ -1,29 +1,23 @@
 """Numeric kernels: scalar loss-model helpers and batch geometry.
 
-The scalar kernels (the Fresnel series, the knife-edge loss, the
-point-segment distance) run once per evaluation and are written so numba
-can compile them; when numba is missing, or when the environment variable
-``RAYBLOCK_NO_NUMBA=1`` is set, they run as plain Python and
-``fresnel_cs_batch`` switches to its vectorized numpy twin.
+The scalar kernels (the Fresnel series, the knife-edge loss) run once per
+loss-model evaluation, in plain Python.
 
 The batch geometry kernels work row by row on the candidate table of a
 chunk (see ``obstacles``): one row per (segment, obstacle pose) candidate,
-(n, 3) arrays in, (n,) arrays out. They are plain numpy with no compiled
-twin, and sum vector components x + y + z in the scalar order.
+(n, 3) arrays in, (n,) arrays out. They are plain numpy and sum vector
+components x + y + z in a fixed order.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
     "USING_NUMBA",
     "fresnel_cs",
-    "fresnel_cs_batch",
-    "point_segment_distance",
     "dot3",
     "point_segment_distance_batch",
     "line_segment_distance_batch",
@@ -32,30 +26,10 @@ __all__ = [
     "knife_edge_loss_db",
 ]
 
-
-def _numba_requested() -> bool:
-    return os.environ.get("RAYBLOCK_NO_NUMBA", "").strip().lower() not in {"1", "true", "yes"}
-
-
+# No kernel is compiled. e2ebench/inproc.py reads this flag for the traced
+# metric kernels.using_numba; it goes with that benchmark change (ROADMAP
+# open item 3).
 USING_NUMBA = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:
-        pass
-
-if not USING_NUMBA:
-
-    def njit(*args, **kwargs):  # no-op decorator when running pure Python
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
 
 
 # Series coefficients for the closed-form complex Fresnel integral
@@ -84,7 +58,6 @@ _FD = np.array([
 ])
 
 
-@njit(cache=True)
 def fresnel_cs(nu):
     """Closed-form C(nu), S(nu) of the complex Fresnel integral.
 
@@ -128,88 +101,8 @@ def fresnel_cs(nu):
     return sign * c, sign * s
 
 
-@njit(cache=True)
-def _fresnel_cs_batch_loop(nus, out_c, out_s):
-    for i in range(nus.shape[0]):
-        c, s = fresnel_cs(nus[i])
-        out_c[i] = c
-        out_s[i] = s
-
-
-def _fresnel_cs_batch_numpy(nus):
-    """Vectorized numpy twin of the scalar series evaluation."""
-    nus = np.asarray(nus, dtype=np.float64)
-    a = np.abs(nus)
-    sign = np.where(nus < 0.0, -1.0, 1.0)
-    x = 0.5 * np.pi * a * a
-    small = x < 4.0
-
-    c = np.empty_like(a)
-    s = np.empty_like(a)
-
-    t = np.where(small, x / 4.0, np.divide(4.0, x, out=np.ones_like(x), where=x > 0))
-    root = np.sqrt(t)
-    cx = np.cos(x)
-    sx = np.sin(x)
-
-    # Horner evaluation of both regimes; masks select afterwards.
-    sa = np.zeros_like(t)
-    sb = np.zeros_like(t)
-    sc = np.zeros_like(t)
-    sd = np.zeros_like(t)
-    for n in range(11, -1, -1):
-        sa = sa * t + _FA[n]
-        sb = sb * t + _FB[n]
-        sc = sc * t + _FC[n]
-        sd = sd * t + _FD[n]
-
-    c_small = root * (cx * sa + sx * sb)
-    s_small = root * (sx * sa - cx * sb)
-    c_large = 0.5 + root * (cx * sc + sx * sd)
-    s_large = 0.5 + root * (sx * sc - cx * sd)
-
-    c = np.where(small, c_small, c_large)
-    s = np.where(small, s_small, s_large)
-    return sign * c, sign * s
-
-
-def fresnel_cs_batch(nus):
-    """C, S arrays for an array of diffraction parameters."""
-    if USING_NUMBA:
-        nus = np.ascontiguousarray(nus, dtype=np.float64)
-        out_c = np.empty(nus.shape[0])
-        out_s = np.empty(nus.shape[0])
-        _fresnel_cs_batch_loop(nus, out_c, out_s)
-        return out_c, out_s
-    return _fresnel_cs_batch_numpy(nus)
-
-
-@njit(cache=True)
-def point_segment_distance(px, py, pz, ax, ay, az, bx, by, bz):
-    """Distance from a point to a segment plus the parametric foot t in [0, 1]."""
-    ex = bx - ax
-    ey = by - ay
-    ez = bz - az
-    ee = ex * ex + ey * ey + ez * ez
-    if ee <= 0.0:
-        dx = px - ax
-        dy = py - ay
-        dz = pz - az
-        return math.sqrt(dx * dx + dy * dy + dz * dz), 0.0
-    t = ((px - ax) * ex + (py - ay) * ey + (pz - az) * ez) / ee
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    dx = px - (ax + t * ex)
-    dy = py - (ay + t * ey)
-    dz = pz - (az + t * ez)
-    return math.sqrt(dx * dx + dy * dy + dz * dz), t
-
-
 def dot3(a, b):
-    """Row-wise dot product of (..., 3) arrays, summed x + y + z like the
-    scalar kernels so both give the same bits."""
+    """Row-wise dot product of (..., 3) arrays, summed x + y + z."""
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
@@ -317,7 +210,6 @@ def fermat_on_segment_batch(a, b, tx, rx):
     return np.hypot(s - st, rt), np.hypot(s - sr, rr)
 
 
-@njit(cache=True)
 def knife_edge_loss_db(nu):
     """Semi-empirical single knife-edge loss in dB (0 below the lit bound)."""
     if nu <= -0.78:

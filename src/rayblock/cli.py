@@ -103,14 +103,28 @@ def _require(data: dict, key: str, context: str):
 
 
 def _number(value, context: str) -> float:
-    """Every number of a spec passes here: JSON admits NaN and Infinity."""
+    """Every number of a spec passes here: JSON admits NaN, Infinity and
+    integers too large for a float, and Python counts true and false as
+    integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{context}: expected a number, got {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{context}: expected a number, got {value!r}") from None
+    except OverflowError:
+        number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{context}: expected a finite number, got {value!r}")
     return number
+
+
+def _integer(value, context: str, minimum: int | None = None) -> int:
+    """A spec number that must be integral (2.0 passes, 2.7 does not)."""
+    number = _number(value, context)
+    if not number.is_integer():
+        raise ConfigError(f"{context}: expected an integer, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{context}: expected an integer >= {minimum}, got {value!r}")
+    return int(number)
 
 
 def _vec3(value, context: str) -> tuple[float, float, float]:
@@ -179,20 +193,23 @@ def _parse_obstacle(data: dict, index: int) -> Obstacle:
     _check_keys(_object(data, context), ("shape", "mobility", "model", "threshold",
                                          "fallback", "fallback_loss_db"), context)
     threshold = data.get("threshold")
+    fallback = data.get("fallback", False)
+    if not isinstance(fallback, bool):
+        raise ConfigError(f"{context}.fallback: expected true or false, got {fallback!r}")
     return Obstacle(
         shape=_parse_shape(_require(data, "shape", context), f"{context}.shape"),
         mobility=_parse_mobility(_require(data, "mobility", context), f"{context}.mobility"),
         model=_parse_model(_require(data, "model", context), f"{context}.model"),
         distance_threshold=None if threshold is None else _number(threshold, context),
-        obstruction_fallback_for_secondary=bool(data.get("fallback", False)),
+        obstruction_fallback_for_secondary=fallback,
         fallback_loss_db=_number(data.get("fallback_loss_db", 10.0), context),
     )
 
 
 def _parse_array(data: dict, context: str) -> ArrayConfig:
     _check_keys(_object(data, context), ("rows", "cols", "spacing"), context)
-    return ArrayConfig(rows=int(_number(_require(data, "rows", context), context)),
-                       cols=int(_number(_require(data, "cols", context), context)),
+    return ArrayConfig(rows=_integer(_require(data, "rows", context), f"{context}.rows"),
+                       cols=_integer(_require(data, "cols", context), f"{context}.cols"),
                        spacing=_number(data.get("spacing", 0.5), context))
 
 
@@ -238,7 +255,7 @@ def parse_run_spec(data: dict) -> RunSpec:
         sampling = SamplingSpec(
             time_step=_number(_require(sdata, "time_step", "spec.sampling"), "spec.sampling"),
             num_steps=None if sdata.get("num_steps") is None
-            else int(_number(sdata["num_steps"], "spec.sampling")),
+            else _integer(sdata["num_steps"], "spec.sampling.num_steps", minimum=1),
         )
         if sampling.time_step <= 0:
             raise ConfigError("spec.sampling: time_step must be positive")
@@ -252,7 +269,8 @@ def parse_run_spec(data: dict) -> RunSpec:
             link_budget=_parse_link_budget(data.get("link_budget", {}), "spec.link_budget"),
             sampling=sampling,
             removal_floor_db=_number(data.get("removal_floor_db", -500.0), "spec"),
-            max_clamp_events=None if max_clamp is None else int(_number(max_clamp, "spec")),
+            max_clamp_events=None if max_clamp is None
+            else _integer(max_clamp, "spec.max_clamp_events", minimum=0),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"spec: {exc}") from None
@@ -461,24 +479,30 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _tree_files(top: str, parts: tuple[str, ...] = ()):
+def _tree_files(top: str, parts: tuple[str, ...] = (), skip: tuple[str, ...] | None = None):
     """Path parts, relative to top, of every file under it, as Path.rglob
-    finds them: symlinked directories are not entered."""
+    finds them: symlinked directories are not entered, nor is the
+    directory whose parts are skip."""
     with os.scandir(os.path.join(top, *parts)) as entries:
         for entry in entries:
             if entry.is_dir(follow_symlinks=False):
-                yield from _tree_files(top, (*parts, entry.name))
+                if (*parts, entry.name) != skip:
+                    yield from _tree_files(top, (*parts, entry.name), skip)
             elif entry.is_file():
                 yield (*parts, entry.name)
 
 
-def _sha256_tree(root: Path) -> str:
+def _sha256_tree(root: Path, skip: Path | None = None) -> str:
     """sha256 of each file's relative path, a NUL and its bytes, in path order.
 
-    Paths sort part by part, as Path objects do ("a/b" before "a-b").
+    Paths sort part by part, as Path objects do ("a/b" before "a-b"). A
+    skip directory strictly under root is left out of the walk.
     """
+    skip_parts = None
+    if skip is not None and skip.resolve().is_relative_to(root.resolve()):
+        skip_parts = skip.resolve().relative_to(root.resolve()).parts
     h = hashlib.sha256()
-    for parts in sorted(_tree_files(str(root))):
+    for parts in sorted(_tree_files(str(root), skip=skip_parts)):
         rel = os.path.join(*parts)
         h.update(rel.encode())
         h.update(b"\0")
@@ -516,6 +540,10 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
             raise ConfigError(
                 f"spec.sampling declares {spec.sampling.num_steps} steps but the "
                 f"trace has {trace.num_steps}")
+    # the manifest hashes the input alone: before any output exists, and
+    # without an output directory nested in the scenario
+    spec_sha256 = _sha256_file(spec_path)
+    trace_sha256 = _sha256_tree(scenario_dir, skip=output_dir)
     cfg = SimulationConfig(
         obstacles=spec.obstacles,
         time_step=None if spec.sampling is None else spec.sampling.time_step,
@@ -574,8 +602,8 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
 
     manifest = {
         "tool_version": _version(),
-        "spec_sha256": _sha256_file(spec_path),
-        "trace_sha256": _sha256_tree(scenario_dir),
+        "spec_sha256": spec_sha256,
+        "trace_sha256": trace_sha256,
         "outputs": sorted(["snr_timeline.csv", "trace"] + loss_files),
     }
     (output_dir / "manifest.json").write_text(

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import GeometryError
 
 TOL = 1e-9
@@ -109,13 +108,3 @@ class RectScreen:
         v = 0.5 * self.height * self.height_axis
         c = self.center
         return np.stack([c - u - v, c + u - v, c + u + v, c - u + v])
-
-
-def distance_point_segment(p: Point3, s: Segment) -> tuple[float, float]:
-    """Euclidean distance from p to s and the parametric foot t in [0, 1]."""
-    p = as_point3(p)
-    return _kernels.point_segment_distance(
-        p[0], p[1], p[2],
-        s.start[0], s.start[1], s.start[2],
-        s.end[0], s.end[1], s.end[2],
-    )

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rayblock import _kernels
 from rayblock.diffraction import (
     ScreenDiffractionGeometry,
     diffraction_parameter,
@@ -23,6 +24,13 @@ def make_ray(*points, gain_db: float = -80.0, frequency_hz: float = 60e9) -> Ray
     delay = length / SPEED_OF_LIGHT
     return Ray(delay=delay, path_gain_db=gain_db, phase_rad=carrier_phase(delay, frequency_hz),
                vertices=vertices)
+
+
+def fresnel_cs_grid(nus) -> tuple[np.ndarray, np.ndarray]:
+    """C, S arrays from the production series, one scalar call per value as
+    sked makes them."""
+    c, s = zip(*(_kernels.fresnel_cs(float(nu)) for nu in nus))
+    return np.array(c), np.array(s)
 
 
 def metis_of(geom: ScreenDiffractionGeometry) -> float:

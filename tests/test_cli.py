@@ -175,11 +175,15 @@ def test_run_sampling_mismatch_exits_2(tmp_path, small_scenario):
 
 
 def test_run_clamp_budget_exit_4(tmp_path, small_scenario, capsys):
-    # a budget nothing can satisfy exercises the numeric-failure exit path
+    # a 4 m dked screen across the direct ray caps its loss on every step,
+    # so a budget of 0 exercises the numeric-failure exit path
     spec = write_spec(tmp_path, minimal_spec(
-        small_scenario, tmp_path / "out", max_clamp_events=-1))
+        small_scenario, tmp_path / "out", max_clamp_events=0,
+        obstacles=[obstacle_entry(shape={"kind": "ortho_screen", "width": 4.0, "height": 3.0},
+                                  mobility={"kind": "static", "position": [5.0, 3.0, 1.5]})]))
     assert main(["run", str(spec)]) == 4
-    assert "numeric-failure" in capsys.readouterr().err
+    assert "20 clamp events exceed the budget of 0" in capsys.readouterr().err
+    assert (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_output_dir_flag_overrides_spec(tmp_path, small_scenario):
@@ -228,6 +232,23 @@ def test_tree_hash_equals_the_pathlib_walk(tmp_path, small_scenario):
     assert sorted(files) != [str(p) for p in sorted(map(PurePosixPath, files))]
     assert _sha256_tree(tree) == sha256_tree_by_pathlib(tree)
     assert _sha256_tree(small_scenario) == sha256_tree_by_pathlib(small_scenario)
+
+
+def test_manifest_hashes_the_input_alone(tmp_path, small_scenario):
+    # an output directory nested in the scenario is left out of the trace
+    # hash, so reruns agree with each other and with an outside directory
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "unused",
+                                             obstacles=[obstacle_entry()]))
+
+    def manifest(out_dir):
+        assert main(["run", str(spec), "--output-dir", str(out_dir)]) == 0
+        return (out_dir / "manifest.json").read_text()
+
+    before = _sha256_tree(small_scenario)
+    outside = manifest(tmp_path / "out")
+    nested = [manifest(small_scenario / "results" / "out") for _ in range(2)]
+    assert nested[0] == nested[1] == outside
+    assert json.loads(outside)["trace_sha256"] == before
 
 
 def test_inspect_summarizes(small_scenario, capsys):
@@ -393,19 +414,64 @@ NON_FINITE_CASES = {
 }
 
 
-@pytest.mark.parametrize("verb", ["validate", "run"])
-@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
-def test_non_finite_spec_number_exits_2(tmp_path, small_scenario, capsys, verb, case):
-    path, value = NON_FINITE_CASES[case]
-    data = _full_spec(small_scenario, tmp_path / "out")
+# (path in the spec, value, words the error names): JSON true is not a
+# number, counts take integral values only, the clamp budget is not negative
+NOT_A_SPEC_NUMBER_CASES = {
+    "width_true": (("obstacles", 0, "shape", "width"), True, "expected a number"),
+    "radius_string": (("obstacles", 2, "shape", "radius"), "0.3", "expected a number"),
+    "huge_integer": (("removal_floor_db",), 10 ** 400, "finite"),
+    "rows_fraction": (("link_budget", "tx_array", "rows"), 2.7, "tx_array.rows"),
+    "rows_true": (("link_budget", "tx_array", "rows"), True, "expected a number"),
+    "cols_fraction": (("link_budget", "tx_array", "cols"), 4.5, "tx_array.cols"),
+    "num_steps_true": (("sampling", "num_steps"), True, "expected a number"),
+    "num_steps_fraction": (("sampling", "num_steps"), 20.5, "num_steps"),
+    "num_steps_zero": (("sampling", "num_steps"), 0, "num_steps"),
+    "max_clamp_fraction": (("max_clamp_events",), 0.7, "max_clamp_events"),
+    "max_clamp_negative": (("max_clamp_events",), -1, "max_clamp_events"),
+    "fallback_string": (("obstacles", 0, "fallback"), "false", "obstacles[0].fallback"),
+    "fallback_number": (("obstacles", 0, "fallback"), 0, "obstacles[0].fallback"),
+    "fallback_null": (("obstacles", 0, "fallback"), None, "obstacles[0].fallback"),
+}
+
+
+def _full_spec_with(tmp_path, scenario, path, value) -> Path:
+    data = _full_spec(scenario, tmp_path / "out")
     target = data
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
-    spec = write_spec(tmp_path, data)  # json writes NaN and Infinity literally
+    return write_spec(tmp_path, data)
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_non_finite_spec_number_exits_2(tmp_path, small_scenario, capsys, verb, case):
+    path, value = NON_FINITE_CASES[case]
+    spec = _full_spec_with(tmp_path, small_scenario, path, value)  # json writes NaN literally
     assert main([verb, str(spec)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+@pytest.mark.parametrize("case", sorted(NOT_A_SPEC_NUMBER_CASES))
+def test_value_that_is_not_a_spec_number_exits_2(tmp_path, small_scenario, capsys, verb,
+                                                   case):
+    path, value, words = NOT_A_SPEC_NUMBER_CASES[case]
+    spec = _full_spec_with(tmp_path, small_scenario, path, value)
+    assert main([verb, str(spec)]) == 2
+    assert words in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_floats_are_spec_integers(tmp_path, small_scenario):
+    data = _full_spec(small_scenario, tmp_path / "out")
+    data["link_budget"]["tx_array"]["rows"] = 4.0
+    data["sampling"]["num_steps"] = 20.0
+    data["max_clamp_events"] = 0
+    spec = parse_run_spec(data)
+    assert spec.link_budget.tx_array.rows == 4 and type(spec.link_budget.tx_array.rows) is int
+    assert spec.sampling.num_steps == 20 and spec.max_clamp_events == 0
 
 
 def test_full_spec_is_valid(tmp_path, small_scenario):

