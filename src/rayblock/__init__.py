@@ -28,7 +28,7 @@ from .diffraction import (
     obstruction_loss,
     sked,
 )
-from .environment import RunStats, SimulationConfig, run
+from .environment import RunStats, SimulationConfig, run, run_model_sets
 from .errors import (
     ConfigError,
     DegenerateGeometryError,

@@ -36,7 +36,7 @@ from .diffraction import (
     log_itu_se_out_of_regime,
     model_name,
 )
-from .environment import RunStats, SimulationConfig, resolve_workers, run as run_environment
+from .environment import RunStats, SimulationConfig, resolve_workers, run_model_sets
 from .errors import ConfigError, NumericBudgetError, RayBlockError, TraceFormatError
 from .linkeval import ArrayConfig, LinkBudget, snr_timeline
 from .obstacles import (
@@ -372,16 +372,17 @@ class SweepGeometry:
                                   f"{'positive' if positive else 'non-negative'}, got {value}")
 
 
-def _sweep_losses(geom: SweepGeometry, centers: np.ndarray, name: str,
-                  wavelength: float) -> tuple[np.ndarray, np.ndarray]:
+def _sweep_losses(geom: SweepGeometry, centers: np.ndarray, names: tuple[str, ...],
+                  wavelength: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """Loss and blocked flag of the screen at each of centers (n, 3) against
-    the direct path, in one table with no range gating: sweeps plot the raw
-    model."""
-    model = Obstruction(geom.obstruction_db) if name == "obstruction" else MODEL_REGISTRY[name]()
+    the direct path, one pair per named model, from one table with no range
+    gating: sweeps plot the raw model."""
+    models = [Obstruction(geom.obstruction_db) if name == "obstruction"
+              else MODEL_REGISTRY[name]() for name in names]
     obstacle = Obstacle(
         shape=OrthoScreenShape(width=geom.screen_width_m, height=geom.screen_height_m),
         mobility=Static(position=(0.0, 0.0, 0.0)),  # the table gives the centers
-        model=model,
+        model=Obstruction(geom.obstruction_db),     # not read: obstacle_losses takes models
     )
     n = centers.shape[0]
     segments = PathSegments(
@@ -389,16 +390,20 @@ def _sweep_losses(geom: SweepGeometry, centers: np.ndarray, name: str,
         ends=np.tile([geom.distance_m, 0.0, geom.node_height_m], (n, 1)),
         step=np.arange(n), slot=np.arange(n), primary=np.ones(n, dtype=bool),
         thresholds=np.full(n, np.inf), num_slots=n)
-    counters = InteractionCounters()
-    losses = obstacle_losses(obstacle, centers, segments, wavelength, counters)
-    log_itu_se_out_of_regime(counters.out_of_regime, wavelength)
+    counters = [InteractionCounters() for _ in models]
+    losses = obstacle_losses(obstacle, models, centers, segments, wavelength, counters)
+    for c in counters:
+        log_itu_se_out_of_regime(c.out_of_regime, wavelength)
     return losses
 
 
 def run_crossing_sweep(geom: SweepGeometry = SweepGeometry(),
                        offsets: np.ndarray | None = None,
                        models: tuple[str, ...] = DEFAULT_SWEEP_MODELS) -> dict:
-    """Loss curves while the screen crosses the path laterally at midspan."""
+    """Loss curves while the screen crosses the path laterally at midspan.
+
+    The blocked column is the last model's (every model blocks alike but on
+    its own degenerate rows)."""
     if offsets is None:
         offsets = -1.5 + 0.004 * np.arange(751)
     wavelength = SPEED_OF_LIGHT / geom.frequency_hz
@@ -407,8 +412,9 @@ def run_crossing_sweep(geom: SweepGeometry = SweepGeometry(),
                         np.full(len(offsets), 0.5 * geom.screen_height_m)], axis=1)
     columns: dict = {"offset_m": offsets}
     blocked = np.zeros(len(offsets), dtype=bool)
-    for name in models:
-        columns[f"loss_db_{name}"], blocked = _sweep_losses(geom, centers, name, wavelength)
+    for name, (losses, blocked) in zip(models, _sweep_losses(geom, centers, models,
+                                                             wavelength)):
+        columns[f"loss_db_{name}"] = losses
     columns["blocked"] = blocked.astype(np.int64)
     return columns
 
@@ -429,8 +435,8 @@ def run_position_sweep(geom: SweepGeometry = SweepGeometry(), samples: int = 101
     centers = np.stack([positions, np.zeros(samples),
                         np.full(samples, 0.5 * geom.screen_height_m)], axis=1)
     columns: dict = {"position_m": positions}
-    for name in models:
-        columns[f"loss_db_{name}"] = _sweep_losses(geom, centers, name, wavelength)[0]
+    for name, (losses, _) in zip(models, _sweep_losses(geom, centers, models, wavelength)):
+        columns[f"loss_db_{name}"] = losses
     return columns
 
 
@@ -533,6 +539,10 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
     workers = resolve_workers(workers)  # a malformed RAYBLOCK_WORKERS fails before any work
     scenario_dir = Path(spec.scenario_dir)
     output_dir = Path(spec.output_dir)
+    if output_dir.resolve() == scenario_dir.resolve():
+        # the outputs would land in the tree the manifest hashes as the input
+        raise ConfigError(f"output_dir {str(output_dir)!r} is the scenario directory; "
+                          f"choose another directory (one nested in the scenario is fine)")
     trace = import_scenario(scenario_dir)
     if spec.sampling is not None:
         if (spec.sampling.num_steps is not None
@@ -554,20 +564,19 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
     pairs = sorted(trace.pairs)
     baseline_snr = {pair: snr_timeline(trace, pair, spec.link_budget) for pair in pairs}
 
-    # one RunStats per run; runs[0] is the configured run
-    runs = [RunStats()]
-    configured = run_environment(trace, cfg, workers=workers, stats=runs[0])
+    # one model set and one RunStats per run, in one pass; runs[0] is the
+    # configured run, then one run per compared model
+    model_sets = [tuple(o.model for o in spec.obstacles)]
+    model_sets += [tuple(_override_model(o, name).model for o in spec.obstacles)
+                   for name in spec.models_to_compare]
+    runs = [RunStats() for _ in model_sets]
+    configured, *compared = run_model_sets(trace, cfg, model_sets, workers=workers,
+                                           stats=runs)
     configured_snr = {pair: snr_timeline(configured, pair, spec.link_budget)
                       for pair in pairs}
-
-    model_snr: dict[str, dict] = {}
-    for name in spec.models_to_compare:
-        model_cfg = dataclasses.replace(
-            cfg, obstacles=tuple(_override_model(o, name) for o in spec.obstacles))
-        runs.append(RunStats())
-        model_trace = run_environment(trace, model_cfg, workers=workers, stats=runs[-1])
-        model_snr[name] = {pair: snr_timeline(model_trace, pair, spec.link_budget)
-                           for pair in pairs}
+    model_snr = {name: {pair: snr_timeline(model_trace, pair, spec.link_budget)
+                        for pair in pairs}
+                 for name, model_trace in zip(spec.models_to_compare, compared)}
 
     output_dir.mkdir(parents=True, exist_ok=True)
     trace_dir = output_dir / "trace"
@@ -611,10 +620,10 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
 
     # rays describe the configured run; clamp events and interactions sum
     # every run, the compared models' included
-    clamp_events = sum(r.clamp_events for r in runs)
     c = InteractionCounters()
     for r in runs:
         c.merge(r.counters)
+    clamp_events = c.clamp_events
     print(f"pairs: {len(pairs)}")
     print(f"steps: {trace.num_steps}")
     print(f"rays: {runs[0].rays_in} in, {runs[0].rays_dropped} dropped")

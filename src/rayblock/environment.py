@@ -1,7 +1,8 @@
 """Simulation core: apply every obstacle to every ray at every timestep.
 
 Work decomposes into independent chunks of consecutive timesteps of one
-pair. A chunk flattens its rays once into a segment table (see
+pair: one chunk per pair on one worker, several per pair to spread across
+more. A chunk flattens its rays once into a segment table (see
 ``obstacles.path_segments``); each obstacle, in configuration order,
 samples its poses at the chunk's trace timestamps as a (steps, 3) array and
 returns one loss per ray of the chunk, which is subtracted from the rays'
@@ -10,6 +11,11 @@ two obstacle sets sequentially equal one combined run bit-for-bit. Rays
 attenuated below the removal floor are dropped. Delays, phases and vertex
 paths are never modified.
 
+One pass can serve several model sets (``run_model_sets``): the same
+obstacles, each set swapping in its own loss model per obstacle. The
+segment table, poses, cull and screen geometry are computed once per chunk
+and every set reads them; each set's output equals a run of its own.
+
 Chunks may run in parallel worker processes; results land in pre-sized
 slots, and a ray's result never depends on the other rays of its chunk, so
 any chunking and the single-threaded mode produce identical output.
@@ -17,17 +23,19 @@ any chunking and the single-threaded mode produce identical output.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import diffraction
 from .errors import ConfigError
-from .obstacles import InteractionCounters, Obstacle, obstacle_losses, path_segments, position_at
+from .diffraction import LossModel
+from .obstacles import InteractionCounters, Obstacle, obstacle_losses, path_segments, positions_at
 from .trace import SPEED_OF_LIGHT, ChannelTrace, Ray
 
 log = logging.getLogger(__name__)
@@ -54,15 +62,16 @@ class SimulationConfig:
 
 @dataclass
 class RunStats:
-    """Optional out-parameter of run(); aggregated across workers.
-
-    clamp_events counts the losses capped at diffraction.LOSS_CAP_DB.
-    """
+    """Optional out-parameter of run(); aggregated across workers."""
 
     rays_in: int = 0
     rays_dropped: int = 0
     counters: InteractionCounters = field(default_factory=InteractionCounters)
-    clamp_events: int = 0
+
+    @property
+    def clamp_events(self) -> int:
+        """The losses capped at diffraction.LOSS_CAP_DB."""
+        return self.counters.clamp_events
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -103,21 +112,24 @@ def primary_ray_index(rays: list[Ray]) -> int | None:
 
 
 def _run_chunk(args) -> tuple:
-    """Final gains of a run of steps of one pair after all obstacles, step by step."""
-    (pair, k_lo, step_rays, obstacles, stride, pose_step, wavelength) = args
-    counters = InteractionCounters()
-    capped_before = diffraction.diagnostics.total
-    gains = np.array([ray.path_gain_db for rays in step_rays for ray in rays], dtype=np.float64)
-    if gains.shape[0] and obstacles:
+    """Final gains of a run of steps of one pair after all obstacles, step
+    by step, once per model set; and each set's counters."""
+    (pair, k_lo, step_rays, obstacles, model_sets, stride, pose_step, wavelength) = args
+    counters = [InteractionCounters() for _ in model_sets]
+    base = np.array([ray.path_gain_db for rays in step_rays for ray in rays], dtype=np.float64)
+    gains = [base.copy() for _ in model_sets]
+    if base.shape[0] and obstacles:
         segments = path_segments(step_rays, [primary_ray_index(rays) for rays in step_rays],
                                  wavelength)
-        times = [((k_lo + offset) // stride) * pose_step for offset in range(len(step_rays))]
-        for obstacle in obstacles:
-            centers = np.array([position_at(obstacle.mobility, t) for t in times])
-            losses, _ = obstacle_losses(obstacle, centers, segments, wavelength, counters)
-            gains -= losses
-    out = np.split(gains, np.cumsum([len(rays) for rays in step_rays])[:-1])
-    return pair, k_lo, out, counters, diffraction.diagnostics.total - capped_before
+        times = (np.arange(k_lo, k_lo + len(step_rays)) // stride) * pose_step
+        for i, obstacle in enumerate(obstacles):
+            centers = positions_at(obstacle.mobility, times)
+            outcomes = obstacle_losses(obstacle, [models[i] for models in model_sets], centers,
+                                       segments, wavelength, counters)
+            for set_gains, (losses, _) in zip(gains, outcomes):
+                set_gains -= losses
+    cuts = np.cumsum([len(rays) for rays in step_rays])[:-1]
+    return pair, k_lo, [np.split(set_gains, cuts) for set_gains in gains], counters
 
 
 def run(trace: ChannelTrace, cfg: SimulationConfig, workers: int | None = None,
@@ -127,49 +139,87 @@ def run(trace: ChannelTrace, cfg: SimulationConfig, workers: int | None = None,
     With zero obstacles the output equals the input field for field. The
     incompatible-time-base check runs before any computation.
     """
+    [out] = run_model_sets(trace, cfg, [tuple(o.model for o in cfg.obstacles)], workers,
+                           None if stats is None else [stats])
+    return out
+
+
+def run_model_sets(trace: ChannelTrace, cfg: SimulationConfig,
+                   model_sets: Sequence[Sequence[LossModel]], workers: int | None = None,
+                   stats: Sequence[RunStats] | None = None) -> list[ChannelTrace]:
+    """One run() per model set, in one pass: the trace under cfg with each
+    obstacle's model swapped for the set's (one model per obstacle, in
+    configuration order).
+
+    Each output trace and each RunStats (stats holds one per set) equals
+    that of a separate run() with the swapped obstacles. The geometry the
+    sets share is computed once per chunk.
+    """
     stride, pose_step = _pose_stride(trace, cfg)
+    model_sets = [tuple(models) for models in model_sets]
+    for models in model_sets:
+        if len(models) != len(cfg.obstacles):
+            raise ValueError(f"a model set needs one model per obstacle "
+                             f"({len(cfg.obstacles)}), got {len(models)}")
+        for obstacle, model in zip(cfg.obstacles, models):
+            dataclasses.replace(obstacle, model=model)  # the obstacle's own checks
     if stats is None:
-        stats = RunStats()
-    stats.rays_in = sum(len(rays) for steps in trace.pairs.values() for rays in steps)
+        stats = [RunStats() for _ in model_sets]
+    if len(stats) != len(model_sets):
+        raise ValueError("run_model_sets needs one RunStats per model set")
+    rays_in = sum(len(rays) for steps in trace.pairs.values() for rays in steps)
+    for set_stats in stats:
+        set_stats.rays_in = rays_in
 
     if not cfg.obstacles:
-        pairs = {pair: [list(rays) for rays in steps] for pair, steps in trace.pairs.items()}
-        return ChannelTrace(node_positions=dict(trace.node_positions), pairs=pairs,
-                            time_step=trace.time_step, num_steps=trace.num_steps)
+        return [ChannelTrace(node_positions=dict(trace.node_positions),
+                             pairs={pair: [list(rays) for rays in steps]
+                                    for pair, steps in trace.pairs.items()},
+                             time_step=trace.time_step, num_steps=trace.num_steps)
+                for _ in model_sets]
 
     wavelength = SPEED_OF_LIGHT / cfg.carrier_frequency_hz
     n_workers = resolve_workers(workers)
 
+    chunk_len = (trace.num_steps if n_workers == 1
+                 else max(1, math.ceil(trace.num_steps / (n_workers * 4))))
     chunks = []
     for pair in sorted(trace.pairs):
         steps = trace.pairs[pair]
-        chunk_len = max(1, math.ceil(trace.num_steps / max(n_workers * 4, 1)))
         for k_lo in range(0, trace.num_steps, chunk_len):
-            step_rays = steps[k_lo:k_lo + chunk_len]
-            chunks.append((pair, k_lo, step_rays, cfg.obstacles, stride, pose_step,
-                           wavelength))
+            chunks.append((pair, k_lo, steps[k_lo:k_lo + chunk_len], cfg.obstacles,
+                           model_sets, stride, pose_step, wavelength))
 
-    gains_by_pair: dict[tuple[int, int], list[np.ndarray | None]] = {
-        pair: [None] * trace.num_steps for pair in trace.pairs
-    }
     if n_workers > 1 and len(chunks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # spares one-worker runs its import
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_run_chunk, chunks))
     else:
         results = [_run_chunk(c) for c in chunks]
 
-    run_counters = InteractionCounters()
-    for pair, k_lo, step_gains, counters, capped in results:
-        for offset, gains in enumerate(step_gains):
-            gains_by_pair[pair][k_lo + offset] = gains
-        run_counters.merge(counters)
-        stats.clamp_events += capped
-    stats.counters.merge(run_counters)
-    if run_counters.degenerate_skips:
-        log.warning("skipped %d degenerate segment/screen configurations",
-                    run_counters.degenerate_skips)
-    diffraction.log_itu_se_out_of_regime(run_counters.out_of_regime, wavelength)
+    outputs = []
+    for s, set_stats in enumerate(stats):
+        gains_by_pair: dict[tuple[int, int], list[np.ndarray | None]] = {
+            pair: [None] * trace.num_steps for pair in trace.pairs
+        }
+        run_counters = InteractionCounters()
+        for pair, k_lo, set_gains, counters in results:
+            for offset, gains in enumerate(set_gains[s]):
+                gains_by_pair[pair][k_lo + offset] = gains
+            run_counters.merge(counters[s])
+        set_stats.counters.merge(run_counters)
+        if run_counters.degenerate_skips:
+            log.warning("skipped %d degenerate segment/screen configurations",
+                        run_counters.degenerate_skips)
+        diffraction.log_itu_se_out_of_regime(run_counters.out_of_regime, wavelength)
+        outputs.append(_attenuated(trace, gains_by_pair, cfg.removal_floor_db, set_stats))
+    return outputs
 
+
+def _attenuated(trace: ChannelTrace, gains_by_pair: dict, removal_floor_db: float,
+                stats: RunStats) -> ChannelTrace:
+    """The trace with each ray's gain replaced, dropping rays below the floor."""
     new_pairs: dict[tuple[int, int], list[list[Ray]]] = {}
     for pair, steps in trace.pairs.items():
         new_steps = []
@@ -177,7 +227,7 @@ def run(trace: ChannelTrace, cfg: SimulationConfig, workers: int | None = None,
             gains = gains_by_pair[pair][k]
             kept = []
             for ray, gain in zip(rays, gains):
-                if gain < cfg.removal_floor_db:
+                if gain < removal_floor_db:
                     stats.rays_dropped += 1
                     continue
                 kept.append(ray if gain == ray.path_gain_db else ray.with_gain(float(gain)))

@@ -13,11 +13,12 @@ distance threshold contribute nothing. The default threshold is ten
 first-Fresnel radii of the segment, where every diffraction model has
 decayed to a negligible level. Over the surviving candidates the plane
 crossing, blocking, edge points and diffraction parameters are arrays,
-computed only for the edges the model reads; each diffraction candidate's
-loss then comes from one call of the scalar model function
-(``_segment_outcome``). Losses add in dB across a ray's segments, in
-segment order (and across obstacles in configuration order, handled by the
-environment); spheres only ever obstruct.
+computed once for the union of the edges the given loss models read; each
+model then reads them, and each of its diffraction candidates' losses
+comes from one call of the scalar model function (``_segment_outcome``).
+Losses add in dB across a ray's segments, in segment order (and across
+obstacles in configuration order, handled by the environment); spheres
+only ever obstruct.
 """
 
 from __future__ import annotations
@@ -115,8 +116,8 @@ Shape = Union[ScreenShape, OrthoScreenShape, SphereShape]
 class Static:
     position: tuple[float, float, float]
 
-    def position_at(self, t: float) -> np.ndarray:
-        return np.array(self.position, dtype=np.float64)
+    def positions_at(self, t: np.ndarray) -> np.ndarray:
+        return np.tile(np.array(self.position, dtype=np.float64), (t.shape[0], 1))
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,9 @@ class LinearMobility:
     start: tuple[float, float, float]
     velocity: tuple[float, float, float]  # m/s
 
-    def position_at(self, t: float) -> np.ndarray:
-        return np.array(self.start, dtype=np.float64) + t * np.array(self.velocity, dtype=np.float64)
+    def positions_at(self, t: np.ndarray) -> np.ndarray:
+        return (np.array(self.start, dtype=np.float64)
+                + t[:, np.newaxis] * np.array(self.velocity, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -146,29 +148,35 @@ class WaypointMobility:
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ConfigError("waypoint times must be strictly increasing")
 
-    def position_at(self, t: float) -> np.ndarray:
-        times = self.times
-        pts = self.points
-        if t <= times[0]:
-            return np.array(pts[0], dtype=np.float64)
-        if t >= times[-1]:
-            return np.array(pts[-1], dtype=np.float64)
-        idx = int(np.searchsorted(times, t, side="right")) - 1
+    def positions_at(self, t: np.ndarray) -> np.ndarray:
+        times = np.array(self.times, dtype=np.float64)
+        pts = np.array(self.points, dtype=np.float64)
+        if times.shape[0] == 1:
+            return np.tile(pts[0], (t.shape[0], 1))
+        idx = np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.shape[0] - 2)
         t0, t1 = times[idx], times[idx + 1]
         frac = (t - t0) / (t1 - t0)
-        p0 = np.array(pts[idx], dtype=np.float64)
-        p1 = np.array(pts[idx + 1], dtype=np.float64)
-        return p0 + frac * (p1 - p0)
+        p0, p1 = pts[idx], pts[idx + 1]
+        out = p0 + frac[:, np.newaxis] * (p1 - p0)
+        out[t <= times[0]] = pts[0]
+        out[t >= times[-1]] = pts[-1]
+        return out
 
 
 MobilityModel = Union[Static, LinearMobility, WaypointMobility]
 
 
-def position_at(mobility: MobilityModel, t: float) -> np.ndarray:
-    """Deterministic obstacle center at time t."""
-    if t < 0:
+def positions_at(mobility: MobilityModel, times) -> np.ndarray:
+    """Deterministic obstacle centers at each of times, shape (n, 3)."""
+    times = np.asarray(times, dtype=np.float64)
+    if np.any(times < 0):
         raise ConfigError("time must be >= 0")
-    return mobility.position_at(t)
+    return mobility.positions_at(times)
+
+
+def position_at(mobility: MobilityModel, t: float) -> np.ndarray:
+    """Deterministic obstacle center at time t: one row of positions_at."""
+    return positions_at(mobility, [t])[0]
 
 
 class LossOutcome(NamedTuple):
@@ -185,6 +193,7 @@ class InteractionCounters:
     far_skips: int = 0
     degenerate_skips: int = 0
     out_of_regime: int = 0  # itu_se evaluations with a wavelength too large for the screen
+    clamp_events: int = 0   # losses capped at diffraction.LOSS_CAP_DB
 
     def merge(self, other: "InteractionCounters") -> None:
         self.diffraction_evals += other.diffraction_evals
@@ -192,6 +201,7 @@ class InteractionCounters:
         self.far_skips += other.far_skips
         self.degenerate_skips += other.degenerate_skips
         self.out_of_regime += other.out_of_regime
+        self.clamp_events += other.clamp_events
 
 
 @dataclass(frozen=True)
@@ -409,21 +419,27 @@ def path_segments(step_rays, primaries, wavelength: float) -> PathSegments:
                         len(rays))
 
 
-def obstacle_losses(obstacle: Obstacle, centers: np.ndarray, segments: PathSegments,
+def obstacle_losses(obstacle: Obstacle, models, centers: np.ndarray, segments: PathSegments,
                     wavelength: float,
-                    counters: InteractionCounters) -> tuple[np.ndarray, np.ndarray]:
-    """Per-ray loss (dB) and blocked flag one obstacle imposes on a segment table.
+                    counters) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-ray loss (dB) and blocked flag one obstacle imposes on a segment
+    table, once per loss model.
 
-    centers is the obstacle's center at every step of the table, shape
-    (steps, 3); its mobility is not read. Segments farther from the
-    obstacle than the distance threshold are skipped outright: first by
-    the bounding sphere, then for screens by screen_beyond_threshold. The
-    others add their losses in dB to their ray, in segment order. A ray is
-    blocked when any of its segments is geometrically obstructed. Segments
-    of non-primary rays take the constant fallback loss when the obstacle
-    asks for it.
+    models holds one loss model per run (or sweep column) and counters one
+    InteractionCounters each; the obstacle's own model is not read. centers
+    is the obstacle's center at every step of the table, shape (steps, 3);
+    its mobility is not read. Segments farther from the obstacle than the
+    distance threshold are skipped outright: first by the bounding sphere,
+    then for screens by screen_beyond_threshold. The others add their
+    losses in dB to their ray, in segment order. A ray is blocked when any
+    of its segments is geometrically obstructed. Segments of non-primary
+    rays take the constant fallback loss when the obstacle asks for it.
+
+    The cull and the screen geometry are computed once and read by every
+    model; each model then makes only its own selection and scalar calls,
+    so each (loss, blocked) pair equals a call with that model alone.
     """
-    shape, model = obstacle.shape, obstacle.model
+    shape = obstacle.shape
     thresholds = segments.thresholds
     if obstacle.distance_threshold is not None:
         thresholds = np.full_like(thresholds, obstacle.distance_threshold)
@@ -435,68 +451,120 @@ def obstacle_losses(obstacle: Obstacle, centers: np.ndarray, segments: PathSegme
             at[near], shape.height_axis, 0.5 * shape.width, 0.5 * shape.height,
             segments.starts[near], segments.ends[near], thresholds[near])
     rows = np.flatnonzero(near)
-    counters.far_skips += dists.shape[0] - rows.shape[0]
+    for c in counters:
+        c.far_skips += dists.shape[0] - rows.shape[0]
 
     if isinstance(shape, SphereShape):
         blocked = dists[rows] <= shape.radius + _BOUNDARY_TOL
-        loss = np.where(blocked, model.loss_db, 0.0)
-        counters.obstruction_evals += rows.shape[0]
+        outcomes = [(np.where(blocked, model.loss_db, 0.0), blocked) for model in models]
+        for c in counters:
+            c.obstruction_evals += rows.shape[0]
     else:
-        loss, blocked = _screen_losses(obstacle, at[rows], segments.starts[rows],
-                                       segments.ends[rows], segments.primary[rows],
-                                       wavelength, counters)
+        outcomes = _screen_losses(obstacle, models, at[rows], segments.starts[rows],
+                                  segments.ends[rows], segments.primary[rows], wavelength,
+                                  counters)
     slots = segments.slot[rows]
-    ray_blocked = np.zeros(segments.num_slots, dtype=bool)
-    ray_blocked[slots[blocked]] = True
-    return np.bincount(slots, weights=loss, minlength=segments.num_slots), ray_blocked
+    per_ray = []
+    for loss, blocked in outcomes:
+        ray_blocked = np.zeros(segments.num_slots, dtype=bool)
+        ray_blocked[slots[blocked]] = True
+        per_ray.append((np.bincount(slots, weights=loss, minlength=segments.num_slots),
+                        ray_blocked))
+    return per_ray
 
 
-def _screen_losses(obstacle: Obstacle, centers, starts, ends, primary, wavelength: float,
-                   counters: InteractionCounters) -> tuple[np.ndarray, np.ndarray]:
-    """Loss and blocked flag of each candidate row of one screen obstacle."""
-    shape, model = obstacle.shape, obstacle.model
+class _EdgeTable(NamedTuple):
+    """Per-edge columns of the rows every diffraction model evaluates."""
+
+    rows: np.ndarray    # the candidate rows the columns cover
+    columns: dict       # edge name -> _EdgeColumns
+    nus: dict           # edge name -> diffraction parameter
+    excess: dict        # edge name -> edge path length over the direct path
+
+
+def _edge_table(shape, models, centers, u, v, starts, ends, depths, rows,
+                wavelength: float) -> _EdgeTable:
+    """Edge points of the union of the edges the models read (the edges'
+    distances from the direct path only for metis), over rows."""
+    read = {name for model in models for name in _MODEL_EDGES[type(model)]}
+    names = tuple(name for name in _EDGES if name in read)
+    columns = _edge_columns(centers[rows], u[rows], v[rows], 0.5 * shape.width,
+                            0.5 * shape.height, starts[rows], ends[rows], depths[rows], names,
+                            wavelength, los=any(isinstance(m, Metis) for m in models))
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows on an edge are dropped
+        nus = {name: diffraction_parameter(c) for name, c in columns.items()}
+    excess = {name: np.maximum(c.d_tx + c.d_rx - c.distance, 0.0)
+              for name, c in columns.items()}
+    return _EdgeTable(rows, columns, nus, excess)
+
+
+def _screen_losses(obstacle: Obstacle, models, centers, starts, ends, primary,
+                   wavelength: float, counters) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Loss and blocked flag of each candidate row of one screen obstacle,
+    once per model."""
+    shape = obstacle.shape
     half_w, half_h = 0.5 * shape.width, 0.5 * shape.height
     u, v, degenerate = _screen_axes(shape, starts, ends)
     depths, blocked, parallel = _screen_cross_section(centers, u, v, half_w, half_h,
                                                       starts, ends)
     degenerate |= parallel
     blocked &= ~degenerate
-    if isinstance(model, Obstruction):
-        obstruct, loss_db = np.ones_like(blocked), model.loss_db
-    else:
-        obstruct = (~primary if obstacle.obstruction_fallback_for_secondary
-                    else np.zeros_like(blocked))
-        loss_db = obstacle.fallback_loss_db
-    loss = np.where(blocked & obstruct, loss_db, 0.0)
-    counters.obstruction_evals += int(np.count_nonzero(obstruct & ~degenerate))
-    counters.degenerate_skips += int(np.count_nonzero(degenerate))
+    fallback = (~primary if obstacle.obstruction_fallback_for_secondary
+                else np.zeros_like(blocked))
+    num_degenerate = int(np.count_nonzero(degenerate))
+    diffracting = [m for m in models if not isinstance(m, Obstruction)]
+    table = None
+    if diffracting:
+        rows = np.flatnonzero(~fallback & ~degenerate)
+        if rows.shape[0]:
+            table = _edge_table(shape, diffracting, centers, u, v, starts, ends, depths, rows,
+                                wavelength)
 
-    rows = np.flatnonzero(~obstruct & ~degenerate)
-    if rows.shape[0] == 0:
-        return loss, blocked
-    is_metis = isinstance(model, Metis)
-    columns = _edge_columns(centers[rows], u[rows], v[rows], half_w, half_h, starts[rows],
-                            ends[rows], depths[rows], _MODEL_EDGES[type(model)], wavelength,
-                            los=is_metis).values()
-    on_an_edge = _on_an_edge(columns)
+    outcomes = []
+    for model, c in zip(models, counters):
+        c.degenerate_skips += num_degenerate
+        if isinstance(model, Obstruction):
+            c.obstruction_evals += blocked.shape[0] - num_degenerate
+            outcomes.append((np.where(blocked, model.loss_db, 0.0), blocked))
+            continue
+        c.obstruction_evals += int(np.count_nonzero(fallback & ~degenerate))
+        loss = np.where(blocked & fallback, obstacle.fallback_loss_db, 0.0)
+        model_blocked = blocked
+        if table is not None:
+            model_blocked = blocked.copy()
+            _diffraction_pass(model, shape, table, loss, model_blocked, wavelength, c)
+        outcomes.append((loss, model_blocked))
+    return outcomes
+
+
+def _diffraction_pass(model: LossModel, shape, table: _EdgeTable, loss: np.ndarray,
+                      blocked: np.ndarray, wavelength: float,
+                      counters: InteractionCounters) -> None:
+    """One diffraction model's losses over the edge table, written into loss.
+
+    Rows with an endpoint on one of the model's own edges are degenerate for
+    it and lose their blocked flag; every other row makes one scalar call.
+    """
+    names = _MODEL_EDGES[type(model)]
+    on_an_edge = _on_an_edge([table.columns[name] for name in names])
     counters.degenerate_skips += int(np.count_nonzero(on_an_edge))
-    blocked[rows[on_an_edge]] = False
+    blocked[table.rows[on_an_edge]] = False
     ok = ~on_an_edge
-    rows = rows[ok]
+    rows = table.rows[ok]
     counters.diffraction_evals += rows.shape[0]
     if isinstance(model, ItuSe) and not diffraction.itu_se_in_regime(
             wavelength, shape.width, shape.height):
         counters.out_of_regime += rows.shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows on an edge are dropped
-        nus = [diffraction_parameter(c)[ok].tolist() for c in columns]
-    excess = [np.maximum(c.d_tx + c.d_rx - c.distance, 0.0)[ok].tolist() for c in columns]
-    edge_depths = [c.depth[ok].tolist() for c in columns]
-    los = (zip(*(c.los_distance[ok].tolist() for c in columns)) if is_metis
-           else itertools.repeat(None))
+    nus = [table.nus[name][ok].tolist() for name in names]
+    excess = [table.excess[name][ok].tolist() for name in names]
+    edge_depths = [table.columns[name].depth[ok].tolist() for name in names]
+    los = (zip(*(table.columns[name].los_distance[ok].tolist() for name in names))
+           if isinstance(model, Metis) else itertools.repeat(None))
+    capped_before = diffraction.diagnostics.total
     loss[rows] = [_segment_outcome(model, wavelength, b, *row).loss_db
                   for b, *row in zip(blocked[rows].tolist(), zip(*nus), zip(*excess),
                                      zip(*edge_depths), los)]
-    return loss, blocked
+    counters.clamp_events += diffraction.diagnostics.total - capped_before
 
 
 def interact(obstacle: Obstacle, ray, t: float, wavelength: float,
@@ -510,10 +578,10 @@ def interact(obstacle: Obstacle, ray, t: float, wavelength: float,
     own = counters is None
     if own:
         counters = InteractionCounters()
-    losses, blocked = obstacle_losses(
-        obstacle, position_at(obstacle.mobility, t)[np.newaxis],
+    [(losses, blocked)] = obstacle_losses(
+        obstacle, (obstacle.model,), position_at(obstacle.mobility, t)[np.newaxis],
         path_segments([[ray]], [0 if is_primary_ray else None], wavelength), wavelength,
-        counters)
+        [counters])
     if own:
         diffraction.log_itu_se_out_of_regime(counters.out_of_regime, wavelength)
     return LossOutcome(float(losses[0]), bool(blocked[0]))

@@ -509,12 +509,47 @@ def test_spec_section_that_is_not_an_object_exits_2(tmp_path, small_scenario, ca
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    # only the quadrature oracle needs scipy; every CLI process would pay its import
+    # only the quadrature oracle needs scipy, and only runs with several
+    # workers need the process pool; every CLI process would pay their imports
     src = str(Path(__file__).resolve().parent.parent / "src")
-    probe = "import sys, rayblock.cli; print('scipy' in sys.modules)"
+    probe = ("import sys, rayblock.cli; "
+             "print('scipy' in sys.modules, 'multiprocessing' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
+
+
+def test_output_dir_equal_to_the_scenario_exits_2(tmp_path, small_scenario, capsys):
+    # the outputs would land in the tree whose hash the manifest records
+    before = _sha256_tree(small_scenario)
+    listing = sorted(small_scenario.rglob("*"))
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, small_scenario / "sub" / "..",
+                                             obstacles=[obstacle_entry()]))
+    assert main(["run", str(spec)]) == 2
+    assert "is the scenario directory" in capsys.readouterr().err
+    assert sorted(small_scenario.rglob("*")) == listing
+    assert _sha256_tree(small_scenario) == before
+    assert main(["run", str(spec), "--output-dir", str(small_scenario)]) == 2
+
+
+def test_compared_models_equal_separate_runs(tmp_path, small_scenario):
+    # each compared model's column of one run equals the configured column
+    # of a spec that configures that model alone
+    entry = obstacle_entry(mobility={"kind": "linear", "start": [5.0, 2.6, 0.85],
+                                     "velocity": [0.0, 0.5, 0.0]})
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "both",
+                                             obstacles=[entry],
+                                             models_to_compare=["metis", "itu_se"]))
+    assert main(["run", str(spec)]) == 0
+    both = np.genfromtxt(tmp_path / "both" / "snr_timeline.csv", delimiter=",", names=True)
+    for name in ("metis", "itu_se"):
+        alone_spec = tmp_path / f"{name}.json"
+        alone_spec.write_text(json.dumps(minimal_spec(
+            small_scenario, tmp_path / name, obstacles=[dict(entry, model={"kind": name})])))
+        assert main(["run", str(alone_spec)]) == 0
+        alone = np.genfromtxt(tmp_path / name / "snr_timeline.csv", delimiter=",", names=True)
+        np.testing.assert_array_equal(both[f"snr_db_{name}"], alone["snr_db"])
+        assert np.any(both[f"snr_db_{name}"] < both["snr_db_baseline"])
 
 
 # sha256 of every output of the run below and its stdout, taken before the

@@ -1,3 +1,4 @@
+import concurrent.futures
 import logging
 import math
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import assert_traces_equal, build_los_trace, make_ray
+from rayblock import _kernels, environment, obstacles
 from rayblock.diffraction import (
     Dked,
+    DkedPc,
     EdgeGeometry,
     ItuSe,
     Metis,
@@ -18,6 +21,7 @@ from rayblock.environment import (
     SimulationConfig,
     primary_ray_index,
     run,
+    run_model_sets,
 )
 from rayblock.errors import ConfigError, TraceFormatError
 from rayblock.obstacles import (
@@ -304,3 +308,122 @@ def test_itu_se_in_regime_logs_nothing(caplog):
     assert stats.counters.diffraction_evals > 0
     assert stats.counters.out_of_regime == 0
     assert not [r for r in caplog.records if "small-wavelength" in r.getMessage()]
+
+
+def test_endpoint_on_a_horizontal_edge_is_degenerate_for_metis_only():
+    # the bounce point lies on the screen's bottom edge: metis reads that
+    # edge and skips both segments, dked reads only the vertical edges
+    shape = ScreenShape(0.4, 1.0)
+    center = (4.0, 0.0, 2.1)
+    bounce = tuple(np.array(center) - 0.5 * shape.height * shape.height_axis)
+    ray = make_ray((0.0, 0.0, 1.6), bounce, (8.0, 0.5, 1.6), gain_db=-80.0)
+    trace = ChannelTrace(node_positions={0: np.zeros((3, 3)), 1: np.zeros((3, 3))},
+                         pairs={(0, 1): [[ray]] * 3}, time_step=0.005, num_steps=3)
+    screen = Obstacle(shape=shape, mobility=Static(center), model=Dked(),
+                      distance_threshold=5.0)
+    cfg = SimulationConfig(obstacles=(screen,))
+    stats = [RunStats(), RunStats()]
+    dked, metis = run_model_sets(trace, cfg, [(Dked(),), (Metis(),)], workers=1, stats=stats)
+    assert (stats[0].counters.diffraction_evals, stats[0].counters.degenerate_skips) == (6, 0)
+    assert (stats[1].counters.diffraction_evals, stats[1].counters.degenerate_skips) == (0, 6)
+    assert all(rays[0].path_gain_db < -80.0 for rays in dked.pairs[(0, 1)])
+    assert all(rays[0].path_gain_db == -80.0 for rays in metis.pairs[(0, 1)])
+    # the blocked flags too are per model, whichever model comes first
+    wavelength = 299792458.0 / cfg.carrier_frequency_hz
+    (_, metis_blocked), (_, dked_blocked) = obstacles.obstacle_losses(
+        screen, (Metis(), Dked()), np.array([center]),
+        obstacles.path_segments([[ray]], [0], wavelength), wavelength,
+        [obstacles.InteractionCounters(), obstacles.InteractionCounters()])
+    assert dked_blocked[0] and not metis_blocked[0]
+    for models, out, got in zip([(Dked(),), (Metis(),)], (dked, metis), stats):
+        want = RunStats()
+        alone = run(trace, SimulationConfig(obstacles=(Obstacle(
+            shape=shape, mobility=Static(center), model=models[0], distance_threshold=5.0),)),
+            workers=1, stats=want)
+        assert_traces_equal(out, alone)
+        assert got == want
+
+
+def test_model_sets_are_checked_against_the_obstacles():
+    cfg = SimulationConfig(obstacles=(
+        Obstacle(shape=SphereShape(0.3), mobility=Static((4.0, 0.0, 1.6)),
+                 model=Obstruction(10.0)),))
+    trace = multi_ray_trace()
+    with pytest.raises(ConfigError):  # spheres only obstruct
+        run_model_sets(trace, cfg, [(Dked(),)], workers=1)
+    with pytest.raises(ValueError):
+        run_model_sets(trace, cfg, [(Obstruction(1.0), Obstruction(2.0))], workers=1)
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+COMPARED = (Obstruction(10.0), Metis(), Dked(), DkedPc(), ItuSe())
+
+
+@pytest.mark.parametrize("compared", [0, 5], ids=["configured_only", "five_compared"])
+def test_geometry_is_computed_once_for_every_model(monkeypatch, compared):
+    # two pairs, two screens and a sphere: one chunk per pair on one worker,
+    # one cross-section per screen and chunk, at most one Fermat batch per
+    # edge, however many model sets share the pass
+    trace = multi_ray_trace(num_steps=12)
+    trace = ChannelTrace(node_positions={**trace.node_positions, 2: trace.node_positions[1]},
+                         pairs={(0, 1): trace.pairs[(0, 1)], (0, 2): trace.pairs[(0, 1)]},
+                         time_step=trace.time_step, num_steps=trace.num_steps)
+    screens = tuple(Obstacle(shape=OrthoScreenShape(0.2, 1.7), model=Dked(),
+                             mobility=LinearMobility((4.0, y, 0.85), (0.0, 5.0, 0.0)))
+                    for y in (-0.3, 1.5))
+    sphere = Obstacle(shape=SphereShape(0.3), mobility=Static((4.0, 0.0, 1.6)),
+                      model=Obstruction(10.0))
+    cfg = SimulationConfig(obstacles=(*screens, sphere))
+    model_sets = [tuple(o.model for o in cfg.obstacles)]
+    model_sets += [(m, m, sphere.model) for m in COMPARED[:compared]]
+    chunks = _count_calls(monkeypatch, environment, "_run_chunk")
+    sections = _count_calls(monkeypatch, obstacles, "_screen_cross_section")
+    fermat = _count_calls(monkeypatch, _kernels, "fermat_on_segment_batch")
+    stats = [RunStats() for _ in model_sets]
+    run_model_sets(trace, cfg, model_sets, workers=1, stats=stats)
+    assert len(chunks) == 2
+    assert len(sections) == 2 * len(screens)
+    edges = 4 if compared else 2  # the configured dked reads two edges, metis all four
+    assert 0 < len(fermat) <= 2 * len(screens) * edges
+    assert all(s.counters.diffraction_evals > 0 for s, models in zip(stats, model_sets)
+               if not isinstance(models[0], Obstruction))
+
+
+class InProcessPool:
+    """Stands in for the process pool: maps in this process, in order."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_more_workers_split_each_pair_into_chunks(monkeypatch):
+    # two workers get four chunks each to share; the split changes no gain
+    trace = multi_ray_trace(num_steps=16)
+    cfg = SimulationConfig(obstacles=(
+        Obstacle(shape=OrthoScreenShape(0.2, 1.7), model=Dked(),
+                 mobility=LinearMobility((4.0, -0.3, 0.85), (0.0, 5.0, 0.0))),))
+    want = run(trace, cfg, workers=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    chunks = _count_calls(monkeypatch, environment, "_run_chunk")
+    assert_traces_equal(run(trace, cfg, workers=2), want)
+    assert len(chunks) == 8

@@ -1,8 +1,10 @@
 """Property tests (hypothesis, derandomized): reciprocity of every loss model,
 the sequential-equals-combined obstacle order, the candidate table's
-invariances (a whole run equals its rays taken one at a time, and any
-chunking of a pair's steps gives the same gains), far culling against the
-README's threshold definition, and the batch SNR against a per-ray reference."""
+invariances (a whole run equals its rays taken one at a time, any chunking
+of a pair's steps gives the same gains, and one pass over several model
+sets equals a run per set), far culling against the README's threshold
+definition, batch pose sampling against the scalar formulas, and the batch
+SNR against a per-ray reference."""
 
 import dataclasses
 import math
@@ -15,7 +17,14 @@ from hypothesis import strategies as st
 from conftest import assert_traces_equal, make_ray
 from rayblock.diffraction import FAR_FIELD_NU, MODEL_REGISTRY, Metis, Obstruction, \
     diffraction_parameter
-from rayblock.environment import SimulationConfig, _run_chunk, primary_ray_index, run
+from rayblock.environment import (
+    RunStats,
+    SimulationConfig,
+    _run_chunk,
+    primary_ray_index,
+    run,
+    run_model_sets,
+)
 from rayblock.errors import DegenerateGeometryError
 from rayblock.linkeval import ArrayConfig, LinkBudget, noise_power_dbm, snr_timeline, \
     steering_vector
@@ -28,11 +37,15 @@ from rayblock.obstacles import (
     ScreenShape,
     SphereShape,
     Static,
+    WaypointMobility,
     interact,
     obstacle_losses,
     path_segments,
+    position_at,
+    positions_at,
     screen_edge_geometries,
 )
+from rayblock.errors import ConfigError
 from rayblock.trace import ChannelTrace, angles_of_arrival, angles_of_departure
 
 WAVELENGTH = 299792458.0 / 60e9
@@ -215,20 +228,121 @@ def test_any_chunking_gives_the_same_gains(data):
     bounds = [0, *sorted(cuts), len(steps)]
 
     def chunk(lo, hi):
-        return _run_chunk(((0, 1), lo, steps[lo:hi], obstacle_list, stride,
+        # one model set: the obstacles' own models
+        return _run_chunk(((0, 1), lo, steps[lo:hi], obstacle_list,
+                           [tuple(o.model for o in obstacle_list)], stride,
                            stride * trace.time_step, WAVELENGTH))
 
-    _, _, whole, whole_counters, whole_capped = chunk(0, len(steps))
+    _, _, [whole], [whole_counters] = chunk(0, len(steps))
     parts = [chunk(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    split = [gains for part in parts for gains in part[2]]
+    split = [gains for part in parts for gains in part[2][0]]
     assert len(split) == len(whole) == len(steps)
     for a, b in zip(whole, split):
         np.testing.assert_array_equal(a, b)
     counters = InteractionCounters()
     for part in parts:
-        counters.merge(part[3])
-    assert counters == whole_counters
-    assert sum(part[4] for part in parts) == whole_capped
+        counters.merge(part[3][0])
+    assert counters == whole_counters  # clamp events included
+
+
+@st.composite
+def model_sets(draw, obstacle_list):
+    """One to four model sets for the obstacles: any model an obstacle's
+    shape admits (spheres obstruct, tilted screens take no metis)."""
+    def model_for(obstacle):
+        if isinstance(obstacle.shape, SphereShape):
+            return Obstruction(draw(st.floats(0.0, 30.0)))
+        names = sorted(MODEL_REGISTRY)
+        if isinstance(obstacle.shape, ScreenShape) and obstacle.shape.tilted:
+            names.remove("metis")
+        return make_model(draw(st.sampled_from(names)))
+
+    return [tuple(model_for(o) for o in obstacle_list)
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+def swapped(cfg: SimulationConfig, models) -> SimulationConfig:
+    return dataclasses.replace(cfg, obstacles=tuple(
+        dataclasses.replace(o, model=m) for o, m in zip(cfg.obstacles, models)))
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_pass_equals_a_run_per_model_set(fallback, data):
+    trace, anchors = data.draw(scenes(vary_rays=True))
+    obstacle_list = tuple(data.draw(st.lists(obstacles(anchors, fallback=fallback),
+                                             min_size=1, max_size=4)))
+    sets = data.draw(model_sets(obstacle_list))
+    cfg = SimulationConfig(obstacles=obstacle_list,
+                           removal_floor_db=data.draw(st.sampled_from((-500.0, -85.0))))
+    stats = [RunStats() for _ in sets]
+    combined = run_model_sets(trace, cfg, sets, workers=1, stats=stats)
+    assert len(combined) == len(sets)
+    for models, out, got in zip(sets, combined, stats):
+        want = RunStats()
+        assert_traces_equal(out, run(trace, swapped(cfg, models), workers=1, stats=want))
+        assert got == want  # rays, interaction counters and clamp events
+
+
+def scalar_position(mobility, t: float) -> np.ndarray:
+    """Reference pose: the scalar formula of each mobility model."""
+    if isinstance(mobility, Static):
+        return np.array(mobility.position, dtype=np.float64)
+    if isinstance(mobility, LinearMobility):
+        return (np.array(mobility.start, dtype=np.float64)
+                + t * np.array(mobility.velocity, dtype=np.float64))
+    times, pts = mobility.times, mobility.points
+    if t <= times[0]:
+        return np.array(pts[0], dtype=np.float64)
+    if t >= times[-1]:
+        return np.array(pts[-1], dtype=np.float64)
+    idx = int(np.searchsorted(times, t, side="right")) - 1
+    t0, t1 = times[idx], times[idx + 1]
+    frac = (t - t0) / (t1 - t0)
+    p0 = np.array(pts[idx], dtype=np.float64)
+    p1 = np.array(pts[idx + 1], dtype=np.float64)
+    return p0 + frac * (p1 - p0)
+
+
+@st.composite
+def mobilities_and_times(draw):
+    """A mobility model of any kind and query times, for waypoints including
+    the exact waypoint times and times before the first and after the last."""
+    point = coords((-10, -10, -10), (10, 10, 10))
+    kind = draw(st.sampled_from(("static", "linear", "waypoints")))
+    times = draw(st.lists(st.floats(0.0, 20.0), max_size=12))
+    if kind == "static":
+        mobility = Static(draw(point))
+    elif kind == "linear":
+        mobility = LinearMobility(draw(point), draw(point))
+    else:
+        waypoint_times = sorted(draw(st.sets(st.floats(0.5, 15.0), min_size=1, max_size=5)))
+        mobility = WaypointMobility(tuple(waypoint_times),
+                                    tuple(draw(point) for _ in waypoint_times))
+        times += waypoint_times + [0.0, 0.25, 19.0]
+    return mobility, draw(st.permutations(times))
+
+
+@PROPERTY_SETTINGS
+@given(mobilities_and_times())
+def test_batch_poses_equal_the_scalar_formulas(case):
+    mobility, times = case
+    batch = positions_at(mobility, np.array(times, dtype=np.float64))
+    assert batch.shape == (len(times), 3)
+    for t, row in zip(times, batch):
+        want = scalar_position(mobility, t)
+        np.testing.assert_array_equal(row, want)
+        np.testing.assert_array_equal(position_at(mobility, t), want)
+
+
+def test_negative_time_raises_config_error():
+    for mobility in (Static((0, 0, 0)), LinearMobility((0, 0, 0), (1, 0, 0)),
+                     WaypointMobility((0.0, 1.0), ((0, 0, 0), (1, 0, 0)))):
+        with pytest.raises(ConfigError):
+            position_at(mobility, -0.1)
+        with pytest.raises(ConfigError):
+            positions_at(mobility, np.array([0.0, -1e-9]))
 
 
 def scalar_beamformed_amplitude(rays, budget: LinkBudget) -> complex:
@@ -366,9 +480,11 @@ def test_far_culling_changes_only_losses_beyond_the_threshold(table):
     segments = path_segments([[make_ray(s, e)] for s, e in zip(starts, ends)],
                              [0 if p else None for p in primary], WAVELENGTH)
     centers = np.zeros((n, 3))
-    culled = obstacle_losses(obstacle, centers, segments, WAVELENGTH, InteractionCounters())
-    unculled = obstacle_losses(dataclasses.replace(obstacle, distance_threshold=math.inf),
-                               centers, segments, WAVELENGTH, InteractionCounters())
+    [culled] = obstacle_losses(obstacle, (obstacle.model,), centers, segments, WAVELENGTH,
+                               [InteractionCounters()])
+    [unculled] = obstacle_losses(dataclasses.replace(obstacle, distance_threshold=math.inf),
+                                 (obstacle.model,), centers, segments, WAVELENGTH,
+                                 [InteractionCounters()])
     thresholds = (segments.thresholds if obstacle.distance_threshold is None
                   else np.full(n, obstacle.distance_threshold))
     for i in range(n):
