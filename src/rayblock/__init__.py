@@ -12,7 +12,6 @@ from .diffraction import (
     Dked,
     DkedPc,
     EdgeGeometry,
-    FresnelResult,
     ItuSe,
     Metis,
     Obstruction,
@@ -56,6 +55,7 @@ from .obstacles import (
 from .trace import (
     ChannelTrace,
     Ray,
+    RayTable,
     angles_of_arrival,
     angles_of_departure,
     export_scenario,

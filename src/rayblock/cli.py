@@ -34,7 +34,6 @@ from .diffraction import (
     Metis,
     Obstruction,
     log_itu_se_out_of_regime,
-    model_name,
 )
 from .environment import RunStats, SimulationConfig, resolve_workers, run_model_sets
 from .errors import ConfigError, NumericBudgetError, RayBlockError, TraceFormatError
@@ -51,7 +50,7 @@ from .obstacles import (
     WaypointMobility,
     obstacle_losses,
 )
-from .trace import SPEED_OF_LIGHT, export_scenario, import_scenario
+from .trace import SPEED_OF_LIGHT, _format_columns, export_scenario, import_scenario
 
 MODEL_NAMES = tuple(MODEL_REGISTRY)
 
@@ -276,65 +275,6 @@ def parse_run_spec(data: dict) -> RunSpec:
         raise ConfigError(f"spec: {exc}") from None
 
 
-def _shape_to_dict(shape) -> dict:
-    if isinstance(shape, OrthoScreenShape):
-        return {"kind": "ortho_screen", "width": shape.width, "height": shape.height}
-    if isinstance(shape, ScreenShape):
-        return {"kind": "screen", "width": shape.width, "height": shape.height,
-                "azimuth": shape.azimuth, "elevation": shape.elevation}
-    return {"kind": "sphere", "radius": shape.radius}
-
-
-def _mobility_to_dict(mobility) -> dict:
-    if isinstance(mobility, Static):
-        return {"kind": "static", "position": list(mobility.position)}
-    if isinstance(mobility, LinearMobility):
-        return {"kind": "linear", "start": list(mobility.start),
-                "velocity": list(mobility.velocity)}
-    return {"kind": "waypoints",
-            "waypoints": [[t, list(p)] for t, p in zip(mobility.times, mobility.points)]}
-
-
-def _model_to_dict(model: LossModel) -> dict:
-    name = model_name(model)
-    if isinstance(model, Obstruction):
-        return {"kind": name, "loss_db": model.loss_db}
-    return {"kind": name}
-
-
-def run_spec_to_dict(spec: RunSpec) -> dict:
-    return {
-        "scenario_dir": spec.scenario_dir,
-        "output_dir": spec.output_dir,
-        "obstacles": [
-            {
-                "shape": _shape_to_dict(o.shape),
-                "mobility": _mobility_to_dict(o.mobility),
-                "model": _model_to_dict(o.model),
-                "threshold": o.distance_threshold,
-                "fallback": o.obstruction_fallback_for_secondary,
-                "fallback_loss_db": o.fallback_loss_db,
-            }
-            for o in spec.obstacles
-        ],
-        "models_to_compare": list(spec.models_to_compare),
-        "link_budget": {
-            "carrier_frequency_hz": spec.link_budget.carrier_frequency_hz,
-            "bandwidth_hz": spec.link_budget.bandwidth_hz,
-            "tx_power_dbm": spec.link_budget.tx_power_dbm,
-            "noise_figure_db": spec.link_budget.noise_figure_db,
-            "tx_array": dataclasses.asdict(spec.link_budget.tx_array),
-            "rx_array": dataclasses.asdict(spec.link_budget.rx_array),
-        },
-        "sampling": None if spec.sampling is None else {
-            "time_step": spec.sampling.time_step,
-            "num_steps": spec.sampling.num_steps,
-        },
-        "removal_floor_db": spec.removal_floor_db,
-        "max_clamp_events": spec.max_clamp_events,
-    }
-
-
 def load_run_spec(path) -> RunSpec:
     path = Path(path)
     try:
@@ -460,20 +400,22 @@ def run_frequency_sweep(geom: SweepGeometry = SweepGeometry(),
     return merged
 
 
-def _write_csv(path: Path, columns: dict, order: list[str]) -> None:
-    n = len(next(iter(columns.values())))
-    lines = [",".join(order)]
-    for i in range(n):
-        cells = []
-        for key in order:
-            value = columns[key][i]
-            if key == "blocked":
-                cells.append(str(int(value)))
-            else:
-                cells.append(f"{value + 0.0:.6f}")  # + 0.0: a -0.0 loss prints as 0.000000
-        lines.append(",".join(cells))
+def _write_csv(path: Path, header: list[str], columns: list[np.ndarray],
+               fmts: list[str]) -> None:
+    """A header line, then one line per row of the equally long columns,
+    column i printed with fmts[i]."""
+    lines = [",".join(header)]
+    if len(columns[0]):
+        lines.append(_format_columns([column.tolist() for column in columns], fmts))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_sweep_csv(path: Path, columns: dict, order: list[str]) -> None:
+    # + 0.0: a -0.0 loss prints as 0.000000
+    _write_csv(path, order, [columns[key] if key == "blocked" else columns[key] + 0.0
+                             for key in order],
+               ["%d" if key == "blocked" else "%.6f" for key in order])
 
 
 # ---------------------------------------------------------------------------
@@ -531,10 +473,6 @@ def _override_model(obstacle: Obstacle, name: str) -> Obstacle:
     return dataclasses.replace(obstacle, model=model)
 
 
-def _format_time(value: float) -> str:
-    return f"{value:.9g}"
-
-
 def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
     workers = resolve_workers(workers)  # a malformed RAYBLOCK_WORKERS fails before any work
     scenario_dir = Path(spec.scenario_dir)
@@ -582,31 +520,25 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
     trace_dir = output_dir / "trace"
     export_scenario(configured, trace_dir, drop_below_db=spec.removal_floor_db)
 
-    snr_path = output_dir / "snr_timeline.csv"
-    header = ["tx_id", "rx_id", "t_seconds", "snr_db_baseline", "snr_db"]
-    header += [f"snr_db_{name}" for name in spec.models_to_compare]
-    lines = [",".join(header)]
-    for pair in pairs:
-        for k in range(trace.num_steps):
-            row = [str(pair[0]), str(pair[1]),
-                   _format_time(baseline_snr[pair][k, 0]),
-                   f"{baseline_snr[pair][k, 1]:.6f}",
-                   f"{configured_snr[pair][k, 1]:.6f}"]
-            row += [f"{model_snr[name][pair][k, 1]:.6f}" for name in spec.models_to_compare]
-            lines.append(",".join(row))
-    snr_path.write_text("\n".join(lines) + "\n")
+    # every pair's rows, pair after pair, as columns
+    def stacked(snr: dict, column: int) -> np.ndarray:
+        return np.concatenate([snr[pair][:, column] for pair in pairs])
+
+    ids = [np.repeat([pair[i] for pair in pairs], trace.num_steps) for i in (0, 1)]
+    times, baseline = stacked(baseline_snr, 0), stacked(baseline_snr, 1)
+    _write_csv(output_dir / "snr_timeline.csv",
+               ["tx_id", "rx_id", "t_seconds", "snr_db_baseline", "snr_db"]
+               + [f"snr_db_{name}" for name in spec.models_to_compare],
+               [*ids, times, baseline, stacked(configured_snr, 1)]
+               + [stacked(model_snr[name], 1) for name in spec.models_to_compare],
+               ["%d", "%d", "%.9g"] + ["%.6f"] * (2 + len(spec.models_to_compare)))
 
     loss_files = []
     for name in spec.models_to_compare:
         path = output_dir / f"loss_timeline_{name}.csv"
-        lines = ["tx_id,rx_id,t_seconds,loss_db"]
-        for pair in pairs:
-            base = baseline_snr[pair]
-            model = model_snr[name][pair]
-            for k in range(trace.num_steps):
-                loss = base[k, 1] - model[k, 1]
-                lines.append(f"{pair[0]},{pair[1]},{_format_time(base[k, 0])},{loss:.6f}")
-        path.write_text("\n".join(lines) + "\n")
+        _write_csv(path, ["tx_id", "rx_id", "t_seconds", "loss_db"],
+                   [*ids, times, baseline - stacked(model_snr[name], 1)],
+                   ["%d", "%d", "%.9g", "%.6f"])
         loss_files.append(path.name)
 
     manifest = {
@@ -646,9 +578,9 @@ def cmd_inspect(scenario_dir: Path) -> int:
     print(f"pairs: {len(trace.pairs)}")
     print(f"steps: {trace.num_steps} at {trace.time_step:.9g} s")
     for pair in sorted(trace.pairs):
-        counts = [len(rays) for rays in trace.pairs[pair]]
+        counts = trace.pairs[pair].counts
         print(f"  Tx{pair[0]}Rx{pair[1]}: rays per step "
-              f"min {min(counts)}, max {max(counts)}")
+              f"min {counts.min()}, max {counts.max()}")
     return 0
 
 
@@ -743,7 +675,7 @@ def _dispatch(args) -> int:
             columns = run_frequency_sweep(geom, freqs,
                                           _sweep_offsets(args.span, args.step), models)
             order = ["frequency_ghz", "offset_m"] + [f"loss_db_{m}" for m in models] + ["blocked"]
-        _write_csv(args.output, columns, order)
+        _write_sweep_csv(args.output, columns, order)
         print(f"wrote {args.output}")
         return 0
 

@@ -7,10 +7,9 @@ Fresnel integral entirely (after ITU-R P.526-15: the single-edge loss
 approximation of its section 4.1 combined per its section 5.1 finite-width
 screen construction).
 
-Two Fresnel evaluators sit behind one contract: a closed-form series
-(production path, see _kernels) and an adaptive quadrature used as the
-reference oracle. The ``method`` argument of ``fresnel_integral`` selects
-one; the loss models always take the closed form.
+The loss models evaluate the Fresnel integral with a closed-form series
+(``fresnel_integral``, see _kernels); an adaptive quadrature
+(``fresnel_quadrature``) is the reference oracle the tests compare it with.
 
 The models share fixed constants rather than a settings object: every
 loss is capped at ``LOSS_CAP_DB``, and edges beyond ``FAR_FIELD_NU`` take
@@ -54,16 +53,6 @@ class Diagnostics:
 
 
 diagnostics = Diagnostics()
-
-
-@dataclass(frozen=True)
-class FresnelResult:
-    c: float
-    s: float
-
-    @property
-    def value(self) -> complex:
-        return complex(self.c, self.s)
 
 
 @dataclass(frozen=True)
@@ -182,8 +171,9 @@ def fresnel_zone_radius(n: int, wavelength: float, d_tx: float, d_rx: float) -> 
     return math.sqrt(n * wavelength * d_tx * d_rx / (d_tx + d_rx))
 
 
-def _fresnel_quadrature(nu: float, tol: float) -> tuple[float, float]:
-    """Adaptive quadrature of the Fresnel integrand, split per unit interval."""
+def fresnel_quadrature(nu: float, tol: float = _QUADRATURE_TOL) -> tuple[float, float]:
+    """C(nu), S(nu) by adaptive quadrature of the Fresnel integrand, split
+    per unit interval: the reference oracle of fresnel_integral."""
     from scipy import integrate  # the oracle alone needs scipy; keep it off the import path
 
     a = abs(nu)
@@ -204,21 +194,11 @@ def _fresnel_quadrature(nu: float, tol: float) -> tuple[float, float]:
     return c, s
 
 
-def fresnel_integral(nu: float, method: str = "approx") -> FresnelResult:
-    """Complex Fresnel integral F(nu) = C(nu) + j S(nu).
-
-    method "approx" uses the closed-form series, "quadrature" the adaptive
-    reference integrator (absolute tolerance 1e-9).
-    """
+def fresnel_integral(nu: float) -> tuple[float, float]:
+    """(C(nu), S(nu)) of the complex Fresnel integral, from the closed-form series."""
     if not math.isfinite(nu):
         raise GeometryError("nu must be finite")
-    if method == "approx":
-        c, s = _kernels.fresnel_cs(nu)
-    elif method == "quadrature":
-        c, s = _fresnel_quadrature(nu, _QUADRATURE_TOL)
-    else:
-        raise GeometryError(f"unknown fresnel method {method!r}")
-    return FresnelResult(c, s)
+    return _kernels.fresnel_cs(nu)
 
 
 def fresnel_integral_grid(nus: np.ndarray,
@@ -236,7 +216,7 @@ def fresnel_integral_grid(nus: np.ndarray,
     c = np.empty_like(sorted_nus)
     s = np.empty_like(sorted_nus)
     tol_piece = tol / max(len(nus), 1)
-    c0, s0 = _fresnel_quadrature(float(sorted_nus[0]), tol)
+    c0, s0 = fresnel_quadrature(float(sorted_nus[0]), tol)
     c[0], s[0] = c0, s0
     for i in range(1, len(sorted_nus)):
         lo, hi = float(sorted_nus[i - 1]), float(sorted_nus[i])
@@ -330,8 +310,8 @@ def sked(nu: float) -> complex:
         return 0.0 + 0.0j
     if nu <= -FAR_FIELD_NU:
         return 1.0 + 0.0j
-    f = fresnel_integral(nu)
-    return 0.5 * (1.0 + 1.0j) * ((0.5 - f.c) - 1.0j * (0.5 - f.s))
+    c, s = fresnel_integral(nu)
+    return 0.5 * (1.0 + 1.0j) * ((0.5 - c) - 1.0j * (0.5 - s))
 
 
 def dked_loss(nu1: float, nu2: float) -> float:

@@ -2,14 +2,15 @@
 
 Work decomposes into independent chunks of consecutive timesteps of one
 pair: one chunk per pair on one worker, several per pair to spread across
-more. A chunk flattens its rays once into a segment table (see
-``obstacles.path_segments``); each obstacle, in configuration order,
-samples its poses at the chunk's trace timestamps as a (steps, 3) array and
-returns one loss per ray of the chunk, which is subtracted from the rays'
-path gains. Applying obstacles one after another this way makes running
-two obstacle sets sequentially equal one combined run bit-for-bit. Rays
-attenuated below the removal floor are dropped. Delays, phases and vertex
-paths are never modified.
+more. A chunk is a step range of the pair's ray table, cut once into a
+segment table (see ``obstacles.path_segments``); each obstacle, in
+configuration order, samples its poses at the chunk's trace timestamps as a
+(steps, 3) array and returns one loss per ray of the chunk, which is
+subtracted from the rays' path gains. Applying obstacles one after another this way makes running
+two obstacle sets sequentially equal one combined run bit-for-bit. A run's
+result is the input table with a new gain column, minus the rays
+attenuated below the removal floor. Delays, phases and vertex paths are
+never modified.
 
 One pass can serve several model sets (``run_model_sets``): the same
 obstacles, each set swapping in its own loss model per obstacle. The
@@ -33,10 +34,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffraction
-from .errors import ConfigError
 from .diffraction import LossModel
+from .errors import ConfigError, TraceFormatError
 from .obstacles import InteractionCounters, Obstacle, obstacle_losses, path_segments, positions_at
-from .trace import SPEED_OF_LIGHT, ChannelTrace, Ray
+from .trace import SPEED_OF_LIGHT, ChannelTrace, RayTable
 
 log = logging.getLogger(__name__)
 
@@ -99,37 +100,38 @@ def _pose_stride(trace: ChannelTrace, cfg: SimulationConfig) -> tuple[int, float
     return stride, cfg.time_step
 
 
-def primary_ray_index(rays: list[Ray]) -> int | None:
-    """The direct ray when present, else the shortest-delay ray (ties: lower index).
+def primary_rays(table: RayTable) -> np.ndarray:
+    """Flags each step's primary ray: the direct ray when present, else the
+    shortest-delay ray (ties: lower index).
 
     The choice never reads path gains, so a run on rays another run has
-    already attenuated picks the same primary ray.
+    already attenuated picks the same primary rays.
     """
-    if not rays:
-        return None
-    return min(range(len(rays)),
-               key=lambda i: (rays[i].reflection_order != 0, rays[i].delay, i))
+    step = table.ray_steps()
+    order = np.lexsort((np.arange(len(table)), table.delay, table.reflection_orders() != 0,
+                        step))
+    filled = table.counts[table.counts > 0]
+    primary = np.zeros(len(table), dtype=bool)
+    primary[order[np.cumsum(filled) - filled]] = True
+    return primary
 
 
 def _run_chunk(args) -> tuple:
-    """Final gains of a run of steps of one pair after all obstacles, step
-    by step, once per model set; and each set's counters."""
-    (pair, k_lo, step_rays, obstacles, model_sets, stride, pose_step, wavelength) = args
+    """Final gains of the rays of a step range of one pair after all
+    obstacles, once per model set; and each set's counters."""
+    (pair, k_lo, table, obstacles, model_sets, stride, pose_step, wavelength) = args
     counters = [InteractionCounters() for _ in model_sets]
-    base = np.array([ray.path_gain_db for rays in step_rays for ray in rays], dtype=np.float64)
-    gains = [base.copy() for _ in model_sets]
-    if base.shape[0] and obstacles:
-        segments = path_segments(step_rays, [primary_ray_index(rays) for rays in step_rays],
-                                 wavelength)
-        times = (np.arange(k_lo, k_lo + len(step_rays)) // stride) * pose_step
+    gains = [table.gain.copy() for _ in model_sets]
+    if len(table) and obstacles:
+        segments = path_segments(table, primary_rays(table), wavelength)
+        times = (np.arange(k_lo, k_lo + table.counts.shape[0]) // stride) * pose_step
         for i, obstacle in enumerate(obstacles):
             centers = positions_at(obstacle.mobility, times)
             outcomes = obstacle_losses(obstacle, [models[i] for models in model_sets], centers,
                                        segments, wavelength, counters)
             for set_gains, (losses, _) in zip(gains, outcomes):
                 set_gains -= losses
-    cuts = np.cumsum([len(rays) for rays in step_rays])[:-1]
-    return pair, k_lo, [np.split(set_gains, cuts) for set_gains in gains], counters
+    return pair, k_lo, gains, counters
 
 
 def run(trace: ChannelTrace, cfg: SimulationConfig, workers: int | None = None,
@@ -167,14 +169,12 @@ def run_model_sets(trace: ChannelTrace, cfg: SimulationConfig,
         stats = [RunStats() for _ in model_sets]
     if len(stats) != len(model_sets):
         raise ValueError("run_model_sets needs one RunStats per model set")
-    rays_in = sum(len(rays) for steps in trace.pairs.values() for rays in steps)
+    rays_in = sum(len(table) for table in trace.pairs.values())
     for set_stats in stats:
         set_stats.rays_in = rays_in
 
     if not cfg.obstacles:
-        return [ChannelTrace(node_positions=dict(trace.node_positions),
-                             pairs={pair: [list(rays) for rays in steps]
-                                    for pair, steps in trace.pairs.items()},
+        return [ChannelTrace(node_positions=dict(trace.node_positions), pairs=dict(trace.pairs),
                              time_step=trace.time_step, num_steps=trace.num_steps)
                 for _ in model_sets]
 
@@ -185,9 +185,9 @@ def run_model_sets(trace: ChannelTrace, cfg: SimulationConfig,
                  else max(1, math.ceil(trace.num_steps / (n_workers * 4))))
     chunks = []
     for pair in sorted(trace.pairs):
-        steps = trace.pairs[pair]
+        table = trace.pairs[pair]
         for k_lo in range(0, trace.num_steps, chunk_len):
-            chunks.append((pair, k_lo, steps[k_lo:k_lo + chunk_len], cfg.obstacles,
+            chunks.append((pair, k_lo, table.step_range(k_lo, k_lo + chunk_len), cfg.obstacles,
                            model_sets, stride, pose_step, wavelength))
 
     if n_workers > 1 and len(chunks) > 1:
@@ -200,39 +200,23 @@ def run_model_sets(trace: ChannelTrace, cfg: SimulationConfig,
 
     outputs = []
     for s, set_stats in enumerate(stats):
-        gains_by_pair: dict[tuple[int, int], list[np.ndarray | None]] = {
-            pair: [None] * trace.num_steps for pair in trace.pairs
-        }
         run_counters = InteractionCounters()
-        for pair, k_lo, set_gains, counters in results:
-            for offset, gains in enumerate(set_gains[s]):
-                gains_by_pair[pair][k_lo + offset] = gains
+        for *_, counters in results:
             run_counters.merge(counters[s])
         set_stats.counters.merge(run_counters)
         if run_counters.degenerate_skips:
             log.warning("skipped %d degenerate segment/screen configurations",
                         run_counters.degenerate_skips)
         diffraction.log_itu_se_out_of_regime(run_counters.out_of_regime, wavelength)
-        outputs.append(_attenuated(trace, gains_by_pair, cfg.removal_floor_db, set_stats))
+        pairs = {}
+        for pair, table in trace.pairs.items():
+            # results run pair by pair in sorted order, chunks in step order
+            gains = np.concatenate([set_gains[s] for p, _, set_gains, _ in results if p == pair])
+            if np.isnan(gains).any():
+                raise TraceFormatError("NaN path gain")
+            above = gains >= cfg.removal_floor_db
+            set_stats.rays_dropped += len(table) - int(np.count_nonzero(above))
+            pairs[pair] = dataclasses.replace(table, gain=gains).kept(above)
+        outputs.append(ChannelTrace(node_positions=dict(trace.node_positions), pairs=pairs,
+                                    time_step=trace.time_step, num_steps=trace.num_steps))
     return outputs
-
-
-def _attenuated(trace: ChannelTrace, gains_by_pair: dict, removal_floor_db: float,
-                stats: RunStats) -> ChannelTrace:
-    """The trace with each ray's gain replaced, dropping rays below the floor."""
-    new_pairs: dict[tuple[int, int], list[list[Ray]]] = {}
-    for pair, steps in trace.pairs.items():
-        new_steps = []
-        for k, rays in enumerate(steps):
-            gains = gains_by_pair[pair][k]
-            kept = []
-            for ray, gain in zip(rays, gains):
-                if gain < removal_floor_db:
-                    stats.rays_dropped += 1
-                    continue
-                kept.append(ray if gain == ray.path_gain_db else ray.with_gain(float(gain)))
-            new_steps.append(kept)
-        new_pairs[pair] = new_steps
-
-    return ChannelTrace(node_positions=dict(trace.node_positions), pairs=new_pairs,
-                        time_step=trace.time_step, num_steps=trace.num_steps)

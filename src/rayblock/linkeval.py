@@ -6,11 +6,10 @@ Rays combine coherently with carrier phases derived from their delays
 with several comparable paths. Beams re-match the strongest ray at every
 timestep (ties: lower ray index); no tracking hysteresis is modeled.
 
-``snr_timeline`` evaluates one pair in one batch: it gathers every ray of
-every step into a table (step index, departure and arrival directions,
-gain, delay), computes all angles at once, picks each step's beam target
-with one sort, and sums each step's rays with ``np.bincount`` in ray
-order. A planar array's phasors separate into a row factor and a column
+``snr_timeline`` evaluates one pair in one batch: it reads the pair's ray
+table, computes every ray's departure and arrival angles at once, picks
+each step's beam target with one sort, and sums each step's rays with
+``np.bincount`` in ray order. A planar array's phasors separate into a row factor and a column
 factor, so array gains come from (rays, rows) and (rays, cols) tables;
 no (rays, elements) steering matrix is built.
 """
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .trace import SPEED_OF_LIGHT, ChannelTrace, Ray, direction_angles, path_directions
+from .trace import SPEED_OF_LIGHT, ChannelTrace, RayTable, direction_angles, path_directions
 
 NOISE_DENSITY_DBM_HZ = -174.0  # thermal noise at the 290 K reference
 
@@ -110,18 +109,13 @@ def noise_power_dbm(budget: LinkBudget) -> float:
     return NOISE_DENSITY_DBM_HZ + 10.0 * math.log10(budget.bandwidth_hz) + budget.noise_figure_db
 
 
-def _beamformed_amplitudes(rays: list[Ray], counts: np.ndarray,
-                           budget: LinkBudget) -> np.ndarray:
-    """|coherent sum| of each step's rays, beams matched to the step's strongest ray.
-
-    rays lists every step's rays in step order; counts holds the number of
-    rays of each step.
-    """
+def _beamformed_amplitudes(table: RayTable, budget: LinkBudget) -> np.ndarray:
+    """|coherent sum| of each step's rays, beams matched to the step's strongest ray."""
+    counts = table.counts
     num_steps = counts.shape[0]
-    step = np.repeat(np.arange(num_steps), counts)
-    gain_db = np.array([ray.path_gain_db for ray in rays], dtype=np.float64)
-    delay = np.array([ray.delay for ray in rays], dtype=np.float64)
-    departure, arrival = path_directions(rays)
+    step = table.ray_steps()
+    gain_db, delay = table.gain, table.delay
+    departure, arrival = path_directions(table)
     aod_az, aod_el = direction_angles(departure)
     aoa_az, aoa_el = direction_angles(arrival)
 
@@ -150,10 +144,7 @@ def snr_timeline(trace: ChannelTrace, pair: tuple[int, int],
     """
     if pair not in trace.pairs:
         raise ConfigError(f"pair {pair} not present in trace")
-    steps = trace.pairs[pair]
-    counts = np.array([len(rays) for rays in steps], dtype=np.intp)
-    amplitude = _beamformed_amplitudes([ray for rays in steps for ray in rays], counts,
-                                       budget)
+    amplitude = _beamformed_amplitudes(trace.pairs[pair], budget)
     out = np.empty((trace.num_steps, 2))
     out[:, 0] = trace.times()
     out[:, 1] = -math.inf

@@ -4,7 +4,7 @@ An obstacle couples a shape (fixed-orientation rectangular screen, per-ray
 orthogonalized screen, or sphere), a deterministic mobility model giving its
 center at any time, and the loss model applied to rays passing nearby.
 
-Interaction works on a candidate table. A chunk's rays are flattened once
+Interaction works on a candidate table. A chunk's ray table is cut once
 into segment arrays (``PathSegments``: start, end, step, ray slot, primary
 flag, distance threshold), and ``obstacle_losses`` takes the obstacle's
 pose at every step as a (steps, 3) array. It culls every (segment, pose)
@@ -46,6 +46,7 @@ from .diffraction import (
 from ._kernels import dot3
 from .errors import ConfigError, DegenerateGeometryError
 from .geometry import RectScreen, Segment
+from .trace import RayTable
 
 _BOUNDARY_TOL = 1e-9
 _VERTICAL = np.array([0.0, 0.0, 1.0])
@@ -401,22 +402,16 @@ class PathSegments(NamedTuple):
     num_slots: int          # rays in the chunk
 
 
-def path_segments(step_rays, primaries, wavelength: float) -> PathSegments:
-    """Flatten a chunk's rays (a list of rays per step) into one segment table.
+def path_segments(table: RayTable, primary: np.ndarray, wavelength: float) -> PathSegments:
+    """The segment table of a chunk's rays.
 
-    primaries[k] is the index of step k's primary ray (None: no ray is
-    primary), which decides the secondary-ray fallback.
+    primary flags each step's primary ray (at most one per step), which
+    decides the secondary-ray fallback.
     """
-    rays = [ray for rays in step_rays for ray in rays]
-    starts = np.concatenate([ray.vertices[:-1] for ray in rays])
-    ends = np.concatenate([ray.vertices[1:] for ray in rays])
-    slot = np.repeat(np.arange(len(rays)), [ray.vertices.shape[0] - 1 for ray in rays])
-    ray_step = np.repeat(np.arange(len(step_rays)), [len(rays) for rays in step_rays])
-    is_primary = np.array([i == p for rays, p in zip(step_rays, primaries)
-                           for i in range(len(rays))], dtype=bool)
+    starts, ends, slot = table.segments()
     thresholds = default_threshold(np.linalg.norm(ends - starts, axis=1), wavelength)
-    return PathSegments(starts, ends, ray_step[slot], slot, is_primary[slot], thresholds,
-                        len(rays))
+    return PathSegments(starts, ends, table.ray_steps()[slot], slot, primary[slot], thresholds,
+                        len(table))
 
 
 def obstacle_losses(obstacle: Obstacle, models, centers: np.ndarray, segments: PathSegments,
@@ -580,7 +575,8 @@ def interact(obstacle: Obstacle, ray, t: float, wavelength: float,
         counters = InteractionCounters()
     [(losses, blocked)] = obstacle_losses(
         obstacle, (obstacle.model,), position_at(obstacle.mobility, t)[np.newaxis],
-        path_segments([[ray]], [0 if is_primary_ray else None], wavelength), wavelength,
+        path_segments(RayTable.from_steps([[ray]]), np.array([is_primary_ray]), wavelength),
+        wavelength,
         [counters])
     if own:
         diffraction.log_itu_se_out_of_regime(counters.out_of_regime, wavelength)

@@ -16,7 +16,9 @@ ray tracer, pinned here and by the fixtures in tests/:
 
 Within one timestep the ray order is: reflection orders ascending, then row
 order inside each coordinate file; the QdFiles columns list the same rays in
-the same order. Angles are stored in degrees on disk and radians in memory.
+the same order. Angles are stored in degrees on disk; import reads only the
+delays, gains and phases, and export recomputes the angles from the vertex
+paths. In memory each pair's rays are one RayTable, in that order.
 An auxiliary Output/Ns3/TimeStep.txt records the sampling period; readers of
 the original format ignore it, and import falls back to 1.0 s without it.
 """
@@ -45,7 +47,10 @@ _MPC_FILE_RE = re.compile(r"^MpcTx(\d+)Rx(\d+)Refl(\d+)Trc(\d+)\.csv$")
 
 @dataclass(frozen=True, eq=False)
 class Ray:
-    """One multipath component: delay, gain, phase and its 3D vertex path."""
+    """One multipath component: delay, gain, phase and its 3D vertex path.
+
+    The one-row value of a RayTable (see RayTable.from_steps and rays).
+    """
 
     delay: float
     path_gain_db: float
@@ -61,35 +66,13 @@ class Ray:
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
 
-    @classmethod
-    def _trusted(cls, delay: float, path_gain_db: float, phase_rad: float,
-                 vertices: np.ndarray) -> "Ray":
-        """A ray from fields the caller has already validated, without checks.
-
-        vertices must be a read-only float64 (n >= 2, 3) array.
-        """
-        ray = object.__new__(cls)
-        ray.__dict__.update(delay=delay, path_gain_db=path_gain_db, phase_rad=phase_rad,
-                            vertices=vertices)
-        return ray
-
     @property
     def reflection_order(self) -> int:
         return self.vertices.shape[0] - 2
 
     @property
     def path_length(self) -> float:
-        return float(path_lengths([self])[0])
-
-    def with_gain(self, path_gain_db: float) -> "Ray":
-        """This ray with another path gain, sharing its validated vertex array.
-
-        Only the new gain is checked; the other fields were checked when
-        this ray was built.
-        """
-        if math.isnan(path_gain_db):
-            raise TraceFormatError("NaN path gain")
-        return Ray._trusted(self.delay, path_gain_db, self.phase_rad, self.vertices)
+        return float(path_lengths(RayTable.from_steps([[self]]))[0])
 
 
 def _check_ray_fields(vertices_finite: bool, delay: float, phase_rad: float,
@@ -105,32 +88,127 @@ def _check_ray_fields(vertices_finite: bool, delay: float, phase_rad: float,
         raise TraceFormatError("NaN path gain")
 
 
-def _stacked_vertices(rays: list[Ray]) -> tuple[np.ndarray, np.ndarray]:
-    """All rays' vertices in one (m, 3) array, and each ray's last row in it."""
-    if not rays:
-        return np.empty((0, 3)), np.empty(0, dtype=np.intp)
-    vertices = np.concatenate([ray.vertices for ray in rays])
-    return vertices, np.cumsum([ray.vertices.shape[0] for ray in rays]) - 1
+def _read_only(values, dtype) -> np.ndarray:
+    view = np.asarray(values, dtype=dtype).view()
+    view.setflags(write=False)
+    return view
 
 
-def path_lengths(rays: list[Ray]) -> np.ndarray:
-    """Length (m) of each ray's vertex path, one batch for the whole list."""
-    vertices, last = _stacked_vertices(rays)
-    d = np.diff(vertices, axis=0)
+@dataclass(frozen=True, eq=False)
+class RayTable:
+    """The rays of one node pair at every timestep, one row per ray.
+
+    Rows run step by step and, within a step, in trace order. Ray i's
+    vertex path is rows ends[i - 1]:ends[i] of vertices (from row 0 for the
+    first ray), tx position first. Every array is read-only; a table that
+    does not fit together raises TraceFormatError.
+    """
+
+    counts: np.ndarray    # (steps,) rays of each step
+    delay: np.ndarray     # (n,) s
+    gain: np.ndarray      # (n,) path gain, dB
+    phase: np.ndarray     # (n,) rad
+    vertices: np.ndarray  # (m, 3) the rays' vertex paths, one after another
+    ends: np.ndarray      # (n,) one past each ray's last row of vertices
+
+    def __post_init__(self):
+        for name, dtype in (("counts", np.intp), ("delay", np.float64), ("gain", np.float64),
+                            ("phase", np.float64), ("vertices", np.float64),
+                            ("ends", np.intp)):
+            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
+        n = self.delay.size
+        if any(getattr(self, name).shape != (n,) for name in ("delay", "gain", "phase", "ends")):
+            raise TraceFormatError("ray columns differ in length")
+        if self.counts.ndim != 1 or np.any(self.counts < 0) or self.counts.sum() != n:
+            raise TraceFormatError(f"step ray counts {self.counts.tolist()} do not sum to "
+                                   f"the table's {n} rays")
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+            raise TraceFormatError(f"vertices need 3 coords per row, got {self.vertices.shape}")
+        short = np.flatnonzero(np.diff(self.ends, prepend=0) < 2)
+        if short.shape[0]:
+            raise TraceFormatError(f"ray {short[0]} needs >= 2 vertices")
+        last = int(self.ends[-1]) if n else 0
+        if last != self.vertices.shape[0]:
+            raise TraceFormatError(f"the last ray ends at vertex row {last}, "
+                                   f"but the table has {self.vertices.shape[0]}")
+
+    @classmethod
+    def from_steps(cls, steps) -> "RayTable":
+        """The table of a list of each step's Ray list."""
+        rays = [ray for step in steps for ray in step]
+        return cls(counts=[len(step) for step in steps],
+                   delay=[ray.delay for ray in rays], gain=[ray.path_gain_db for ray in rays],
+                   phase=[ray.phase_rad for ray in rays],
+                   vertices=np.concatenate([np.empty((0, 3))] + [ray.vertices for ray in rays]),
+                   ends=np.cumsum([ray.vertices.shape[0] for ray in rays]))
+
+    def __len__(self) -> int:
+        return self.delay.shape[0]
+
+    def first_rows(self) -> np.ndarray:
+        """Each ray's first row of vertices."""
+        return self.ends - np.diff(self.ends, prepend=0)
+
+    def reflection_orders(self) -> np.ndarray:
+        return np.diff(self.ends, prepend=0) - 2
+
+    def ray_steps(self) -> np.ndarray:
+        """Each ray's step index."""
+        return np.repeat(np.arange(self.counts.shape[0]), self.counts)
+
+    def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(m - n, 3) start and end points of every ray's path segments, ray
+        by ray in vertex order, and each segment's ray."""
+        starts_at = np.ones(self.vertices.shape[0], dtype=bool)
+        starts_at[self.ends - 1] = False  # a ray's last vertex starts no segment
+        rows = np.flatnonzero(starts_at)
+        ray = np.repeat(np.arange(len(self)), np.diff(self.ends, prepend=0) - 1)
+        return self.vertices[rows], self.vertices[rows + 1], ray
+
+    def rays(self, k: int) -> list[Ray]:
+        """Step k's rays."""
+        lo = int(self.counts[:k].sum())
+        hi = lo + int(self.counts[k])
+        return [Ray(delay, gain, phase, self.vertices[a:b])
+                for delay, gain, phase, a, b in zip(
+                    self.delay[lo:hi].tolist(), self.gain[lo:hi].tolist(),
+                    self.phase[lo:hi].tolist(), self.first_rows()[lo:hi].tolist(),
+                    self.ends[lo:hi].tolist())]
+
+    def step_range(self, lo: int, hi: int) -> "RayTable":
+        """The table of steps lo to hi (exclusive)."""
+        r0, r1 = np.concatenate(([0], np.cumsum(self.counts)))[[lo, min(hi, len(self.counts))]]
+        v0, v1 = np.concatenate(([0], self.ends))[[r0, r1]]
+        return RayTable(self.counts[lo:hi], self.delay[r0:r1], self.gain[r0:r1],
+                        self.phase[r0:r1], self.vertices[v0:v1], self.ends[r0:r1] - v0)
+
+    def kept(self, mask) -> "RayTable":
+        """The table of the rays where mask (one flag per ray) is set."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.all():
+            return self
+        sizes = np.diff(self.ends, prepend=0)
+        return RayTable(np.bincount(self.ray_steps()[mask], minlength=self.counts.shape[0]),
+                        self.delay[mask], self.gain[mask], self.phase[mask],
+                        self.vertices[np.repeat(mask, sizes)], np.cumsum(sizes[mask]))
+
+
+def path_lengths(table: RayTable) -> np.ndarray:
+    """Length (m) of each ray's vertex path, one batch for the whole table."""
+    starts, ends, ray = table.segments()
+    d = ends - starts
     lengths = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
-    lengths[last[:-1]] = 0.0  # the step from one ray's last vertex to the next ray
-    ray_of_step = np.repeat(np.arange(len(rays)), np.diff(last, prepend=-1))[:-1]
-    return np.bincount(ray_of_step, weights=lengths, minlength=len(rays))
+    return np.bincount(ray, weights=lengths, minlength=len(table))
 
 
-def path_directions(rays: list[Ray]) -> tuple[np.ndarray, np.ndarray]:
+def path_directions(table: RayTable) -> tuple[np.ndarray, np.ndarray]:
     """(n, 3) departure and arrival direction vectors of each ray.
 
     Departure is the first path segment, arrival the last one reversed
     (pointing from the receiver back along the path).
     """
-    vertices, last = _stacked_vertices(rays)
-    first = np.concatenate(([0], last[:-1] + 1)) if rays else last
+    first, last = table.first_rows(), table.ends - 1
+    vertices = table.vertices
     return vertices[first + 1] - vertices[first], vertices[last - 1] - vertices[last]
 
 
@@ -152,22 +230,22 @@ def direction_angles(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def angles_of_departure(ray: Ray) -> tuple[float, float]:
     """(azimuth, elevation) of the first path segment, radians."""
-    azimuth, elevation = direction_angles(path_directions([ray])[0])
+    azimuth, elevation = direction_angles(path_directions(RayTable.from_steps([[ray]]))[0])
     return float(azimuth[0]), float(elevation[0])
 
 
 def angles_of_arrival(ray: Ray) -> tuple[float, float]:
     """(azimuth, elevation) of the last path segment reversed, radians."""
-    azimuth, elevation = direction_angles(path_directions([ray])[1])
+    azimuth, elevation = direction_angles(path_directions(RayTable.from_steps([[ray]]))[1])
     return float(azimuth[0]), float(elevation[0])
 
 
 @dataclass(eq=False)
 class ChannelTrace:
-    """Per node-pair, per timestep ray collections plus node trajectories."""
+    """One RayTable per node pair plus node trajectories."""
 
-    node_positions: dict[int, np.ndarray]          # node id -> (num_steps, 3)
-    pairs: dict[tuple[int, int], list[list[Ray]]]  # (tx, rx) -> per-step ray lists
+    node_positions: dict[int, np.ndarray]   # node id -> (num_steps, 3)
+    pairs: dict[tuple[int, int], RayTable]  # (tx, rx) -> the pair's rays at every step
     time_step: float
     num_steps: int
 
@@ -176,10 +254,12 @@ class ChannelTrace:
             raise TraceFormatError(f"time step must be finite and positive, got {self.time_step}")
         if self.num_steps < 1:
             raise TraceFormatError("need at least one timestep")
-        for pair, steps in self.pairs.items():
-            if len(steps) != self.num_steps:
+        for pair, table in self.pairs.items():
+            if not isinstance(table, RayTable):
+                raise TraceFormatError(f"pair {pair} needs a RayTable, got {type(table).__name__}")
+            if table.counts.shape[0] != self.num_steps:
                 raise TraceFormatError(
-                    f"pair {pair} has {len(steps)} steps, expected {self.num_steps}")
+                    f"pair {pair} has {table.counts.shape[0]} steps, expected {self.num_steps}")
             for node in pair:
                 if node not in self.node_positions:
                     raise TraceFormatError(f"pair {pair} references unknown node {node}")
@@ -290,11 +370,11 @@ def _read_node_positions(dir_: Path, node: int, num_steps: int) -> np.ndarray | 
     return None
 
 
-def import_scenario(directory, time_step: float | None = None) -> ChannelTrace:
+def import_scenario(directory) -> ChannelTrace:
     """Load a scenario directory into the in-memory trace model.
 
-    Unknown auxiliary files are ignored. time_step overrides the recorded
-    sampling period; without either, 1.0 s is assumed and a warning logged.
+    Unknown auxiliary files are ignored. Without a recorded sampling
+    period, 1.0 s is assumed and a warning logged.
     """
     root = Path(directory)
     qd_dir = root / "Output" / "Ns3" / "QdFiles"
@@ -320,7 +400,7 @@ def import_scenario(directory, time_step: float | None = None) -> ChannelTrace:
                 tx, rx, order, step = map(int, m.groups())
                 mpc_files.setdefault((tx, rx), {})[(order, step)] = vpath
 
-    pairs: dict[tuple[int, int], list[list[Ray]]] = {}
+    pairs: dict[tuple[int, int], RayTable] = {}
     num_steps = None
     delay_mismatches = 0
     for pair, path in sorted(qd_files.items()):
@@ -354,14 +434,13 @@ def import_scenario(directory, time_step: float | None = None) -> ChannelTrace:
 
         columns = np.concatenate(blocks, axis=1)
         _check_rays(columns, tables)
-        for table in tables:
-            table.setflags(write=False)  # each ray's vertices are a read-only view of it
-        pair_rays = list(map(Ray._trusted, columns[0].tolist(), columns[1].tolist(),
-                             columns[2].tolist(), [v for table in tables for v in table]))
-        remaining = iter(pair_rays)
-        pairs[pair] = [list(itertools.islice(remaining, count)) for count in counts]
+        sizes = np.repeat([table.shape[1] for table in tables], [len(table) for table in tables])
+        pairs[pair] = RayTable(
+            counts=counts, delay=columns[0], gain=columns[1], phase=columns[2],
+            vertices=np.concatenate([np.empty((0, 3))] + [t.reshape(-1, 3) for t in tables]),
+            ends=np.cumsum(sizes))
         delay_mismatches += int(np.count_nonzero(
-            np.abs(path_lengths(pair_rays) / SPEED_OF_LIGHT - columns[0]) > 1e-6))
+            np.abs(path_lengths(pairs[pair]) / SPEED_OF_LIGHT - columns[0]) > 1e-6))
 
     if delay_mismatches:
         log.warning("%d rays have delays inconsistent with their vertex paths (> 1 us)",
@@ -376,33 +455,34 @@ def import_scenario(directory, time_step: float | None = None) -> ChannelTrace:
         pos.setflags(write=False)
         node_positions[node] = pos
 
-    if time_step is None:
-        ts_file = root / "Output" / "Ns3" / "TimeStep.txt"
-        if ts_file.exists():
-            text = ts_file.read_text().strip()
-            try:
-                time_step = float(text)
-            except ValueError:
-                raise TraceFormatError(
-                    f"{ts_file}: expected a sampling period in seconds, got {text!r}") from None
-        else:
-            log.warning("no sampling period recorded in %s, assuming 1.0 s", root)
-            time_step = 1.0
+    ts_file = root / "Output" / "Ns3" / "TimeStep.txt"
+    if ts_file.exists():
+        text = ts_file.read_text().strip()
+        try:
+            time_step = float(text)
+        except ValueError:
+            raise TraceFormatError(
+                f"{ts_file}: expected a sampling period in seconds, got {text!r}") from None
+    else:
+        log.warning("no sampling period recorded in %s, assuming 1.0 s", root)
+        time_step = 1.0
 
     return ChannelTrace(node_positions=node_positions, pairs=pairs,
                         time_step=time_step, num_steps=num_steps)
 
 
-def _positions_from_rays(pairs, node: int, num_steps: int) -> np.ndarray:
-    """Fall back to first/last ray vertices when position files are absent."""
+def _positions_from_rays(pairs: dict[tuple[int, int], RayTable], node: int,
+                        num_steps: int) -> np.ndarray:
+    """Fall back to first/last ray vertices when position files are absent:
+    a step's first ray of the first pair that has one, in pair order."""
     pos = np.full((num_steps, 3), np.nan)
-    for (tx, rx), steps in pairs.items():
-        idx = 0 if tx == node else (-1 if rx == node else None)
-        if idx is None:
+    for (tx, rx), table in pairs.items():
+        if node not in (tx, rx):
             continue
-        for t, rays in enumerate(steps):
-            if rays and np.isnan(pos[t, 0]):
-                pos[t] = rays[0].vertices[idx]
+        unset = (table.counts > 0) & np.isnan(pos[:, 0])
+        first_ray = (np.cumsum(table.counts) - table.counts)[unset]
+        rows = table.first_rows()[first_ray] if tx == node else table.ends[first_ray] - 1
+        pos[unset] = table.vertices[rows]
     # carry the nearest known position over ray-less steps
     last = None
     for t in range(num_steps):
@@ -422,17 +502,26 @@ def _positions_from_rays(pairs, node: int, num_steps: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _template(fmt: str, width: int, rows: int = 1) -> str:
-    """rows lines of width comma-separated fmt fields, one %-template."""
+    """rows lines of width comma-separated fmt fields, one %-template.
+
+    fmt may itself be several comma-separated fields (one line's worth).
+    "%.6f", "%.9g" and "%.12g" print a float as f"{v:.6f}", f"{v:.9g}" and
+    f"{v:.12g}" do, and "%d" an integer as str does.
+    """
     return "\n".join([",".join([fmt] * width)] * rows)
 
 
 def _format_rows(values: np.ndarray, fmt: str = "%.6f") -> str:
-    """The rows of a 2-D array as comma-separated lines of fmt fields.
-
-    "%.6f" and "%.12g" print a float as f"{v:.6f}" and f"{v:.12g}" do.
-    """
+    """The rows of a 2-D array as comma-separated lines of fmt fields."""
     rows, width = values.shape
     return _template(fmt, width, rows) % tuple(values.ravel().tolist())
+
+
+def _format_columns(columns: list[list], fmts: list[str]) -> str:
+    """Comma-separated lines, line i holding each column's value i printed
+    with that column's format; the columns are lists of equal length."""
+    return _template(",".join(fmts), 1, len(columns[0])) % tuple(
+        itertools.chain.from_iterable(zip(*columns)))
 
 
 def export_scenario(trace: ChannelTrace, directory, drop_below_db: float = -500.0) -> None:
@@ -448,35 +537,38 @@ def export_scenario(trace: ChannelTrace, directory, drop_below_db: float = -500.
     for d in (qd_dir, mpc_dir, node_dir):
         d.mkdir(parents=True, exist_ok=True)
 
-    for (tx, rx), steps in sorted(trace.pairs.items()):
-        kept_steps = [[r for r in rays if r.path_gain_db >= drop_below_db] for rays in steps]
-        kept = [r for rays in kept_steps for r in rays]
-        # the QdFiles rows of every kept ray of the pair: delay, gain, phase,
-        # then the angles in degrees (AoD elevation, AoD azimuth, AoA
-        # elevation, AoA azimuth)
+    for (tx, rx), table in sorted(trace.pairs.items()):
+        kept = table.kept(table.gain >= drop_below_db)
+        # Python lists of the kept rays, built once per pair: the delays,
+        # the other QdFiles rows (gain, phase, then the angles in degrees:
+        # AoD elevation, AoD azimuth, AoA elevation, AoA azimuth), and each
+        # ray's reflection order and span of the flat coordinate list
         departure, arrival = path_directions(kept)
         aod_az, aod_el = direction_angles(departure)
         aoa_az, aoa_el = direction_angles(arrival)
-        columns = np.empty((7, len(kept)))
-        columns[:3] = np.array([(r.delay, r.path_gain_db, r.phase_rad) for r in kept]
-                               ).reshape(-1, 3).T
-        columns[3:] = np.degrees(np.stack([aod_el, aod_az, aoa_el, aoa_az]))
+        delays = kept.delay.tolist()
+        rows = [kept.gain.tolist(), kept.phase.tolist(),
+                *np.degrees(np.stack([aod_el, aod_az, aoa_el, aoa_az])).tolist()]
+        orders = kept.reflection_orders().tolist()
+        coords = kept.vertices.ravel().tolist()
+        firsts, ends = (3 * kept.first_rows()).tolist(), (3 * kept.ends).tolist()
         lines: list[str] = []
         lo = 0
-        for t, rays in enumerate(kept_steps):
-            lines.append(str(len(rays)))
-            if rays:
-                block = columns[:, lo:lo + len(rays)]
-                lines.append(_format_rows(block[:1], "%.12g"))
-                lines.append(_format_rows(block[1:]))
-                lo += len(rays)
-            by_order: dict[int, list[Ray]] = {}
-            for r in rays:
-                by_order.setdefault(r.reflection_order, []).append(r)
-            for order, group in sorted(by_order.items()):
-                rows = np.concatenate([r.vertices for r in group]).reshape(len(group), -1)
+        for t, count in enumerate(kept.counts.tolist()):
+            hi = lo + count
+            lines.append(str(count))
+            if count:
+                lines.append(_template("%.12g", count) % tuple(delays[lo:hi]))
+                lines.append(_template("%.6f", count, 6) % tuple(
+                    itertools.chain.from_iterable(row[lo:hi] for row in rows)))
+            by_order: dict[int, list[float]] = {}
+            for i in range(lo, hi):
+                by_order.setdefault(orders[i], []).extend(coords[firsts[i]:ends[i]])
+            for order, values in sorted(by_order.items()):
+                width = 3 * (order + 2)
                 (mpc_dir / f"MpcTx{tx}Rx{rx}Refl{order}Trc{t}.csv").write_text(
-                    _format_rows(rows) + "\n")
+                    _template("%.6f", width, len(values) // width) % tuple(values) + "\n")
+            lo = hi
         (qd_dir / f"Tx{tx}Rx{rx}.txt").write_text("\n".join(lines) + "\n")
 
     tx_nodes = {tx for tx, _ in trace.pairs}

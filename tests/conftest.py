@@ -10,7 +10,7 @@ from rayblock.diffraction import (
     itu_se_loss,
     metis_loss,
 )
-from rayblock.trace import SPEED_OF_LIGHT, ChannelTrace, Ray
+from rayblock.trace import SPEED_OF_LIGHT, ChannelTrace, Ray, RayTable
 
 
 def carrier_phase(delay: float, frequency_hz: float = 60e9) -> float:
@@ -24,6 +24,18 @@ def make_ray(*points, gain_db: float = -80.0, frequency_hz: float = 60e9) -> Ray
     delay = length / SPEED_OF_LIGHT
     return Ray(delay=delay, path_gain_db=gain_db, phase_rad=carrier_phase(delay, frequency_hz),
                vertices=vertices)
+
+
+def steps_of(table: RayTable) -> list[list[Ray]]:
+    """Every step's rays of a table, one Ray list per step."""
+    return [table.rays(k) for k in range(table.counts.shape[0])]
+
+
+def trace_of(steps_by_pair: dict, node_positions: dict, time_step: float) -> ChannelTrace:
+    """A trace from each pair's per-step Ray lists."""
+    pairs = {pair: RayTable.from_steps(steps) for pair, steps in steps_by_pair.items()}
+    return ChannelTrace(node_positions=node_positions, pairs=pairs, time_step=time_step,
+                        num_steps=len(next(iter(steps_by_pair.values()))))
 
 
 def fresnel_cs_grid(nus) -> tuple[np.ndarray, np.ndarray]:
@@ -60,9 +72,7 @@ def build_los_trace(tx, rx, num_steps: int, time_step: float,
         0: np.tile(np.asarray(tx, dtype=np.float64), (num_steps, 1)),
         1: np.tile(np.asarray(rx, dtype=np.float64), (num_steps, 1)),
     }
-    pairs = {(0, 1): [[ray] for _ in range(num_steps)]}
-    return ChannelTrace(node_positions=positions, pairs=pairs,
-                        time_step=time_step, num_steps=num_steps)
+    return trace_of({(0, 1): [[ray] for _ in range(num_steps)]}, positions, time_step)
 
 
 # Fixed single-bounce reflection points of the synthetic dynamic room
@@ -93,8 +103,7 @@ def build_dynamic_trace(num_steps: int = 3133, time_step: float = 0.005,
             rays.append(make_ray(tx, b, rx, gain_db=fspl_db(length, frequency_hz) - 10.0,
                                  frequency_hz=frequency_hz))
         steps.append(rays)
-    return ChannelTrace(node_positions={0: tx_pos, 1: rx_pos}, pairs={(0, 1): steps},
-                        time_step=time_step, num_steps=num_steps)
+    return trace_of({(0, 1): steps}, {0: tx_pos, 1: rx_pos}, time_step)
 
 
 def assert_traces_equal(a: ChannelTrace, b: ChannelTrace) -> None:
@@ -105,13 +114,10 @@ def assert_traces_equal(a: ChannelTrace, b: ChannelTrace) -> None:
     for node in a.node_positions:
         np.testing.assert_array_equal(a.node_positions[node], b.node_positions[node])
     for pair in a.pairs:
-        for k, (ra, rb) in enumerate(zip(a.pairs[pair], b.pairs[pair])):
-            assert len(ra) == len(rb), f"pair {pair} step {k}"
-            for x, y in zip(ra, rb):
-                assert x.delay == y.delay
-                assert x.path_gain_db == y.path_gain_db
-                assert x.phase_rad == y.phase_rad
-                np.testing.assert_array_equal(x.vertices, y.vertices)
+        for column in ("counts", "delay", "gain", "phase", "vertices", "ends"):
+            np.testing.assert_array_equal(getattr(a.pairs[pair], column),
+                                          getattr(b.pairs[pair], column),
+                                          err_msg=f"pair {pair} {column}")
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from rayblock.environment import SimulationConfig, run as run_environment
 from rayblock.linkeval import ArrayConfig, LinkBudget, noise_power_dbm, snr_timeline
 from rayblock.obstacles import LinearMobility, Obstacle, OrthoScreenShape, SphereShape, \
     Static, interact
-from rayblock.trace import export_scenario, import_scenario
+from rayblock.trace import RayTable, export_scenario, import_scenario
 
 WAVELENGTH_60GHZ = 299792458.0 / 60e9
 FIRST_FRESNEL_RADIUS = math.sqrt(WAVELENGTH_60GHZ * 16.0 / 8.0)  # midspan, 8 m link
@@ -49,11 +49,11 @@ def test_criterion_1_fresnel_oracle():
     elapsed = time.perf_counter() - start
     err_c = float(np.abs(c_fast - c_ref).max())
     err_s = float(np.abs(s_fast - s_ref).max())
-    f1 = fresnel_integral(1.0)
-    f1_ok = abs(f1.c - 0.7799) < 1e-3 and abs(f1.s - 0.4383) < 1e-3
+    c1, s1 = fresnel_integral(1.0)
+    f1_ok = abs(c1 - 0.7799) < 1e-3 and abs(s1 - 0.4383) < 1e-3
     ok = err_c < 2e-3 and err_s < 2e-3 and f1_ok and elapsed < 1.0
     report(1, ok, f"max|dC|={err_c:.2e}, max|dS|={err_s:.2e}, "
-                  f"F(1)=({f1.c:.4f},{f1.s:.4f}), runtime={elapsed:.2f}s")
+                  f"F(1)=({c1:.4f},{s1:.4f}), runtime={elapsed:.2f}s")
 
 
 def test_criterion_2_knife_edge_landmark():
@@ -128,8 +128,8 @@ def test_criterion_6_environment_identity_and_sphere():
     steps = 40
     trace = build_los_trace(tx, rx, num_steps=steps, time_step=0.005)
     bounce = make_ray(tx, (4, 2.5, 1.4), rx, gain_db=-95.0)
-    for k in range(steps):
-        trace.pairs[(0, 1)][k] = [trace.pairs[(0, 1)][k][0], bounce]
+    trace.pairs[(0, 1)] = RayTable.from_steps(
+        [[trace.pairs[(0, 1)].rays(k)[0], bounce] for k in range(steps)])
 
     identity = run_environment(trace, SimulationConfig(obstacles=()))
     assert_traces_equal(identity, trace)
@@ -137,11 +137,10 @@ def test_criterion_6_environment_identity_and_sphere():
     sphere = Obstacle(shape=SphereShape(0.3), mobility=Static((4.0, 0.0, 1.6)),
                       model=Obstruction(10.0))
     out = run_environment(trace, SimulationConfig(obstacles=(sphere,)))
-    exact = all(
-        out.pairs[(0, 1)][k][0].path_gain_db == trace.pairs[(0, 1)][k][0].path_gain_db - 10.0
-        and out.pairs[(0, 1)][k][1].path_gain_db == trace.pairs[(0, 1)][k][1].path_gain_db
-        for k in range(steps)
-    )
+    gains_in = trace.pairs[(0, 1)].gain.reshape(steps, 2)
+    gains_out = out.pairs[(0, 1)].gain.reshape(steps, 2)
+    exact = (np.array_equal(gains_out[:, 0], gains_in[:, 0] - 10.0)
+             and np.array_equal(gains_out[:, 1], gains_in[:, 1]))
     report(6, exact, "zero-obstacle identity holds; sphere lowers exactly the "
                      "blocked ray by exactly 10 dB at every step")
 
@@ -155,7 +154,7 @@ def test_criterion_7_trace_round_trip(tmp_path):
     export_scenario(loaded, second)
     again = import_scenario(second)
     assert_traces_equal(loaded, again)
-    counts = [[len(r) for r in loaded.pairs[p]] for p in sorted(loaded.pairs)]
+    counts = [loaded.pairs[p].counts.tolist() for p in sorted(loaded.pairs)]
     report(7, True, f"2 pairs x 3 steps round-tripped, ray counts {counts}")
 
 

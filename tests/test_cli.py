@@ -16,9 +16,11 @@ from rayblock.cli import (
     parse_run_spec,
     run_crossing_sweep,
     run_position_sweep,
-    run_spec_to_dict,
 )
+from rayblock.diffraction import Dked, Obstruction
 from rayblock.errors import ConfigError
+from rayblock.linkeval import ArrayConfig
+from rayblock.obstacles import LinearMobility, OrthoScreenShape, SphereShape, WaypointMobility
 from rayblock.trace import export_scenario, import_scenario
 
 
@@ -85,7 +87,7 @@ def test_validate_bad_json_exits_2(tmp_path):
     assert main(["validate", str(path)]) == 2
 
 
-def test_spec_round_trip(tmp_path, small_scenario):
+def test_spec_parses_every_field(tmp_path, small_scenario):
     data = minimal_spec(
         small_scenario, tmp_path / "out",
         obstacles=[
@@ -106,7 +108,24 @@ def test_spec_round_trip(tmp_path, small_scenario):
         max_clamp_events=100,
     )
     spec = parse_run_spec(data)
-    assert parse_run_spec(run_spec_to_dict(spec)) == spec
+    assert (spec.scenario_dir, spec.output_dir) == (str(small_scenario), str(tmp_path / "out"))
+    screen, sphere = spec.obstacles
+    assert screen.shape == OrthoScreenShape(width=0.2, height=1.7)
+    assert screen.mobility == LinearMobility(start=(5.0, 0.0, 0.85), velocity=(0.0, 1.2, 0.0))
+    assert screen.model == Dked()
+    assert (screen.distance_threshold, screen.obstruction_fallback_for_secondary,
+            screen.fallback_loss_db) == (None, False, 10.0)
+    assert sphere.shape == SphereShape(radius=0.3)
+    assert sphere.mobility == WaypointMobility(times=(0.0, 2.0),
+                                               points=((1.0, 2.0, 0.5), (3.0, 2.0, 0.5)))
+    assert sphere.model == Obstruction(loss_db=12.0)
+    assert (sphere.distance_threshold, sphere.obstruction_fallback_for_secondary) == (2.5, True)
+    assert spec.models_to_compare == ("metis", "dked")
+    assert spec.link_budget.carrier_frequency_hz == 28e9
+    assert spec.link_budget.tx_array == ArrayConfig(rows=4, cols=2)
+    assert spec.link_budget.rx_array == ArrayConfig(4, 4)  # the default
+    assert (spec.sampling.time_step, spec.sampling.num_steps) == (0.0034, 20)
+    assert (spec.removal_floor_db, spec.max_clamp_events) == (-400.0, 100)
 
 
 def test_run_zero_obstacles_identity(tmp_path, small_scenario, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_traces_equal, build_los_trace, make_ray
+from conftest import assert_traces_equal, build_los_trace, make_ray, steps_of, trace_of
 from rayblock import _kernels, environment, obstacles
 from rayblock.diffraction import (
     Dked,
@@ -19,7 +19,7 @@ from rayblock.diffraction import (
 from rayblock.environment import (
     RunStats,
     SimulationConfig,
-    primary_ray_index,
+    primary_rays,
     run,
     run_model_sets,
 )
@@ -32,7 +32,7 @@ from rayblock.obstacles import (
     SphereShape,
     Static,
 )
-from rayblock.trace import ChannelTrace, Ray
+from rayblock.trace import ChannelTrace, Ray, RayTable
 
 
 def multi_ray_trace(num_steps=6, time_step=0.005):
@@ -46,8 +46,7 @@ def multi_ray_trace(num_steps=6, time_step=0.005):
             make_ray(tx, wall_b, rx, gain_db=-93.5),
         ])
     positions = {0: np.tile(tx, (num_steps, 1)), 1: np.tile(rx, (num_steps, 1))}
-    return ChannelTrace(node_positions=positions, pairs={(0, 1): steps},
-                        time_step=time_step, num_steps=num_steps)
+    return trace_of({(0, 1): steps}, positions, time_step)
 
 
 def test_zero_obstacles_is_identity():
@@ -61,9 +60,7 @@ def test_static_sphere_lowers_only_the_blocked_ray():
     sphere = Obstacle(shape=SphereShape(0.3), mobility=Static((4.0, 0.0, 1.6)),
                       model=Obstruction(10.0))
     out = run(trace, SimulationConfig(obstacles=(sphere,)))
-    for k in range(trace.num_steps):
-        rays_in = trace.pairs[(0, 1)][k]
-        rays_out = out.pairs[(0, 1)][k]
+    for rays_in, rays_out in zip(steps_of(trace.pairs[(0, 1)]), steps_of(out.pairs[(0, 1)])):
         assert rays_out[0].path_gain_db == rays_in[0].path_gain_db - 10.0
         for i in (1, 2):
             assert rays_out[i].path_gain_db == rays_in[i].path_gain_db
@@ -76,11 +73,10 @@ def test_delays_phases_vertices_never_change():
     screen = Obstacle(shape=OrthoScreenShape(0.4, 1.7),
                       mobility=Static((4.0, 0.0, 0.85)), model=Dked())
     out = run(trace, SimulationConfig(obstacles=(screen,)))
-    for k in range(trace.num_steps):
-        for rin, rout in zip(trace.pairs[(0, 1)][k], out.pairs[(0, 1)][k]):
-            assert rout.delay == rin.delay
-            assert rout.phase_rad == rin.phase_rad
-            np.testing.assert_array_equal(rout.vertices, rin.vertices)
+    table_in, table_out = trace.pairs[(0, 1)], out.pairs[(0, 1)]
+    assert len(table_out) == len(table_in)
+    for column in ("counts", "delay", "phase", "vertices", "ends"):
+        np.testing.assert_array_equal(getattr(table_out, column), getattr(table_in, column))
 
 
 def test_shape_preserved_minus_dropped_rays():
@@ -92,8 +88,7 @@ def test_shape_preserved_minus_dropped_rays():
               stats=stats)
     assert out.num_steps == trace.num_steps
     assert set(out.pairs) == set(trace.pairs)
-    for k in range(trace.num_steps):
-        assert len(out.pairs[(0, 1)][k]) == 2  # direct ray fell below the floor
+    assert out.pairs[(0, 1)].counts.tolist() == [2] * trace.num_steps  # direct rays dropped
     assert stats.rays_dropped == trace.num_steps
     assert stats.rays_in == 3 * trace.num_steps
 
@@ -110,9 +105,7 @@ def test_adding_an_obstacle_never_raises_gain(rng):
     ))
     base = run(trace, base_cfg)
     more = run(trace, more_cfg)
-    for k in range(trace.num_steps):
-        for rb, rm in zip(base.pairs[(0, 1)][k], more.pairs[(0, 1)][k]):
-            assert rm.path_gain_db <= rb.path_gain_db
+    assert np.all(more.pairs[(0, 1)].gain <= base.pairs[(0, 1)].gain)
 
 
 def test_determinism():
@@ -150,7 +143,7 @@ def test_pose_sample_and_hold_with_coarser_step():
                      mobility=LinearMobility((4.0, -0.05, 1.6), (0.0, 0.02, 0.0)),
                      model=Obstruction(10.0))
     out = run(trace, SimulationConfig(obstacles=(mover,), time_step=1.0))
-    gains = [out.pairs[(0, 1)][k][0].path_gain_db for k in range(6)]
+    gains = [out.pairs[(0, 1)].rays(k)[0].path_gain_db for k in range(6)]
     # poses update every second trace step, so gains come in equal pairs
     assert gains[0] == gains[1]
     assert gains[2] == gains[3]
@@ -173,14 +166,18 @@ def test_primary_ray_selection():
     tx, rx = (0, 0, 1.6), (8, 0, 1.6)
     direct = make_ray(tx, rx, gain_db=-90.0)
     bounce = make_ray(tx, (4, 2, 1.5), rx, gain_db=-70.0)
-    assert primary_ray_index([bounce, direct]) == 1  # direct wins even when weaker
-    assert primary_ray_index([bounce]) == 0
     strong_far = make_ray(tx, (4, -3, 1.5), rx, gain_db=-60.0)
-    # shortest delay when no direct ray, however strong the others are: the
-    # choice must not read gains that an earlier run may have attenuated
-    assert primary_ray_index([strong_far, bounce]) == 1
-    assert primary_ray_index([bounce, make_ray(tx, (4, -2, 1.5), rx)]) == 0  # tie: lower index
-    assert primary_ray_index([]) is None
+    steps = [
+        [bounce, direct],  # direct wins even when weaker
+        [bounce],
+        # shortest delay when no direct ray, however strong the others are: the
+        # choice must not read gains that an earlier run may have attenuated
+        [strong_far, bounce],
+        [bounce, make_ray(tx, (4, -2, 1.5), rx)],  # tie: lower index
+        [],
+    ]
+    primary = primary_rays(RayTable.from_steps(steps))
+    assert np.flatnonzero(primary).tolist() == [1, 2, 4, 5]
 
 
 def test_sequential_equals_combined_with_fallback_and_no_direct_ray():
@@ -190,8 +187,8 @@ def test_sequential_equals_combined_with_fallback_and_no_direct_ray():
     near, far = (4.0, 2.0, 1.6), (4.0, -3.0, 1.6)
     steps = [[make_ray(tx, near, rx, gain_db=-60.0), make_ray(tx, far, rx, gain_db=-65.0)]
              for _ in range(3)]
-    trace = ChannelTrace(node_positions={0: np.tile(tx, (3, 1)), 1: np.tile(rx, (3, 1))},
-                         pairs={(0, 1): steps}, time_step=0.005, num_steps=3)
+    trace = trace_of({(0, 1): steps}, {0: np.tile(tx, (3, 1)), 1: np.tile(rx, (3, 1))},
+                     time_step=0.005)
     sphere = Obstacle(shape=SphereShape(0.3), mobility=Static((2.0, 1.0, 1.6)),
                       model=Obstruction(20.0))
     screens = tuple(
@@ -202,7 +199,7 @@ def test_sequential_equals_combined_with_fallback_and_no_direct_ray():
     sequential = run(run(trace, SimulationConfig(obstacles=(sphere,))),
                      SimulationConfig(obstacles=screens))
     assert_traces_equal(combined, sequential)
-    gains = [r.path_gain_db for r in combined.pairs[(0, 1)][0]]
+    gains = [r.path_gain_db for r in combined.pairs[(0, 1)].rays(0)]
     # the near reflection keeps diffraction, the far one takes the fallback
     assert gains[0] < -80.0
     assert gains[1] == -75.0
@@ -212,8 +209,8 @@ def test_degenerate_segments_log_one_summary_line(caplog):
     # the last segment of every ray is vertical, next to an orthogonal screen
     tx, top, rx = (0.0, 0.0, 1.6), (2.0, 0.0, 1.6), (2.0, 0.0, 2.8)
     steps = [[make_ray(tx, top, rx)] for _ in range(50)]
-    trace = ChannelTrace(node_positions={0: np.tile(tx, (50, 1)), 1: np.tile(rx, (50, 1))},
-                         pairs={(0, 1): steps}, time_step=0.005, num_steps=50)
+    trace = trace_of({(0, 1): steps}, {0: np.tile(tx, (50, 1)), 1: np.tile(rx, (50, 1))},
+                     time_step=0.005)
     screen = Obstacle(shape=OrthoScreenShape(0.2, 1.7), mobility=Static((2.0, 0.3, 0.85)),
                       model=Dked(), distance_threshold=5.0)
     stats = RunStats()
@@ -243,9 +240,9 @@ def test_run_builds_no_edge_records(monkeypatch, shape, model):
     assert stats.counters.diffraction_evals > 0
 
 
-def test_attenuated_rays_are_not_revalidated(monkeypatch):
-    # attenuated rays share the input rays' validated vertex arrays, so a
-    # run builds no Ray through its validating constructor
+def test_a_run_result_is_the_input_table_with_new_gains(monkeypatch):
+    # a run builds no Ray, and where it drops no ray its result shares the
+    # input table's delay, phase and vertex columns
     trace = multi_ray_trace()
     obstacles = (
         Obstacle(shape=SphereShape(0.3), mobility=Static((4.0, 0.0, 1.6)),
@@ -253,32 +250,30 @@ def test_attenuated_rays_are_not_revalidated(monkeypatch):
         Obstacle(shape=OrthoScreenShape(0.2, 1.7), model=Dked(),
                  mobility=LinearMobility((4.0, -0.3, 0.85), (0.0, 20.0, 0.0))),
     )
-    cfg = SimulationConfig(obstacles=obstacles)
-    want = run(trace, cfg, workers=1)
 
     def refuse(self):
-        raise AssertionError("Ray validated during a run")
+        raise AssertionError("Ray built during a run")
 
     monkeypatch.setattr(Ray, "__post_init__", refuse)
-    got = run(trace, cfg, workers=1)
-    assert_traces_equal(got, want)
-    changed = [(a, b) for steps_a, steps_b in zip(got.pairs[(0, 1)], trace.pairs[(0, 1)])
-               for a, b in zip(steps_a, steps_b) if a.path_gain_db != b.path_gain_db]
-    assert changed
-    for attenuated, original in changed:
-        assert attenuated.vertices is original.vertices
-        assert not attenuated.vertices.flags.writeable
+    table = trace.pairs[(0, 1)]
+    got = run(trace, SimulationConfig(obstacles=obstacles), workers=1).pairs[(0, 1)]
+    assert np.any(got.gain != table.gain)
+    for column in ("delay", "phase", "vertices"):
+        assert np.shares_memory(getattr(got, column), getattr(table, column))
+    assert not got.gain.flags.writeable
 
 
-def test_ray_with_gain_checks_only_the_gain():
-    ray = make_ray((0.0, 0.0, 1.6), (8.0, 0.0, 1.6), gain_db=-80.0)
-    weaker = ray.with_gain(-95.5)
-    assert (weaker.path_gain_db, weaker.delay, weaker.phase_rad) == (-95.5, ray.delay,
-                                                                      ray.phase_rad)
-    assert ray.path_gain_db == -80.0
-    assert ray.with_gain(-math.inf).path_gain_db == -math.inf
-    with pytest.raises(TraceFormatError):
-        ray.with_gain(math.nan)
+def test_a_nan_gain_column_raises(monkeypatch):
+    # the gain column of every model set is checked once, as Ray checks a gain
+    def nan_losses(obstacle, models, centers, segments, wavelength, counters):
+        return [(np.full(segments.num_slots, math.nan), np.zeros(segments.num_slots, bool))
+                for _ in models]
+
+    monkeypatch.setattr(environment, "obstacle_losses", nan_losses)
+    sphere = Obstacle(shape=SphereShape(0.3), mobility=Static((4.0, 0.0, 1.6)),
+                      model=Obstruction(10.0))
+    with pytest.raises(TraceFormatError, match="NaN path gain"):
+        run(multi_ray_trace(), SimulationConfig(obstacles=(sphere,)), workers=1)
 
 
 def test_itu_se_out_of_regime_logs_one_line_per_run(caplog):
@@ -317,8 +312,8 @@ def test_endpoint_on_a_horizontal_edge_is_degenerate_for_metis_only():
     center = (4.0, 0.0, 2.1)
     bounce = tuple(np.array(center) - 0.5 * shape.height * shape.height_axis)
     ray = make_ray((0.0, 0.0, 1.6), bounce, (8.0, 0.5, 1.6), gain_db=-80.0)
-    trace = ChannelTrace(node_positions={0: np.zeros((3, 3)), 1: np.zeros((3, 3))},
-                         pairs={(0, 1): [[ray]] * 3}, time_step=0.005, num_steps=3)
+    trace = trace_of({(0, 1): [[ray]] * 3}, {0: np.zeros((3, 3)), 1: np.zeros((3, 3))},
+                     time_step=0.005)
     screen = Obstacle(shape=shape, mobility=Static(center), model=Dked(),
                       distance_threshold=5.0)
     cfg = SimulationConfig(obstacles=(screen,))
@@ -326,13 +321,14 @@ def test_endpoint_on_a_horizontal_edge_is_degenerate_for_metis_only():
     dked, metis = run_model_sets(trace, cfg, [(Dked(),), (Metis(),)], workers=1, stats=stats)
     assert (stats[0].counters.diffraction_evals, stats[0].counters.degenerate_skips) == (6, 0)
     assert (stats[1].counters.diffraction_evals, stats[1].counters.degenerate_skips) == (0, 6)
-    assert all(rays[0].path_gain_db < -80.0 for rays in dked.pairs[(0, 1)])
-    assert all(rays[0].path_gain_db == -80.0 for rays in metis.pairs[(0, 1)])
+    assert np.all(dked.pairs[(0, 1)].gain < -80.0)
+    assert np.all(metis.pairs[(0, 1)].gain == -80.0)
     # the blocked flags too are per model, whichever model comes first
     wavelength = 299792458.0 / cfg.carrier_frequency_hz
     (_, metis_blocked), (_, dked_blocked) = obstacles.obstacle_losses(
         screen, (Metis(), Dked()), np.array([center]),
-        obstacles.path_segments([[ray]], [0], wavelength), wavelength,
+        obstacles.path_segments(RayTable.from_steps([[ray]]), np.array([True]), wavelength),
+        wavelength,
         [obstacles.InteractionCounters(), obstacles.InteractionCounters()])
     assert dked_blocked[0] and not metis_blocked[0]
     for models, out, got in zip([(Dked(),), (Metis(),)], (dked, metis), stats):

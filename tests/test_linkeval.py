@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import build_los_trace, make_ray
+from conftest import build_los_trace, make_ray, trace_of
 from rayblock.errors import ConfigError, GeometryError
 from rayblock.linkeval import (
     ArrayConfig,
@@ -12,7 +13,7 @@ from rayblock.linkeval import (
     snr_timeline,
     steering_vector,
 )
-from rayblock.trace import ChannelTrace, Ray
+from rayblock.trace import Ray
 
 TABLE_BUDGET = LinkBudget()  # 60 GHz, 2.16 GHz, 20 dBm, NF 10, 8x8 / 4x4
 SINGLE_BUDGET = LinkBudget(tx_array=ArrayConfig(1, 1), rx_array=ArrayConfig(1, 1))
@@ -81,10 +82,8 @@ def test_snr_invariant_to_global_phase_rotation():
         for r in rays
     ]
     positions = {0: np.tile(tx, (1, 1)), 1: np.tile(rx, (1, 1))}
-    t1 = ChannelTrace(node_positions=positions, pairs={(0, 1): [rays]},
-                      time_step=1.0, num_steps=1)
-    t2 = ChannelTrace(node_positions=positions, pairs={(0, 1): [rotated]},
-                      time_step=1.0, num_steps=1)
+    t1 = trace_of({(0, 1): [rays]}, positions, time_step=1.0)
+    t2 = trace_of({(0, 1): [rotated]}, positions, time_step=1.0)
     s1 = snr_timeline(t1, (0, 1), TABLE_BUDGET)
     s2 = snr_timeline(t2, (0, 1), TABLE_BUDGET)
     # combining uses delay-derived carrier phases, so the stored phase offset
@@ -102,8 +101,7 @@ def test_blocked_snr_drop_exceeds_mean_shadow_loss_minus_3db():
     tx, rx, wall = (0.0, 0.0, 1.6), (8.0, 0.0, 1.6), (4.0, 2.5, 1.4)
     rays = [make_ray(tx, rx, gain_db=-80.0), make_ray(tx, wall, rx, gain_db=-95.0)]
     positions = {0: np.tile(tx, (1, 1)), 1: np.tile(rx, (1, 1))}
-    trace = ChannelTrace(node_positions=positions, pairs={(0, 1): [rays]},
-                         time_step=1.0, num_steps=1)
+    trace = trace_of({(0, 1): [rays]}, positions, time_step=1.0)
     screen = Obstacle(shape=OrthoScreenShape(0.2, 1.7), mobility=Static((4.0, 0.0, 0.85)),
                       model=Dked())
     shadowed = run(trace, SimulationConfig(obstacles=(screen,)))
@@ -121,8 +119,7 @@ def test_beam_follows_reflection_stronger_than_blocked_direct_ray():
     positions = {0: np.tile(tx, (1, 1)), 1: np.tile(rx, (1, 1))}
 
     def snr(rays):
-        trace = ChannelTrace(node_positions=positions, pairs={(0, 1): [rays]},
-                             time_step=1.0, num_steps=1)
+        trace = trace_of({(0, 1): [rays]}, positions, time_step=1.0)
         return snr_timeline(trace, (0, 1), TABLE_BUDGET)[0, 1]
 
     reflection = make_ray(tx, wall, rx, gain_db=-70.0)
@@ -138,9 +135,7 @@ def test_beam_follows_reflection_stronger_than_blocked_direct_ray():
 def test_empty_step_reports_minus_infinity():
     tx, rx = (0, 0, 1.6), (8, 0, 1.6)
     positions = {0: np.tile(tx, (2, 1)), 1: np.tile(rx, (2, 1))}
-    trace = ChannelTrace(node_positions=positions,
-                         pairs={(0, 1): [[make_ray(tx, rx)], []]},
-                         time_step=0.5, num_steps=2)
+    trace = trace_of({(0, 1): [[make_ray(tx, rx)], []]}, positions, time_step=0.5)
     snr = snr_timeline(trace, (0, 1), TABLE_BUDGET)
     assert math.isfinite(snr[0, 1])
     assert snr[1, 1] == -math.inf
@@ -167,9 +162,8 @@ def test_coincident_vertices_raise_geometry_error(vertices):
     degenerate = Ray(delay=8.0 / 299792458.0, path_gain_db=-120.0, phase_rad=0.0,
                      vertices=np.array(vertices, dtype=np.float64))
     positions = {0: np.tile(tx, (2, 1)), 1: np.tile(rx, (2, 1))}
-    trace = ChannelTrace(node_positions=positions,
-                         pairs={(0, 1): [[make_ray(tx, rx)], [make_ray(tx, rx), degenerate]]},
-                         time_step=0.5, num_steps=2)
+    trace = trace_of({(0, 1): [[make_ray(tx, rx)], [make_ray(tx, rx), degenerate]]}, positions,
+                     time_step=0.5)
     with pytest.raises(GeometryError):
         snr_timeline(trace, (0, 1), TABLE_BUDGET)
 
@@ -189,15 +183,15 @@ def test_equal_gains_steer_to_the_lower_index():
     positions = {0: np.tile(tx, (2, 1)), 1: np.tile(rx, (2, 1))}
 
     def snr(*steps):
-        trace = ChannelTrace(node_positions=positions, pairs={(0, 1): list(steps)},
-                             time_step=0.5, num_steps=2)
+        trace = trace_of({(0, 1): list(steps)}, positions, time_step=0.5)
         return snr_timeline(trace, (0, 1), TABLE_BUDGET)[:, 1]
 
     a, b = make_ray(tx, wall_a, rx, gain_db=-80.0), make_ray(tx, wall_b, rx, gain_db=-80.0)
     c = make_ray(tx, rx, gain_db=-83.0)  # weaker; its array gain depends on the beam
     tied = snr([a, b, c], [b, a, c])
     # a hair weaker second ray leaves each step's beam on its first ray
-    a_leads = snr([a, b.with_gain(-80.0 - 1e-9), c], [a, b.with_gain(-80.0 - 1e-9), c])
-    b_leads = snr([b, a.with_gain(-80.0 - 1e-9), c], [b, a.with_gain(-80.0 - 1e-9), c])
+    a2, b2 = (replace(ray, path_gain_db=-80.0 - 1e-9) for ray in (a, b))
+    a_leads = snr([a, b2, c], [a, b2, c])
+    b_leads = snr([b, a2, c], [b, a2, c])
     np.testing.assert_allclose(tied, [a_leads[0], b_leads[1]], rtol=0.0, atol=1e-6)
     assert abs(a_leads[0] - b_leads[0]) > 0.1  # the two beams do differ

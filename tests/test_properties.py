@@ -2,7 +2,8 @@
 the sequential-equals-combined obstacle order, the candidate table's
 invariances (a whole run equals its rays taken one at a time, any chunking
 of a pair's steps gives the same gains, and one pass over several model
-sets equals a run per set), far culling against the README's threshold
+sets equals a run per set), the segment table and the primary rays against
+per-ray references, far culling against the README's threshold
 definition, batch pose sampling against the scalar formulas, and the batch
 SNR against a per-ray reference."""
 
@@ -14,14 +15,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_traces_equal, make_ray
+from conftest import assert_traces_equal, make_ray, steps_of, trace_of
 from rayblock.diffraction import FAR_FIELD_NU, MODEL_REGISTRY, Metis, Obstruction, \
     diffraction_parameter
 from rayblock.environment import (
     RunStats,
     SimulationConfig,
     _run_chunk,
-    primary_ray_index,
+    primary_rays,
     run,
     run_model_sets,
 )
@@ -46,7 +47,8 @@ from rayblock.obstacles import (
     screen_edge_geometries,
 )
 from rayblock.errors import ConfigError
-from rayblock.trace import ChannelTrace, angles_of_arrival, angles_of_departure
+from rayblock.obstacles import default_threshold
+from rayblock.trace import ChannelTrace, Ray, RayTable, angles_of_arrival, angles_of_departure
 
 WAVELENGTH = 299792458.0 / 60e9
 CUTOFF_MARGIN = 1e-6
@@ -173,9 +175,9 @@ def scenes(draw, max_steps=3, vary_rays=False):
         chosen = (draw(st.lists(st.sampled_from(paths), unique=True)) if vary_rays
                   else paths)
         steps.append([make_ray(*path, gain_db=draw(gains)) for path in chosen])
-    trace = ChannelTrace(
-        node_positions={0: np.tile(TX, (num_steps, 1)), 1: np.tile(RX, (num_steps, 1))},
-        pairs={(0, 1): steps}, time_step=0.25, num_steps=num_steps)
+    trace = trace_of({(0, 1): steps},
+                     {0: np.tile(TX, (num_steps, 1)), 1: np.tile(RX, (num_steps, 1))},
+                     time_step=0.25)
     anchors = [0.5 * (np.array(a) + np.array(b)) for path in paths
                for a, b in zip(path, path[1:])]
     return trace, anchors
@@ -206,7 +208,8 @@ def test_run_equals_its_rays_one_at_a_time(name, fallback, data):
     # no ray may drop out below the floor: the comparison is ray by ray
     out = run(trace, SimulationConfig(obstacles=tuple(obstacle_list), removal_floor_db=-1e9),
               workers=1)
-    for k, (rays, out_rays) in enumerate(zip(trace.pairs[(0, 1)], out.pairs[(0, 1)])):
+    for k, (rays, out_rays) in enumerate(zip(steps_of(trace.pairs[(0, 1)]),
+                                             steps_of(out.pairs[(0, 1)]))):
         primary = primary_ray_index(rays)
         assert len(out_rays) == len(rays)
         for i, (ray, out_ray) in enumerate(zip(rays, out_rays)):
@@ -222,23 +225,22 @@ def test_run_equals_its_rays_one_at_a_time(name, fallback, data):
 def test_any_chunking_gives_the_same_gains(data):
     trace, anchors = data.draw(scenes(max_steps=8, vary_rays=True))
     obstacle_list = tuple(data.draw(st.lists(obstacles(anchors), min_size=1, max_size=4)))
-    steps = trace.pairs[(0, 1)]
+    table = trace.pairs[(0, 1)]
+    num_steps = trace.num_steps
     stride = data.draw(st.integers(1, 3))
-    cuts = data.draw(st.sets(st.integers(1, len(steps) - 1))) if len(steps) > 1 else set()
-    bounds = [0, *sorted(cuts), len(steps)]
+    cuts = data.draw(st.sets(st.integers(1, num_steps - 1))) if num_steps > 1 else set()
+    bounds = [0, *sorted(cuts), num_steps]
 
     def chunk(lo, hi):
         # one model set: the obstacles' own models
-        return _run_chunk(((0, 1), lo, steps[lo:hi], obstacle_list,
+        return _run_chunk(((0, 1), lo, table.step_range(lo, hi), obstacle_list,
                            [tuple(o.model for o in obstacle_list)], stride,
                            stride * trace.time_step, WAVELENGTH))
 
-    _, _, [whole], [whole_counters] = chunk(0, len(steps))
+    _, _, [whole], [whole_counters] = chunk(0, num_steps)
     parts = [chunk(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    split = [gains for part in parts for gains in part[2][0]]
-    assert len(split) == len(whole) == len(steps)
-    for a, b in zip(whole, split):
-        np.testing.assert_array_equal(a, b)
+    assert whole.shape == (len(table),)
+    np.testing.assert_array_equal(whole, np.concatenate([part[2][0] for part in parts]))
     counters = InteractionCounters()
     for part in parts:
         counters.merge(part[3][0])
@@ -373,7 +375,7 @@ def scalar_snr(trace: ChannelTrace, pair, budget: LinkBudget) -> list[float]:
     """Reference SNR (dB) per step, step by step and ray by ray."""
     noise = noise_power_dbm(budget)
     out = []
-    for rays in trace.pairs[pair]:
+    for rays in steps_of(trace.pairs[pair]):
         amplitude = abs(scalar_beamformed_amplitude(rays, budget)) if rays else 0.0
         out.append(budget.tx_power_dbm + 20.0 * math.log10(amplitude) - noise
                    if amplitude > 0.0 else -math.inf)
@@ -403,9 +405,8 @@ def test_batch_snr_matches_the_per_ray_reference(data):
         rx = data.draw(coords((7, -1, 0.5), (9, 1, 2.5)))
         paths = data.draw(st.lists(st.lists(bounces, max_size=2), max_size=5))
         steps.append([make_ray(tx, *path, rx, gain_db=data.draw(gains)) for path in paths])
-    trace = ChannelTrace(node_positions={0: np.zeros((num_steps, 3)),
-                                         1: np.zeros((num_steps, 3))},
-                         pairs={(0, 1): steps}, time_step=0.1, num_steps=num_steps)
+    trace = trace_of({(0, 1): steps},
+                     {0: np.zeros((num_steps, 3)), 1: np.zeros((num_steps, 3))}, time_step=0.1)
     budget = data.draw(link_budgets())
     batch = snr_timeline(trace, (0, 1), budget)
     np.testing.assert_allclose(batch[:, 1], scalar_snr(trace, (0, 1), budget),
@@ -477,8 +478,8 @@ def test_far_culling_changes_only_losses_beyond_the_threshold(table):
     its 0.1 mm slack)."""
     obstacle, starts, ends, primary = table
     n = starts.shape[0]
-    segments = path_segments([[make_ray(s, e)] for s, e in zip(starts, ends)],
-                             [0 if p else None for p in primary], WAVELENGTH)
+    rays = RayTable.from_steps([[make_ray(s, e)] for s, e in zip(starts, ends)])
+    segments = path_segments(rays, np.array(primary), WAVELENGTH)
     centers = np.zeros((n, 3))
     [culled] = obstacle_losses(obstacle, (obstacle.model,), centers, segments, WAVELENGTH,
                                [InteractionCounters()])
@@ -495,3 +496,101 @@ def test_far_culling_changes_only_losses_beyond_the_threshold(table):
             assert culled[1][i] == unculled[1][i]
         elif margins[0] > 0 or margins[-1] > 1e-4:
             assert culled[0][i] == 0.0 and not culled[1][i]
+
+
+def primary_ray_index(rays: list[Ray]) -> int | None:
+    """Reference primary ray of one step: the direct ray when present, else
+    the shortest-delay ray (ties: lower index); None for an empty step."""
+    if not rays:
+        return None
+    return min(range(len(rays)),
+               key=lambda i: (rays[i].reflection_order != 0, rays[i].delay, i))
+
+
+TABLE_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+@st.composite
+def ray_steps(draw, max_steps=5, max_rays=5):
+    """Per-step Ray lists of reflection orders 0-2, maybe empty steps. Delays
+    come from a small set, so steps hold ties, and gains include -inf."""
+    point = coords((-5, -5, 0), (5, 5, 3))
+    steps = []
+    for _ in range(draw(st.integers(1, max_steps))):
+        rays = []
+        for _ in range(draw(st.integers(0, max_rays))):
+            vertices = draw(st.lists(point, min_size=2, max_size=4))
+            rays.append(Ray(delay=draw(st.sampled_from((1e-8, 2e-8, 3e-8))),
+                            path_gain_db=draw(st.one_of(st.floats(-150.0, -40.0),
+                                                        st.just(-math.inf))),
+                            phase_rad=draw(st.floats(-math.pi, math.pi)),
+                            vertices=np.array(vertices)))
+        steps.append(rays)
+    return steps
+
+
+def assert_rays_equal(got: list[Ray], want: list[Ray]) -> None:
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.delay, a.path_gain_db, a.phase_rad) == (b.delay, b.path_gain_db, b.phase_rad)
+        np.testing.assert_array_equal(a.vertices, b.vertices)
+
+
+@TABLE_SETTINGS
+@given(ray_steps())
+def test_a_table_returns_the_rays_it_was_built_from(steps):
+    table = RayTable.from_steps(steps)
+    assert table.counts.tolist() == [len(rays) for rays in steps]
+    for k, rays in enumerate(steps):
+        assert_rays_equal(table.rays(k), rays)
+    lo = len(steps) // 2
+    part = table.step_range(lo, len(steps))
+    for k, rays in enumerate(steps[lo:]):
+        assert_rays_equal(part.rays(k), rays)
+
+
+@TABLE_SETTINGS
+@given(ray_steps(), st.data())
+def test_kept_equals_the_per_ray_filter(steps, data):
+    n = sum(map(len, steps))
+    mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    kept = RayTable.from_steps(steps).kept(mask)
+    flags = iter(mask)
+    want = RayTable.from_steps([[ray for ray in rays if next(flags)] for rays in steps])
+    for column in ("counts", "delay", "gain", "phase", "vertices", "ends"):
+        np.testing.assert_array_equal(getattr(kept, column), getattr(want, column))
+
+
+@TABLE_SETTINGS
+@given(ray_steps())
+def test_primary_rays_equal_the_per_step_reference(steps):
+    want = []
+    offset = 0
+    for rays in steps:
+        index = primary_ray_index(rays)
+        if index is not None:
+            want.append(offset + index)
+        offset += len(rays)
+    assert np.flatnonzero(primary_rays(RayTable.from_steps(steps))).tolist() == want
+
+
+def per_ray_segments(steps, primary, wavelength: float):
+    """Reference segment table: each ray's vertices concatenated, ray by ray."""
+    rays = [ray for rays in steps for ray in rays]
+    starts = np.concatenate([ray.vertices[:-1] for ray in rays])
+    ends = np.concatenate([ray.vertices[1:] for ray in rays])
+    slot = np.repeat(np.arange(len(rays)), [ray.vertices.shape[0] - 1 for ray in rays])
+    ray_step = np.repeat(np.arange(len(steps)), [len(rays) for rays in steps])
+    thresholds = default_threshold(np.linalg.norm(ends - starts, axis=1), wavelength)
+    return starts, ends, ray_step[slot], slot, primary[slot], thresholds, len(rays)
+
+
+@TABLE_SETTINGS
+@given(ray_steps(), st.data())
+def test_path_segments_equal_the_per_ray_concatenation(steps, data):
+    assume(any(steps))
+    n = sum(map(len, steps))
+    primary = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    got = path_segments(RayTable.from_steps(steps), primary, WAVELENGTH)
+    for a, b in zip(got, per_ray_segments(steps, primary, WAVELENGTH)):
+        np.testing.assert_array_equal(a, b)

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_traces_equal, make_ray
+from conftest import assert_traces_equal, make_ray, steps_of, trace_of
 from rayblock.cli import main
 from rayblock.errors import GeometryError, TraceFormatError
 from rayblock.trace import (
     SPEED_OF_LIGHT,
     ChannelTrace,
     Ray,
+    RayTable,
     _format_rows,
     angles_of_arrival,
     angles_of_departure,
@@ -48,7 +49,7 @@ def build_mixed_trace() -> ChannelTrace:
         1: np.tile(rx1, (3, 1)),
         2: np.tile(rx2, (3, 1)),
     }
-    return ChannelTrace(node_positions=positions, pairs=pairs, time_step=0.0034, num_steps=3)
+    return trace_of(pairs, positions, time_step=0.0034)
 
 
 def test_ray_validation():
@@ -66,10 +67,47 @@ def test_trace_validation():
     ray = make_ray((0, 0, 0), (1, 0, 0))
     with pytest.raises(TraceFormatError):
         ChannelTrace(node_positions={0: np.zeros((2, 3))},
-                     pairs={(0, 1): [[ray], [ray]]}, time_step=1.0, num_steps=2)
+                     pairs={(0, 1): RayTable.from_steps([[ray], [ray]])}, time_step=1.0,
+                     num_steps=2)
     with pytest.raises(TraceFormatError):
         ChannelTrace(node_positions={0: np.zeros((2, 3)), 1: np.zeros((2, 3))},
-                     pairs={(0, 1): [[ray]]}, time_step=1.0, num_steps=2)
+                     pairs={(0, 1): RayTable.from_steps([[ray]])}, time_step=1.0, num_steps=2)
+    with pytest.raises(TraceFormatError, match="needs a RayTable"):
+        ChannelTrace(node_positions={0: np.zeros((1, 3)), 1: np.zeros((1, 3))},
+                     pairs={(0, 1): [[ray]]}, time_step=1.0, num_steps=1)
+
+
+def table_columns(**changes) -> dict:
+    """The columns of a consistent two-step table (a direct ray, then a
+    one-bounce ray), with changes."""
+    columns = dict(counts=[1, 1], delay=[1e-8, 2e-8], gain=[-80.0, -90.0], phase=[0.0, 0.5],
+                   vertices=[[0, 0, 0], [1, 0, 0], [0, 0, 0], [1, 1, 0], [1, 0, 0]],
+                   ends=[2, 5])
+    columns.update(changes)
+    return columns
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(counts=[1, 2]), "do not sum"),
+    (dict(counts=[2, -1]), "do not sum"),
+    (dict(gain=[-80.0]), "differ in length"),
+    (dict(ends=[1, 5]), "ray 0 needs >= 2 vertices"),
+    (dict(ends=[2, 4]), "the last ray ends at vertex row 4, but the table has 5"),
+    (dict(ends=[2, 6]), "the last ray ends at vertex row 6, but the table has 5"),
+    (dict(vertices=np.zeros((5, 2))), "3 coords"),
+    (dict(counts=[0], delay=[], gain=[], phase=[], ends=[]), "the last ray ends at vertex row 0"),
+])
+def test_an_inconsistent_table_is_rejected(changes, message):
+    RayTable(**table_columns())
+    with pytest.raises(TraceFormatError, match=message):
+        RayTable(**table_columns(**changes))
+
+
+def test_a_table_is_read_only():
+    table = RayTable(**table_columns())
+    for column in ("counts", "delay", "gain", "phase", "vertices", "ends"):
+        with pytest.raises(ValueError):
+            getattr(table, column)[0] = 0
 
 
 def test_minimal_import_fixture(tmp_path):
@@ -85,7 +123,7 @@ def test_minimal_import_fixture(tmp_path):
         "0.000000,0.000000,1.600000,8.000000,0.000000,1.600000\n")
     trace = import_scenario(tmp_path)
     assert trace.num_steps == 1
-    ray = trace.pairs[(0, 1)][0][0]
+    ray = trace.pairs[(0, 1)].rays(0)[0]
     np.testing.assert_array_equal(ray.vertices, [[0, 0, 1.6], [8, 0, 1.6]])
     assert ray.path_gain_db == -80.0
 
@@ -94,10 +132,8 @@ def test_import_two_steps_varying_counts(tmp_path):
     trace = build_mixed_trace()
     export_scenario(trace, tmp_path)
     loaded = import_scenario(tmp_path)
-    counts = [len(rays) for rays in loaded.pairs[(0, 1)]]
-    assert counts == [2, 0, 1]
-    counts2 = [len(rays) for rays in loaded.pairs[(0, 2)]]
-    assert counts2 == [1, 2, 1]
+    assert loaded.pairs[(0, 1)].counts.tolist() == [2, 0, 1]
+    assert loaded.pairs[(0, 2)].counts.tolist() == [1, 2, 1]
     assert loaded.time_step == pytest.approx(0.0034)
 
 
@@ -109,7 +145,7 @@ def test_import_pairs_sharing_an_id_prefix(tmp_path, monkeypatch):
         (0, 11): [[make_ray(tx, rx11, gain_db=-77.0)]],
     }
     positions = {0: np.tile(tx, (1, 1)), 1: np.tile(rx1, (1, 1)), 11: np.tile(rx11, (1, 1))}
-    trace = ChannelTrace(node_positions=positions, pairs=pairs, time_step=0.5, num_steps=1)
+    trace = trace_of(pairs, positions, time_step=0.5)
     export_scenario(trace, tmp_path)
 
     listed = []
@@ -124,7 +160,7 @@ def test_import_pairs_sharing_an_id_prefix(tmp_path, monkeypatch):
     assert listed.count("MpcCoordinates") == 1
     assert sorted(loaded.pairs) == [(0, 1), (0, 11)]
     for pair, steps in pairs.items():
-        got = loaded.pairs[pair][0]
+        got = loaded.pairs[pair].rays(0)
         assert [r.path_gain_db for r in got] == [r.path_gain_db for r in steps[0]]
         for r_got, r_want in zip(got, steps[0]):
             np.testing.assert_allclose(r_got.vertices, r_want.vertices, atol=1e-6)
@@ -147,13 +183,11 @@ def test_export_drops_rays_below_floor(tmp_path):
     gone = Ray(delay=weak.delay, path_gain_db=-math.inf, phase_rad=0.0,
                vertices=weak.vertices)
     keep = make_ray(tx, rx, gain_db=-80.0)
-    trace = ChannelTrace(
-        node_positions={0: np.tile(tx, (1, 1)), 1: np.tile(rx, (1, 1))},
-        pairs={(0, 1): [[keep, weak, gone]]}, time_step=1.0, num_steps=1)
+    trace = trace_of({(0, 1): [[keep, weak, gone]]},
+                     {0: np.tile(tx, (1, 1)), 1: np.tile(rx, (1, 1))}, time_step=1.0)
     export_scenario(trace, tmp_path)
     loaded = import_scenario(tmp_path)
-    assert len(loaded.pairs[(0, 1)][0]) == 1
-    assert loaded.pairs[(0, 1)][0][0].path_gain_db == -80.0
+    assert loaded.pairs[(0, 1)].gain.tolist() == [-80.0]
 
 
 def test_import_missing_ray_files_names_pair(tmp_path):
@@ -286,7 +320,7 @@ def test_batch_angles_equal_the_one_ray_angles_to_the_bit(rng):
     # axis-aligned directions, including azimuth pi and elevation +-pi/2
     rays += [make_ray(a, b) for a, b in (((1, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 0, 2)),
                                          ((0, 0, 2), (0, 0, 0)), ((0, 0, 0), (0, -1, 0)))]
-    departure, arrival = path_directions(rays)
+    departure, arrival = path_directions(RayTable.from_steps([rays]))
     for batch, scalar, ends in ((direction_angles(departure), angles_of_departure, (0, 1)),
                                 (direction_angles(arrival), angles_of_arrival, (-1, -2))):
         got = np.stack(batch, axis=1)
@@ -299,16 +333,17 @@ def test_batch_angles_equal_the_one_ray_angles_to_the_bit(rng):
 def test_path_lengths_match_the_vertex_paths(rng):
     rays = random_rays(rng, 50)
     want = [np.sum(np.linalg.norm(np.diff(ray.vertices, axis=0), axis=1)) for ray in rays]
-    np.testing.assert_allclose(path_lengths(rays), want, rtol=1e-14)
-    assert [ray.path_length for ray in rays] == path_lengths(rays).tolist()
-    assert path_lengths([]).shape == (0,)
+    table = RayTable.from_steps([rays[:20], [], rays[20:]])
+    np.testing.assert_allclose(path_lengths(table), want, rtol=1e-14)
+    assert [ray.path_length for ray in rays] == path_lengths(table).tolist()
+    assert path_lengths(RayTable.from_steps([[]])).shape == (0,)
 
 
 def test_exported_angles_equal_the_one_ray_angles(tmp_path, rng):
     tx = (0.0, 0.0, 1.6)
     steps = [random_rays(rng, 7), [], random_rays(rng, 4)]
-    trace = ChannelTrace(node_positions={0: np.tile(tx, (3, 1)), 1: np.zeros((3, 3))},
-                         pairs={(0, 1): steps}, time_step=0.1, num_steps=3)
+    trace = trace_of({(0, 1): steps}, {0: np.tile(tx, (3, 1)), 1: np.zeros((3, 3))},
+                     time_step=0.1)
     export_scenario(trace, tmp_path, drop_below_db=-90.0)
     lines = (tmp_path / "Output" / "Ns3" / "QdFiles" / "Tx0Rx1.txt").read_text().splitlines()
     i = 0
@@ -332,19 +367,20 @@ def test_export_ignores_a_dropped_ray_with_coincident_vertices(tmp_path):
     keep = make_ray(tx, rx, gain_db=-80.0)
     degenerate = Ray(delay=keep.delay, path_gain_db=-math.inf, phase_rad=0.0,
                      vertices=np.array([tx, tx, rx]))
-    trace = ChannelTrace(
-        node_positions={0: np.tile(tx, (1, 1)), 1: np.tile(rx, (1, 1))},
-        pairs={(0, 1): [[degenerate, keep]]}, time_step=1.0, num_steps=1)
+    trace = trace_of({(0, 1): [[degenerate, keep]]},
+                     {0: np.tile(tx, (1, 1)), 1: np.tile(rx, (1, 1))}, time_step=1.0)
     export_scenario(trace, tmp_path)
     loaded = import_scenario(tmp_path)
-    assert [r.path_gain_db for r in loaded.pairs[(0, 1)][0]] == [-80.0]
+    assert loaded.pairs[(0, 1)].gain.tolist() == [-80.0]
 
 
 def test_import_counts_rays_with_inconsistent_delays(tmp_path, caplog):
     trace = build_mixed_trace()
-    rays = trace.pairs[(0, 2)][1]
+    steps = steps_of(trace.pairs[(0, 2)])
+    rays = steps[1]
     rays[1] = Ray(delay=rays[1].delay + 2e-6, path_gain_db=rays[1].path_gain_db,
                   phase_rad=rays[1].phase_rad, vertices=rays[1].vertices)
+    trace.pairs[(0, 2)] = RayTable.from_steps(steps)
     export_scenario(trace, tmp_path)
     with caplog.at_level(logging.WARNING, logger="rayblock.trace"):
         import_scenario(tmp_path)
