@@ -1,7 +1,9 @@
 """Numeric kernels: scalar loss-model helpers and batch geometry.
 
 The scalar kernels (the Fresnel series, the knife-edge loss) run once per
-loss-model evaluation, in plain Python.
+loss-model evaluation, in plain Python: their coefficients are tuples of
+Python floats and they return Python floats, so no numpy scalar enters the
+per-row loss path (numpy scalar arithmetic costs several times CPython's).
 
 The batch geometry kernels work row by row on the candidate table of a
 chunk (see ``obstacles``): one row per (segment, obstacle pose) candidate,
@@ -36,32 +38,33 @@ USING_NUMBA = False
 # (Boersma's method, the computational recipe given in ITU-R P.526-15).
 # For x = pi*nu^2/2 < 4:  F = exp(jx) * sqrt(x/4) * sum (a_n - j b_n) (x/4)^n
 # For x >= 4:             F = (1+j)/2 + exp(jx) * sqrt(4/x) * sum (c_n - j d_n) (4/x)^n
-_FA = np.array([
+_FA = (
     +1.595769140, -0.000001702, -6.808568854, -0.000576361,
     +6.920691902, -0.016898657, -3.050485660, -0.075752419,
     +0.850663781, -0.025639041, -0.150230960, +0.034404779,
-])
-_FB = np.array([
+)
+_FB = (
     -0.000000033, +4.255387524, -0.000092810, -7.780020400,
     -0.009520895, +5.075161298, -0.138341947, -1.363729124,
     -0.403349276, +0.702222016, -0.216195929, +0.019547031,
-])
-_FC = np.array([
+)
+_FC = (
     +0.000000000, -0.024933975, +0.000003936, +0.005770956,
     +0.000689892, -0.009497136, +0.011948809, -0.006748873,
     +0.000246420, +0.002102967, -0.001217930, +0.000233939,
-])
-_FD = np.array([
+)
+_FD = (
     +0.199471140, +0.000000023, -0.009351341, +0.000023006,
     +0.004851466, +0.001903218, -0.017122914, +0.029064067,
     -0.027928955, +0.016497308, -0.005598515, +0.000838386,
-])
+)
 
 
 def fresnel_cs(nu):
     """Closed-form C(nu), S(nu) of the complex Fresnel integral.
 
     Accurate to a few 1e-9 over the real line; odd in nu by construction.
+    Returns Python floats for a Python float nu.
     """
     sign = 1.0
     a = nu
@@ -74,9 +77,9 @@ def fresnel_cs(nu):
         sa = 0.0
         sb = 0.0
         tn = 1.0
-        for n in range(12):
-            sa += _FA[n] * tn
-            sb += _FB[n] * tn
+        for fa, fb in zip(_FA, _FB):
+            sa += fa * tn
+            sb += fb * tn
             tn *= t
         root = math.sqrt(t)
         cx = math.cos(x)
@@ -89,9 +92,9 @@ def fresnel_cs(nu):
         sc = 0.0
         sd = 0.0
         tn = 1.0
-        for n in range(12):
-            sc += _FC[n] * tn
-            sd += _FD[n] * tn
+        for fc, fd in zip(_FC, _FD):
+            sc += fc * tn
+            sd += fd * tn
             tn *= t
         root = math.sqrt(t)
         cx = math.cos(x)

@@ -195,7 +195,11 @@ def fresnel_quadrature(nu: float, tol: float = _QUADRATURE_TOL) -> tuple[float, 
 
 
 def fresnel_integral(nu: float) -> tuple[float, float]:
-    """(C(nu), S(nu)) of the complex Fresnel integral, from the closed-form series."""
+    """(C(nu), S(nu)) of the complex Fresnel integral, from the closed-form series.
+
+    Both are Python floats, so sked and the models built on it do their
+    complex arithmetic in CPython, not in numpy scalar math.
+    """
     if not math.isfinite(nu):
         raise GeometryError("nu must be finite")
     return _kernels.fresnel_cs(nu)

@@ -483,21 +483,14 @@ def _positions_from_rays(pairs: dict[tuple[int, int], RayTable], node: int,
         first_ray = (np.cumsum(table.counts) - table.counts)[unset]
         rows = table.first_rows()[first_ray] if tx == node else table.ends[first_ray] - 1
         pos[unset] = table.vertices[rows]
-    # carry the nearest known position over ray-less steps
-    last = None
-    for t in range(num_steps):
-        if np.isnan(pos[t, 0]):
-            if last is not None:
-                pos[t] = last
-        else:
-            last = pos[t]
-    for t in range(num_steps - 1, -1, -1):
-        if np.isnan(pos[t, 0]):
-            pos[t] = pos[t + 1] if t + 1 < num_steps else 0.0
-    if np.any(np.isnan(pos)):
+    known = ~np.isnan(pos[:, 0])
+    if not known.any():
         log.warning("node %d has no recoverable positions, using origin", node)
-        pos = np.nan_to_num(pos)
-    return pos
+        return np.zeros((num_steps, 3))
+    # carry the last known position over ray-less steps, and the first known
+    # one back over the steps before it
+    first = int(np.argmax(known))
+    return pos[np.maximum.accumulate(np.where(known, np.arange(num_steps), first))]
 
 
 @functools.lru_cache(maxsize=None)

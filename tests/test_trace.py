@@ -232,6 +232,24 @@ def test_node_positions_fallback_from_rays(tmp_path):
     np.testing.assert_allclose(loaded.node_positions[1][0], [8, 0, 1.6], atol=1e-6)
 
 
+def test_node_positions_fallback_warns_for_a_node_without_rays(tmp_path, caplog):
+    tx, rx1, rx2 = (0.0, 0.0, 1.6), (8.0, 0.0, 1.6), (4.0, 3.0, 1.2)
+    trace = trace_of({(0, 1): [[], [make_ray(tx, rx1)], []], (0, 2): [[], [], []]},
+                     {0: np.tile(tx, (3, 1)), 1: np.tile(rx1, (3, 1)),
+                      2: np.tile(rx2, (3, 1))}, time_step=0.1)
+    export_scenario(trace, tmp_path)
+    for f in (tmp_path / "Output" / "Visualizer" / "NodePositions").iterdir():
+        f.unlink()
+    with caplog.at_level(logging.WARNING, logger="rayblock.trace"):
+        loaded = import_scenario(tmp_path)
+    warnings = [r.getMessage() for r in caplog.records if "recoverable" in r.getMessage()]
+    assert warnings == ["node 2 has no recoverable positions, using origin"]
+    np.testing.assert_array_equal(loaded.node_positions[2], np.zeros((3, 3)))
+    # the one known step is carried forward and back over the ray-less steps
+    np.testing.assert_allclose(loaded.node_positions[0], np.tile(tx, (3, 1)), atol=1e-6)
+    np.testing.assert_allclose(loaded.node_positions[1], np.tile(rx1, (3, 1)), atol=1e-6)
+
+
 # --- angles -------------------------------------------------------------------
 
 def test_angles_axis_aligned_los():
