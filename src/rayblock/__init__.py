@@ -11,32 +11,26 @@ from .diffraction import (
     LOSS_CAP_DB,
     Dked,
     DkedPc,
-    EdgeGeometry,
     ItuSe,
     Metis,
     Obstruction,
-    ScreenDiffractionGeometry,
     diffraction_parameter,
     dked_loss,
     dked_pc_loss,
     fresnel_integral,
-    fresnel_zone_radius,
     itu_se_loss,
     metis_edge_term,
     metis_loss,
-    obstruction_loss,
     sked,
 )
 from .environment import RunStats, SimulationConfig, run, run_model_sets
 from .errors import (
     ConfigError,
-    DegenerateGeometryError,
     GeometryError,
     NumericBudgetError,
     RayBlockError,
     TraceFormatError,
 )
-from .geometry import Point3, RectScreen, Segment, Vector3
 from .linkeval import ArrayConfig, LinkBudget, noise_power_dbm, snr_timeline, steering_vector
 from .obstacles import (
     InteractionCounters,
@@ -50,7 +44,6 @@ from .obstacles import (
     WaypointMobility,
     interact,
     position_at,
-    screen_edge_geometries,
 )
 from .trace import (
     ChannelTrace,

@@ -28,13 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffraction import (
-    MODEL_REGISTRY,
-    LossModel,
-    Metis,
-    Obstruction,
-    log_itu_se_out_of_regime,
-)
+from .diffraction import MODEL_REGISTRY, LossModel, Obstruction, log_itu_se_out_of_regime
 from .environment import RunStats, SimulationConfig, resolve_workers, run_model_sets
 from .errors import ConfigError, NumericBudgetError, RayBlockError, TraceFormatError
 from .linkeval import ArrayConfig, LinkBudget, snr_timeline
@@ -51,8 +45,6 @@ from .obstacles import (
     obstacle_losses,
 )
 from .trace import SPEED_OF_LIGHT, _format_columns, export_scenario, import_scenario
-
-MODEL_NAMES = tuple(MODEL_REGISTRY)
 
 
 def _version() -> str:
@@ -114,6 +106,12 @@ def _number(value, context: str) -> float:
     if not math.isfinite(number):
         raise ConfigError(f"{context}: expected a finite number, got {value!r}")
     return number
+
+
+def _string(value, context: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{context}: expected a string, got {value!r}")
+    return value
 
 
 def _integer(value, context: str, minimum: int | None = None) -> int:
@@ -260,9 +258,9 @@ def parse_run_spec(data: dict) -> RunSpec:
             raise ConfigError("spec.sampling: time_step must be positive")
     max_clamp = data.get("max_clamp_events")
     try:
-        return RunSpec(
-            scenario_dir=str(_require(data, "scenario_dir", "spec")),
-            output_dir=str(_require(data, "output_dir", "spec")),
+        spec = RunSpec(
+            scenario_dir=_string(_require(data, "scenario_dir", "spec"), "spec.scenario_dir"),
+            output_dir=_string(_require(data, "output_dir", "spec"), "spec.output_dir"),
             obstacles=tuple(_parse_obstacle(o, i) for i, o in enumerate(obstacles)),
             models_to_compare=tuple(models),
             link_budget=_parse_link_budget(data.get("link_budget", {}), "spec.link_budget"),
@@ -273,6 +271,27 @@ def parse_run_spec(data: dict) -> RunSpec:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"spec: {exc}") from None
+    # swap the models here, so validate rejects what run would (Obstacle's rules)
+    for name in spec.models_to_compare:
+        for i, obstacle in enumerate(spec.obstacles):
+            try:
+                _override_model(obstacle, name)
+            except ConfigError as exc:
+                raise ConfigError(f"spec: models_to_compare {name!r} "
+                                  f"cannot model obstacles[{i}]: {exc}") from None
+    return spec
+
+
+def _override_model(obstacle: Obstacle, name: str) -> Obstacle:
+    """The obstacle with its model swapped for the named compared model;
+    Obstacle rejects a pair it cannot model (a tilted screen with metis)."""
+    if isinstance(obstacle.shape, SphereShape):
+        return obstacle  # spheres only ever obstruct
+    if name == "obstruction":
+        model = obstacle.model if isinstance(obstacle.model, Obstruction) else Obstruction(10.0)
+    else:
+        model = MODEL_REGISTRY[name]()
+    return dataclasses.replace(obstacle, model=model)
 
 
 def load_run_spec(path) -> RunSpec:
@@ -457,20 +476,6 @@ def _sha256_tree(root: Path, skip: Path | None = None) -> str:
         with open(os.path.join(root, rel), "rb") as f:
             h.update(f.read())
     return h.hexdigest()
-
-
-def _override_model(obstacle: Obstacle, name: str) -> Obstacle:
-    if isinstance(obstacle.shape, SphereShape):
-        return obstacle  # spheres only ever obstruct
-    if name == "obstruction":
-        model = obstacle.model if isinstance(obstacle.model, Obstruction) else Obstruction(10.0)
-    else:
-        model = MODEL_REGISTRY[name]()
-    if (isinstance(obstacle.shape, ScreenShape) and obstacle.shape.tilted
-            and isinstance(model, Metis)):
-        raise ConfigError("models_to_compare includes metis but the scenario has a "
-                          "tilted screen, which metis cannot describe")
-    return dataclasses.replace(obstacle, model=model)
 
 
 def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:

@@ -7,14 +7,21 @@ Fresnel integral entirely (after ITU-R P.526-15: the single-edge loss
 approximation of its section 4.1 combined per its section 5.1 finite-width
 screen construction).
 
+The edge geometry lives in ``obstacles``, as one column per edge value over
+a chunk's candidates (``obstacles._EdgeColumns``); ``diffraction_parameter``
+maps those columns to the signed diffraction parameter. Each model function
+then evaluates one candidate from its row of plain floats (parameters,
+depths, excess path lengths, distances from the direct-path line) and
+returns a plain float.
+
 The loss models evaluate the Fresnel integral with a closed-form series
 (``fresnel_integral``, see _kernels); an adaptive quadrature
 (``fresnel_quadrature``) is the reference oracle the tests compare it with.
 
 The models share fixed constants rather than a settings object: every
 loss is capped at ``LOSS_CAP_DB``, and edges beyond ``FAR_FIELD_NU`` take
-their asymptotic value. All functions are pure; the module-level
-``diagnostics`` object only counts capped losses and exists per process.
+their asymptotic value. The functions keep no state apart from the
+module-level ``diagnostics``, which counts capped losses per process.
 """
 
 from __future__ import annotations
@@ -22,11 +29,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _kernels
 from .errors import GeometryError
+
+if TYPE_CHECKING:
+    from .obstacles import _EdgeColumns
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +54,12 @@ _QUADRATURE_TOL = 1e-9
 
 
 class Diagnostics:
-    """Per-process count of losses capped at LOSS_CAP_DB, reported by the CLI."""
+    """Per-process count of losses capped at LOSS_CAP_DB.
+
+    A run reports its own clamp events: obstacles takes the change of this
+    count around each model's loss pass into InteractionCounters.clamp_events,
+    which the CLI prints. Only the end-to-end benchmark reads the total.
+    """
 
     def __init__(self):
         self.total = 0
@@ -53,64 +69,6 @@ class Diagnostics:
 
 
 diagnostics = Diagnostics()
-
-
-@dataclass(frozen=True)
-class EdgeGeometry:
-    """Distances and signed obstruction depth of one screen edge.
-
-    depth is positive when this edge's half-plane (bounded by the edge,
-    containing the screen) covers the direct path, negative otherwise.
-    los_distance, when provided, is the perpendicular distance from the
-    infinite direct-path line to the edge segment and is used only to pick
-    the positive edge of each pair in the four-edge arctan model.
-    """
-
-    d_tx: float
-    d_rx: float
-    distance: float
-    depth: float
-    wavelength: float
-    los_distance: float | None = None
-
-    def __post_init__(self):
-        if not (self.d_tx > 0 and self.d_rx > 0):
-            raise GeometryError("edge-to-node distances must be positive")
-        if self.wavelength <= 0:
-            raise GeometryError("wavelength must be positive")
-        if self.distance <= 0:
-            raise GeometryError("node separation must be positive")
-        if self.d_tx + self.d_rx < self.distance - 1e-9:
-            raise GeometryError(
-                f"edge path {self.d_tx + self.d_rx} shorter than direct path {self.distance}"
-            )
-
-    @property
-    def excess_path(self) -> float:
-        return max(self.d_tx + self.d_rx - self.distance, 0.0)
-
-
-@dataclass(frozen=True)
-class ScreenDiffractionGeometry:
-    """The four edge records of one screen against one path segment."""
-
-    w1: EdgeGeometry
-    w2: EdgeGeometry
-    h1: EdgeGeometry
-    h2: EdgeGeometry
-    los_blocked: bool
-
-    def __post_init__(self):
-        edges = self.edges
-        r = edges[0].distance
-        lam = edges[0].wavelength
-        for e in edges[1:]:
-            if abs(e.distance - r) > 1e-9 * max(r, 1.0) or abs(e.wavelength - lam) > 1e-15:
-                raise GeometryError("edges must share node separation and wavelength")
-
-    @property
-    def edges(self) -> tuple[EdgeGeometry, EdgeGeometry, EdgeGeometry, EdgeGeometry]:
-        return (self.w1, self.w2, self.h1, self.h2)
 
 
 class LossModel:
@@ -153,22 +111,6 @@ MODEL_REGISTRY: dict[str, type[LossModel]] = {
     "dked_pc": DkedPc,
     "itu_se": ItuSe,
 }
-
-
-def model_name(model: LossModel) -> str:
-    for name, cls in MODEL_REGISTRY.items():
-        if isinstance(model, cls):
-            return name
-    raise GeometryError(f"unknown loss model {model!r}")
-
-
-def fresnel_zone_radius(n: int, wavelength: float, d_tx: float, d_rx: float) -> float:
-    """Radius of the n-th Fresnel zone at a point splitting the path d_tx/d_rx."""
-    if n < 1 or int(n) != n:
-        raise GeometryError("zone order must be a positive integer")
-    if wavelength <= 0 or d_tx <= 0 or d_rx <= 0:
-        raise GeometryError("wavelength and distances must be positive")
-    return math.sqrt(n * wavelength * d_tx * d_rx / (d_tx + d_rx))
 
 
 def fresnel_quadrature(nu: float, tol: float = _QUADRATURE_TOL) -> tuple[float, float]:
@@ -235,22 +177,15 @@ def fresnel_integral_grid(nus: np.ndarray,
     return out_c, out_s
 
 
-def diffraction_parameter(edge: EdgeGeometry) -> float:
-    """Signed Fresnel-Kirchhoff parameter of one edge.
+def diffraction_parameter(edge: _EdgeColumns) -> np.ndarray:
+    """Signed Fresnel-Kirchhoff parameter of one edge, one value per candidate.
 
-    Reads only depth, d_tx, d_rx and wavelength, which may also be arrays
-    (one value per candidate of the obstacles table).
+    Reads only the columns' depth, d_tx and d_rx (arrays over the
+    candidates of the obstacles table) and their wavelength.
     """
     return edge.depth * np.sqrt(
         (2.0 / edge.wavelength) * (edge.d_tx + edge.d_rx) / (edge.d_tx * edge.d_rx)
     )
-
-
-def obstruction_loss(blocked: bool, loss_db: float) -> float:
-    """Constant loss while shadowed, zero otherwise."""
-    if loss_db < 0:
-        raise GeometryError("obstruction loss must be >= 0 dB")
-    return loss_db if blocked else 0.0
 
 
 def _capped(loss_db: float) -> float:

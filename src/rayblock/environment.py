@@ -53,12 +53,12 @@ class SimulationConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        if self.time_step is not None and self.time_step <= 0:
-            raise ConfigError("time step must be positive")
+        if self.time_step is not None and not 0 < self.time_step < math.inf:
+            raise ConfigError("time step must be finite and positive")
         if not math.isfinite(self.removal_floor_db):
             raise ConfigError("removal floor must be finite")
-        if self.carrier_frequency_hz <= 0:
-            raise ConfigError("carrier frequency must be positive")
+        if not 0 < self.carrier_frequency_hz < math.inf:
+            raise ConfigError("carrier frequency must be finite and positive")
 
 
 @dataclass

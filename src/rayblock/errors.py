@@ -10,13 +10,7 @@ class RayBlockError(Exception):
 
 
 class GeometryError(RayBlockError):
-    """Invalid geometric input (non-finite, zero-length, out of domain)."""
-
-
-class DegenerateGeometryError(GeometryError):
-    """Measure-zero configuration the caller must decide how to handle,
-    e.g. a segment lying inside a screen plane or a vertical segment fed
-    to the per-ray screen orthogonalization."""
+    """Invalid input to a loss model (non-finite or out of domain)."""
 
 
 class ConfigError(RayBlockError):

@@ -35,22 +35,28 @@ from . import _kernels, diffraction
 from .diffraction import (
     Dked,
     DkedPc,
-    EdgeGeometry,
     ItuSe,
     LossModel,
     Metis,
     Obstruction,
-    ScreenDiffractionGeometry,
     diffraction_parameter,
 )
 from ._kernels import dot3
-from .errors import ConfigError, DegenerateGeometryError
-from .geometry import RectScreen, Segment
+from .errors import ConfigError
 from .trace import RayTable
 
 _BOUNDARY_TOL = 1e-9
 _VERTICAL = np.array([0.0, 0.0, 1.0])
 _VERTICAL.setflags(write=False)
+
+
+def _check_finite(value, *fields: str) -> None:
+    """Reject NaN and infinite fields: every comparison with NaN is false, so
+    an obstacle holding one would silently never block or diffract."""
+    for field in fields:
+        number = getattr(value, field)
+        if not np.all(np.isfinite(np.asarray(number, dtype=np.float64))):
+            raise ConfigError(f"{type(value).__name__}.{field} must be finite, got {number!r}")
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,7 @@ class ScreenShape:
     elevation: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self, "width", "height", "azimuth", "elevation")
         if self.width <= 0 or self.height <= 0:
             raise ConfigError("screen extents must be positive")
 
@@ -72,13 +79,19 @@ class ScreenShape:
 
     @cached_property
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unit width and height axes; they depend on the angles only."""
-        plane = RectScreen(center=(0.0, 0.0, 0.0), width=self.width, height=self.height,
-                           azimuth=self.azimuth, elevation=self.elevation)
-        axes = (plane.width_axis, plane.height_axis)
-        for axis in axes:
+        """Unit width and height axes; they depend on the angles only.
+
+        With both angles zero the screen lies in the y-z plane: normal +x,
+        width axis +y, height axis +z. Azimuth turns the normal in the
+        horizontal plane, elevation tilts it out of it.
+        """
+        ca, sa = math.cos(self.azimuth), math.sin(self.azimuth)
+        ce, se = math.cos(self.elevation), math.sin(self.elevation)
+        width_axis = np.array([-sa, ca, 0.0])
+        height_axis = np.cross(np.array([ce * ca, ce * sa, se]), width_axis)
+        for axis in (width_axis, height_axis):
             axis.setflags(write=False)  # shared by every evaluation of this shape
-        return axes
+        return width_axis, height_axis
 
     @property
     def height_axis(self) -> np.ndarray:
@@ -93,6 +106,7 @@ class OrthoScreenShape:
     height: float
 
     def __post_init__(self):
+        _check_finite(self, "width", "height")
         if self.width <= 0 or self.height <= 0:
             raise ConfigError("screen extents must be positive")
 
@@ -106,6 +120,7 @@ class SphereShape:
     radius: float
 
     def __post_init__(self):
+        _check_finite(self, "radius")
         if self.radius <= 0:
             raise ConfigError("sphere radius must be positive")
 
@@ -117,6 +132,9 @@ Shape = Union[ScreenShape, OrthoScreenShape, SphereShape]
 class Static:
     position: tuple[float, float, float]
 
+    def __post_init__(self):
+        _check_finite(self, "position")
+
     def positions_at(self, t: np.ndarray) -> np.ndarray:
         return np.tile(np.array(self.position, dtype=np.float64), (t.shape[0], 1))
 
@@ -127,6 +145,9 @@ class LinearMobility:
 
     start: tuple[float, float, float]
     velocity: tuple[float, float, float]  # m/s
+
+    def __post_init__(self):
+        _check_finite(self, "start", "velocity")
 
     def positions_at(self, t: np.ndarray) -> np.ndarray:
         return (np.array(self.start, dtype=np.float64)
@@ -146,6 +167,7 @@ class WaypointMobility:
     def __post_init__(self):
         if len(self.times) != len(self.points) or len(self.times) < 1:
             raise ConfigError("waypoints need matching, non-empty times and points")
+        _check_finite(self, "times", "points")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ConfigError("waypoint times must be strictly increasing")
 
@@ -215,8 +237,10 @@ class Obstacle:
     fallback_loss_db: float = 10.0
 
     def __post_init__(self):
-        if self.distance_threshold is not None and self.distance_threshold <= 0:
-            raise ConfigError("distance threshold must be positive")
+        # +inf is a threshold (no cull); NaN would cull every segment
+        if self.distance_threshold is not None and not self.distance_threshold > 0:
+            raise ConfigError(f"distance threshold must be positive, got "
+                              f"{self.distance_threshold!r}")
         if isinstance(self.shape, SphereShape) and not isinstance(self.model, Obstruction):
             raise ConfigError("spheres support only the constant obstruction model")
         if (isinstance(self.shape, ScreenShape) and self.shape.tilted
@@ -224,8 +248,8 @@ class Obstacle:
             raise ConfigError(
                 "the four-edge arctan model assumes a broadside screen; "
                 "tilted screens must use dked, dked_pc or itu_se")
-        if self.fallback_loss_db < 0:
-            raise ConfigError("fallback obstruction loss must be >= 0 dB")
+        if not (math.isfinite(self.fallback_loss_db) and self.fallback_loss_db >= 0):
+            raise ConfigError("fallback obstruction loss must be finite and >= 0 dB")
 
     @property
     def bounding_radius(self) -> float:
@@ -310,7 +334,15 @@ _MODEL_EDGES = {Dked: _EDGES[:2], DkedPc: _EDGES[:2], ItuSe: _EDGES, Metis: _EDG
 
 
 class _EdgeColumns(NamedTuple):
-    """The fields of EdgeGeometry, one value per candidate row."""
+    """The geometry of one screen edge, one value per candidate row.
+
+    d_tx and d_rx are the lengths from the segment's start and end to the
+    edge's diffraction point, distance is the segment's length, and depth
+    is positive where the edge's half-plane (bounded by the edge, holding
+    the screen) covers the segment's crossing point. los_distance, from
+    the segment's line to the edge, is computed only for metis, which reads
+    it to pick the positive edge of each pair.
+    """
 
     d_tx: np.ndarray
     d_rx: np.ndarray
@@ -344,30 +376,6 @@ def _edge_columns(centers, u, v, half_w: float, half_h: float, starts, ends, dep
 def _on_an_edge(columns) -> np.ndarray:
     """Rows with a segment endpoint on an edge, which leaves no edge-to-node path."""
     return np.any([(c.d_tx == 0.0) | (c.d_rx == 0.0) for c in columns], axis=0)
-
-
-def screen_edge_geometries(screen: RectScreen, segment: Segment,
-                           wavelength: float) -> ScreenDiffractionGeometry:
-    """Validated edge records of a concrete screen against one segment.
-
-    The public form of one candidate-table row. Raises
-    DegenerateGeometryError when the segment is parallel to the screen or
-    has an endpoint on one of its edges.
-    """
-    args = (screen.center[np.newaxis], screen.width_axis[np.newaxis],
-            screen.height_axis[np.newaxis], 0.5 * screen.width, 0.5 * screen.height,
-            segment.start[np.newaxis], segment.end[np.newaxis])
-    depths, blocked, parallel = _screen_cross_section(*args)
-    if parallel[0]:
-        raise DegenerateGeometryError("segment parallel to screen plane")
-    columns = _edge_columns(*args, depths, _EDGES, wavelength, los=True)
-    if _on_an_edge(columns.values())[0]:
-        raise DegenerateGeometryError("segment endpoint on a screen edge")
-    edges = [EdgeGeometry(d_tx=float(c.d_tx[0]), d_rx=float(c.d_rx[0]),
-                          distance=float(c.distance[0]), depth=float(c.depth[0]),
-                          wavelength=wavelength, los_distance=float(c.los_distance[0]))
-             for c in columns.values()]
-    return ScreenDiffractionGeometry(*edges, los_blocked=bool(blocked[0]))
 
 
 def _segment_outcome(model: LossModel, wavelength: float, blocked: bool, nus: tuple,

@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rayblock import _kernels
-from rayblock.diffraction import (
-    ScreenDiffractionGeometry,
-    diffraction_parameter,
-    itu_se_loss,
-    metis_loss,
-)
+from rayblock import _kernels, obstacles
+from rayblock.diffraction import Metis
 from rayblock.trace import SPEED_OF_LIGHT, ChannelTrace, Ray, RayTable
 
 
@@ -45,18 +40,29 @@ def fresnel_cs_grid(nus) -> tuple[np.ndarray, np.ndarray]:
     return np.array(c), np.array(s)
 
 
-def metis_of(geom: ScreenDiffractionGeometry) -> float:
-    """metis_loss fed from the validated edge records."""
-    return metis_loss(tuple(e.excess_path for e in geom.edges),
-                      tuple(e.los_distance for e in geom.edges),
-                      geom.w1.wavelength, geom.los_blocked)
+def edge_row(shape, center, start, end, wavelength: float):
+    """One row of the production candidate table, as plain floats.
 
-
-def itu_se_of(geom: ScreenDiffractionGeometry) -> float:
-    """itu_se_loss fed from the validated edge records."""
-    return itu_se_loss(tuple(float(diffraction_parameter(e)) for e in geom.edges),
-                       tuple(e.depth for e in geom.edges),
-                       geom.w1.wavelength, geom.los_blocked)
+    Returns (blocked, edges): edges maps each edge name (w1, w2, h1, h2) to
+    its depth, nu, excess path and distance from the segment's line (los),
+    computed by the screen cross-section and edge table a run uses for a
+    screen of shape centered at center against the segment start -> end.
+    Returns None for a row a run skips as degenerate.
+    """
+    centers, starts, ends = (np.array([p], dtype=np.float64) for p in (center, start, end))
+    u, v, degenerate = obstacles._screen_axes(shape, starts, ends)
+    depths, blocked, parallel = obstacles._screen_cross_section(
+        centers, u, v, 0.5 * shape.width, 0.5 * shape.height, starts, ends)
+    if degenerate[0] or parallel[0]:
+        return None
+    table = obstacles._edge_table(shape, [Metis()], centers, u, v, starts, ends, depths,
+                                  np.array([0]), wavelength)
+    if obstacles._on_an_edge(table.columns.values())[0]:
+        return None
+    edges = {name: {"depth": float(c.depth[0]), "nu": float(table.nus[name][0]),
+                    "excess": float(table.excess[name][0]), "los": float(c.los_distance[0])}
+             for name, c in table.columns.items()}
+    return bool(blocked[0]), edges
 
 
 def fspl_db(length: float, frequency_hz: float) -> float:

@@ -512,6 +512,40 @@ def test_malformed_compared_models_exit_2(tmp_path, small_scenario, capsys, verb
 
 
 @pytest.mark.parametrize("verb", ["validate", "run"])
+@pytest.mark.parametrize("key,value", [("scenario_dir", 5), ("output_dir", None),
+                                       ("output_dir", ["out"])],
+                         ids=["scenario_number", "output_null", "output_list"])
+def test_a_directory_that_is_not_a_string_exits_2(tmp_path, small_scenario, capsys,
+                                                  monkeypatch, verb, key, value):
+    # str() would turn null into a directory named None
+    monkeypatch.chdir(tmp_path)
+    data = minimal_spec(small_scenario, tmp_path / "out", obstacles=[obstacle_entry()])
+    data[key] = value
+    assert main([verb, str(write_spec(tmp_path, data))]) == 2
+    assert f"spec.{key}: expected a string, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "None").exists() and not (tmp_path / "out").exists()
+
+
+def test_a_compared_model_the_spec_cannot_hold_exits_2_in_validate_and_run(
+        tmp_path, small_scenario, capsys):
+    # metis needs broadside screens, so comparing it on a tilted screen fails
+    # before any work, in both verbs alike
+    tilted = obstacle_entry(shape={"kind": "screen", "width": 0.2, "height": 1.7,
+                                   "azimuth": 0.3})
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out",
+                                             obstacles=[obstacle_entry(), tilted],
+                                             models_to_compare=["dked", "metis"]))
+    errors = []
+    for verb in ("validate", "run"):
+        assert main([verb, str(spec)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: config-error: spec: models_to_compare 'metis' "
+                                "cannot model obstacles[1]: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
 @pytest.mark.parametrize("section,value,context", [
     ("sampling", 5, "spec.sampling"),
     ("link_budget", 5, "spec.link_budget"),

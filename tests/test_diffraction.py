@@ -13,27 +13,26 @@ import pytest
 from rayblock.diffraction import (
     FAR_FIELD_NU,
     LOSS_CAP_DB,
-    EdgeGeometry,
+    Dked,
+    DkedPc,
     ItuSe,
-    ScreenDiffractionGeometry,
+    Metis,
+    Obstruction,
     diagnostics,
-    diffraction_parameter,
     dked_loss,
     dked_pc_loss,
     metis_edge_term,
-    obstruction_loss,
     sked,
 )
-from conftest import itu_se_of, make_ray, metis_of
+from conftest import edge_row, make_ray
 from rayblock.errors import GeometryError
-from rayblock.geometry import RectScreen, Segment
 from rayblock.obstacles import (
     InteractionCounters,
     Obstacle,
     OrthoScreenShape,
+    ScreenShape,
     Static,
     interact,
-    screen_edge_geometries,
 )
 
 WAVELENGTH_60GHZ = 299792458.0 / 60e9
@@ -44,27 +43,32 @@ TX = (0.0, 0.0, 1.6)
 RX = (8.0, 0.0, 1.6)
 
 
-def crossing_geometry(lateral_offset: float, wavelength: float = WAVELENGTH_60GHZ,
-                      along: float = 4.0) -> ScreenDiffractionGeometry:
-    screen = RectScreen(center=(along, lateral_offset, 0.85), width=0.2, height=1.7)
-    return screen_edge_geometries(screen, Segment(TX, RX), wavelength)
+def crossing_loss(model, lateral_offset: float, along: float = 4.0,
+                  reverse: bool = False) -> float:
+    """Loss of the reference screen at lateral_offset, with no range gating."""
+    obstacle = Obstacle(shape=ScreenShape(0.2, 1.7),
+                        mobility=Static((along, lateral_offset, 0.85)), model=model,
+                        distance_threshold=1e9)
+    ray = make_ray(RX, TX) if reverse else make_ray(TX, RX)
+    return interact(obstacle, ray, 0.0, WAVELENGTH_60GHZ).loss_db
 
 
-def _edge(depth, d_tx=4.0, d_rx=4.0, distance=8.0, wavelength=0.005, los=None):
-    return EdgeGeometry(d_tx=d_tx, d_rx=d_rx, distance=distance, depth=depth,
-                        wavelength=wavelength, los_distance=los)
+def crossing_edges(lateral_offset: float):
+    """(blocked, edges) of the reference screen's candidate-table row."""
+    return edge_row(ScreenShape(0.2, 1.7), (4.0, lateral_offset, 0.85), TX, RX,
+                    WAVELENGTH_60GHZ)
 
 
-def _metis_term(edge: EdgeGeometry, sign: float) -> float:
-    return metis_edge_term(edge.d_tx + edge.d_rx - edge.distance, edge.wavelength, sign)
+def _metis_term(d_tx: float, d_rx: float, distance: float, sign: float) -> float:
+    return metis_edge_term(d_tx + d_rx - distance, 0.005, sign)
 
 
 def test_obstruction_loss_values():
-    assert obstruction_loss(True, 10.0) == 10.0
-    assert obstruction_loss(False, 10.0) == 0.0
-    assert obstruction_loss(True, 0.0) == 0.0
+    assert crossing_loss(Obstruction(10.0), 0.0) == 10.0  # blocked
+    assert crossing_loss(Obstruction(10.0), 2.0) == 0.0
+    assert crossing_loss(Obstruction(0.0), 0.0) == 0.0
     with pytest.raises(GeometryError):
-        obstruction_loss(True, -1.0)
+        Obstruction(-1.0)
 
 
 # --- single knife edge -------------------------------------------------------
@@ -95,21 +99,19 @@ def test_sked_magnitude_monotone_in_shadow():
 # --- arctan four-edge model --------------------------------------------------
 
 def test_metis_edge_term_on_the_path():
-    assert _metis_term(_edge(0.0, d_tx=4.0, d_rx=4.0, distance=8.0), 1.0) == 0.0
+    assert _metis_term(4.0, 4.0, 8.0, 1.0) == 0.0
 
 
 def test_metis_edge_term_saturates():
-    deep = _edge(3.0, d_tx=5.0, d_rx=5.0, distance=8.0)
-    assert _metis_term(deep, 1.0) == pytest.approx(0.5, abs=1e-3)
-    very_deep = _edge(3.0, d_tx=8.0, d_rx=8.0, distance=8.0)
-    assert _metis_term(very_deep, 1.0) == 0.5
+    assert _metis_term(5.0, 5.0, 8.0, 1.0) == pytest.approx(0.5, abs=1e-3)
+    assert _metis_term(8.0, 8.0, 8.0, 1.0) == 0.5
 
 
 def test_metis_edge_term_odd_in_sign(rng):
     for _ in range(20):
         extra = rng.uniform(0, 0.5)
-        edge = _edge(0.1, d_tx=4.0 + extra, d_rx=4.0, distance=8.0)
-        assert _metis_term(edge, -1.0) == -_metis_term(edge, 1.0)
+        d_tx = 4.0 + extra
+        assert _metis_term(d_tx, 4.0, 8.0, -1.0) == -_metis_term(d_tx, 4.0, 8.0, 1.0)
 
 
 def test_metis_edge_term_rejects_short_path():
@@ -119,20 +121,20 @@ def test_metis_edge_term_rejects_short_path():
 
 
 def test_metis_symmetric_center_crossing():
-    geom = crossing_geometry(0.0)
-    assert geom.los_blocked
-    t_w1 = _metis_term(geom.w1, 1.0)
-    t_w2 = _metis_term(geom.w2, 1.0)
+    blocked, edges = crossing_edges(0.0)
+    assert blocked
+    t_w1 = metis_edge_term(edges["w1"]["excess"], WAVELENGTH_60GHZ, 1.0)
+    t_w2 = metis_edge_term(edges["w2"]["excess"], WAVELENGTH_60GHZ, 1.0)
     assert t_w1 == pytest.approx(t_w2, abs=1e-9)
 
 
 def test_metis_center_crossing_golden_value():
     # oracle: direct four-edge evaluation, frozen
-    assert metis_of(crossing_geometry(0.0)) == pytest.approx(7.873226, abs=1e-3)
+    assert crossing_loss(Metis(), 0.0) == pytest.approx(7.873226, abs=1e-3)
 
 
 def test_metis_far_from_path_vanishes():
-    loss = metis_of(crossing_geometry(2.0))
+    loss = crossing_loss(Metis(), 2.0)
     assert abs(loss) < 0.05
 
 
@@ -140,8 +142,9 @@ def test_metis_clamp_counter():
     # a 4 x 4 m screen across the 8 m path puts all four edges beyond the
     # far-field cutoff: the arctan product reaches 1 and the log argument 0
     diagnostics.reset()
-    screen = RectScreen(center=(4.0, 0.0, 1.6), width=4.0, height=4.0)
-    loss = metis_of(screen_edge_geometries(screen, Segment(TX, RX), WAVELENGTH_60GHZ))
+    screen = Obstacle(shape=ScreenShape(4.0, 4.0), mobility=Static((4.0, 0.0, 1.6)),
+                      model=Metis(), distance_threshold=1e9)
+    loss = interact(screen, make_ray(TX, RX), 0.0, WAVELENGTH_60GHZ).loss_db
     assert loss == LOSS_CAP_DB
     assert diagnostics.total == 1  # one capped evaluation, counted once
     diagnostics.reset()
@@ -167,8 +170,7 @@ def test_dked_commutative(rng):
 
 
 def test_dked_center_crossing_golden_value():
-    geom = crossing_geometry(0.0)
-    loss = dked_loss(diffraction_parameter(geom.w1), diffraction_parameter(geom.w2))
+    loss = crossing_loss(Dked(), 0.0)
     assert loss == pytest.approx(10.305531, abs=1e-3)
 
 
@@ -208,13 +210,12 @@ def test_dked_pc_cap_on_destructive_null():
 # --- semi-empirical thin screen ----------------------------------------------
 
 def test_itu_se_far_from_path_vanishes():
-    assert abs(itu_se_of(crossing_geometry(2.0))) < 0.1
+    assert abs(crossing_loss(ItuSe(), 2.0)) < 0.1
 
 
 def test_itu_se_tracks_dked_in_shadow():
-    geom = crossing_geometry(0.0)
-    dked = dked_loss(diffraction_parameter(geom.w1), diffraction_parameter(geom.w2))
-    itu = itu_se_of(geom)
+    dked = crossing_loss(Dked(), 0.0)
+    itu = crossing_loss(ItuSe(), 0.0)
     # frozen from the implemented composition; the independent oracle that
     # keeps the ground-level edge (which the far-field cutoff drops here)
     # gives 11.5658, 0.007 dB away
@@ -224,8 +225,8 @@ def test_itu_se_tracks_dked_in_shadow():
 
 
 def test_itu_se_mirror_symmetry():
-    left = itu_se_of(crossing_geometry(-0.4))
-    right = itu_se_of(crossing_geometry(+0.4))
+    left = crossing_loss(ItuSe(), -0.4)
+    right = crossing_loss(ItuSe(), +0.4)
     assert left == pytest.approx(right, abs=1e-9)
 
 
@@ -257,56 +258,35 @@ def test_itu_se_warns_outside_small_wavelength_regime(caplog):
 def test_itu_se_fluctuates_across_shadow_transition():
     # fringes on the lit side approaching the shadow edge
     offsets = np.arange(-0.6, -0.101, 0.002)
-    losses = np.array([itu_se_of(crossing_geometry(float(o))) for o in offsets])
+    losses = np.array([crossing_loss(ItuSe(), float(o)) for o in offsets])
     sign_changes = np.sum(np.diff(np.sign(np.diff(losses))) != 0)
     assert sign_changes >= 10
 
 
 # --- shared invariants ------------------------------------------------------
 
-def _swap(geom: ScreenDiffractionGeometry) -> ScreenDiffractionGeometry:
-    def flip(e: EdgeGeometry) -> EdgeGeometry:
-        return EdgeGeometry(d_tx=e.d_rx, d_rx=e.d_tx, distance=e.distance,
-                            depth=e.depth, wavelength=e.wavelength,
-                            los_distance=e.los_distance)
-
-    return ScreenDiffractionGeometry(w1=flip(geom.w1), w2=flip(geom.w2),
-                                     h1=flip(geom.h1), h2=flip(geom.h2),
-                                     los_blocked=geom.los_blocked)
-
-
 @pytest.mark.parametrize("offset", [0.0, 0.05, -0.3, 0.7])
 def test_reciprocity_under_node_swap(offset):
-    geom = crossing_geometry(offset, along=2.5)  # asymmetric split
-    swapped = _swap(geom)
-    for fn in (metis_of, itu_se_of):
-        assert fn(geom) == pytest.approx(fn(swapped), abs=1e-9)
-    nu = (diffraction_parameter(geom.w1), diffraction_parameter(geom.w2))
-    nu_s = (diffraction_parameter(swapped.w1), diffraction_parameter(swapped.w2))
-    assert dked_loss(*nu) == pytest.approx(dked_loss(*nu_s), abs=1e-9)
-    assert dked_pc_loss(nu[0], nu[1], geom.w1.excess_path, geom.w2.excess_path,
-                        geom.w1.wavelength) == pytest.approx(
-        dked_pc_loss(nu_s[0], nu_s[1], swapped.w1.excess_path, swapped.w2.excess_path,
-                     swapped.w1.wavelength), abs=1e-9)
+    # the reversed path swaps every edge's distances to the two nodes
+    for model in (Metis(), ItuSe(), Dked(), DkedPc()):
+        forward = crossing_loss(model, offset, along=2.5)  # asymmetric split
+        assert forward == pytest.approx(crossing_loss(model, offset, along=2.5, reverse=True),
+                                        abs=1e-9)
 
 
 def test_vanishing_obstacle_limit_all_models():
     r1 = math.sqrt(WAVELENGTH_60GHZ * 16.0 / 8.0)
     for radii in (11.0, 15.0, 22.0, 30.0):
-        geom = crossing_geometry(radii * r1 + 0.1)  # near edge beyond radii * r1
-        assert abs(metis_of(geom)) < 0.1
-        assert abs(itu_se_of(geom)) < 0.1
-        nu1, nu2 = diffraction_parameter(geom.w1), diffraction_parameter(geom.w2)
-        assert abs(dked_loss(nu1, nu2)) < 0.1
-        assert abs(dked_pc_loss(nu1, nu2, geom.w1.excess_path, geom.w2.excess_path,
-                                WAVELENGTH_60GHZ)) < 0.1
+        offset = radii * r1 + 0.1  # near edge beyond radii * r1
+        for model in (Metis(), ItuSe(), Dked(), DkedPc()):
+            assert abs(crossing_loss(model, offset)) < 0.1
 
 
 def test_transition_jump_measured_not_asserted(capsys):
     """The models are discontinuous at the shadow boundary; report the size."""
-    just_out = crossing_geometry(0.10001 + 0.1)
-    just_in = crossing_geometry(0.09999 + 0.1 - 0.1)  # offset 0.09999: still blocked
-    jump_metis = abs(metis_of(just_in) - metis_of(just_out))
-    jump_itu = abs(itu_se_of(just_in) - itu_se_of(just_out))
+    just_out = 0.10001 + 0.1
+    just_in = 0.09999 + 0.1 - 0.1  # offset 0.09999: still blocked
+    jump_metis = abs(crossing_loss(Metis(), just_in) - crossing_loss(Metis(), just_out))
+    jump_itu = abs(crossing_loss(ItuSe(), just_in) - crossing_loss(ItuSe(), just_out))
     print(f"shadow-transition jumps: metis {jump_metis:.3f} dB, itu_se {jump_itu:.3f} dB")
     assert math.isfinite(jump_metis) and math.isfinite(jump_itu)

@@ -1,4 +1,4 @@
-"""Fresnel kernels: zone radii, the integral evaluators, the parameter map."""
+"""Fresnel kernels: the integral evaluators and the parameter map."""
 
 import math
 
@@ -7,38 +7,13 @@ import pytest
 
 from conftest import fresnel_cs_grid
 from rayblock.diffraction import (
-    EdgeGeometry,
     diffraction_parameter,
     fresnel_integral,
     fresnel_integral_grid,
     fresnel_quadrature,
-    fresnel_zone_radius,
 )
 from rayblock.errors import GeometryError
-
-
-def test_zone_radius_reference_value():
-    # 60 GHz-ish wavelength, symmetric 8 m link: r1 = sqrt(0.005 * 16 / 8) = 0.1
-    assert fresnel_zone_radius(1, 0.005, 4.0, 4.0) == pytest.approx(0.1, abs=1e-12)
-
-
-def test_zone_radius_sqrt_n_scaling():
-    r1 = fresnel_zone_radius(1, 0.005, 4.0, 4.0)
-    r4 = fresnel_zone_radius(4, 0.005, 4.0, 4.0)
-    assert r4 == pytest.approx(2.0 * r1, rel=1e-12)
-
-
-def test_zone_radius_vanishes_near_node():
-    assert fresnel_zone_radius(1, 0.005, 1e-9, 4.0) < 1e-4
-
-
-def test_zone_radius_rejects_bad_input():
-    with pytest.raises(GeometryError):
-        fresnel_zone_radius(0, 0.005, 4.0, 4.0)
-    with pytest.raises(GeometryError):
-        fresnel_zone_radius(1, -0.005, 4.0, 4.0)
-    with pytest.raises(GeometryError):
-        fresnel_zone_radius(1, 0.005, 0.0, 4.0)
+from rayblock.obstacles import _EdgeColumns
 
 
 def test_fresnel_zero():
@@ -88,8 +63,9 @@ def test_fast_approximation_matches_quadrature():
 
 
 def _edge(depth, d_tx=4.0, d_rx=4.0, distance=8.0, wavelength=0.005):
-    return EdgeGeometry(d_tx=d_tx, d_rx=d_rx, distance=distance, depth=depth,
-                        wavelength=wavelength)
+    """One candidate's edge columns, as plain floats."""
+    return _EdgeColumns(d_tx=d_tx, d_rx=d_rx, distance=distance, depth=depth,
+                        wavelength=wavelength, los_distance=None)
 
 
 def test_diffraction_parameter_zero_depth():
@@ -101,19 +77,10 @@ def test_diffraction_parameter_reference_value():
     nu = diffraction_parameter(_edge(0.1))
     assert nu == pytest.approx(1.41421356, abs=1e-6)
     # cross-check against the first Fresnel radius: nu = depth * sqrt(2) / r1
-    r1 = fresnel_zone_radius(1, 0.005, 4.0, 4.0)
+    r1 = math.sqrt(0.005 * 4.0 * 4.0 / 8.0)
     assert nu == pytest.approx(0.1 * math.sqrt(2.0) / r1, rel=1e-9)
 
 
 def test_diffraction_parameter_linear_in_depth():
     assert diffraction_parameter(_edge(0.2)) == pytest.approx(
         2.0 * diffraction_parameter(_edge(0.1)), rel=1e-12)
-
-
-def test_edge_geometry_validates_triangle_inequality():
-    with pytest.raises(GeometryError):
-        EdgeGeometry(d_tx=3.0, d_rx=3.0, distance=8.0, depth=0.1, wavelength=0.005)
-    with pytest.raises(GeometryError):
-        EdgeGeometry(d_tx=-1.0, d_rx=4.0, distance=2.0, depth=0.1, wavelength=0.005)
-    with pytest.raises(GeometryError):
-        EdgeGeometry(d_tx=4.0, d_rx=4.0, distance=8.0, depth=0.1, wavelength=0.0)

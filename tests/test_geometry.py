@@ -1,5 +1,6 @@
-"""Geometric primitives, plus the blocking tests and per-segment screen
-orientation as the obstacles module computes them (one table row here)."""
+"""Screen shapes, the point-segment distance, the blocking tests and the
+per-segment screen orientation, as the obstacles module computes them (one
+table row here)."""
 
 import math
 
@@ -9,9 +10,8 @@ from scipy.spatial.transform import Rotation
 
 from conftest import make_ray
 from rayblock.diffraction import Obstruction
-from rayblock.errors import GeometryError
+from rayblock.errors import ConfigError
 from rayblock._kernels import point_segment_distance_batch
-from rayblock.geometry import RectScreen, Segment
 from rayblock.obstacles import (
     InteractionCounters,
     Obstacle,
@@ -27,57 +27,57 @@ from rayblock.obstacles import (
 WAVELENGTH = 299792458.0 / 60e9
 
 
-def test_segment_rejects_zero_length():
-    with pytest.raises(GeometryError):
-        Segment((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
-
-
-def test_segment_rejects_non_finite():
-    with pytest.raises(GeometryError):
-        Segment((0.0, 0.0, np.nan), (1.0, 0.0, 0.0))
-
-
 def test_screen_rejects_bad_extents():
-    with pytest.raises(GeometryError):
-        RectScreen(center=(0, 0, 0), width=-1.0, height=1.0)
-    with pytest.raises(GeometryError):
-        RectScreen(center=(0, 0, 0), width=1.0, height=0.0)
+    with pytest.raises(ConfigError):
+        ScreenShape(width=-1.0, height=1.0)
+    with pytest.raises(ConfigError):
+        ScreenShape(width=1.0, height=0.0)
 
 
 def test_screen_corners_coplanar(rng):
+    # the edge table builds the corners as center +- half_w u +- half_h v
     for _ in range(50):
-        screen = RectScreen(center=rng.normal(size=3), width=rng.uniform(0.1, 5),
-                            height=rng.uniform(0.1, 5),
+        shape = ScreenShape(width=rng.uniform(0.1, 5), height=rng.uniform(0.1, 5),
                             azimuth=rng.uniform(-np.pi, np.pi),
                             elevation=rng.uniform(-1.5, 1.5))
-        corners = screen.corners
-        n = screen.normal
-        offsets = (corners - screen.center) @ n
+        u, v = shape.axes
+        center = rng.normal(size=3)
+        corners = np.array([center + su * 0.5 * shape.width * u + sv * 0.5 * shape.height * v
+                            for su, sv in ((-1, -1), (1, -1), (1, 1), (-1, 1))])
+        offsets = (corners - center) @ _normal(shape)
         assert np.abs(offsets).max() < 1e-9
 
 
-def _distance(p, s: Segment) -> float:
+def _normal(shape: ScreenShape) -> np.ndarray:
+    """The fixed screen's normal from its angles: +x with both zero."""
+    ca, sa = math.cos(shape.azimuth), math.sin(shape.azimuth)
+    ce, se = math.cos(shape.elevation), math.sin(shape.elevation)
+    return np.array([ce * ca, ce * sa, se])
+
+
+def _distance(p, a, b) -> float:
     """Point-segment distance from the batch kernel, as a one-row table."""
     return float(point_segment_distance_batch(np.asarray(p, dtype=np.float64),
-                                              s.start[np.newaxis], s.end[np.newaxis])[0])
+                                              np.array([a], dtype=np.float64),
+                                              np.array([b], dtype=np.float64))[0])
 
 
 def test_distance_point_segment_endpoint_foot():
-    d = _distance((0, 0, 0), Segment((1, 0, 0), (1, 1, 0)))
+    d = _distance((0, 0, 0), (1, 0, 0), (1, 1, 0))
     assert d == pytest.approx(1.0, abs=1e-12)
 
 
 def test_distance_point_on_segment():
-    d = _distance((0.5, 0, 0), Segment((0, 0, 0), (1, 0, 0)))
+    d = _distance((0.5, 0, 0), (0, 0, 0), (1, 0, 0))
     assert d == pytest.approx(0.0, abs=1e-12)
 
 
 def test_distance_point_segment_midpoint_vs_dense_sampling():
-    seg = Segment((-1, 0, 0), (1, 0, 0))
-    d = _distance((0, 2, 0), seg)
+    a, b = np.array([-1.0, 0, 0]), np.array([1.0, 0, 0])
+    d = _distance((0, 2, 0), a, b)
     # brute-force oracle: dense sampling of the segment
     ts = np.linspace(0, 1, 200001)
-    points = seg.start + ts[:, None] * seg.direction
+    points = a + ts[:, None] * (b - a)
     brute = np.min(np.linalg.norm(points - np.array([0, 2, 0]), axis=1))
     assert d == pytest.approx(2.0, abs=1e-12)
     assert d == pytest.approx(brute, abs=1e-9)
@@ -89,10 +89,10 @@ def test_distance_invariant_under_rigid_motion(rng):
         a, b = rng.normal(size=3), rng.normal(size=3)
         if np.linalg.norm(b - a) < 1e-6:
             continue
-        d0 = _distance(p, Segment(a, b))
+        d0 = _distance(p, a, b)
         rot = Rotation.random(random_state=int(rng.integers(1 << 30))).as_matrix()
         shift = rng.normal(size=3)
-        d1 = _distance(rot @ p + shift, Segment(rot @ a + shift, rot @ b + shift))
+        d1 = _distance(rot @ p + shift, rot @ a + shift, rot @ b + shift)
         assert d1 == pytest.approx(d0, abs=1e-9)
 
 
@@ -114,11 +114,13 @@ def _ortho_normal(a, b) -> np.ndarray:
     return np.cross(u, v)
 
 
-def _cross_section(screen: RectScreen, a, b) -> tuple[np.ndarray, bool, bool]:
-    """(depths, blocked, parallel) of the one segment a -> b against screen."""
+def _cross_section(shape: ScreenShape, center, a, b) -> tuple[np.ndarray, bool, bool]:
+    """(depths, blocked, parallel) of the one segment a -> b against the
+    screen of shape centered at center."""
+    u, v = shape.axes
     depths, blocked, parallel = _screen_cross_section(
-        screen.center[np.newaxis], screen.width_axis, screen.height_axis,
-        0.5 * screen.width, 0.5 * screen.height, np.array([a], float), np.array([b], float))
+        np.array([center], float), u, v, 0.5 * shape.width, 0.5 * shape.height,
+        np.array([a], float), np.array([b], float))
     return depths[0], bool(blocked[0]), bool(parallel[0])
 
 
@@ -126,12 +128,12 @@ def test_rect_intersection_symmetric_crossing():
     out = _obstruct(ScreenShape(1.0, 1.0), (1, 0, 1), (0, 0, 1), (2, 0, 1))
     assert out.blocked
     assert out.loss_db == 10.0
-    screen = RectScreen(center=(1, 0, 1), width=1.0, height=1.0)
-    depths, blocked, _ = _cross_section(screen, (0, 0, 1), (2, 0, 1))
+    depths, blocked, _ = _cross_section(ScreenShape(1.0, 1.0), (1, 0, 1), (0, 0, 1), (2, 0, 1))
     assert blocked
     np.testing.assert_allclose(depths, [0.5, 0.5, 0.5, 0.5], atol=1e-12)
     # the same line stopping short of the plane crosses it outside its span
-    depths, blocked, _ = _cross_section(screen, (0, 0, 1), (0.9, 0, 1))
+    depths, blocked, _ = _cross_section(ScreenShape(1.0, 1.0), (1, 0, 1), (0, 0, 1),
+                                        (0.9, 0, 1))
     assert not blocked
     np.testing.assert_allclose(depths, [0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
@@ -155,8 +157,8 @@ def test_rect_intersection_grazing_edge_inclusive():
 def test_rect_intersection_coplanar_raises():
     # segment lies inside the screen plane x=1: the cross-section flags it
     # parallel and the obstacle skips the segment as degenerate
-    screen = RectScreen(center=(1, 0, 1), width=1.0, height=1.0)
-    assert _cross_section(screen, (1, -2, 1), (1, 2, 1))[1:] == (False, True)
+    assert _cross_section(ScreenShape(1.0, 1.0), (1, 0, 1), (1, -2, 1),
+                          (1, 2, 1))[1:] == (False, True)
     counters = InteractionCounters()
     out = _obstruct(ScreenShape(1.0, 1.0), (1, 0, 1), (1, -2, 1), (1, 2, 1),
                     counters=counters)
@@ -235,11 +237,10 @@ def test_orthogonalize_idempotent(rng):
 def test_fixed_screen_axes_computed_once_per_shape(rng):
     shape = ScreenShape(1.0, 2.0, azimuth=0.7, elevation=-0.3)
     assert shape.axes is shape.axes
+    # the width axis is horizontal, the height axis completes the frame
+    np.testing.assert_array_equal(shape.axes[0], [-math.sin(0.7), math.cos(0.7), 0.0])
+    np.testing.assert_array_equal(shape.axes[1], np.cross(_normal(shape), shape.axes[0]))
     for _ in range(5):
-        screen = RectScreen(center=rng.normal(size=3), width=1.0, height=2.0,
-                            azimuth=0.7, elevation=-0.3)
-        np.testing.assert_array_equal(shape.axes[0], screen.width_axis)
-        np.testing.assert_array_equal(shape.axes[1], screen.height_axis)
         a, b = rng.normal(size=3), rng.normal(size=3) + np.array([3, 0, 0])
         u, v, _ = _screen_axes(shape, np.array([a]), np.array([b]))
         assert np.shares_memory(u, shape.axes[0]) and np.shares_memory(v, shape.axes[1])

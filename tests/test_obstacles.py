@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import itu_se_of, make_ray, metis_of
+from conftest import edge_row, make_ray
 from rayblock import _kernels
 from rayblock.diffraction import Dked, DkedPc, ItuSe, Metis, Obstruction
+from rayblock.environment import SimulationConfig
 from rayblock.errors import ConfigError
-from rayblock.geometry import RectScreen, Segment
 from rayblock.obstacles import (
     InteractionCounters,
     LinearMobility,
@@ -22,7 +22,6 @@ from rayblock.obstacles import (
     default_threshold,
     interact,
     position_at,
-    screen_edge_geometries,
 )
 
 WAVELENGTH = 299792458.0 / 60e9
@@ -63,6 +62,39 @@ def test_tilted_screen_rejects_metis():
                  mobility=Static((0, 0, 0)), model=Metis())
     # untilted fixed screen with metis is allowed
     Obstacle(shape=ScreenShape(0.2, 1.7), mobility=Static((0, 0, 0)), model=Metis())
+
+
+NAN, INF = math.nan, math.inf
+SCREEN, AT = OrthoScreenShape(0.2, 1.7), Static((4.0, 0.0, 1.6))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: OrthoScreenShape(NAN, 1.7),
+    lambda: OrthoScreenShape(0.2, INF),
+    lambda: ScreenShape(INF, 1.7),
+    lambda: ScreenShape(0.2, 1.7, azimuth=NAN),
+    lambda: ScreenShape(0.2, 1.7, elevation=-INF),
+    lambda: SphereShape(NAN),
+    lambda: Static((NAN, 0.0, 0.0)),
+    lambda: LinearMobility((0.0, INF, 0.0), (0.0, 1.0, 0.0)),
+    lambda: LinearMobility((0.0, 0.0, 0.0), (0.0, NAN, 0.0)),
+    lambda: WaypointMobility(times=(0.0, NAN), points=((0, 0, 0), (1, 1, 1))),
+    lambda: WaypointMobility(times=(0.0, 1.0), points=((0, 0, 0), (1, INF, 1))),
+    lambda: Obstacle(SCREEN, AT, Dked(), distance_threshold=NAN),
+    lambda: Obstacle(SCREEN, AT, Dked(), fallback_loss_db=INF),
+    lambda: Obstacle(SCREEN, AT, Dked(), fallback_loss_db=NAN),
+    lambda: SimulationConfig(obstacles=(), carrier_frequency_hz=NAN),
+    lambda: SimulationConfig(obstacles=(), time_step=NAN),
+], ids=["ortho_width", "ortho_height", "screen_width", "azimuth", "elevation", "radius",
+        "position", "start", "velocity", "waypoint_time", "waypoint_point", "threshold",
+        "fallback_inf", "fallback_nan", "carrier", "time_step"])
+def test_a_non_finite_library_value_is_rejected(build):
+    # a NaN fails every comparison, so the obstacle would never block or
+    # diffract; the CLI rejects these numbers, the constructors must too
+    with pytest.raises(ConfigError, match="finite|positive"):
+        build()
+    # an infinite threshold means no cull
+    Obstacle(SCREEN, AT, Dked(), distance_threshold=INF)
 
 
 def test_sphere_obstruction_on_the_path():
@@ -171,7 +203,7 @@ def test_threshold_monotonicity_via_counters(rng):
 @pytest.mark.parametrize("model", [Metis(), Dked(), DkedPc(), ItuSe()])
 def test_interact_matches_diffraction_module_exactly(model):
     """Wiring check: midpoint crossing reproduces the module-level value."""
-    from rayblock.diffraction import diffraction_parameter, dked_loss, dked_pc_loss
+    from rayblock.diffraction import dked_loss, dked_pc_loss, itu_se_loss, metis_loss
 
     obstacle = Obstacle(shape=OrthoScreenShape(0.2, 1.7),
                         mobility=Static((4.0, 0.0, 0.85)), model=model,
@@ -179,19 +211,22 @@ def test_interact_matches_diffraction_module_exactly(model):
     got = interact(obstacle, LOS_RAY, 0.0, WAVELENGTH)
 
     # the orthogonal screen faces the x-directed path like an unrotated screen
-    screen = RectScreen(center=(4.0, 0.0, 0.85), width=0.2, height=1.7)
-    geom = screen_edge_geometries(screen, Segment(LOS_RAY.vertices[0], LOS_RAY.vertices[1]),
-                                  WAVELENGTH)
-    assert geom.los_blocked
+    blocked, edges = edge_row(ScreenShape(0.2, 1.7), (4.0, 0.0, 0.85), LOS_RAY.vertices[0],
+                              LOS_RAY.vertices[1], WAVELENGTH)
+    assert blocked
+
+    def values(key):
+        return tuple(edges[name][key] for name in ("w1", "w2", "h1", "h2"))
+
+    nus, excess = values("nu"), values("excess")
     if isinstance(model, Metis):
-        want = metis_of(geom)
+        want = metis_loss(excess, values("los"), WAVELENGTH, blocked)
     elif isinstance(model, Dked):
-        want = dked_loss(diffraction_parameter(geom.w1), diffraction_parameter(geom.w2))
+        want = dked_loss(nus[0], nus[1])
     elif isinstance(model, DkedPc):
-        want = dked_pc_loss(diffraction_parameter(geom.w1), diffraction_parameter(geom.w2),
-                            geom.w1.excess_path, geom.w2.excess_path, WAVELENGTH)
+        want = dked_pc_loss(nus[0], nus[1], excess[0], excess[1], WAVELENGTH)
     else:
-        want = itu_se_of(geom)
+        want = itu_se_loss(nus, values("depth"), WAVELENGTH, blocked)
     assert got.blocked
     assert got.loss_db == want
 

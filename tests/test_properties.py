@@ -15,9 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_traces_equal, make_ray, steps_of, trace_of
-from rayblock.diffraction import FAR_FIELD_NU, MODEL_REGISTRY, Metis, Obstruction, \
-    diffraction_parameter
+from conftest import assert_traces_equal, edge_row, make_ray, steps_of, trace_of
+from rayblock.diffraction import FAR_FIELD_NU, MODEL_REGISTRY, Metis, Obstruction
 from rayblock.environment import (
     RunStats,
     SimulationConfig,
@@ -26,10 +25,8 @@ from rayblock.environment import (
     run,
     run_model_sets,
 )
-from rayblock.errors import DegenerateGeometryError
 from rayblock.linkeval import ArrayConfig, LinkBudget, noise_power_dbm, snr_timeline, \
     steering_vector
-from rayblock.geometry import RectScreen, Segment
 from rayblock.obstacles import (
     InteractionCounters,
     LinearMobility,
@@ -44,10 +41,9 @@ from rayblock.obstacles import (
     path_segments,
     position_at,
     positions_at,
-    screen_edge_geometries,
 )
 from rayblock.errors import ConfigError
-from rayblock.obstacles import default_threshold
+from rayblock.obstacles import _screen_axes, default_threshold
 from rayblock.trace import ChannelTrace, Ray, RayTable, angles_of_arrival, angles_of_departure
 
 WAVELENGTH = 299792458.0 / 60e9
@@ -87,30 +83,26 @@ def near_a_cutoff(obstacle: Obstacle, tx: np.ndarray, rx: np.ndarray) -> bool:
     """True when a rule switches within CUTOFF_MARGIN of this configuration:
     screen edge on the path, screen plane at a node, far-field limit of an
     edge, or the arctan model's choice of the positive edge of a pair."""
-    shape = obstacle.shape
-    if isinstance(shape, OrthoScreenShape):  # broadside to the segment
-        azimuth, elevation = math.atan2(rx[1] - tx[1], rx[0] - tx[0]), 0.0
-    else:
-        azimuth, elevation = shape.azimuth, shape.elevation
-    screen = RectScreen(center=obstacle.mobility.position, width=shape.width,
-                        height=shape.height, azimuth=azimuth, elevation=elevation)
-    try:
-        geom = screen_edge_geometries(screen, Segment(tx, rx), WAVELENGTH)
-    except DegenerateGeometryError:
+    shape, center = obstacle.shape, np.array(obstacle.mobility.position)
+    row = edge_row(shape, center, tx, rx, WAVELENGTH)
+    if row is None:
         return False  # skipped in both directions
-    t = float((screen.center - tx) @ screen.normal / ((rx - tx) @ screen.normal))
+    _, edges = row
+    u, v, _ = _screen_axes(shape, tx[np.newaxis], rx[np.newaxis])
+    normal = np.cross(u[0], v[0])
+    t = float((center - tx) @ normal / ((rx - tx) @ normal))
     if min(abs(t), abs(t - 1.0)) < CUTOFF_MARGIN:
         return True
-    for edge in geom.edges:
-        if abs(edge.depth) < CUTOFF_MARGIN:
+    for edge in edges.values():
+        if abs(edge["depth"]) < CUTOFF_MARGIN:
             return True
-        if abs(abs(diffraction_parameter(edge)) - FAR_FIELD_NU) < CUTOFF_MARGIN:
+        if abs(abs(edge["nu"]) - FAR_FIELD_NU) < CUTOFF_MARGIN:
             return True
-        if abs(2.0 * math.sqrt(edge.excess_path / WAVELENGTH) - FAR_FIELD_NU) < CUTOFF_MARGIN:
+        if abs(2.0 * math.sqrt(edge["excess"] / WAVELENGTH) - FAR_FIELD_NU) < CUTOFF_MARGIN:
             return True
     return isinstance(obstacle.model, Metis) and (
-        abs(geom.w1.los_distance - geom.w2.los_distance) < CUTOFF_MARGIN
-        or abs(geom.h1.los_distance - geom.h2.los_distance) < CUTOFF_MARGIN)
+        abs(edges["w1"]["los"] - edges["w2"]["los"]) < CUTOFF_MARGIN
+        or abs(edges["h1"]["los"] - edges["h2"]["los"]) < CUTOFF_MARGIN)
 
 
 @PROPERTY_SETTINGS
