@@ -229,6 +229,15 @@ def _parse_link_budget(data: dict, context: str) -> LinkBudget:
     )
 
 
+def _check_model_names(models, context: str) -> None:
+    for m in models:
+        if not isinstance(m, str) or m not in MODEL_REGISTRY:
+            raise ConfigError(f"{context} contains unknown model {m!r}")
+    repeated = sorted({m for m in models if models.count(m) > 1})
+    if repeated:
+        raise ConfigError(f"{context} lists {repeated} more than once")
+
+
 def parse_run_spec(data: dict) -> RunSpec:
     _check_keys(_object(data, "spec"), ("scenario_dir", "output_dir", "obstacles",
                                         "models_to_compare", "link_budget", "sampling",
@@ -239,12 +248,7 @@ def parse_run_spec(data: dict) -> RunSpec:
     models = data.get("models_to_compare", [])
     if not isinstance(models, list):
         raise ConfigError("spec: models_to_compare must be a list")
-    for m in models:
-        if not isinstance(m, str) or m not in MODEL_REGISTRY:
-            raise ConfigError(f"spec: models_to_compare contains unknown model {m!r}")
-    repeated = sorted({m for m in models if models.count(m) > 1})
-    if repeated:
-        raise ConfigError(f"spec: models_to_compare lists {repeated} more than once")
+    _check_model_names(models, "spec: models_to_compare")
     sampling = None
     if data.get("sampling") is not None:
         sdata = _object(data["sampling"], "spec.sampling")
@@ -404,19 +408,14 @@ def run_frequency_sweep(geom: SweepGeometry = SweepGeometry(),
                         offsets: np.ndarray | None = None,
                         models: tuple[str, ...] = DEFAULT_SWEEP_MODELS) -> dict:
     """Crossing curves per carrier; rows are (frequency, offset) pairs."""
-    if offsets is None:
-        offsets = -1.5 + 0.004 * np.arange(751)
     tables = []
     for f in frequencies_hz:
         table = run_crossing_sweep(dataclasses.replace(geom, frequency_hz=float(f)),
                                    offsets=offsets, models=models)
-        table["frequency_ghz"] = np.full(len(offsets), f / 1e9)
+        table["frequency_ghz"] = np.full(len(table["offset_m"]), f / 1e9)
         tables.append(table)
-    merged: dict = {}
     keys = ["frequency_ghz", "offset_m"] + [f"loss_db_{m}" for m in models] + ["blocked"]
-    for key in keys:
-        merged[key] = np.concatenate([t[key] for t in tables])
-    return merged
+    return {key: np.concatenate([t[key] for t in tables]) for key in keys}
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray],
@@ -439,12 +438,6 @@ def _write_sweep_csv(path: Path, columns: dict, order: list[str]) -> None:
 
 # ---------------------------------------------------------------------------
 # run command
-
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
 
 def _tree_files(top: str, parts: tuple[str, ...] = (), skip: tuple[str, ...] | None = None):
     """Path parts, relative to top, of every file under it, as Path.rglob
@@ -495,7 +488,7 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
                 f"trace has {trace.num_steps}")
     # the manifest hashes the input alone: before any output exists, and
     # without an output directory nested in the scenario
-    spec_sha256 = _sha256_file(spec_path)
+    spec_sha256 = hashlib.sha256(spec_path.read_bytes()).hexdigest()
     trace_sha256 = _sha256_tree(scenario_dir, skip=output_dir)
     cfg = SimulationConfig(
         obstacles=spec.obstacles,
@@ -654,9 +647,7 @@ def _dispatch(args) -> int:
 
     if args.command == "sweep":
         models = tuple(m.strip() for m in args.models.split(",") if m.strip())
-        for m in models:
-            if m not in MODEL_REGISTRY:
-                raise ConfigError(f"unknown model {m!r} in --models")
+        _check_model_names(models, "--models")
         geom = SweepGeometry(
             frequency_hz=args.frequency_ghz * 1e9,
             distance_m=args.distance,

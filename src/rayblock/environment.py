@@ -9,8 +9,8 @@ configuration order, samples its poses at the chunk's trace timestamps as a
 subtracted from the rays' path gains. Applying obstacles one after another this way makes running
 two obstacle sets sequentially equal one combined run bit-for-bit. A run's
 result is the input table with a new gain column, minus the rays
-attenuated below the removal floor. Delays, phases and vertex paths are
-never modified.
+attenuated below the removal floor, with or without obstacles. Delays,
+phases and vertex paths are never modified.
 
 One pass can serve several model sets (``run_model_sets``): the same
 obstacles, each set swapping in its own loss model per obstacle. The
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import diffraction
 from .diffraction import LossModel
-from .errors import ConfigError, TraceFormatError
+from .errors import ConfigError
 from .obstacles import InteractionCounters, Obstacle, obstacle_losses, path_segments, positions_at
 from .trace import SPEED_OF_LIGHT, ChannelTrace, RayTable
 
@@ -68,11 +68,6 @@ class RunStats:
     rays_in: int = 0
     rays_dropped: int = 0
     counters: InteractionCounters = field(default_factory=InteractionCounters)
-
-    @property
-    def clamp_events(self) -> int:
-        """The losses capped at diffraction.LOSS_CAP_DB."""
-        return self.counters.clamp_events
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -138,7 +133,8 @@ def run(trace: ChannelTrace, cfg: SimulationConfig, workers: int | None = None,
         stats: RunStats | None = None) -> ChannelTrace:
     """New trace of identical shape with obstacle losses applied.
 
-    With zero obstacles the output equals the input field for field. The
+    With zero obstacles only the removal floor acts: the output is the
+    input minus its rays below the floor, and no worker process starts. The
     incompatible-time-base check runs before any computation.
     """
     [out] = run_model_sets(trace, cfg, [tuple(o.model for o in cfg.obstacles)], workers,
@@ -173,13 +169,8 @@ def run_model_sets(trace: ChannelTrace, cfg: SimulationConfig,
     for set_stats in stats:
         set_stats.rays_in = rays_in
 
-    if not cfg.obstacles:
-        return [ChannelTrace(node_positions=dict(trace.node_positions), pairs=dict(trace.pairs),
-                             time_step=trace.time_step, num_steps=trace.num_steps)
-                for _ in model_sets]
-
     wavelength = SPEED_OF_LIGHT / cfg.carrier_frequency_hz
-    n_workers = resolve_workers(workers)
+    n_workers = resolve_workers(workers) if cfg.obstacles else 1  # no work, no pool
 
     chunk_len = (trace.num_steps if n_workers == 1
                  else max(1, math.ceil(trace.num_steps / (n_workers * 4))))
@@ -212,8 +203,6 @@ def run_model_sets(trace: ChannelTrace, cfg: SimulationConfig,
         for pair, table in trace.pairs.items():
             # results run pair by pair in sorted order, chunks in step order
             gains = np.concatenate([set_gains[s] for p, _, set_gains, _ in results if p == pair])
-            if np.isnan(gains).any():
-                raise TraceFormatError("NaN path gain")
             above = gains >= cfg.removal_floor_db
             set_stats.rays_dropped += len(table) - int(np.count_nonzero(above))
             pairs[pair] = dataclasses.replace(table, gain=gains).kept(above)

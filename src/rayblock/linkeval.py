@@ -36,10 +36,11 @@ class ArrayConfig:
     spacing: float = 0.5
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigError("array needs at least one row and one column")
-        if self.spacing <= 0:
-            raise ConfigError("element spacing must be positive")
+        if not all(float(n).is_integer() and n >= 1 for n in (self.rows, self.cols)):
+            raise ConfigError(f"array needs whole numbers >= 1 of rows and columns, "
+                              f"got {self.rows!r} and {self.cols!r}")
+        if not 0 < self.spacing < math.inf:
+            raise ConfigError(f"element spacing must be finite and positive, got {self.spacing!r}")
 
     @property
     def size(self) -> int:
@@ -56,6 +57,9 @@ class LinkBudget:
     rx_array: ArrayConfig = ArrayConfig(4, 4)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.carrier_frequency_hz, self.bandwidth_hz,
+                                       self.tx_power_dbm, self.noise_figure_db))):
+            raise ConfigError("link budget numbers must be finite")
         if self.carrier_frequency_hz <= 0 or self.bandwidth_hz <= 0:
             raise ConfigError("carrier frequency and bandwidth must be positive")
 

@@ -23,6 +23,7 @@ only ever obstruct.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,12 +51,20 @@ _VERTICAL = np.array([0.0, 0.0, 1.0])
 _VERTICAL.setflags(write=False)
 
 
-def _check_finite(value, *fields: str) -> None:
+def _check_finite(value, *fields: str, ndim: int | None = None) -> None:
     """Reject NaN and infinite fields: every comparison with NaN is false, so
-    an obstacle holding one would silently never block or diffract."""
+    an obstacle holding one would silently never block or diffract. With
+    ndim=1 each field is one (x, y, z), with ndim=2 a list of them."""
     for field in fields:
         number = getattr(value, field)
-        if not np.all(np.isfinite(np.asarray(number, dtype=np.float64))):
+        try:
+            array = np.asarray(number, dtype=np.float64)
+        except ValueError:  # a ragged list of points
+            array = np.empty((0, 0))
+        if ndim is not None and (array.ndim != ndim or array.shape[-1] != 3):
+            raise ConfigError(f"{type(value).__name__}.{field} needs 3 coordinates per "
+                              f"point, got {number!r}")
+        if not np.all(np.isfinite(array)):
             raise ConfigError(f"{type(value).__name__}.{field} must be finite, got {number!r}")
 
 
@@ -133,7 +142,7 @@ class Static:
     position: tuple[float, float, float]
 
     def __post_init__(self):
-        _check_finite(self, "position")
+        _check_finite(self, "position", ndim=1)
 
     def positions_at(self, t: np.ndarray) -> np.ndarray:
         return np.tile(np.array(self.position, dtype=np.float64), (t.shape[0], 1))
@@ -147,7 +156,7 @@ class LinearMobility:
     velocity: tuple[float, float, float]  # m/s
 
     def __post_init__(self):
-        _check_finite(self, "start", "velocity")
+        _check_finite(self, "start", "velocity", ndim=1)
 
     def positions_at(self, t: np.ndarray) -> np.ndarray:
         return (np.array(self.start, dtype=np.float64)
@@ -167,7 +176,8 @@ class WaypointMobility:
     def __post_init__(self):
         if len(self.times) != len(self.points) or len(self.times) < 1:
             raise ConfigError("waypoints need matching, non-empty times and points")
-        _check_finite(self, "times", "points")
+        _check_finite(self, "times")
+        _check_finite(self, "points", ndim=2)
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ConfigError("waypoint times must be strictly increasing")
 
@@ -219,12 +229,8 @@ class InteractionCounters:
     clamp_events: int = 0   # losses capped at diffraction.LOSS_CAP_DB
 
     def merge(self, other: "InteractionCounters") -> None:
-        self.diffraction_evals += other.diffraction_evals
-        self.obstruction_evals += other.obstruction_evals
-        self.far_skips += other.far_skips
-        self.degenerate_skips += other.degenerate_skips
-        self.out_of_regime += other.out_of_regime
-        self.clamp_events += other.clamp_events
+        for counter in dataclasses.fields(self):
+            setattr(self, counter.name, getattr(self, counter.name) + getattr(other, counter.name))
 
 
 @dataclass(frozen=True)
@@ -578,6 +584,8 @@ def interact(obstacle: Obstacle, ray, t: float, wavelength: float,
     Without caller counters, an itu_se evaluation outside the model's
     regime logs its warning here; callers that pass counters report it.
     """
+    if not 0 < wavelength < math.inf:
+        raise ConfigError(f"wavelength must be finite and positive, got {wavelength!r}")
     own = counters is None
     if own:
         counters = InteractionCounters()

@@ -61,8 +61,8 @@ class Ray:
         v = np.array(self.vertices, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] != 3:
             raise TraceFormatError(f"ray needs >= 2 vertices of 3 coords, got shape {v.shape}")
-        _check_ray_fields(bool(np.all(np.isfinite(v))), self.delay, self.phase_rad,
-                          self.path_gain_db)
+        RayTable(counts=[1], delay=[self.delay], gain=[self.path_gain_db],
+                 phase=[self.phase_rad], vertices=v, ends=[v.shape[0]])  # the row rules
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
 
@@ -73,19 +73,6 @@ class Ray:
     @property
     def path_length(self) -> float:
         return float(path_lengths(RayTable.from_steps([[self]]))[0])
-
-
-def _check_ray_fields(vertices_finite: bool, delay: float, phase_rad: float,
-                      path_gain_db: float) -> None:
-    """The checks of one ray's fields, in the order Ray raises them."""
-    if not vertices_finite:
-        raise TraceFormatError("non-finite ray vertices")
-    if not (math.isfinite(delay) and delay >= 0):
-        raise TraceFormatError(f"invalid delay {delay}")
-    if not math.isfinite(phase_rad):
-        raise TraceFormatError(f"invalid phase {phase_rad}")
-    if math.isnan(path_gain_db):
-        raise TraceFormatError("NaN path gain")
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -100,8 +87,11 @@ class RayTable:
 
     Rows run step by step and, within a step, in trace order. Ray i's
     vertex path is rows ends[i - 1]:ends[i] of vertices (from row 0 for the
-    first ray), tx position first. Every array is read-only; a table that
-    does not fit together raises TraceFormatError.
+    first ray), tx position first. Every array is read-only. A table that
+    does not fit together raises TraceFormatError, and so does any row Ray
+    rejects (non-finite vertices, a delay not finite and >= 0, a non-finite
+    phase, a NaN gain; a gain of -inf is allowed): the first such row raises
+    Ray's message. Import, step ranges, run outputs and Ray all build here.
     """
 
     counts: np.ndarray    # (steps,) rays of each step
@@ -131,6 +121,23 @@ class RayTable:
         if last != self.vertices.shape[0]:
             raise TraceFormatError(f"the last ray ends at vertex row {last}, "
                                    f"but the table has {self.vertices.shape[0]}")
+        fields_ok = (np.isfinite(self.delay) & (self.delay >= 0) & np.isfinite(self.phase)
+                     & ~np.isnan(self.gain))
+        if fields_ok.all() and np.isfinite(self.vertices).all():
+            return
+        # only a failing table locates its first bad ray, whose rules raise in Ray's order
+        finite = np.ones(n, dtype=bool)
+        bad_vertex_rows = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        finite[np.searchsorted(self.ends, bad_vertex_rows, side="right")] = False
+        i = int(np.flatnonzero(~(finite & fields_ok))[0])
+        delay, phase = self.delay[i].item(), self.phase[i].item()
+        if not finite[i]:
+            raise TraceFormatError("non-finite ray vertices")
+        if not (math.isfinite(delay) and delay >= 0):
+            raise TraceFormatError(f"invalid delay {delay}")
+        if not math.isfinite(phase):
+            raise TraceFormatError(f"invalid phase {phase}")
+        raise TraceFormatError("NaN path gain")
 
     @classmethod
     def from_steps(cls, steps) -> "RayTable":
@@ -212,6 +219,14 @@ def path_directions(table: RayTable) -> tuple[np.ndarray, np.ndarray]:
     return vertices[first + 1] - vertices[first], vertices[last - 1] - vertices[last]
 
 
+_MIN_DIRECTION_M = 1e-12  # a shorter direction vector has no angles
+
+
+def _norms(directions: np.ndarray) -> np.ndarray:
+    x, y, z = directions[:, 0], directions[:, 1], directions[:, 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
 def direction_angles(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(azimuth, elevation) arrays, radians, of each row of (n, 3) directions.
 
@@ -219,8 +234,8 @@ def direction_angles(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (numerically) zero, i.e. two consecutive ray vertices coincide.
     """
     x, y, z = directions[:, 0], directions[:, 1], directions[:, 2]
-    norm = np.sqrt(x * x + y * y + z * z)
-    if np.any(norm < 1e-12):
+    norm = _norms(directions)
+    if np.any(norm < _MIN_DIRECTION_M):
         raise GeometryError("coincident consecutive ray vertices")
     azimuth = np.arctan2(y, x)
     azimuth[azimuth <= -math.pi] += 2.0 * math.pi  # keep azimuth in (-pi, pi]
@@ -343,21 +358,6 @@ def _parse_qd_file(path: Path) -> list[np.ndarray]:
     return blocks
 
 
-def _check_rays(columns: np.ndarray, tables: list[np.ndarray]) -> None:
-    """Ray's checks on all of a pair's rays at once.
-
-    columns holds the QdFiles rows of every ray, tables the vertices of the
-    same rays, file by file. The first bad ray raises the error Ray raises.
-    """
-    delay, gain, phase = columns[0], columns[1], columns[2]
-    fields_ok = np.isfinite(delay) & (delay >= 0) & np.isfinite(phase) & ~np.isnan(gain)
-    if fields_ok.all() and all(np.isfinite(table).all() for table in tables):
-        return
-    finite = np.concatenate([np.isfinite(table).all(axis=(1, 2)) for table in tables])
-    i = int(np.flatnonzero(~(finite & fields_ok))[0])
-    _check_ray_fields(bool(finite[i]), float(delay[i]), float(phase[i]), float(gain[i]))
-
-
 def _read_node_positions(dir_: Path, node: int, num_steps: int) -> np.ndarray | None:
     for role in ("Tx", "Rx"):
         path = dir_ / f"NodePositions{role}{node}.csv"
@@ -374,7 +374,9 @@ def import_scenario(directory) -> ChannelTrace:
     """Load a scenario directory into the in-memory trace model.
 
     Unknown auxiliary files are ignored. Without a recorded sampling
-    period, 1.0 s is assumed and a warning logged.
+    period, 1.0 s is assumed and a warning logged. Besides RayTable's row
+    rules, a ray needs a direction: a first or last segment shorter than
+    1e-12 m raises TraceFormatError, before any run reads the trace.
     """
     root = Path(directory)
     qd_dir = root / "Output" / "Ns3" / "QdFiles"
@@ -433,14 +435,19 @@ def import_scenario(directory) -> ChannelTrace:
                     f"{count} rays but coordinate files hold {held}")
 
         columns = np.concatenate(blocks, axis=1)
-        _check_rays(columns, tables)
         sizes = np.repeat([table.shape[1] for table in tables], [len(table) for table in tables])
-        pairs[pair] = RayTable(
+        table = pairs[pair] = RayTable(
             counts=counts, delay=columns[0], gain=columns[1], phase=columns[2],
             vertices=np.concatenate([np.empty((0, 3))] + [t.reshape(-1, 3) for t in tables]),
             ends=np.cumsum(sizes))
+        departure, arrival = path_directions(table)
+        undirected = (_norms(departure) < _MIN_DIRECTION_M) | (_norms(arrival) < _MIN_DIRECTION_M)
+        if undirected.any():
+            raise TraceFormatError(
+                f"pair Tx{pair[0]}Rx{pair[1]} timestep {table.ray_steps()[undirected][0]}: "
+                f"a ray's first or last segment is shorter than {_MIN_DIRECTION_M} m")
         delay_mismatches += int(np.count_nonzero(
-            np.abs(path_lengths(pairs[pair]) / SPEED_OF_LIGHT - columns[0]) > 1e-6))
+            np.abs(path_lengths(table) / SPEED_OF_LIGHT - columns[0]) > 1e-6))
 
     if delay_mismatches:
         log.warning("%d rays have delays inconsistent with their vertex paths (> 1 us)",

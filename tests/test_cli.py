@@ -8,7 +8,7 @@ from pathlib import Path, PurePosixPath
 import numpy as np
 import pytest
 
-from conftest import assert_traces_equal, build_los_trace
+from conftest import assert_traces_equal, build_los_trace, make_ray, trace_of
 from rayblock.cli import (
     SweepGeometry,
     _sha256_tree,
@@ -335,6 +335,8 @@ def test_sweep_rejects_unknown_model(tmp_path):
     ["position", "--margin", "nan"],
     ["position", "--samples", "4"],
     ["position", "--samples", "2000001"],
+    ["position", "--models", "dked,dked"],
+    ["crossing", "--models", "metis,dked,metis"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_sweep_rejects_a_bad_flag_value(tmp_path, capsys, argv):
     out = tmp_path / "sweep.csv"
@@ -379,6 +381,30 @@ def test_run_summary_reports_the_configured_run(tmp_path, small_scenario, capsys
     assert "rays: 20 in, 20 dropped" in stdout
     # interactions sum all three runs
     assert "60 obstruction" in stdout
+
+
+def test_zero_obstacles_apply_the_removal_floor_as_a_far_sphere_does(tmp_path, capsys):
+    # the -100 dB floor drops every step's -110 dB bounce, with or without
+    # obstacles; a sphere far from every ray changes nothing else
+    tx, wall, rx = (1.0, 3.0, 1.6), (5.0, 0.0, 1.4), (9.0, 3.0, 1.6)
+    steps = [[make_ray(tx, rx), make_ray(tx, wall, rx, gain_db=-110.0)] for _ in range(20)]
+    export_scenario(trace_of({(0, 1): steps}, {0: np.tile(tx, (20, 1)), 1: np.tile(rx, (20, 1))},
+                             time_step=0.0034), tmp_path / "scenario")
+    far_sphere = {"shape": {"kind": "sphere", "radius": 0.3},
+                  "mobility": {"kind": "static", "position": [500.0, 500.0, 1.6]},
+                  "model": {"kind": "obstruction", "loss_db": 30.0}}
+    outputs = {}
+    for name, obstacles in (("none", []), ("far", [far_sphere])):
+        out = tmp_path / name
+        spec = write_spec(tmp_path, minimal_spec(tmp_path / "scenario", out, obstacles=obstacles,
+                                                 removal_floor_db=-100.0))
+        assert main(["run", str(spec)]) == 0
+        rays = [line for line in capsys.readouterr().out.splitlines() if line.startswith("rays:")]
+        trace = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in (out / "trace").rglob("*") if p.is_file()}
+        outputs[name] = rays, (out / "snr_timeline.csv").read_bytes(), trace
+    assert outputs["none"][0] == ["rays: 40 in, 20 dropped"]
+    assert outputs["none"] == outputs["far"]
 
 
 NAN, INF = float("nan"), float("inf")

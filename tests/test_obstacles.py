@@ -10,6 +10,7 @@ from rayblock import _kernels
 from rayblock.diffraction import Dked, DkedPc, ItuSe, Metis, Obstruction
 from rayblock.environment import SimulationConfig
 from rayblock.errors import ConfigError
+from rayblock.linkeval import ArrayConfig, LinkBudget
 from rayblock.obstacles import (
     InteractionCounters,
     LinearMobility,
@@ -95,6 +96,37 @@ def test_a_non_finite_library_value_is_rejected(build):
         build()
     # an infinite threshold means no cull
     Obstacle(SCREEN, AT, Dked(), distance_threshold=INF)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Static((4.0, 0.0)), "3 coordinates"),
+    (lambda: LinearMobility((0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0)), "3 coordinates"),
+    (lambda: LinearMobility((0.0, 0.0, 0.0), 1.0), "3 coordinates"),
+    (lambda: WaypointMobility(times=(0.0, 1.0), points=((0, 0, 0), (1, 1))), "3 coordinates"),
+    (lambda: WaypointMobility(times=(0.0, 1.0, 2.0), points=(0, 0, 0)), "3 coordinates"),
+    (lambda: interact(Obstacle(SCREEN, AT, Dked()), LOS_RAY, 0.0, -0.005), "wavelength"),
+    (lambda: interact(Obstacle(SCREEN, AT, Dked()), LOS_RAY, 0.0, NAN), "wavelength"),
+    (lambda: interact(Obstacle(SCREEN, AT, Dked()), LOS_RAY, 0.0, 0.0), "wavelength"),
+    (lambda: interact(Obstacle(SCREEN, AT, Dked()), LOS_RAY, 0.0, INF), "wavelength"),
+    (lambda: LinkBudget(carrier_frequency_hz=NAN), "finite"),
+    (lambda: LinkBudget(bandwidth_hz=INF), "finite"),
+    (lambda: LinkBudget(tx_power_dbm=NAN), "finite"),
+    (lambda: LinkBudget(noise_figure_db=-INF), "finite"),
+    (lambda: ArrayConfig(rows=2.5, cols=4), "whole numbers"),
+    (lambda: ArrayConfig(rows=4, cols=NAN), "whole numbers"),
+    (lambda: ArrayConfig(4, 4, spacing=NAN), "finite and positive"),
+    (lambda: ArrayConfig(4, 4, spacing=INF), "finite and positive"),
+], ids=["static_2d", "linear_4d_start", "linear_scalar_velocity", "waypoint_2d_point",
+        "waypoint_flat_points", "wavelength_negative", "wavelength_nan", "wavelength_zero",
+        "wavelength_inf", "carrier", "bandwidth", "tx_power", "noise_figure", "rows", "cols",
+        "spacing_nan", "spacing_inf"])
+def test_a_library_value_the_numbers_cannot_use_is_rejected(build, message):
+    # each used to build and then fail deep inside numpy, or quietly give a
+    # wrong number (a negative wavelength culled a screen across the path)
+    with pytest.raises(ConfigError, match=message):
+        build()
+    assert interact(Obstacle(SCREEN, AT, Dked()), LOS_RAY, 0.0, 0.005).loss_db > 10.0
+    ArrayConfig(rows=2.0, cols=3)  # an integral float is a whole number
 
 
 def test_sphere_obstruction_on_the_path():

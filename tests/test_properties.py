@@ -4,15 +4,17 @@ invariances (a whole run equals its rays taken one at a time, any chunking
 of a pair's steps gives the same gains, and one pass over several model
 sets equals a run per set), the segment table and the primary rays against
 per-ray references, far culling against the README's threshold
-definition, batch pose sampling against the scalar formulas, and the batch
-SNR against a per-ray reference."""
+definition, batch pose sampling against the scalar formulas, the batch
+SNR against a per-ray reference, and RayTable's row rules against a
+per-row reference of Ray's."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_traces_equal, edge_row, make_ray, steps_of, trace_of
@@ -42,7 +44,7 @@ from rayblock.obstacles import (
     position_at,
     positions_at,
 )
-from rayblock.errors import ConfigError
+from rayblock.errors import ConfigError, TraceFormatError
 from rayblock.obstacles import _screen_axes, default_threshold
 from rayblock.trace import ChannelTrace, Ray, RayTable, angles_of_arrival, angles_of_departure
 
@@ -551,6 +553,88 @@ def test_kept_equals_the_per_ray_filter(steps, data):
     want = RayTable.from_steps([[ray for ray in rays if next(flags)] for rays in steps])
     for column in ("counts", "delay", "gain", "phase", "vertices", "ends"):
         np.testing.assert_array_equal(getattr(kept, column), getattr(want, column))
+
+
+def reference_row_error(delay, gain, phase, vertices) -> str | None:
+    """Ray's rules for one row, in Ray's order: the error the row raises,
+    or None for a good row."""
+    if not all(math.isfinite(c) for vertex in vertices for c in vertex):
+        return "non-finite ray vertices"
+    if not (math.isfinite(delay) and delay >= 0):
+        return f"invalid delay {delay}"
+    if not math.isfinite(phase):
+        return f"invalid phase {phase}"
+    if math.isnan(gain):
+        return "NaN path gain"
+    return None
+
+
+# values each field may take; -inf gains and a -0.0 delay are good rows
+ROW_VALUES = {"delay": (-1e-9, -0.0, 0.0, math.nan, math.inf, -math.inf),
+              "gain": (math.nan, -math.inf, math.inf, 0.0),
+              "phase": (math.nan, math.inf, -math.inf, 7.0),
+              "vertex": (math.nan, math.inf, -math.inf)}
+
+
+@st.composite
+def edited_steps(draw):
+    """Per-step Ray lists and edits (ray, field, vertex row, coordinate,
+    value) of their columns: a few fields of random rows set to values
+    that break Ray's rules or keep to them."""
+    steps = draw(ray_steps())
+    rays = [ray for step in steps for ray in step]
+    edits = []
+    for _ in range(draw(st.integers(0, 3)) if rays else 0):
+        i = draw(st.integers(0, len(rays) - 1))
+        field = draw(st.sampled_from(sorted(ROW_VALUES)))
+        edits.append((i, field, draw(st.integers(0, rays[i].vertices.shape[0] - 1)),
+                      draw(st.integers(0, 2)), draw(st.sampled_from(ROW_VALUES[field]))))
+    return steps, edits
+
+
+A, B, C, D = (0.0, 0.0, 1.6), (4.0, -2.5, 1.4), (6.0, 2.5, 2.0), (8.0, 0.0, 1.6)
+
+
+@TABLE_SETTINGS
+@given(edited_steps())
+# a NaN vertex in a middle row of a second-order ray comes before the bad
+# delay of a later ray; -inf gains and a -0.0 delay pass
+@example(([[make_ray(A, D)], [make_ray(A, B, C, D), make_ray(A, D)]],
+          [(0, "gain", 0, 0, -math.inf), (1, "vertex", 2, 1, math.nan),
+           (2, "delay", 0, 0, math.nan)]))
+@example(([[make_ray(A, B, D)], [], [make_ray(A, D)]],
+          [(0, "delay", 0, 0, -0.0), (1, "gain", 0, 0, -math.inf)]))
+# a bad first vertex row belongs to its own ray, not to the bad ray before it
+@example(([[make_ray(A, B, D), make_ray(A, C, D)]],
+          [(0, "delay", 0, 0, -1e-9), (1, "vertex", 0, 2, math.inf)]))
+def test_a_table_rejects_the_first_row_that_breaks_a_ray_rule(edited):
+    steps, edits = edited
+    table = RayTable.from_steps(steps)
+    columns = {name: getattr(table, name).tolist()
+               for name in ("counts", "delay", "gain", "phase", "ends")}
+    columns["vertices"] = table.vertices.copy()
+    firsts = table.first_rows().tolist()
+    for i, field, row, coord, value in edits:
+        if field == "vertex":
+            columns["vertices"][firsts[i] + row, coord] = value
+        else:
+            columns[field][i] = value
+    rows = [(columns["delay"][i], columns["gain"][i], columns["phase"][i],
+             columns["vertices"][firsts[i]:columns["ends"][i]]) for i in range(len(table))]
+    errors = [reference_row_error(*row) for row in rows]
+    want = next((error for error in errors if error is not None), None)
+    if want is None:
+        RayTable(**columns)
+    else:
+        with pytest.raises(TraceFormatError) as raised:
+            RayTable(**columns)
+        assert str(raised.value) == want
+    for row, error in zip(rows, errors):  # Ray is a one-row table
+        if error is None:
+            Ray(*row)
+        else:
+            with pytest.raises(TraceFormatError, match=f"^{re.escape(error)}$"):
+                Ray(*row)
 
 
 @TABLE_SETTINGS

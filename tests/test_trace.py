@@ -96,6 +96,12 @@ def table_columns(**changes) -> dict:
     (dict(ends=[2, 6]), "the last ray ends at vertex row 6, but the table has 5"),
     (dict(vertices=np.zeros((5, 2))), "3 coords"),
     (dict(counts=[0], delay=[], gain=[], phase=[], ends=[]), "the last ray ends at vertex row 0"),
+    # Ray's row rules, with Ray's messages
+    (dict(delay=[1e-8, -1.0]), "^invalid delay -1.0$"),
+    (dict(gain=[math.nan, -90.0]), "^NaN path gain$"),
+    (dict(phase=[0.0, math.inf]), "^invalid phase inf$"),
+    (dict(vertices=[[0, 0, 0], [1, 0, 0], [0, 0, 0], [1, math.nan, 0], [1, 0, 0]]),
+     "^non-finite ray vertices$"),
 ])
 def test_an_inconsistent_table_is_rejected(changes, message):
     RayTable(**table_columns())
@@ -446,6 +452,17 @@ def _replace_value(index: int, value: str):
     return edit
 
 
+def _bounce_onto(vertex: int):
+    """Edit of a one-bounce ray's row: its bounce vertex moved onto its
+    first (0) or last (2) vertex, which leaves the ray without a direction."""
+    def edit(line: str) -> str:
+        values = line.split(",")
+        values[3:6] = values[3 * vertex:3 * vertex + 3]
+        return ",".join(values)
+    return edit
+
+
+UNDIRECTED = "pair Tx0Rx1 timestep 0: a ray's first or last segment is shorter than 1e-12 m"
 MPC = ("Output", "Visualizer", "MpcCoordinates", "MpcTx0Rx1Refl1Trc0.csv")
 QD = ("Output", "Ns3", "QdFiles", "Tx0Rx2.txt")
 
@@ -462,6 +479,8 @@ MALFORMED_LINES = {
     "nan_gain": (QD, 11, _replace_value(0, "nan"), "NaN path gain"),
     "infinite_phase": (QD, 12, _replace_value(1, "-inf"), "invalid phase -inf"),
     "blank_row_in_a_block": (QD, 11, lambda line: "", "{path}:11: expected 2 values, got 0"),
+    "ray_without_departure": (MPC, 1, _bounce_onto(0), UNDIRECTED),
+    "ray_without_arrival": (MPC, 1, _bounce_onto(2), UNDIRECTED),
 }
 
 
