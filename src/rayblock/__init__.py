@@ -23,7 +23,7 @@ from .diffraction import (
     metis_loss,
     sked,
 )
-from .environment import RunStats, SimulationConfig, run, run_model_sets
+from .environment import SimulationConfig, run, run_model_sets
 from .errors import (
     ConfigError,
     GeometryError,
@@ -49,8 +49,6 @@ from .trace import (
     ChannelTrace,
     Ray,
     RayTable,
-    angles_of_arrival,
-    angles_of_departure,
     export_scenario,
     import_scenario,
 )

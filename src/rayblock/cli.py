@@ -9,6 +9,9 @@ Verbs:
     validate <spec>      schema-check a run spec
     inspect <dir>        summarize a scenario directory
 
+A spec's removal floor acts on the run's outputs alone: the exported trace
+and every SNR column but the baseline leave out the rays below it.
+
 Exit codes: 0 ok, 2 config error, 3 trace format error, 4 numeric failure
 (clamp event budget exceeded). Worker count comes from --workers or the
 RAYBLOCK_WORKERS environment variable, defaulting to the available cores.
@@ -29,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffraction import MODEL_REGISTRY, LossModel, Obstruction, log_itu_se_out_of_regime
-from .environment import RunStats, SimulationConfig, resolve_workers, run_model_sets
+from .environment import SimulationConfig, resolve_workers, run_model_sets
 from .errors import ConfigError, NumericBudgetError, RayBlockError, TraceFormatError
 from .linkeval import ArrayConfig, LinkBudget, snr_timeline
 from .obstacles import (
@@ -340,6 +343,8 @@ def _sweep_losses(geom: SweepGeometry, centers: np.ndarray, names: tuple[str, ..
     """Loss and blocked flag of the screen at each of centers (n, 3) against
     the direct path, one pair per named model, from one table with no range
     gating: sweeps plot the raw model."""
+    if not names:
+        raise ConfigError("a sweep needs at least one model")
     models = [Obstruction(geom.obstruction_db) if name == "obstruction"
               else MODEL_REGISTRY[name]() for name in names]
     obstacle = Obstacle(
@@ -374,11 +379,10 @@ def run_crossing_sweep(geom: SweepGeometry = SweepGeometry(),
     centers = np.stack([np.full(len(offsets), 0.5 * geom.distance_m), offsets,
                         np.full(len(offsets), 0.5 * geom.screen_height_m)], axis=1)
     columns: dict = {"offset_m": offsets}
-    blocked = np.zeros(len(offsets), dtype=bool)
-    for name, (losses, blocked) in zip(models, _sweep_losses(geom, centers, models,
-                                                             wavelength)):
+    outcomes = _sweep_losses(geom, centers, models, wavelength)
+    for name, (losses, _) in zip(models, outcomes):
         columns[f"loss_db_{name}"] = losses
-    columns["blocked"] = blocked.astype(np.int64)
+    columns["blocked"] = outcomes[-1][1].astype(np.int64)
     return columns
 
 
@@ -493,50 +497,50 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
     cfg = SimulationConfig(
         obstacles=spec.obstacles,
         time_step=None if spec.sampling is None else spec.sampling.time_step,
-        removal_floor_db=spec.removal_floor_db,
         carrier_frequency_hz=spec.link_budget.carrier_frequency_hz,
     )
 
-    pairs = sorted(trace.pairs)
-    baseline_snr = {pair: snr_timeline(trace, pair, spec.link_budget) for pair in pairs}
-
-    # one model set and one RunStats per run, in one pass; runs[0] is the
-    # configured run, then one run per compared model
+    # one model set and one counter set per run, in one pass; runs[0] is
+    # the configured run, then one run per compared model
     model_sets = [tuple(o.model for o in spec.obstacles)]
     model_sets += [tuple(_override_model(o, name).model for o in spec.obstacles)
                    for name in spec.models_to_compare]
-    runs = [RunStats() for _ in model_sets]
-    configured, *compared = run_model_sets(trace, cfg, model_sets, workers=workers,
-                                           stats=runs)
-    configured_snr = {pair: snr_timeline(configured, pair, spec.link_budget)
-                      for pair in pairs}
-    model_snr = {name: {pair: snr_timeline(model_trace, pair, spec.link_budget)
-                        for pair in pairs}
-                 for name, model_trace in zip(spec.models_to_compare, compared)}
+    counters = [InteractionCounters() for _ in model_sets]
+    runs = run_model_sets(trace, cfg, model_sets, workers=workers, counters=counters)
+
+    # the removal floor acts here alone: every SNR column but the baseline
+    # reads the rays below it as -inf, one link evaluation per pair
+    floor = spec.removal_floor_db
+    pairs = sorted(trace.pairs)
+    snr = {}
+    for pair in pairs:
+        floored = [np.where(out.pairs[pair].gain >= floor, out.pairs[pair].gain, -math.inf)
+                   for out in runs]
+        snr[pair] = snr_timeline(trace, pair, spec.link_budget,
+                                 [trace.pairs[pair].gain] + floored)
 
     output_dir.mkdir(parents=True, exist_ok=True)
     trace_dir = output_dir / "trace"
-    export_scenario(configured, trace_dir, drop_below_db=spec.removal_floor_db)
+    export_scenario(runs[0], trace_dir, drop_below_db=floor)
 
     # every pair's rows, pair after pair, as columns
-    def stacked(snr: dict, column: int) -> np.ndarray:
+    def stacked(column: int) -> np.ndarray:
         return np.concatenate([snr[pair][:, column] for pair in pairs])
 
     ids = [np.repeat([pair[i] for pair in pairs], trace.num_steps) for i in (0, 1)]
-    times, baseline = stacked(baseline_snr, 0), stacked(baseline_snr, 1)
+    times, baseline = stacked(0), stacked(1)
+    columns = [stacked(2 + i) for i in range(len(runs))]
     _write_csv(output_dir / "snr_timeline.csv",
                ["tx_id", "rx_id", "t_seconds", "snr_db_baseline", "snr_db"]
                + [f"snr_db_{name}" for name in spec.models_to_compare],
-               [*ids, times, baseline, stacked(configured_snr, 1)]
-               + [stacked(model_snr[name], 1) for name in spec.models_to_compare],
-               ["%d", "%d", "%.9g"] + ["%.6f"] * (2 + len(spec.models_to_compare)))
+               [*ids, times, baseline, *columns],
+               ["%d", "%d", "%.9g"] + ["%.6f"] * (1 + len(runs)))
 
     loss_files = []
-    for name in spec.models_to_compare:
+    for name, column in zip(spec.models_to_compare, columns[1:]):
         path = output_dir / f"loss_timeline_{name}.csv"
         _write_csv(path, ["tx_id", "rx_id", "t_seconds", "loss_db"],
-                   [*ids, times, baseline - stacked(model_snr[name], 1)],
-                   ["%d", "%d", "%.9g", "%.6f"])
+                   [*ids, times, baseline - column], ["%d", "%d", "%.9g", "%.6f"])
         loss_files.append(path.name)
 
     manifest = {
@@ -551,12 +555,14 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
     # rays describe the configured run; clamp events and interactions sum
     # every run, the compared models' included
     c = InteractionCounters()
-    for r in runs:
-        c.merge(r.counters)
+    for run_counters in counters:
+        c.merge(run_counters)
     clamp_events = c.clamp_events
+    rays_in = sum(len(table) for table in trace.pairs.values())
+    dropped = sum(int(np.count_nonzero(t.gain < floor)) for t in runs[0].pairs.values())
     print(f"pairs: {len(pairs)}")
     print(f"steps: {trace.num_steps}")
-    print(f"rays: {runs[0].rays_in} in, {runs[0].rays_dropped} dropped")
+    print(f"rays: {rays_in} in, {dropped} dropped")
     print(f"clamp events: {clamp_events}")
     print(f"interactions: {c.diffraction_evals} diffraction, "
           f"{c.obstruction_evals} obstruction, {c.far_skips} skipped far, "

@@ -15,8 +15,8 @@ depths, excess path lengths, distances from the direct-path line) and
 returns a plain float.
 
 The loss models evaluate the Fresnel integral with a closed-form series
-(``fresnel_integral``, see _kernels); an adaptive quadrature
-(``fresnel_quadrature``) is the reference oracle the tests compare it with.
+(``fresnel_integral``, see _kernels); the tests compare it with an
+adaptive quadrature oracle.
 
 The models share fixed constants rather than a settings object: every
 loss is capped at ``LOSS_CAP_DB``, and edges beyond ``FAR_FIELD_NU`` take
@@ -49,8 +49,6 @@ FAR_FIELD_NU = 10.0 * math.sqrt(2.0)
 # floor count as capped without taking their logarithm.
 LOSS_CAP_DB = 80.0
 _CAP_AMPLITUDE = 10.0 ** (-LOSS_CAP_DB / 20.0)
-
-_QUADRATURE_TOL = 1e-9
 
 
 class Diagnostics:
@@ -113,29 +111,6 @@ MODEL_REGISTRY: dict[str, type[LossModel]] = {
 }
 
 
-def fresnel_quadrature(nu: float, tol: float = _QUADRATURE_TOL) -> tuple[float, float]:
-    """C(nu), S(nu) by adaptive quadrature of the Fresnel integrand, split
-    per unit interval: the reference oracle of fresnel_integral."""
-    from scipy import integrate  # the oracle alone needs scipy; keep it off the import path
-
-    a = abs(nu)
-    if a == 0.0:
-        return 0.0, 0.0
-    pieces = max(int(math.ceil(a)), 1)
-    bounds = np.linspace(0.0, a, pieces + 1)
-    tol_piece = tol / pieces
-    c = 0.0
-    s = 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        c += integrate.quad(lambda x: math.cos(0.5 * math.pi * x * x), lo, hi,
-                            epsabs=tol_piece, limit=200)[0]
-        s += integrate.quad(lambda x: math.sin(0.5 * math.pi * x * x), lo, hi,
-                            epsabs=tol_piece, limit=200)[0]
-    if nu < 0:
-        return -c, -s
-    return c, s
-
-
 def fresnel_integral(nu: float) -> tuple[float, float]:
     """(C(nu), S(nu)) of the complex Fresnel integral, from the closed-form series.
 
@@ -145,36 +120,6 @@ def fresnel_integral(nu: float) -> tuple[float, float]:
     if not math.isfinite(nu):
         raise GeometryError("nu must be finite")
     return _kernels.fresnel_cs(nu)
-
-
-def fresnel_integral_grid(nus: np.ndarray,
-                          tol: float = _QUADRATURE_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature C, S over a sorted grid, integrating increment by increment.
-
-    Used as the oracle against the closed-form path on dense grids, where
-    per-point integration from zero would be needlessly slow.
-    """
-    from scipy import integrate
-
-    nus = np.asarray(nus, dtype=np.float64)
-    order = np.argsort(nus)
-    sorted_nus = nus[order]
-    c = np.empty_like(sorted_nus)
-    s = np.empty_like(sorted_nus)
-    tol_piece = tol / max(len(nus), 1)
-    c0, s0 = fresnel_quadrature(float(sorted_nus[0]), tol)
-    c[0], s[0] = c0, s0
-    for i in range(1, len(sorted_nus)):
-        lo, hi = float(sorted_nus[i - 1]), float(sorted_nus[i])
-        c[i] = c[i - 1] + integrate.quad(
-            lambda x: math.cos(0.5 * math.pi * x * x), lo, hi, epsabs=tol_piece, limit=200)[0]
-        s[i] = s[i - 1] + integrate.quad(
-            lambda x: math.sin(0.5 * math.pi * x * x), lo, hi, epsabs=tol_piece, limit=200)[0]
-    out_c = np.empty_like(c)
-    out_s = np.empty_like(s)
-    out_c[order] = c
-    out_s[order] = s
-    return out_c, out_s
 
 
 def diffraction_parameter(edge: _EdgeColumns) -> np.ndarray:

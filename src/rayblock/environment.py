@@ -8,9 +8,9 @@ configuration order, samples its poses at the chunk's trace timestamps as a
 (steps, 3) array and returns one loss per ray of the chunk, which is
 subtracted from the rays' path gains. Applying obstacles one after another this way makes running
 two obstacle sets sequentially equal one combined run bit-for-bit. A run's
-result is the input table with a new gain column, minus the rays
-attenuated below the removal floor, with or without obstacles. Delays,
-phases and vertex paths are never modified.
+result is the input table with a new gain column: every row is kept, and
+the delays, phases and vertex paths are the input's arrays. Dropping weak
+rays is left to the caller (``export_scenario``'s ``drop_below_db``).
 
 One pass can serve several model sets (``run_model_sets``): the same
 obstacles, each set swapping in its own loss model per obstacle. The
@@ -29,7 +29,7 @@ import logging
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,26 +48,14 @@ WORKERS_ENV_VAR = "RAYBLOCK_WORKERS"
 class SimulationConfig:
     obstacles: tuple[Obstacle, ...]
     time_step: float | None = None          # defaults to the trace's step
-    removal_floor_db: float = -500.0
     carrier_frequency_hz: float = 60e9
 
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         if self.time_step is not None and not 0 < self.time_step < math.inf:
             raise ConfigError("time step must be finite and positive")
-        if not math.isfinite(self.removal_floor_db):
-            raise ConfigError("removal floor must be finite")
         if not 0 < self.carrier_frequency_hz < math.inf:
             raise ConfigError("carrier frequency must be finite and positive")
-
-
-@dataclass
-class RunStats:
-    """Optional out-parameter of run(); aggregated across workers."""
-
-    rays_in: int = 0
-    rays_dropped: int = 0
-    counters: InteractionCounters = field(default_factory=InteractionCounters)
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -130,28 +118,28 @@ def _run_chunk(args) -> tuple:
 
 
 def run(trace: ChannelTrace, cfg: SimulationConfig, workers: int | None = None,
-        stats: RunStats | None = None) -> ChannelTrace:
-    """New trace of identical shape with obstacle losses applied.
+        counters: InteractionCounters | None = None) -> ChannelTrace:
+    """New trace of identical shape with obstacle losses applied; counters,
+    when given, takes the run's interaction counts.
 
-    With zero obstacles only the removal floor acts: the output is the
-    input minus its rays below the floor, and no worker process starts. The
-    incompatible-time-base check runs before any computation.
+    With zero obstacles the output is the input and no worker process
+    starts. The incompatible-time-base check runs before any computation.
     """
     [out] = run_model_sets(trace, cfg, [tuple(o.model for o in cfg.obstacles)], workers,
-                           None if stats is None else [stats])
+                           None if counters is None else [counters])
     return out
 
 
 def run_model_sets(trace: ChannelTrace, cfg: SimulationConfig,
                    model_sets: Sequence[Sequence[LossModel]], workers: int | None = None,
-                   stats: Sequence[RunStats] | None = None) -> list[ChannelTrace]:
+                   counters: Sequence[InteractionCounters] | None = None) -> list[ChannelTrace]:
     """One run() per model set, in one pass: the trace under cfg with each
     obstacle's model swapped for the set's (one model per obstacle, in
     configuration order).
 
-    Each output trace and each RunStats (stats holds one per set) equals
-    that of a separate run() with the swapped obstacles. The geometry the
-    sets share is computed once per chunk.
+    Each output trace, and each set's counts merged into counters (one per
+    set), equals that of a separate run() with the swapped obstacles. The
+    geometry the sets share is computed once per chunk.
     """
     stride, pose_step = _pose_stride(trace, cfg)
     model_sets = [tuple(models) for models in model_sets]
@@ -161,13 +149,10 @@ def run_model_sets(trace: ChannelTrace, cfg: SimulationConfig,
                              f"({len(cfg.obstacles)}), got {len(models)}")
         for obstacle, model in zip(cfg.obstacles, models):
             dataclasses.replace(obstacle, model=model)  # the obstacle's own checks
-    if stats is None:
-        stats = [RunStats() for _ in model_sets]
-    if len(stats) != len(model_sets):
-        raise ValueError("run_model_sets needs one RunStats per model set")
-    rays_in = sum(len(table) for table in trace.pairs.values())
-    for set_stats in stats:
-        set_stats.rays_in = rays_in
+    if counters is None:
+        counters = [InteractionCounters() for _ in model_sets]
+    if len(counters) != len(model_sets):
+        raise ValueError("run_model_sets needs one InteractionCounters per model set")
 
     wavelength = SPEED_OF_LIGHT / cfg.carrier_frequency_hz
     n_workers = resolve_workers(workers) if cfg.obstacles else 1  # no work, no pool
@@ -190,22 +175,19 @@ def run_model_sets(trace: ChannelTrace, cfg: SimulationConfig,
         results = [_run_chunk(c) for c in chunks]
 
     outputs = []
-    for s, set_stats in enumerate(stats):
+    for s, set_counters in enumerate(counters):
         run_counters = InteractionCounters()
-        for *_, counters in results:
-            run_counters.merge(counters[s])
-        set_stats.counters.merge(run_counters)
+        for *_, chunk_counters in results:
+            run_counters.merge(chunk_counters[s])
+        set_counters.merge(run_counters)
         if run_counters.degenerate_skips:
             log.warning("skipped %d degenerate segment/screen configurations",
                         run_counters.degenerate_skips)
         diffraction.log_itu_se_out_of_regime(run_counters.out_of_regime, wavelength)
-        pairs = {}
-        for pair, table in trace.pairs.items():
-            # results run pair by pair in sorted order, chunks in step order
-            gains = np.concatenate([set_gains[s] for p, _, set_gains, _ in results if p == pair])
-            above = gains >= cfg.removal_floor_db
-            set_stats.rays_dropped += len(table) - int(np.count_nonzero(above))
-            pairs[pair] = dataclasses.replace(table, gain=gains).kept(above)
+        # results run pair by pair in sorted order, chunks in step order
+        pairs = {pair: dataclasses.replace(table, gain=np.concatenate(
+                     [set_gains[s] for p, _, set_gains, _ in results if p == pair]))
+                 for pair, table in trace.pairs.items()}
         outputs.append(ChannelTrace(node_positions=dict(trace.node_positions), pairs=pairs,
                                     time_step=trace.time_step, num_steps=trace.num_steps))
     return outputs

@@ -6,17 +6,19 @@ Rays combine coherently with carrier phases derived from their delays
 with several comparable paths. Beams re-match the strongest ray at every
 timestep (ties: lower ray index); no tracking hysteresis is modeled.
 
-``snr_timeline`` evaluates one pair in one batch: it reads the pair's ray
-table, computes every ray's departure and arrival angles at once, picks
-each step's beam target with one sort, and sums each step's rays with
-``np.bincount`` in ray order. A planar array's phasors separate into a row factor and a column
-factor, so array gains come from (rays, rows) and (rays, cols) tables;
-no (rays, elements) steering matrix is built.
+``snr_timeline`` evaluates one pair under one or several gain columns in
+one batch: the rays' angles, array factors and carrier phasors once, then
+per column one sort picks each step's beam target and ``np.bincount`` sums
+each step's rays in ray order. A planar array's phasors separate into a
+row factor and a column factor, so no (rays, elements) steering matrix is
+built. A ray at -inf dB adds nothing, so a column with -inf in place of
+some rays gives the SNR of the table without them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,28 +84,25 @@ def _array_factors(array: ArrayConfig, azimuth: np.ndarray,
     return rows / math.sqrt(array.rows), cols / math.sqrt(array.cols)
 
 
-def steering_vector(array: ArrayConfig, azimuth: float, elevation: float,
-                    wavelength: float) -> np.ndarray:
+def steering_vector(array: ArrayConfig, azimuth: float, elevation: float) -> np.ndarray:
     """Unit-norm phasor vector of a planar array toward (azimuth, elevation).
 
     Elements sit in the y-z plane (columns along y, rows along z); the
     broadside +x direction yields the all-equal-phase vector. The result is
     flattened row-major (row index slowest).
     """
-    if wavelength <= 0:
-        raise ConfigError("wavelength must be positive")
     rows, cols = _array_factors(array, np.array([azimuth]), np.array([elevation]))
     return np.outer(rows[0], cols[0]).reshape(-1)
 
 
-def _array_gains(array: ArrayConfig, azimuth: np.ndarray, elevation: np.ndarray,
-                 target: np.ndarray) -> np.ndarray:
-    """Array gain toward each direction of weights matched to direction target[i].
+def _array_gains(factors: tuple[np.ndarray, np.ndarray], target: np.ndarray) -> np.ndarray:
+    """Array gain toward each direction of weights matched to direction
+    target[i], from the directions' (rows, cols) factors.
 
     The steering vectors' inner product is the product of their row and
     column factors' inner products.
     """
-    rows, cols = _array_factors(array, azimuth, elevation)
+    rows, cols = factors
     return (np.sum(rows[target].conj() * rows, axis=1)
             * np.sum(cols[target].conj() * cols, axis=1))
 
@@ -113,46 +112,50 @@ def noise_power_dbm(budget: LinkBudget) -> float:
     return NOISE_DENSITY_DBM_HZ + 10.0 * math.log10(budget.bandwidth_hz) + budget.noise_figure_db
 
 
-def _beamformed_amplitudes(table: RayTable, budget: LinkBudget) -> np.ndarray:
-    """|coherent sum| of each step's rays, beams matched to the step's strongest ray."""
+def _beamformed_amplitudes(table: RayTable, budget: LinkBudget,
+                           gains: Sequence[np.ndarray]) -> np.ndarray:
+    """(steps, len(gains)) |coherent sum| of each step's rays under each gain
+    column, beams matched to the step's strongest ray of that column."""
     counts = table.counts
     num_steps = counts.shape[0]
     step = table.ray_steps()
-    gain_db, delay = table.gain, table.delay
     departure, arrival = path_directions(table)
-    aod_az, aod_el = direction_angles(departure)
-    aoa_az, aoa_el = direction_angles(arrival)
-
-    # the strongest ray of each step, ties to the lower index: sorting by
-    # (step, -gain, index) puts it first among its step's rays
-    order = np.lexsort((np.arange(step.shape[0]), -gain_db, step))
-    filled = counts[counts > 0]
-    target = np.repeat(order[np.cumsum(filled) - filled], filled)
-    g_tx = _array_gains(budget.tx_array, aod_az, aod_el, target)
-    g_rx = _array_gains(budget.rx_array, aoa_az, aoa_el, target)
-
-    amplitude = 10.0 ** (gain_db / 20.0)
-    turns = budget.carrier_frequency_hz * delay
-    phase = -2.0 * math.pi * (turns - np.round(turns))
+    tx_factors = _array_factors(budget.tx_array, *direction_angles(departure))
+    rx_factors = _array_factors(budget.rx_array, *direction_angles(arrival))
+    turns = budget.carrier_frequency_hz * table.delay
+    phasors = np.exp(1j * (-2.0 * math.pi * (turns - np.round(turns))))
     scale = math.sqrt(budget.tx_array.size * budget.rx_array.size)
-    field = amplitude * np.exp(1j * phase) * g_tx * g_rx * scale
-    return np.hypot(np.bincount(step, weights=field.real, minlength=num_steps),
-                    np.bincount(step, weights=field.imag, minlength=num_steps))
+    index = np.arange(step.shape[0])
+    filled = counts[counts > 0]
+
+    out = np.empty((num_steps, len(gains)))
+    for j, gain_db in enumerate(gains):
+        # the strongest ray of each step, ties to the lower index: sorting by
+        # (step, -gain, index) puts it first among its step's rays
+        order = np.lexsort((index, -gain_db, step))
+        target = np.repeat(order[np.cumsum(filled) - filled], filled)
+        field = (10.0 ** (gain_db / 20.0) * phasors * _array_gains(tx_factors, target)
+                 * _array_gains(rx_factors, target) * scale)
+        out[:, j] = np.hypot(np.bincount(step, weights=field.real, minlength=num_steps),
+                             np.bincount(step, weights=field.imag, minlength=num_steps))
+    return out
 
 
-def snr_timeline(trace: ChannelTrace, pair: tuple[int, int],
-                 budget: LinkBudget) -> np.ndarray:
-    """(num_steps, 2) array of (time s, SNR dB) for one node pair.
+def snr_timeline(trace: ChannelTrace, pair: tuple[int, int], budget: LinkBudget,
+                 gains: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """(num_steps, 1 + k) array of time (s) and one SNR (dB) column per gain
+    column for one node pair.
 
-    Timesteps without rays report -inf.
+    gains holds k arrays of the pair's path gains (dB), one value per ray
+    of trace.pairs[pair] in table order; by default the table's own, k = 1.
+    Timesteps without rays, or whose rays are all at -inf, report -inf.
     """
     if pair not in trace.pairs:
         raise ConfigError(f"pair {pair} not present in trace")
-    amplitude = _beamformed_amplitudes(trace.pairs[pair], budget)
-    out = np.empty((trace.num_steps, 2))
-    out[:, 0] = trace.times()
-    out[:, 1] = -math.inf
+    table = trace.pairs[pair]
+    amplitude = _beamformed_amplitudes(table, budget, [table.gain] if gains is None else gains)
     heard = amplitude > 0.0
-    out[heard, 1] = (budget.tx_power_dbm + 20.0 * np.log10(amplitude[heard])
-                     - noise_power_dbm(budget))
-    return out
+    snr = np.full(amplitude.shape, -math.inf)
+    snr[heard] = (budget.tx_power_dbm + 20.0 * np.log10(amplitude[heard])
+                  - noise_power_dbm(budget))
+    return np.column_stack((trace.times(), snr))

@@ -243,18 +243,6 @@ def direction_angles(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return azimuth, elevation
 
 
-def angles_of_departure(ray: Ray) -> tuple[float, float]:
-    """(azimuth, elevation) of the first path segment, radians."""
-    azimuth, elevation = direction_angles(path_directions(RayTable.from_steps([[ray]]))[0])
-    return float(azimuth[0]), float(elevation[0])
-
-
-def angles_of_arrival(ray: Ray) -> tuple[float, float]:
-    """(azimuth, elevation) of the last path segment reversed, radians."""
-    azimuth, elevation = direction_angles(path_directions(RayTable.from_steps([[ray]]))[1])
-    return float(azimuth[0]), float(elevation[0])
-
-
 @dataclass(eq=False)
 class ChannelTrace:
     """One RayTable per node pair plus node trajectories."""

@@ -5,7 +5,16 @@ import pytest
 
 from rayblock import _kernels, obstacles
 from rayblock.diffraction import Metis
-from rayblock.trace import SPEED_OF_LIGHT, ChannelTrace, Ray, RayTable
+from rayblock.trace import (
+    SPEED_OF_LIGHT,
+    ChannelTrace,
+    Ray,
+    RayTable,
+    direction_angles,
+    path_directions,
+)
+
+QUADRATURE_TOL = 1e-9
 
 
 def carrier_phase(delay: float, frequency_hz: float = 60e9) -> float:
@@ -38,6 +47,67 @@ def fresnel_cs_grid(nus) -> tuple[np.ndarray, np.ndarray]:
     sked makes them."""
     c, s = zip(*(_kernels.fresnel_cs(float(nu)) for nu in nus))
     return np.array(c), np.array(s)
+
+
+def fresnel_quadrature(nu: float, tol: float = QUADRATURE_TOL) -> tuple[float, float]:
+    """C(nu), S(nu) by adaptive quadrature of the Fresnel integrand, split
+    per unit interval: the reference oracle of fresnel_integral."""
+    from scipy import integrate
+
+    a = abs(nu)
+    if a == 0.0:
+        return 0.0, 0.0
+    pieces = max(int(math.ceil(a)), 1)
+    bounds = np.linspace(0.0, a, pieces + 1)
+    tol_piece = tol / pieces
+    c = 0.0
+    s = 0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        c += integrate.quad(lambda x: math.cos(0.5 * math.pi * x * x), lo, hi,
+                            epsabs=tol_piece, limit=200)[0]
+        s += integrate.quad(lambda x: math.sin(0.5 * math.pi * x * x), lo, hi,
+                            epsabs=tol_piece, limit=200)[0]
+    if nu < 0:
+        return -c, -s
+    return c, s
+
+
+def fresnel_integral_grid(nus, tol: float = QUADRATURE_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature C, S over a grid, integrating increment by increment in
+    sorted order: the oracle on dense grids, where per-point integration
+    from zero would be needlessly slow."""
+    from scipy import integrate
+
+    nus = np.asarray(nus, dtype=np.float64)
+    order = np.argsort(nus)
+    sorted_nus = nus[order]
+    c = np.empty_like(sorted_nus)
+    s = np.empty_like(sorted_nus)
+    tol_piece = tol / max(len(nus), 1)
+    c[0], s[0] = fresnel_quadrature(float(sorted_nus[0]), tol)
+    for i in range(1, len(sorted_nus)):
+        lo, hi = float(sorted_nus[i - 1]), float(sorted_nus[i])
+        c[i] = c[i - 1] + integrate.quad(
+            lambda x: math.cos(0.5 * math.pi * x * x), lo, hi, epsabs=tol_piece, limit=200)[0]
+        s[i] = s[i - 1] + integrate.quad(
+            lambda x: math.sin(0.5 * math.pi * x * x), lo, hi, epsabs=tol_piece, limit=200)[0]
+    out_c = np.empty_like(c)
+    out_s = np.empty_like(s)
+    out_c[order] = c
+    out_s[order] = s
+    return out_c, out_s
+
+
+def angles_of_departure(ray: Ray) -> tuple[float, float]:
+    """(azimuth, elevation) of one ray's first path segment, radians."""
+    azimuth, elevation = direction_angles(path_directions(RayTable.from_steps([[ray]]))[0])
+    return float(azimuth[0]), float(elevation[0])
+
+
+def angles_of_arrival(ray: Ray) -> tuple[float, float]:
+    """(azimuth, elevation) of one ray's last path segment reversed, radians."""
+    azimuth, elevation = direction_angles(path_directions(RayTable.from_steps([[ray]]))[1])
+    return float(azimuth[0]), float(elevation[0])
 
 
 def edge_row(shape, center, start, end, wavelength: float):

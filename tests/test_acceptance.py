@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from conftest import assert_traces_equal, build_dynamic_trace, build_los_trace, \
-    fresnel_cs_grid, make_ray
+    fresnel_cs_grid, fresnel_integral_grid, make_ray
 from rayblock.cli import main, run_crossing_sweep, run_frequency_sweep, \
     run_position_sweep
-from rayblock.diffraction import Dked, Metis, Obstruction, dked_loss, fresnel_integral, \
-    fresnel_integral_grid
+from rayblock.diffraction import Dked, Metis, Obstruction, dked_loss, fresnel_integral
 from rayblock.environment import SimulationConfig, run as run_environment
 from rayblock.linkeval import ArrayConfig, LinkBudget, noise_power_dbm, snr_timeline
 from rayblock.obstacles import LinearMobility, Obstacle, OrthoScreenShape, SphereShape, \

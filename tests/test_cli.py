@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import assert_traces_equal, build_los_trace, make_ray, trace_of
+from rayblock import cli
 from rayblock.cli import (
     SweepGeometry,
     _sha256_tree,
     main,
     parse_run_spec,
     run_crossing_sweep,
+    run_frequency_sweep,
     run_position_sweep,
 )
 from rayblock.diffraction import Dked, Obstruction
@@ -345,6 +347,19 @@ def test_sweep_rejects_a_bad_flag_value(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, sweep", [("crossing", run_crossing_sweep),
+                                         ("position", run_position_sweep),
+                                         ("frequency", run_frequency_sweep)])
+def test_sweep_with_no_model_exits_2(tmp_path, capsys, kind, sweep):
+    # with no model there is no blocked flag to report, nor any loss column
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", kind, "-o", str(out), "--models", ","]) == 2
+    assert "at least one model" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="at least one model"):
+        sweep(SweepGeometry(), models=())
+
+
 @pytest.mark.parametrize("value", ["abc", "2.5"])
 def test_malformed_workers_variable_exits_2(tmp_path, small_scenario, capsys, monkeypatch,
                                             value):
@@ -405,6 +420,33 @@ def test_zero_obstacles_apply_the_removal_floor_as_a_far_sphere_does(tmp_path, c
         outputs[name] = rays, (out / "snr_timeline.csv").read_bytes(), trace
     assert outputs["none"][0] == ["rays: 40 in, 20 dropped"]
     assert outputs["none"] == outputs["far"]
+
+
+def test_run_evaluates_each_pair_once_for_every_snr_column(tmp_path, monkeypatch):
+    # two pairs, two compared models, a floor that drops rays: four SNR
+    # columns per pair from one link evaluation each
+    tx, rx1, rx2 = (1.0, 3.0, 1.6), (9.0, 3.0, 1.6), (9.0, 5.0, 1.6)
+    steps = {(0, 1): [[make_ray(tx, rx1), make_ray(tx, (5.0, 0.0, 1.4), rx1, gain_db=-110.0)]
+                      for _ in range(20)],
+             (0, 2): [[make_ray(tx, rx2)] for _ in range(20)]}
+    export_scenario(trace_of(steps, {0: np.tile(tx, (20, 1)), 1: np.tile(rx1, (20, 1)),
+                                     2: np.tile(rx2, (20, 1))}, time_step=0.0034),
+                    tmp_path / "scenario")
+    spec = write_spec(tmp_path, minimal_spec(
+        tmp_path / "scenario", tmp_path / "out", obstacles=[obstacle_entry()],
+        models_to_compare=["obstruction", "dked"], removal_floor_db=-100.0))
+    calls = []
+    original = cli.snr_timeline
+
+    def counting(trace, pair, budget, gains=None):
+        calls.append((pair, len(gains)))
+        return original(trace, pair, budget, gains)
+
+    monkeypatch.setattr(cli, "snr_timeline", counting)
+    assert main(["run", str(spec)]) == 0
+    assert calls == [((0, 1), 4), ((0, 2), 4)]
+    header = (tmp_path / "out" / "snr_timeline.csv").read_text().splitlines()[0]
+    assert header == "tx_id,rx_id,t_seconds,snr_db_baseline,snr_db,snr_db_obstruction,snr_db_dked"
 
 
 NAN, INF = float("nan"), float("inf")

@@ -15,7 +15,6 @@ from rayblock.diffraction import (
     Obstruction,
 )
 from rayblock.environment import (
-    RunStats,
     SimulationConfig,
     primary_rays,
     run,
@@ -23,6 +22,7 @@ from rayblock.environment import (
 )
 from rayblock.errors import ConfigError, TraceFormatError
 from rayblock.obstacles import (
+    InteractionCounters,
     LinearMobility,
     Obstacle,
     OrthoScreenShape,
@@ -77,18 +77,18 @@ def test_delays_phases_vertices_never_change():
         np.testing.assert_array_equal(getattr(table_out, column), getattr(table_in, column))
 
 
-def test_shape_preserved_minus_dropped_rays():
+def test_shape_preserved_however_weak_a_ray_gets():
+    # a run keeps every row: dropping weak rays is left to export
     trace = multi_ray_trace()
     harsh = Obstacle(shape=SphereShape(0.3), mobility=Static((4.0, 0.0, 1.6)),
                      model=Obstruction(30.0))
-    stats = RunStats()
-    out = run(trace, SimulationConfig(obstacles=(harsh,), removal_floor_db=-100.0),
-              stats=stats)
+    counters = InteractionCounters()
+    out = run(trace, SimulationConfig(obstacles=(harsh,)), counters=counters)
     assert out.num_steps == trace.num_steps
     assert set(out.pairs) == set(trace.pairs)
-    assert out.pairs[(0, 1)].counts.tolist() == [2] * trace.num_steps  # direct rays dropped
-    assert stats.rays_dropped == trace.num_steps
-    assert stats.rays_in == 3 * trace.num_steps
+    assert out.pairs[(0, 1)].counts.tolist() == [3] * trace.num_steps
+    assert out.pairs[(0, 1)].gain[::3].tolist() == [-110.0] * trace.num_steps
+    assert counters.obstruction_evals == trace.num_steps
 
 
 def test_adding_an_obstacle_never_raises_gain(rng):
@@ -203,6 +203,26 @@ def test_sequential_equals_combined_with_fallback_and_no_direct_ray():
     assert gains[1] == -75.0
 
 
+def test_sequential_equals_combined_when_a_primary_ray_is_attenuated_far_down():
+    """An obstruction 30 dB deep on the direct ray leaves it the primary
+    ray in a later run, so a fallback screen over a bounce still takes the
+    fallback loss and not diffraction: a run drops no row, however weak."""
+    tx, rx = (0.0, 0.0, 1.6), (8.0, 0.0, 1.6)
+    steps = [[make_ray(tx, rx, gain_db=-80.0), make_ray(tx, (4.0, 3.0, 1.6), rx, gain_db=-90.0)]
+             for _ in range(3)]
+    trace = trace_of({(0, 1): steps}, {0: np.tile(tx, (3, 1)), 1: np.tile(rx, (3, 1))},
+                     time_step=0.005)
+    sphere = Obstacle(shape=SphereShape(0.3), mobility=Static((4.0, 0.0, 1.6)),
+                      model=Obstruction(30.0))
+    screen = Obstacle(shape=OrthoScreenShape(0.3, 1.7), mobility=Static((2.0, 1.5, 0.85)),
+                      model=Dked(), obstruction_fallback_for_secondary=True)
+    combined = run(trace, SimulationConfig(obstacles=(sphere, screen)))
+    sequential = run(run(trace, SimulationConfig(obstacles=(sphere,))),
+                     SimulationConfig(obstacles=(screen,)))
+    assert_traces_equal(combined, sequential)
+    assert combined.pairs[(0, 1)].gain.tolist() == [-110.0, -100.0] * 3
+
+
 def test_degenerate_segments_log_one_summary_line(caplog):
     # the last segment of every ray is vertical, next to an orthogonal screen
     tx, top, rx = (0.0, 0.0, 1.6), (2.0, 0.0, 1.6), (2.0, 0.0, 2.8)
@@ -211,18 +231,18 @@ def test_degenerate_segments_log_one_summary_line(caplog):
                      time_step=0.005)
     screen = Obstacle(shape=OrthoScreenShape(0.2, 1.7), mobility=Static((2.0, 0.3, 0.85)),
                       model=Dked(), distance_threshold=5.0)
-    stats = RunStats()
+    counters = InteractionCounters()
     with caplog.at_level(logging.WARNING):
-        run(trace, SimulationConfig(obstacles=(screen,)), workers=1, stats=stats)
-    assert stats.counters.degenerate_skips == 50
+        run(trace, SimulationConfig(obstacles=(screen,)), workers=1, counters=counters)
+    assert counters.degenerate_skips == 50
     warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
     assert len(warnings) <= 1
     assert "50" in warnings[0].getMessage()
 
 
 def test_a_run_result_is_the_input_table_with_new_gains(monkeypatch):
-    # a run builds no Ray, and where it drops no ray its result shares the
-    # input table's delay, phase and vertex columns
+    # a run builds no Ray, and its result shares every column of the input
+    # table but the gains
     trace = multi_ray_trace()
     obstacles = (
         Obstacle(shape=SphereShape(0.3), mobility=Static((4.0, 0.0, 1.6)),
@@ -238,7 +258,7 @@ def test_a_run_result_is_the_input_table_with_new_gains(monkeypatch):
     table = trace.pairs[(0, 1)]
     got = run(trace, SimulationConfig(obstacles=obstacles), workers=1).pairs[(0, 1)]
     assert np.any(got.gain != table.gain)
-    for column in ("delay", "phase", "vertices"):
+    for column in ("counts", "delay", "phase", "vertices", "ends"):
         assert np.shares_memory(getattr(got, column), getattr(table, column))
     assert not got.gain.flags.writeable
 
@@ -262,26 +282,26 @@ def test_itu_se_out_of_regime_logs_one_line_per_run(caplog):
     trace = multi_ray_trace(num_steps=40)
     screen = Obstacle(shape=OrthoScreenShape(0.2, 1.7), model=ItuSe(),
                       mobility=LinearMobility((4.0, -0.3, 0.85), (0.0, 3.0, 0.0)))
-    stats = RunStats()
+    counters = InteractionCounters()
     with caplog.at_level(logging.WARNING):
         run(trace, SimulationConfig(obstacles=(screen,), carrier_frequency_hz=2.4e9),
-            workers=1, stats=stats)
-    assert stats.counters.diffraction_evals > 20
-    assert stats.counters.out_of_regime == stats.counters.diffraction_evals
+            workers=1, counters=counters)
+    assert counters.diffraction_evals > 20
+    assert counters.out_of_regime == counters.diffraction_evals
     lines = [r.getMessage() for r in caplog.records if "small-wavelength" in r.getMessage()]
     assert len(lines) == 1
-    assert f"in {stats.counters.diffraction_evals} evaluations" in lines[0]
+    assert f"in {counters.diffraction_evals} evaluations" in lines[0]
 
 
 def test_itu_se_in_regime_logs_nothing(caplog):
     screen = Obstacle(shape=OrthoScreenShape(0.2, 1.7), model=ItuSe(),
                       mobility=LinearMobility((4.0, -0.3, 0.85), (0.0, 3.0, 0.0)))
-    stats = RunStats()
+    counters = InteractionCounters()
     with caplog.at_level(logging.WARNING):
         run(multi_ray_trace(num_steps=40), SimulationConfig(obstacles=(screen,)),
-            workers=1, stats=stats)
-    assert stats.counters.diffraction_evals > 0
-    assert stats.counters.out_of_regime == 0
+            workers=1, counters=counters)
+    assert counters.diffraction_evals > 0
+    assert counters.out_of_regime == 0
     assert not [r for r in caplog.records if "small-wavelength" in r.getMessage()]
 
 
@@ -297,10 +317,11 @@ def test_endpoint_on_a_horizontal_edge_is_degenerate_for_metis_only():
     screen = Obstacle(shape=shape, mobility=Static(center), model=Dked(),
                       distance_threshold=5.0)
     cfg = SimulationConfig(obstacles=(screen,))
-    stats = [RunStats(), RunStats()]
-    dked, metis = run_model_sets(trace, cfg, [(Dked(),), (Metis(),)], workers=1, stats=stats)
-    assert (stats[0].counters.diffraction_evals, stats[0].counters.degenerate_skips) == (6, 0)
-    assert (stats[1].counters.diffraction_evals, stats[1].counters.degenerate_skips) == (0, 6)
+    counters = [InteractionCounters(), InteractionCounters()]
+    dked, metis = run_model_sets(trace, cfg, [(Dked(),), (Metis(),)], workers=1,
+                                 counters=counters)
+    assert (counters[0].diffraction_evals, counters[0].degenerate_skips) == (6, 0)
+    assert (counters[1].diffraction_evals, counters[1].degenerate_skips) == (0, 6)
     assert np.all(dked.pairs[(0, 1)].gain < -80.0)
     assert np.all(metis.pairs[(0, 1)].gain == -80.0)
     # the blocked flags too are per model, whichever model comes first
@@ -311,11 +332,11 @@ def test_endpoint_on_a_horizontal_edge_is_degenerate_for_metis_only():
         wavelength,
         [obstacles.InteractionCounters(), obstacles.InteractionCounters()])
     assert dked_blocked[0] and not metis_blocked[0]
-    for models, out, got in zip([(Dked(),), (Metis(),)], (dked, metis), stats):
-        want = RunStats()
+    for models, out, got in zip([(Dked(),), (Metis(),)], (dked, metis), counters):
+        want = InteractionCounters()
         alone = run(trace, SimulationConfig(obstacles=(Obstacle(
             shape=shape, mobility=Static(center), model=models[0], distance_threshold=5.0),)),
-            workers=1, stats=want)
+            workers=1, counters=want)
         assert_traces_equal(out, alone)
         assert got == want
 
@@ -366,13 +387,13 @@ def test_geometry_is_computed_once_for_every_model(monkeypatch, compared):
     chunks = _count_calls(monkeypatch, environment, "_run_chunk")
     sections = _count_calls(monkeypatch, obstacles, "_screen_cross_section")
     fermat = _count_calls(monkeypatch, _kernels, "fermat_on_segment_batch")
-    stats = [RunStats() for _ in model_sets]
-    run_model_sets(trace, cfg, model_sets, workers=1, stats=stats)
+    counters = [InteractionCounters() for _ in model_sets]
+    run_model_sets(trace, cfg, model_sets, workers=1, counters=counters)
     assert len(chunks) == 2
     assert len(sections) == 2 * len(screens)
     edges = 4 if compared else 2  # the configured dked reads two edges, metis all four
     assert 0 < len(fermat) <= 2 * len(screens) * edges
-    assert all(s.counters.diffraction_evals > 0 for s, models in zip(stats, model_sets)
+    assert all(c.diffraction_evals > 0 for c, models in zip(counters, model_sets)
                if not isinstance(models[0], Obstruction))
 
 

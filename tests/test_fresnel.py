@@ -5,13 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fresnel_cs_grid
-from rayblock.diffraction import (
-    diffraction_parameter,
-    fresnel_integral,
-    fresnel_integral_grid,
-    fresnel_quadrature,
-)
+from conftest import fresnel_cs_grid, fresnel_integral_grid, fresnel_quadrature
+from rayblock.diffraction import diffraction_parameter, fresnel_integral
 from rayblock.errors import GeometryError
 from rayblock.obstacles import _EdgeColumns
 

@@ -24,12 +24,12 @@ def test_noise_power_reference_value():
 
 
 def test_steering_vector_single_element():
-    v = steering_vector(ArrayConfig(1, 1), 0.7, -0.3, 0.005)
+    v = steering_vector(ArrayConfig(1, 1), 0.7, -0.3)
     np.testing.assert_allclose(v, [1.0 + 0j])
 
 
 def test_steering_vector_broadside_equal_phase():
-    v = steering_vector(ArrayConfig(8, 8), 0.0, 0.0, 0.005)
+    v = steering_vector(ArrayConfig(8, 8), 0.0, 0.0)
     np.testing.assert_allclose(v, np.full(64, v[0]))
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
@@ -37,7 +37,7 @@ def test_steering_vector_broadside_equal_phase():
 def test_steering_vector_phase_gradient_matches_direct_computation():
     az = math.radians(30)
     arr = ArrayConfig(4, 4)
-    v = steering_vector(arr, az, 0.0, 0.005)
+    v = steering_vector(arr, az, 0.0)
     expected_increment = 2 * math.pi * 0.5 * math.sin(az)
     # columns vary fastest in the flattened layout
     for i in range(3):
@@ -171,7 +171,7 @@ def test_coincident_vertices_raise_geometry_error(vertices):
 def test_steering_vector_is_the_outer_product_of_its_factors():
     arr = ArrayConfig(3, 5, spacing=0.4)
     az, el = 0.7, -0.3
-    v = steering_vector(arr, az, el, 0.005)
+    v = steering_vector(arr, az, el)
     row = np.exp(2j * math.pi * 0.4 * math.sin(el) * np.arange(3))
     col = np.exp(2j * math.pi * 0.4 * math.cos(el) * math.sin(az) * np.arange(5))
     np.testing.assert_allclose(v, np.outer(row, col).reshape(-1) / math.sqrt(15), atol=1e-14)

@@ -5,8 +5,9 @@ of a pair's steps gives the same gains, and one pass over several model
 sets equals a run per set), the segment table and the primary rays against
 per-ray references, far culling against the README's threshold
 definition, batch pose sampling against the scalar formulas, the batch
-SNR against a per-ray reference, and RayTable's row rules against a
-per-row reference of Ray's."""
+SNR against a per-ray reference and each of its gain columns against the
+table without the rays below that column's floor, and RayTable's row
+rules against a per-row reference of Ray's."""
 
 import dataclasses
 import math
@@ -17,10 +18,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_traces_equal, edge_row, make_ray, steps_of, trace_of
+from conftest import (
+    angles_of_arrival,
+    angles_of_departure,
+    assert_traces_equal,
+    edge_row,
+    make_ray,
+    steps_of,
+    trace_of,
+)
 from rayblock.diffraction import FAR_FIELD_NU, MODEL_REGISTRY, Metis, Obstruction
 from rayblock.environment import (
-    RunStats,
     SimulationConfig,
     _run_chunk,
     primary_rays,
@@ -46,7 +54,7 @@ from rayblock.obstacles import (
 )
 from rayblock.errors import ConfigError, TraceFormatError
 from rayblock.obstacles import _screen_axes, default_threshold
-from rayblock.trace import ChannelTrace, Ray, RayTable, angles_of_arrival, angles_of_departure
+from rayblock.trace import ChannelTrace, Ray, RayTable
 
 WAVELENGTH = 299792458.0 / 60e9
 CUTOFF_MARGIN = 1e-6
@@ -199,9 +207,7 @@ def test_run_equals_its_rays_one_at_a_time(name, fallback, data):
     trace, anchors = data.draw(scenes(vary_rays=True))
     obstacle_list = data.draw(st.lists(obstacles(anchors, name, fallback),
                                        min_size=1, max_size=4))
-    # no ray may drop out below the floor: the comparison is ray by ray
-    out = run(trace, SimulationConfig(obstacles=tuple(obstacle_list), removal_floor_db=-1e9),
-              workers=1)
+    out = run(trace, SimulationConfig(obstacles=tuple(obstacle_list)), workers=1)
     for k, (rays, out_rays) in enumerate(zip(steps_of(trace.pairs[(0, 1)]),
                                              steps_of(out.pairs[(0, 1)]))):
         primary = primary_ray_index(rays)
@@ -270,15 +276,14 @@ def test_one_pass_equals_a_run_per_model_set(fallback, data):
     obstacle_list = tuple(data.draw(st.lists(obstacles(anchors, fallback=fallback),
                                              min_size=1, max_size=4)))
     sets = data.draw(model_sets(obstacle_list))
-    cfg = SimulationConfig(obstacles=obstacle_list,
-                           removal_floor_db=data.draw(st.sampled_from((-500.0, -85.0))))
-    stats = [RunStats() for _ in sets]
-    combined = run_model_sets(trace, cfg, sets, workers=1, stats=stats)
+    cfg = SimulationConfig(obstacles=obstacle_list)
+    counters = [InteractionCounters() for _ in sets]
+    combined = run_model_sets(trace, cfg, sets, workers=1, counters=counters)
     assert len(combined) == len(sets)
-    for models, out, got in zip(sets, combined, stats):
-        want = RunStats()
-        assert_traces_equal(out, run(trace, swapped(cfg, models), workers=1, stats=want))
-        assert got == want  # rays, interaction counters and clamp events
+    for models, out, got in zip(sets, combined, counters):
+        want = InteractionCounters()
+        assert_traces_equal(out, run(trace, swapped(cfg, models), workers=1, counters=want))
+        assert got == want  # interaction counters and clamp events
 
 
 def scalar_position(mobility, t: float) -> np.ndarray:
@@ -343,21 +348,20 @@ def test_negative_time_raises_config_error():
 
 def scalar_beamformed_amplitude(rays, budget: LinkBudget) -> complex:
     """Reference coherent sum of one step: one steering-vector inner product per ray."""
-    wavelength = budget.wavelength
     # conjugate-matched weights toward the strongest ray (ties: lower index)
     strongest = max(range(len(rays)), key=lambda i: (rays[i].path_gain_db, -i))
     aod0 = angles_of_departure(rays[strongest])
     aoa0 = angles_of_arrival(rays[strongest])
-    w_tx = steering_vector(budget.tx_array, aod0[0], aod0[1], wavelength)
-    w_rx = steering_vector(budget.rx_array, aoa0[0], aoa0[1], wavelength)
+    w_tx = steering_vector(budget.tx_array, aod0[0], aod0[1])
+    w_rx = steering_vector(budget.rx_array, aoa0[0], aoa0[1])
     scale = math.sqrt(budget.tx_array.size * budget.rx_array.size)
 
     total = 0.0 + 0.0j
     for ray in rays:
         aod = angles_of_departure(ray)
         aoa = angles_of_arrival(ray)
-        g_tx = np.vdot(w_tx, steering_vector(budget.tx_array, aod[0], aod[1], wavelength))
-        g_rx = np.vdot(w_rx, steering_vector(budget.rx_array, aoa[0], aoa[1], wavelength))
+        g_tx = np.vdot(w_tx, steering_vector(budget.tx_array, aod[0], aod[1]))
+        g_rx = np.vdot(w_rx, steering_vector(budget.rx_array, aoa[0], aoa[1]))
         amplitude = 10.0 ** (ray.path_gain_db / 20.0)
         turns = budget.carrier_frequency_hz * ray.delay
         phase = -2.0 * math.pi * (turns - round(turns))
@@ -386,25 +390,57 @@ def link_budgets(draw):
                       tx_array=array(), rx_array=array())
 
 
+# gains from a small set make ties; -inf gains are fully attenuated rays
+SNR_GAINS = st.one_of(st.floats(-130.0, -50.0), st.sampled_from((-80.0, -95.0, -math.inf)))
+
+
+@st.composite
+def snr_traces(draw):
+    """A one-pair trace of rays with up to two bounces each, some steps maybe empty."""
+    bounces = coords((2, -4, 0.1), (6, 4, 3.0))
+    num_steps = draw(st.integers(1, 6))
+    steps = []
+    for _ in range(num_steps):
+        tx = draw(coords((-1, -1, 0.5), (1, 1, 2.5)))
+        rx = draw(coords((7, -1, 0.5), (9, 1, 2.5)))
+        paths = draw(st.lists(st.lists(bounces, max_size=2), max_size=5))
+        steps.append([make_ray(tx, *path, rx, gain_db=draw(SNR_GAINS)) for path in paths])
+    return trace_of({(0, 1): steps},
+                    {0: np.zeros((num_steps, 3)), 1: np.zeros((num_steps, 3))}, time_step=0.1)
+
+
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_batch_snr_matches_the_per_ray_reference(data):
-    # gains from a small set make ties; -inf gains are fully attenuated rays
-    gains = st.one_of(st.floats(-130.0, -50.0), st.sampled_from((-80.0, -95.0, -math.inf)))
-    bounces = coords((2, -4, 0.1), (6, 4, 3.0))
-    num_steps = data.draw(st.integers(1, 6))
-    steps = []
-    for _ in range(num_steps):
-        tx = data.draw(coords((-1, -1, 0.5), (1, 1, 2.5)))
-        rx = data.draw(coords((7, -1, 0.5), (9, 1, 2.5)))
-        paths = data.draw(st.lists(st.lists(bounces, max_size=2), max_size=5))
-        steps.append([make_ray(tx, *path, rx, gain_db=data.draw(gains)) for path in paths])
-    trace = trace_of({(0, 1): steps},
-                     {0: np.zeros((num_steps, 3)), 1: np.zeros((num_steps, 3))}, time_step=0.1)
+    trace = data.draw(snr_traces())
     budget = data.draw(link_budgets())
     batch = snr_timeline(trace, (0, 1), budget)
     np.testing.assert_allclose(batch[:, 1], scalar_snr(trace, (0, 1), budget),
                                rtol=0.0, atol=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_each_gain_column_equals_the_snr_of_its_floored_table(data):
+    # a column with -inf below its floor gives, bit for bit, the SNR of the
+    # table without those rays: floors that drop nothing, some rays, or
+    # every ray of a step (-40 dB drops them all)
+    trace = data.draw(snr_traces())
+    budget = data.draw(link_budgets())
+    table = trace.pairs[(0, 1)]
+    runs = data.draw(st.lists(st.tuples(
+        st.lists(SNR_GAINS, min_size=len(table), max_size=len(table)),
+        st.sampled_from((-500.0, -95.0, -80.0, -40.0)) | st.floats(-130.0, -50.0)),
+        min_size=1, max_size=4))
+    columns = [np.where(np.array(g) >= floor, np.array(g), -math.inf) for g, floor in runs]
+    batch = snr_timeline(trace, (0, 1), budget, columns)
+    assert batch.shape == (trace.num_steps, 1 + len(runs))
+    np.testing.assert_array_equal(batch[:, 0], trace.times())
+    for j, (gains, floor) in enumerate(runs):
+        gains = np.array(gains)
+        kept = dataclasses.replace(table, gain=gains).kept(gains >= floor)
+        alone = snr_timeline(dataclasses.replace(trace, pairs={(0, 1): kept}), (0, 1), budget)
+        np.testing.assert_array_equal(batch[:, 1 + j], alone[:, 1])
 
 
 def segment_distance(p0, p1, q0, q1) -> float:

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_traces_equal, make_ray, steps_of, trace_of
+from conftest import (
+    angles_of_arrival,
+    angles_of_departure,
+    assert_traces_equal,
+    make_ray,
+    steps_of,
+    trace_of,
+)
 from rayblock.cli import main
 from rayblock.errors import GeometryError, TraceFormatError
 from rayblock.trace import (
@@ -16,8 +23,6 @@ from rayblock.trace import (
     Ray,
     RayTable,
     _format_rows,
-    angles_of_arrival,
-    angles_of_departure,
     direction_angles,
     export_scenario,
     import_scenario,
