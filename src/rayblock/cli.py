@@ -433,11 +433,11 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray],
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_sweep_csv(path: Path, columns: dict, order: list[str]) -> None:
-    # + 0.0: a -0.0 loss prints as 0.000000
-    _write_csv(path, order, [columns[key] if key == "blocked" else columns[key] + 0.0
-                             for key in order],
-               ["%d" if key == "blocked" else "%.6f" for key in order])
+def _write_sweep_csv(path: Path, columns: dict) -> None:
+    """The sweep's columns in their dict order; + 0.0 prints a -0.0 loss as 0.000000."""
+    _write_csv(path, list(columns), [column if key == "blocked" else column + 0.0
+                                     for key, column in columns.items()],
+               ["%d" if key == "blocked" else "%.6f" for key in columns])
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +479,12 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
     workers = resolve_workers(workers)  # a malformed RAYBLOCK_WORKERS fails before any work
     scenario_dir = Path(spec.scenario_dir)
     output_dir = Path(spec.output_dir)
-    if output_dir.resolve() == scenario_dir.resolve():
-        # the outputs would land in the tree the manifest hashes as the input
-        raise ConfigError(f"output_dir {str(output_dir)!r} is the scenario directory; "
-                          f"choose another directory (one nested in the scenario is fine)")
+    if scenario_dir.resolve() in (output_dir.resolve(), (output_dir / "trace").resolve()):
+        # the outputs would land in the tree the manifest hashes as the
+        # input, or the exported trace would overwrite it
+        raise ConfigError(f"output_dir {str(output_dir)!r} is the scenario directory or holds "
+                          f"it as trace/; choose another directory (one nested in the "
+                          f"scenario is fine)")
     trace = import_scenario(scenario_dir)
     if spec.sampling is not None:
         if (spec.sampling.num_steps is not None
@@ -664,10 +666,8 @@ def _dispatch(args) -> int:
         )
         if args.kind == "crossing":
             columns = run_crossing_sweep(geom, _sweep_offsets(args.span, args.step), models)
-            order = ["offset_m"] + [f"loss_db_{m}" for m in models] + ["blocked"]
         elif args.kind == "position":
             columns = run_position_sweep(geom, args.samples, args.margin, models)
-            order = ["position_m"] + [f"loss_db_{m}" for m in models]
         else:
             try:
                 freqs = tuple(float(f) * 1e9 for f in args.frequencies_ghz.split(","))
@@ -676,8 +676,7 @@ def _dispatch(args) -> int:
                                   f"got {args.frequencies_ghz!r}") from None
             columns = run_frequency_sweep(geom, freqs,
                                           _sweep_offsets(args.span, args.step), models)
-            order = ["frequency_ghz", "offset_m"] + [f"loss_db_{m}" for m in models] + ["blocked"]
-        _write_sweep_csv(args.output, columns, order)
+        _write_sweep_csv(args.output, columns)
         print(f"wrote {args.output}")
         return 0
 

@@ -7,9 +7,9 @@ Fresnel integral entirely (after ITU-R P.526-15: the single-edge loss
 approximation of its section 4.1 combined per its section 5.1 finite-width
 screen construction).
 
-The edge geometry lives in ``obstacles``, as one column per edge value over
-a chunk's candidates (``obstacles._EdgeColumns``); ``diffraction_parameter``
-maps those columns to the signed diffraction parameter. Each model function
+The edge geometry lives in ``obstacles``, as one table of per-edge columns
+over a chunk's candidates; ``diffraction_parameter`` maps an edge's depth
+and distances to the signed diffraction parameter. Each model function
 then evaluates one candidate from its row of plain floats (parameters,
 depths, excess path lengths, distances from the direct-path line) and
 returns a plain float.
@@ -29,15 +29,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _kernels
 from .errors import GeometryError
-
-if TYPE_CHECKING:
-    from .obstacles import _EdgeColumns
 
 log = logging.getLogger(__name__)
 
@@ -122,15 +118,14 @@ def fresnel_integral(nu: float) -> tuple[float, float]:
     return _kernels.fresnel_cs(nu)
 
 
-def diffraction_parameter(edge: _EdgeColumns) -> np.ndarray:
-    """Signed Fresnel-Kirchhoff parameter of one edge, one value per candidate.
+def diffraction_parameter(depth, d_tx, d_rx, wavelength: float):
+    """Signed Fresnel-Kirchhoff parameter of an edge at depth (positive
+    where its half-plane shadows the path), whose diffraction point lies
+    d_tx from the transmitter and d_rx from the receiver.
 
-    Reads only the columns' depth, d_tx and d_rx (arrays over the
-    candidates of the obstacles table) and their wavelength.
+    Takes numbers or arrays (one value per candidate).
     """
-    return edge.depth * np.sqrt(
-        (2.0 / edge.wavelength) * (edge.d_tx + edge.d_rx) / (edge.d_tx * edge.d_rx)
-    )
+    return depth * np.sqrt((2.0 / wavelength) * (d_tx + d_rx) / (d_tx * d_rx))
 
 
 def _capped(loss_db: float) -> float:

@@ -59,6 +59,7 @@ class SimulationConfig:
 
 
 def resolve_workers(workers: int | None) -> int:
+    """workers, else RAYBLOCK_WORKERS, else the CPUs this process may run on."""
     if workers is not None:
         return max(int(workers), 1)
     env = os.environ.get(WORKERS_ENV_VAR, "").strip()
@@ -67,6 +68,8 @@ def resolve_workers(workers: int | None) -> int:
             return max(int(env), 1)
         except ValueError:
             raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -339,51 +339,6 @@ _EDGES = ("w1", "w2", "h1", "h2")
 _MODEL_EDGES = {Dked: _EDGES[:2], DkedPc: _EDGES[:2], ItuSe: _EDGES, Metis: _EDGES}
 
 
-class _EdgeColumns(NamedTuple):
-    """The geometry of one screen edge, one value per candidate row.
-
-    d_tx and d_rx are the lengths from the segment's start and end to the
-    edge's diffraction point, distance is the segment's length, and depth
-    is positive where the edge's half-plane (bounded by the edge, holding
-    the screen) covers the segment's crossing point. los_distance, from
-    the segment's line to the edge, is computed only for metis, which reads
-    it to pick the positive edge of each pair.
-    """
-
-    d_tx: np.ndarray
-    d_rx: np.ndarray
-    distance: np.ndarray
-    depth: np.ndarray
-    wavelength: float
-    los_distance: np.ndarray | None
-
-
-def _edge_columns(centers, u, v, half_w: float, half_h: float, starts, ends, depths,
-                  names: tuple[str, ...], wavelength: float,
-                  los: bool) -> dict[str, _EdgeColumns]:
-    """Closed-form edge points of the named screen edges, row by row."""
-    hu = half_w * u
-    hv = half_h * v
-    bl, br = centers - hu - hv, centers + hu - hv
-    tl, tr = centers - hu + hv, centers + hu + hv
-    edge_ends = {"w1": (bl, tl), "w2": (br, tr), "h1": (bl, br), "h2": (tl, tr)}
-    d = ends - starts
-    distance = np.sqrt(dot3(d, d))
-    columns = {}
-    for name in names:
-        a, b = edge_ends[name]
-        d_tx, d_rx = _kernels.fermat_on_segment_batch(a, b, starts, ends)
-        columns[name] = _EdgeColumns(
-            d_tx, d_rx, distance, depths[:, _EDGES.index(name)], wavelength,
-            _kernels.line_segment_distance_batch(starts, d, a, b) if los else None)
-    return columns
-
-
-def _on_an_edge(columns) -> np.ndarray:
-    """Rows with a segment endpoint on an edge, which leaves no edge-to-node path."""
-    return np.any([(c.d_tx == 0.0) | (c.d_rx == 0.0) for c in columns], axis=0)
-
-
 def _segment_outcome(model: LossModel, wavelength: float, blocked: bool, nus: tuple,
                      excess: tuple, depths: tuple, los: tuple | None) -> LossOutcome:
     """Loss of one diffraction candidate from its table row of plain floats.
@@ -483,28 +438,53 @@ def obstacle_losses(obstacle: Obstacle, models, centers: np.ndarray, segments: P
 
 
 class _EdgeTable(NamedTuple):
-    """Per-edge columns of the rows every diffraction model evaluates."""
+    """The edge values of the rows every diffraction model evaluates.
+
+    Each dict maps the name of an edge the models read to one value per
+    row: its diffraction parameter, its path's length over the direct path
+    (excess), its signed depth (positive where the edge's half-plane,
+    bounded by the edge and holding the screen, covers the segment's
+    crossing point), its distance from the segment's line (los, only for
+    metis, which reads it to pick the positive edge of each pair) and
+    whether a segment endpoint lies on it (on_edge: no edge-to-node path).
+    """
 
     rows: np.ndarray    # the candidate rows the columns cover
-    columns: dict       # edge name -> _EdgeColumns
-    nus: dict           # edge name -> diffraction parameter
-    excess: dict        # edge name -> edge path length over the direct path
+    nu: dict
+    excess: dict
+    depth: dict
+    los: dict
+    on_edge: dict
 
 
 def _edge_table(shape, models, centers, u, v, starts, ends, depths, rows,
                 wavelength: float) -> _EdgeTable:
-    """Edge points of the union of the edges the models read (the edges'
-    distances from the direct path only for metis), over rows."""
+    """Closed-form edge points of the union of the edges the models read,
+    over rows, and the values each model reads from them."""
     read = {name for model in models for name in _MODEL_EDGES[type(model)]}
-    names = tuple(name for name in _EDGES if name in read)
-    columns = _edge_columns(centers[rows], u[rows], v[rows], 0.5 * shape.width,
-                            0.5 * shape.height, starts[rows], ends[rows], depths[rows], names,
-                            wavelength, los=any(isinstance(m, Metis) for m in models))
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows on an edge are dropped
-        nus = {name: diffraction_parameter(c) for name, c in columns.items()}
-    excess = {name: np.maximum(c.d_tx + c.d_rx - c.distance, 0.0)
-              for name, c in columns.items()}
-    return _EdgeTable(rows, columns, nus, excess)
+    with_los = any(isinstance(m, Metis) for m in models)
+    centers, starts, ends = centers[rows], starts[rows], ends[rows]
+    hu = 0.5 * shape.width * u[rows]
+    hv = 0.5 * shape.height * v[rows]
+    bl, br = centers - hu - hv, centers + hu - hv
+    tl, tr = centers - hu + hv, centers + hu + hv
+    edge_ends = {"w1": (bl, tl), "w2": (br, tr), "h1": (bl, br), "h2": (tl, tr)}
+    d = ends - starts
+    distance = np.sqrt(dot3(d, d))
+    table = _EdgeTable(rows, {}, {}, {}, {}, {})
+    for i, name in enumerate(_EDGES):
+        if name not in read:
+            continue
+        a, b = edge_ends[name]
+        d_tx, d_rx = _kernels.fermat_on_segment_batch(a, b, starts, ends)
+        depth = table.depth[name] = depths[rows, i]
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows on an edge are dropped
+            table.nu[name] = diffraction_parameter(depth, d_tx, d_rx, wavelength)
+        table.excess[name] = np.maximum(d_tx + d_rx - distance, 0.0)
+        table.on_edge[name] = (d_tx == 0.0) | (d_rx == 0.0)
+        if with_los:
+            table.los[name] = _kernels.line_segment_distance_batch(starts, d, a, b)
+    return table
 
 
 def _screen_losses(obstacle: Obstacle, models, centers, starts, ends, primary,
@@ -522,12 +502,9 @@ def _screen_losses(obstacle: Obstacle, models, centers, starts, ends, primary,
                 else np.zeros_like(blocked))
     num_degenerate = int(np.count_nonzero(degenerate))
     diffracting = [m for m in models if not isinstance(m, Obstruction)]
-    table = None
     if diffracting:
-        rows = np.flatnonzero(~fallback & ~degenerate)
-        if rows.shape[0]:
-            table = _edge_table(shape, diffracting, centers, u, v, starts, ends, depths, rows,
-                                wavelength)
+        table = _edge_table(shape, diffracting, centers, u, v, starts, ends, depths,
+                            np.flatnonzero(~fallback & ~degenerate), wavelength)
 
     outcomes = []
     for model, c in zip(models, counters):
@@ -538,10 +515,8 @@ def _screen_losses(obstacle: Obstacle, models, centers, starts, ends, primary,
             continue
         c.obstruction_evals += int(np.count_nonzero(fallback & ~degenerate))
         loss = np.where(blocked & fallback, obstacle.fallback_loss_db, 0.0)
-        model_blocked = blocked
-        if table is not None:
-            model_blocked = blocked.copy()
-            _diffraction_pass(model, shape, table, loss, model_blocked, wavelength, c)
+        model_blocked = blocked.copy()
+        _diffraction_pass(model, shape, table, loss, model_blocked, wavelength, c)
         outcomes.append((loss, model_blocked))
     return outcomes
 
@@ -555,7 +530,7 @@ def _diffraction_pass(model: LossModel, shape, table: _EdgeTable, loss: np.ndarr
     it and lose their blocked flag; every other row makes one scalar call.
     """
     names = _MODEL_EDGES[type(model)]
-    on_an_edge = _on_an_edge([table.columns[name] for name in names])
+    on_an_edge = np.any([table.on_edge[name] for name in names], axis=0)
     counters.degenerate_skips += int(np.count_nonzero(on_an_edge))
     blocked[table.rows[on_an_edge]] = False
     ok = ~on_an_edge
@@ -564,10 +539,10 @@ def _diffraction_pass(model: LossModel, shape, table: _EdgeTable, loss: np.ndarr
     if isinstance(model, ItuSe) and not diffraction.itu_se_in_regime(
             wavelength, shape.width, shape.height):
         counters.out_of_regime += rows.shape[0]
-    nus = [table.nus[name][ok].tolist() for name in names]
+    nus = [table.nu[name][ok].tolist() for name in names]
     excess = [table.excess[name][ok].tolist() for name in names]
-    edge_depths = [table.columns[name].depth[ok].tolist() for name in names]
-    los = (zip(*(table.columns[name].los_distance[ok].tolist() for name in names))
+    edge_depths = [table.depth[name][ok].tolist() for name in names]
+    los = (zip(*(table.los[name][ok].tolist() for name in names))
            if isinstance(model, Metis) else itertools.repeat(None))
     capped_before = diffraction.diagnostics.total
     loss[rows] = [_segment_outcome(model, wavelength, b, *row).loss_db

@@ -29,6 +29,7 @@ import functools
 import itertools
 import logging
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +44,7 @@ SPEED_OF_LIGHT = 299792458.0
 
 _QD_FILE_RE = re.compile(r"^Tx(\d+)Rx(\d+)\.txt$")
 _MPC_FILE_RE = re.compile(r"^MpcTx(\d+)Rx(\d+)Refl(\d+)Trc(\d+)\.csv$")
+_NODE_FILE_RE = re.compile(r"^NodePositions(?:Tx|Rx)\d+\.csv$")
 
 
 @dataclass(frozen=True, eq=False)
@@ -516,7 +518,10 @@ def export_scenario(trace: ChannelTrace, directory, drop_below_db: float = -500.
     """Write the trace back out in the same layout import_scenario reads.
 
     Rays attenuated below drop_below_db (including -inf gains) are dropped
-    so downstream consumers never see unrepresentable values.
+    so downstream consumers never see unrepresentable values. Ray,
+    coordinate and node position files in the directory that this export
+    did not write (an earlier export's) are removed, so the directory
+    holds exactly this trace; other files are left alone.
     """
     root = Path(directory)
     qd_dir = root / "Output" / "Ns3" / "QdFiles"
@@ -525,6 +530,7 @@ def export_scenario(trace: ChannelTrace, directory, drop_below_db: float = -500.
     for d in (qd_dir, mpc_dir, node_dir):
         d.mkdir(parents=True, exist_ok=True)
 
+    written: set[str] = set()
     for (tx, rx), table in sorted(trace.pairs.items()):
         kept = table.kept(table.gain >= drop_below_db)
         # Python lists of the kept rays, built once per pair: the delays,
@@ -554,18 +560,28 @@ def export_scenario(trace: ChannelTrace, directory, drop_below_db: float = -500.
                 by_order.setdefault(orders[i], []).extend(coords[firsts[i]:ends[i]])
             for order, values in sorted(by_order.items()):
                 width = 3 * (order + 2)
-                (mpc_dir / f"MpcTx{tx}Rx{rx}Refl{order}Trc{t}.csv").write_text(
+                name = f"MpcTx{tx}Rx{rx}Refl{order}Trc{t}.csv"
+                (mpc_dir / name).write_text(
                     _template("%.6f", width, len(values) // width) % tuple(values) + "\n")
+                written.add(name)
             lo = hi
-        (qd_dir / f"Tx{tx}Rx{rx}.txt").write_text("\n".join(lines) + "\n")
+        name = f"Tx{tx}Rx{rx}.txt"
+        (qd_dir / name).write_text("\n".join(lines) + "\n")
+        written.add(name)
 
     tx_nodes = {tx for tx, _ in trace.pairs}
     rx_nodes = {rx for _, rx in trace.pairs}
     for node, positions in sorted(trace.node_positions.items()):
         rows = _format_rows(positions)
-        if node in tx_nodes:
-            (node_dir / f"NodePositionsTx{node}.csv").write_text(rows + "\n")
-        if node in rx_nodes:
-            (node_dir / f"NodePositionsRx{node}.csv").write_text(rows + "\n")
+        for role, nodes in (("Tx", tx_nodes), ("Rx", rx_nodes)):
+            if node in nodes:
+                name = f"NodePositions{role}{node}.csv"
+                (node_dir / name).write_text(rows + "\n")
+                written.add(name)
 
     (root / "Output" / "Ns3" / "TimeStep.txt").write_text(f"{trace.time_step:.12g}\n")
+    # an earlier export's files would otherwise join this trace on import
+    for d, own in ((qd_dir, _QD_FILE_RE), (mpc_dir, _MPC_FILE_RE), (node_dir, _NODE_FILE_RE)):
+        for name in os.listdir(d):
+            if own.match(name) and name not in written:
+                (d / name).unlink()

@@ -127,11 +127,11 @@ def edge_row(shape, center, start, end, wavelength: float):
         return None
     table = obstacles._edge_table(shape, [Metis()], centers, u, v, starts, ends, depths,
                                   np.array([0]), wavelength)
-    if obstacles._on_an_edge(table.columns.values())[0]:
+    if any(on_edge[0] for on_edge in table.on_edge.values()):
         return None
-    edges = {name: {"depth": float(c.depth[0]), "nu": float(table.nus[name][0]),
-                    "excess": float(table.excess[name][0]), "los": float(c.los_distance[0])}
-             for name, c in table.columns.items()}
+    edges = {name: {"depth": float(table.depth[name][0]), "nu": float(table.nu[name][0]),
+                    "excess": float(table.excess[name][0]), "los": float(table.los[name][0])}
+             for name in table.nu}
     return bool(blocked[0]), edges
 
 

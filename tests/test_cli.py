@@ -307,6 +307,21 @@ def test_sweep_frequency_writes_csv(tmp_path):
     assert len(lines) == 2 * 21 + 1
 
 
+def test_sweep_csv_columns_are_the_sweep_dict_in_order(tmp_path):
+    path = tmp_path / "sweep.csv"
+    cli._write_sweep_csv(path, {"b": np.array([1.0, -0.0]), "blocked": np.array([0, 1]),
+                                "a": np.array([2.5, 3.0])})
+    assert path.read_text() == "b,blocked,a\n1.000000,0,2.500000\n0.000000,1,3.000000\n"
+    geom = SweepGeometry()
+    for kind, columns in (("crossing", run_crossing_sweep(geom, np.array([0.0]))),
+                          ("position", run_position_sweep(geom, samples=3)),
+                          ("frequency", run_frequency_sweep(geom, (60e9,), np.array([0.0])))):
+        out = tmp_path / f"{kind}.csv"
+        assert main(["sweep", kind, "-o", str(out), "--samples", "3", "--span", "0.1",
+                     "--step", "0.1", "--frequencies-ghz", "60"]) == 0
+        assert out.read_text().splitlines()[0] == ",".join(columns)
+
+
 def test_sweep_rejects_unknown_model(tmp_path):
     assert main(["sweep", "crossing", "-o", str(tmp_path / "x.csv"),
                  "--models", "nonsense"]) == 2
@@ -651,6 +666,41 @@ def test_output_dir_equal_to_the_scenario_exits_2(tmp_path, small_scenario, caps
     assert sorted(small_scenario.rglob("*")) == listing
     assert _sha256_tree(small_scenario) == before
     assert main(["run", str(spec), "--output-dir", str(small_scenario)]) == 2
+
+
+def test_a_scenario_at_the_output_trace_exits_2(tmp_path, capsys):
+    # the exported trace would overwrite the scenario it reads
+    scenario = tmp_path / "out" / "trace"
+    export_scenario(build_los_trace((1, 3, 1.6), (9, 3, 1.6), num_steps=20, time_step=0.0034),
+                    scenario)
+    spec = write_spec(tmp_path, minimal_spec(scenario, tmp_path / "out" / "sub" / "..",
+                                             obstacles=[obstacle_entry()]))
+    before = _sha256_tree(tmp_path / "out")
+    assert main(["run", str(spec)]) == 2
+    assert "holds it as trace/" in capsys.readouterr().err
+    assert _sha256_tree(tmp_path / "out") == before
+
+
+def test_a_rerun_into_the_same_directory_leaves_only_its_own_trace(tmp_path, capsys):
+    # the second run's floor drops the bounce rays the first run exported
+    tx, wall, rx = (1.0, 3.0, 1.6), (5.0, 0.0, 1.4), (9.0, 3.0, 1.6)
+    steps = [[make_ray(tx, rx), make_ray(tx, wall, rx, gain_db=-120.0)] for _ in range(20)]
+    export_scenario(trace_of({(0, 1): steps}, {0: np.tile(tx, (20, 1)), 1: np.tile(rx, (20, 1))},
+                             time_step=0.0034), tmp_path / "scenario")
+    for floor in (-500.0, -110.0):
+        spec = write_spec(tmp_path, minimal_spec(tmp_path / "scenario", tmp_path / "unused",
+                                                 removal_floor_db=floor))
+        assert main(["run", str(spec), "--output-dir", str(tmp_path / "out")]) == 0
+    assert main(["run", str(spec), "--output-dir", str(tmp_path / "fresh")]) == 0
+    capsys.readouterr()
+    assert main(["inspect", str(tmp_path / "out" / "trace")]) == 0
+    assert "rays per step min 1, max 1" in capsys.readouterr().out
+
+    def files(top):
+        return {p.relative_to(top).as_posix(): p.read_bytes() for p in top.rglob("*")
+                if p.is_file()}
+
+    assert files(tmp_path / "out") == files(tmp_path / "fresh")
 
 
 def test_compared_models_equal_separate_runs(tmp_path, small_scenario):

@@ -424,3 +424,14 @@ def test_more_workers_split_each_pair_into_chunks(monkeypatch):
     chunks = _count_calls(monkeypatch, environment, "_run_chunk")
     assert_traces_equal(run(trace, cfg, workers=2), want)
     assert len(chunks) == 8
+
+
+def test_default_workers_are_the_cpus_the_process_may_run_on(monkeypatch):
+    # the host has more cores than the process may use
+    monkeypatch.delenv("RAYBLOCK_WORKERS", raising=False)
+    monkeypatch.setattr(environment.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(environment.os, "sched_getaffinity", lambda pid: {2, 5, 7},
+                        raising=False)
+    assert environment.resolve_workers(None) == 3
+    monkeypatch.delattr(environment.os, "sched_getaffinity")
+    assert environment.resolve_workers(None) == 64

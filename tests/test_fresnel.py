@@ -8,7 +8,6 @@ import pytest
 from conftest import fresnel_cs_grid, fresnel_integral_grid, fresnel_quadrature
 from rayblock.diffraction import diffraction_parameter, fresnel_integral
 from rayblock.errors import GeometryError
-from rayblock.obstacles import _EdgeColumns
 
 
 def test_fresnel_zero():
@@ -57,19 +56,18 @@ def test_fast_approximation_matches_quadrature():
     assert np.abs(s_fast - s_ref).max() < 2e-3
 
 
-def _edge(depth, d_tx=4.0, d_rx=4.0, distance=8.0, wavelength=0.005):
-    """One candidate's edge columns, as plain floats."""
-    return _EdgeColumns(d_tx=d_tx, d_rx=d_rx, distance=distance, depth=depth,
-                        wavelength=wavelength, los_distance=None)
+def _nu(depth, d_tx=4.0, d_rx=4.0, wavelength=0.005):
+    """One candidate's diffraction parameter, from plain floats."""
+    return diffraction_parameter(depth, d_tx, d_rx, wavelength)
 
 
 def test_diffraction_parameter_zero_depth():
-    assert diffraction_parameter(_edge(0.0)) == 0.0
+    assert _nu(0.0) == 0.0
 
 
 def test_diffraction_parameter_reference_value():
     # 0.1 * sqrt((2/0.005) * 8/16) = 0.1 * sqrt(200)
-    nu = diffraction_parameter(_edge(0.1))
+    nu = _nu(0.1)
     assert nu == pytest.approx(1.41421356, abs=1e-6)
     # cross-check against the first Fresnel radius: nu = depth * sqrt(2) / r1
     r1 = math.sqrt(0.005 * 4.0 * 4.0 / 8.0)
@@ -77,5 +75,10 @@ def test_diffraction_parameter_reference_value():
 
 
 def test_diffraction_parameter_linear_in_depth():
-    assert diffraction_parameter(_edge(0.2)) == pytest.approx(
-        2.0 * diffraction_parameter(_edge(0.1)), rel=1e-12)
+    assert _nu(0.2) == pytest.approx(2.0 * _nu(0.1), rel=1e-12)
+
+
+def test_diffraction_parameter_of_arrays_equals_each_row_alone():
+    rows = [(0.1, 4.0, 4.0), (-0.3, 1.5, 6.5), (0.0, 7.0, 1.0)]
+    nus = diffraction_parameter(*np.array(rows).T, 0.005)
+    assert nus.tolist() == [_nu(*row) for row in rows]

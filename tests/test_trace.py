@@ -201,6 +201,33 @@ def test_export_drops_rays_below_floor(tmp_path):
     assert loaded.pairs[(0, 1)].gain.tolist() == [-80.0]
 
 
+def test_export_leaves_exactly_the_trace_it_wrote(tmp_path):
+    # a second export into the same directory removes the ray, coordinate and
+    # node position files of the first that it does not write itself
+    tx, rx1, rx2 = (0.0, 0.0, 1.6), (8.0, 0.0, 1.6), (4.0, 3.0, 1.2)
+    direct = make_ray(tx, rx1)
+    bounce = make_ray(tx, (3.0, -2.5, 1.4), (5.0, 2.5, 1.4), rx1, gain_db=-101.0)
+    positions = {node: np.tile(p, (2, 1)) for node, p in enumerate((tx, rx1, rx2))}
+    first = trace_of({(0, 1): [[direct, bounce], [direct, bounce]],
+                      (0, 2): [[make_ray(tx, rx2)], [make_ray(tx, rx2)]]}, positions, 0.005)
+    second = trace_of({(0, 1): [[direct, bounce], [direct]]},
+                      {0: positions[0], 1: positions[1]}, 0.005)
+    out = tmp_path / "out"
+    export_scenario(first, out)
+    others = [out / "notes.txt",
+              out / "Output" / "Ns3" / "QdFiles" / "Tx0Rx2.txt.bak",
+              out / "Output" / "Visualizer" / "MpcCoordinates" / "readme.csv"]
+    for path in others:
+        path.write_text("not a trace file\n")
+    export_scenario(second, out)
+    export_scenario(second, tmp_path / "fresh")
+    assert_traces_equal(import_scenario(out), import_scenario(tmp_path / "fresh"))
+    names = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    fresh = sorted(p.relative_to(tmp_path / "fresh").as_posix()
+                   for p in (tmp_path / "fresh").rglob("*") if p.is_file())
+    assert names == sorted(fresh + [p.relative_to(out).as_posix() for p in others])
+
+
 def test_import_missing_ray_files_names_pair(tmp_path):
     qd = tmp_path / "Output" / "Ns3" / "QdFiles"
     qd.mkdir(parents=True)
