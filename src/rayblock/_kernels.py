@@ -30,7 +30,7 @@ __all__ = [
 
 # No kernel is compiled. e2ebench/inproc.py reads this flag for the traced
 # metric kernels.using_numba; it goes with that benchmark change (ROADMAP
-# open item 3).
+# open item 1).
 USING_NUMBA = False
 
 

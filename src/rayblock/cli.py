@@ -315,7 +315,7 @@ def load_run_spec(path) -> RunSpec:
 # ---------------------------------------------------------------------------
 # Analytic sweeps (single direct ray, loss normalized out of the received power)
 
-DEFAULT_SWEEP_MODELS = ("obstruction", "metis", "dked", "dked_pc", "itu_se")
+DEFAULT_SWEEP_MODELS = tuple(MODEL_REGISTRY)
 MAX_SWEEP_POINTS = 1_000_000  # offsets or positions of one sweep
 
 
@@ -440,6 +440,15 @@ def _write_sweep_csv(path: Path, columns: dict) -> None:
                ["%d" if key == "blocked" else "%.6f" for key in columns])
 
 
+def _check_output_path(path: Path, is_dir: bool, context: str) -> None:
+    """Reject, before any work, an output path that exists as the other kind
+    (a file or a directory) or whose nearest existing parent is not a directory."""
+    parent = next((p for p in path.parents if p.exists()), Path("."))
+    if (path.exists() and path.is_dir() != is_dir) or not parent.is_dir():
+        raise ConfigError(f"{context} {str(path)!r} cannot be written as a "
+                          f"{'directory' if is_dir else 'file'}")
+
+
 # ---------------------------------------------------------------------------
 # run command
 
@@ -485,6 +494,7 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
         raise ConfigError(f"output_dir {str(output_dir)!r} is the scenario directory or holds "
                           f"it as trace/; choose another directory (one nested in the "
                           f"scenario is fine)")
+    _check_output_path(output_dir, True, "output_dir")
     trace = import_scenario(scenario_dir)
     if spec.sampling is not None:
         if (spec.sampling.num_steps is not None
@@ -656,6 +666,7 @@ def _dispatch(args) -> int:
     if args.command == "sweep":
         models = tuple(m.strip() for m in args.models.split(",") if m.strip())
         _check_model_names(models, "--models")
+        _check_output_path(args.output, False, "--output")
         geom = SweepGeometry(
             frequency_hz=args.frequency_ghz * 1e9,
             distance_m=args.distance,

@@ -7,12 +7,13 @@ Fresnel integral entirely (after ITU-R P.526-15: the single-edge loss
 approximation of its section 4.1 combined per its section 5.1 finite-width
 screen construction).
 
-The edge geometry lives in ``obstacles``, as one table of per-edge columns
+The edge geometry lives in ``obstacles``, as one table of per-edge values
 over a chunk's candidates; ``diffraction_parameter`` maps an edge's depth
-and distances to the signed diffraction parameter. Each model function
-then evaluates one candidate from its row of plain floats (parameters,
-depths, excess path lengths, distances from the direct-path line) and
-returns a plain float.
+and distances to the signed diffraction parameter. Each diffraction model
+class names the edges and the values it reads from that table (parameters,
+excess path lengths, distances from the direct-path line), and its
+``row_loss`` evaluates one candidate from its row of plain floats with one
+call of the model function, which returns a plain float.
 
 The loss models evaluate the Fresnel integral with a closed-form series
 (``fresnel_integral``, see _kernels); the tests compare it with an
@@ -66,7 +67,10 @@ diagnostics = Diagnostics()
 
 
 class LossModel:
-    """Marker base for the loss model selectors."""
+    """Base of the loss model selectors. A diffraction model names the screen
+    edges it reads (edges, in (w1, w2, h1, h2) order) and the edge values it
+    reads (columns, in argument order); row_loss(wavelength, blocked,
+    *columns) evaluates one candidate, each column a tuple of plain floats."""
 
 
 @dataclass(frozen=True)
@@ -80,22 +84,38 @@ class Obstruction(LossModel):
 
 @dataclass(frozen=True)
 class Metis(LossModel):
-    pass
+    edges = ("w1", "w2", "h1", "h2")
+    columns = ("excess", "los")
+
+    def row_loss(self, wavelength: float, blocked: bool, excess, los) -> float:
+        return metis_loss(excess, los, wavelength, blocked)
 
 
 @dataclass(frozen=True)
 class Dked(LossModel):
-    pass
+    edges = ("w1", "w2")
+    columns = ("nu",)
+
+    def row_loss(self, wavelength: float, blocked: bool, nus) -> float:
+        return dked_loss(*nus)
 
 
 @dataclass(frozen=True)
 class DkedPc(LossModel):
-    pass
+    edges = ("w1", "w2")
+    columns = ("nu", "excess")
+
+    def row_loss(self, wavelength: float, blocked: bool, nus, excess) -> float:
+        return dked_pc_loss(*nus, *excess, wavelength)
 
 
 @dataclass(frozen=True)
 class ItuSe(LossModel):
-    pass
+    edges = ("w1", "w2", "h1", "h2")
+    columns = ("nu",)
+
+    def row_loss(self, wavelength: float, blocked: bool, nus) -> float:
+        return itu_se_loss(nus, blocked)
 
 
 MODEL_REGISTRY: dict[str, type[LossModel]] = {
@@ -257,13 +277,11 @@ def log_itu_se_out_of_regime(evaluations: int, wavelength: float) -> None:
                     "in %d evaluations (lambda=%.3g m)", evaluations, wavelength)
 
 
-def itu_se_loss(nus: tuple[float, float, float, float],
-                depths: tuple[float, float, float, float],
-                wavelength: float, blocked: bool) -> float:
+def itu_se_loss(nus: tuple[float, float, float, float], blocked: bool) -> float:
     """Semi-empirical thin-screen loss without Fresnel integrals.
 
-    nus and depths hold the edges' diffraction parameters and signed
-    depths, ordered (w1, w2, h1, h2). In shadow the four single-edge
+    nus holds the edges' diffraction parameters, ordered (w1, w2, h1, h2).
+    In shadow the four single-edge
     estimates combine on a power basis (the standard's average-loss
     composition for a finite screen); outside it the coherent lit-side
     edge factors reproduce the rapid fluctuations across the transition.

@@ -12,10 +12,10 @@ pair at once: segments farther from the obstacle than the diffraction
 distance threshold contribute nothing. The default threshold is ten
 first-Fresnel radii of the segment, where every diffraction model has
 decayed to a negligible level. Over the surviving candidates the plane
-crossing, blocking, edge points and diffraction parameters are arrays,
-computed once for the union of the edges the given loss models read; each
-model then reads them, and each of its diffraction candidates' losses
-comes from one call of the scalar model function (``_segment_outcome``).
+crossing, blocking, edge points and edge values are arrays, computed once
+for the union of the edges and values the given loss models declare; each
+model then reads its own, and each of its diffraction candidates' losses
+comes from one call of the model's row_loss (``_segment_outcome``).
 Losses add in dB across a ray's segments, in segment order (and across
 obstacles in configuration order, handled by the environment); spheres
 only ever obstruct.
@@ -24,7 +24,6 @@ only ever obstruct.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,15 +32,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from . import _kernels, diffraction
-from .diffraction import (
-    Dked,
-    DkedPc,
-    ItuSe,
-    LossModel,
-    Metis,
-    Obstruction,
-    diffraction_parameter,
-)
+from .diffraction import ItuSe, LossModel, Metis, Obstruction, diffraction_parameter
 from ._kernels import dot3
 from .errors import ConfigError
 from .trace import RayTable
@@ -334,29 +325,14 @@ def _screen_cross_section(centers, u, v, half_w: float, half_h: float, starts, e
 
 
 _EDGES = ("w1", "w2", "h1", "h2")
-# the edges each diffraction model reads; only metis reads the edges'
-# distances from the direct-path line
-_MODEL_EDGES = {Dked: _EDGES[:2], DkedPc: _EDGES[:2], ItuSe: _EDGES, Metis: _EDGES}
 
 
-def _segment_outcome(model: LossModel, wavelength: float, blocked: bool, nus: tuple,
-                     excess: tuple, depths: tuple, los: tuple | None) -> LossOutcome:
-    """Loss of one diffraction candidate from its table row of plain floats.
-
-    The tuples hold the values of the edges the model reads, in (w1, w2,
-    h1, h2) order; excess is the edge paths' length over the direct path.
-    """
-    if isinstance(model, Dked):
-        loss = diffraction.dked_loss(*nus)
-    elif isinstance(model, DkedPc):
-        loss = diffraction.dked_pc_loss(*nus, *excess, wavelength)
-    elif isinstance(model, Metis):
-        loss = diffraction.metis_loss(excess, los, wavelength, blocked)
-    elif isinstance(model, ItuSe):
-        loss = diffraction.itu_se_loss(nus, depths, wavelength, blocked)
-    else:
-        raise ConfigError(f"unsupported loss model {model!r}")
-    return LossOutcome(loss, blocked)
+def _segment_outcome(model: LossModel, wavelength: float, blocked: bool,
+                     *columns: tuple) -> LossOutcome:
+    """Loss of one diffraction candidate from its table row of plain floats:
+    one tuple per value the model reads (model.columns), each holding that
+    value of its edges (model.edges)."""
+    return LossOutcome(model.row_loss(wavelength, blocked, *columns), blocked)
 
 
 class PathSegments(NamedTuple):
@@ -441,18 +417,15 @@ class _EdgeTable(NamedTuple):
     """The edge values of the rows every diffraction model evaluates.
 
     Each dict maps the name of an edge the models read to one value per
-    row: its diffraction parameter, its path's length over the direct path
-    (excess), its signed depth (positive where the edge's half-plane,
-    bounded by the edge and holding the screen, covers the segment's
-    crossing point), its distance from the segment's line (los, only for
-    metis, which reads it to pick the positive edge of each pair) and
-    whether a segment endpoint lies on it (on_edge: no edge-to-node path).
+    row: its diffraction parameter (nu), its path's length over the direct
+    path (excess), its distance from the segment's line (los) and whether a
+    segment endpoint lies on it (on_edge: no edge-to-node path). nu, excess
+    and los are filled only when a model reads them (LossModel.columns).
     """
 
-    rows: np.ndarray    # the candidate rows the columns cover
+    rows: np.ndarray    # the candidate rows the values cover
     nu: dict
     excess: dict
-    depth: dict
     los: dict
     on_edge: dict
 
@@ -460,9 +433,9 @@ class _EdgeTable(NamedTuple):
 def _edge_table(shape, models, centers, u, v, starts, ends, depths, rows,
                 wavelength: float) -> _EdgeTable:
     """Closed-form edge points of the union of the edges the models read,
-    over rows, and the values each model reads from them."""
-    read = {name for model in models for name in _MODEL_EDGES[type(model)]}
-    with_los = any(isinstance(m, Metis) for m in models)
+    over rows, and the union of the values they read from them."""
+    edges = {name for model in models for name in model.edges}
+    columns = {column for model in models for column in model.columns}
     centers, starts, ends = centers[rows], starts[rows], ends[rows]
     hu = 0.5 * shape.width * u[rows]
     hv = 0.5 * shape.height * v[rows]
@@ -471,18 +444,19 @@ def _edge_table(shape, models, centers, u, v, starts, ends, depths, rows,
     edge_ends = {"w1": (bl, tl), "w2": (br, tr), "h1": (bl, br), "h2": (tl, tr)}
     d = ends - starts
     distance = np.sqrt(dot3(d, d))
-    table = _EdgeTable(rows, {}, {}, {}, {}, {})
+    table = _EdgeTable(rows, {}, {}, {}, {})
     for i, name in enumerate(_EDGES):
-        if name not in read:
+        if name not in edges:
             continue
         a, b = edge_ends[name]
         d_tx, d_rx = _kernels.fermat_on_segment_batch(a, b, starts, ends)
-        depth = table.depth[name] = depths[rows, i]
-        with np.errstate(divide="ignore", invalid="ignore"):  # rows on an edge are dropped
-            table.nu[name] = diffraction_parameter(depth, d_tx, d_rx, wavelength)
-        table.excess[name] = np.maximum(d_tx + d_rx - distance, 0.0)
         table.on_edge[name] = (d_tx == 0.0) | (d_rx == 0.0)
-        if with_los:
+        if "nu" in columns:
+            with np.errstate(divide="ignore", invalid="ignore"):  # rows on an edge are dropped
+                table.nu[name] = diffraction_parameter(depths[rows, i], d_tx, d_rx, wavelength)
+        if "excess" in columns:
+            table.excess[name] = np.maximum(d_tx + d_rx - distance, 0.0)
+        if "los" in columns:
             table.los[name] = _kernels.line_segment_distance_batch(starts, d, a, b)
     return table
 
@@ -527,10 +501,10 @@ def _diffraction_pass(model: LossModel, shape, table: _EdgeTable, loss: np.ndarr
     """One diffraction model's losses over the edge table, written into loss.
 
     Rows with an endpoint on one of the model's own edges are degenerate for
-    it and lose their blocked flag; every other row makes one scalar call.
+    it and lose their blocked flag; every other row makes one scalar call
+    with the values the model reads.
     """
-    names = _MODEL_EDGES[type(model)]
-    on_an_edge = np.any([table.on_edge[name] for name in names], axis=0)
+    on_an_edge = np.any([table.on_edge[name] for name in model.edges], axis=0)
     counters.degenerate_skips += int(np.count_nonzero(on_an_edge))
     blocked[table.rows[on_an_edge]] = False
     ok = ~on_an_edge
@@ -539,15 +513,11 @@ def _diffraction_pass(model: LossModel, shape, table: _EdgeTable, loss: np.ndarr
     if isinstance(model, ItuSe) and not diffraction.itu_se_in_regime(
             wavelength, shape.width, shape.height):
         counters.out_of_regime += rows.shape[0]
-    nus = [table.nu[name][ok].tolist() for name in names]
-    excess = [table.excess[name][ok].tolist() for name in names]
-    edge_depths = [table.depth[name][ok].tolist() for name in names]
-    los = (zip(*(table.los[name][ok].tolist() for name in names))
-           if isinstance(model, Metis) else itertools.repeat(None))
+    columns = [zip(*(getattr(table, column)[name][ok].tolist() for name in model.edges))
+               for column in model.columns]
     capped_before = diffraction.diagnostics.total
     loss[rows] = [_segment_outcome(model, wavelength, b, *row).loss_db
-                  for b, *row in zip(blocked[rows].tolist(), zip(*nus), zip(*excess),
-                                     zip(*edge_depths), los)]
+                  for b, *row in zip(blocked[rows].tolist(), *columns)]
     counters.clamp_events += diffraction.diagnostics.total - capped_before
 
 

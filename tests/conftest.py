@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rayblock import _kernels, obstacles
-from rayblock.diffraction import Metis
+from rayblock.diffraction import ItuSe, Metis
 from rayblock.trace import (
     SPEED_OF_LIGHT,
     ChannelTrace,
@@ -125,13 +125,13 @@ def edge_row(shape, center, start, end, wavelength: float):
         centers, u, v, 0.5 * shape.width, 0.5 * shape.height, starts, ends)
     if degenerate[0] or parallel[0]:
         return None
-    table = obstacles._edge_table(shape, [Metis()], centers, u, v, starts, ends, depths,
-                                  np.array([0]), wavelength)
+    table = obstacles._edge_table(shape, [Metis(), ItuSe()], centers, u, v, starts, ends,
+                                  depths, np.array([0]), wavelength)
     if any(on_edge[0] for on_edge in table.on_edge.values()):
         return None
-    edges = {name: {"depth": float(table.depth[name][0]), "nu": float(table.nu[name][0]),
+    edges = {name: {"depth": float(depths[0, i]), "nu": float(table.nu[name][0]),
                     "excess": float(table.excess[name][0]), "los": float(table.los[name][0])}
-             for name in table.nu}
+             for i, name in enumerate(obstacles._EDGES)}
     return bool(blocked[0]), edges
 
 

@@ -322,6 +322,22 @@ def test_sweep_csv_columns_are_the_sweep_dict_in_order(tmp_path):
         assert out.read_text().splitlines()[0] == ",".join(columns)
 
 
+# sha256 of the three sweeps' CSVs at their default flags: every model's
+# printed digits, the dked_pc and itu_se columns included
+PINNED_SWEEP_DIGESTS = {
+    "crossing": "7e83b8e457f68fc5b76a6c9714656893a21c67be725466bdbd77011003c01a6f",
+    "position": "a6c34430c1d1402cc4118454ac4a900383f03c76f4578355293c786934d7ab29",
+    "frequency": "2fe3ea19ca5ac37850d7ec786818f3cb9ebc1321d49c605df9067dd59808df47",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_SWEEP_DIGESTS))
+def test_default_sweep_csvs_match_the_pinned_digest(tmp_path, kind):
+    out = tmp_path / f"{kind}.csv"
+    assert main(["sweep", kind, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SWEEP_DIGESTS[kind]
+
+
 def test_sweep_rejects_unknown_model(tmp_path):
     assert main(["sweep", "crossing", "-o", str(tmp_path / "x.csv"),
                  "--models", "nonsense"]) == 2
@@ -679,6 +695,38 @@ def test_a_scenario_at_the_output_trace_exits_2(tmp_path, capsys):
     assert main(["run", str(spec)]) == 2
     assert "holds it as trace/" in capsys.readouterr().err
     assert _sha256_tree(tmp_path / "out") == before
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the output path was checked")
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a file", "below a file"])
+def test_an_output_dir_that_cannot_be_a_directory_exits_2_before_any_work(
+        tmp_path, small_scenario, capsys, monkeypatch, below):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    output_dir = afile / "out" if below else afile
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, output_dir,
+                                             obstacles=[obstacle_entry()]))
+    monkeypatch.setattr(cli, "import_scenario", _no_work)
+    assert main(["run", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert "config-error" in err and repr(str(output_dir)) in err
+    assert afile.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a directory", "below a file"])
+def test_a_sweep_output_that_cannot_be_a_file_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, below):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    output = afile / "p.csv" if below else tmp_path
+    monkeypatch.setattr(cli, "_sweep_losses", _no_work)
+    assert main(["sweep", "position", "-o", str(output)]) == 2
+    err = capsys.readouterr().err
+    assert "config-error" in err and repr(str(output)) in err
+    assert afile.read_text() == "not a directory\n"
 
 
 def test_a_rerun_into_the_same_directory_leaves_only_its_own_trace(tmp_path, capsys):

@@ -25,6 +25,7 @@ from rayblock.diffraction import (
     sked,
 )
 from conftest import edge_row, make_ray
+from rayblock import obstacles
 from rayblock.errors import GeometryError
 from rayblock.obstacles import (
     InteractionCounters,
@@ -290,3 +291,29 @@ def test_transition_jump_measured_not_asserted(capsys):
     jump_itu = abs(crossing_loss(ItuSe(), just_in) - crossing_loss(ItuSe(), just_out))
     print(f"shadow-transition jumps: metis {jump_metis:.3f} dB, itu_se {jump_itu:.3f} dB")
     assert math.isfinite(jump_metis) and math.isfinite(jump_itu)
+
+
+# --- the edge table a model set reads ---------------------------------------
+
+def _edge_table_of(models):
+    """The edge table of the reference screen at midspan against the path."""
+    shape = ScreenShape(0.2, 1.7)
+    centers, starts, ends = (np.array([p], dtype=np.float64) for p in ((4.0, 0.0, 0.85), TX, RX))
+    u, v, _ = obstacles._screen_axes(shape, starts, ends)
+    depths, _, _ = obstacles._screen_cross_section(centers, u, v, 0.1, 0.85, starts, ends)
+    return obstacles._edge_table(shape, models, centers, u, v, starts, ends, depths,
+                                 np.array([0]), WAVELENGTH_60GHZ)
+
+
+@pytest.mark.parametrize("models, edges, values", [
+    ([Dked()], ("w1", "w2"), {"nu"}),
+    ([DkedPc()], ("w1", "w2"), {"nu", "excess"}),
+    ([Metis()], ("w1", "w2", "h1", "h2"), {"excess", "los"}),
+    ([ItuSe()], ("w1", "w2", "h1", "h2"), {"nu"}),
+    ([Dked(), Metis()], ("w1", "w2", "h1", "h2"), {"nu", "excess", "los"}),
+], ids=["dked", "dked_pc", "metis", "itu_se", "dked+metis"])
+def test_the_edge_table_holds_exactly_the_values_its_models_read(models, edges, values):
+    table = _edge_table_of(models)
+    assert tuple(table.on_edge) == edges
+    for value in ("nu", "excess", "los"):
+        assert tuple(getattr(table, value)) == (edges if value in values else ())

@@ -258,7 +258,7 @@ def test_interact_matches_diffraction_module_exactly(model):
     elif isinstance(model, DkedPc):
         want = dked_pc_loss(nus[0], nus[1], excess[0], excess[1], WAVELENGTH)
     else:
-        want = itu_se_loss(nus, values("depth"), WAVELENGTH, blocked)
+        want = itu_se_loss(nus, blocked)
     assert got.blocked
     assert got.loss_db == want
 

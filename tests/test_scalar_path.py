@@ -203,9 +203,9 @@ LOSS_ROWS = {
                                 ((0.001, 0.002, 0.003, 0.004), (0.1, 0.2, 0.3, 0.4),
                                  WAVELENGTH, True),
                                 ((100.0,) * 4, (3.0,) * 4, WAVELENGTH, True)]),
-    "itu_se_loss": (itu_se_loss, [((-2.0, -1.0, -3.0, -0.5), (-0.1,) * 4, WAVELENGTH, False),
-                                  ((0.8, 1.2, 0.5, 2.0), (0.1,) * 4, WAVELENGTH, True),
-                                  ((FAR,) * 4, (1.0,) * 4, WAVELENGTH, True)]),
+    "itu_se_loss": (itu_se_loss, [((-2.0, -1.0, -3.0, -0.5), False),
+                                  ((0.8, 1.2, 0.5, 2.0), True),
+                                  ((FAR,) * 4, True)]),
 }
 
 
