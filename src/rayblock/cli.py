@@ -47,7 +47,7 @@ from .obstacles import (
     WaypointMobility,
     obstacle_losses,
 )
-from .trace import SPEED_OF_LIGHT, _format_columns, export_scenario, import_scenario
+from .trace import SPEED_OF_LIGHT, _format_columns, export_scenario, import_scenario, write_text
 
 
 def _version() -> str:
@@ -430,7 +430,7 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray],
     if len(columns[0]):
         lines.append(_format_columns([column.tolist() for column in columns], fmts))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_sweep_csv(path: Path, columns: dict) -> None:
@@ -495,6 +495,11 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
                           f"it as trace/; choose another directory (one nested in the "
                           f"scenario is fine)")
     _check_output_path(output_dir, True, "output_dir")
+    # and so must every output in it
+    _check_output_path(output_dir / "trace", True, "output")
+    loss_names = [f"loss_timeline_{name}.csv" for name in spec.models_to_compare]
+    for name in ["snr_timeline.csv", "manifest.json"] + loss_names:
+        _check_output_path(output_dir / name, False, "output")
     trace = import_scenario(scenario_dir)
     if spec.sampling is not None:
         if (spec.sampling.num_steps is not None
@@ -548,21 +553,18 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
                [*ids, times, baseline, *columns],
                ["%d", "%d", "%.9g"] + ["%.6f"] * (1 + len(runs)))
 
-    loss_files = []
-    for name, column in zip(spec.models_to_compare, columns[1:]):
-        path = output_dir / f"loss_timeline_{name}.csv"
-        _write_csv(path, ["tx_id", "rx_id", "t_seconds", "loss_db"],
+    for name, column in zip(loss_names, columns[1:]):
+        _write_csv(output_dir / name, ["tx_id", "rx_id", "t_seconds", "loss_db"],
                    [*ids, times, baseline - column], ["%d", "%d", "%.9g", "%.6f"])
-        loss_files.append(path.name)
 
     manifest = {
         "tool_version": _version(),
         "spec_sha256": spec_sha256,
         "trace_sha256": trace_sha256,
-        "outputs": sorted(["snr_timeline.csv", "trace"] + loss_files),
+        "outputs": sorted(["snr_timeline.csv", "trace"] + loss_names),
     }
-    (output_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text(output_dir / "manifest.json",
+               json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     # rays describe the configured run; clamp events and interactions sum
     # every run, the compared models' included

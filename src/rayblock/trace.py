@@ -21,6 +21,12 @@ delays, gains and phases, and export recomputes the angles from the vertex
 paths. In memory each pair's rays are one RayTable, in that order.
 An auxiliary Output/Ns3/TimeStep.txt records the sampling period; readers of
 the original format ignore it, and import falls back to 1.0 s without it.
+
+Every trace file passes through one reader and one writer: read_text reads
+a file's bytes in one call and decodes them as UTF-8, and write_text writes
+a file's UTF-8 bytes. A file that is not UTF-8 raises TraceFormatError
+(exit 3 on the command line), naming the file. Line ends may be LF, CRLF
+or CR.
 """
 
 from __future__ import annotations
@@ -278,7 +284,29 @@ class ChannelTrace:
         return np.arange(self.num_steps) * self.time_step
 
 
-def _parse_floats(line: str, path: Path, lineno: int, expected: int) -> list[float]:
+def read_text(path) -> str:
+    """The file's text: its bytes in one read, decoded as UTF-8."""
+    with open(path, "rb", buffering=0) as f:
+        data = f.read()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: not UTF-8 text (byte {exc.start} of "
+                               f"{len(data)}: {exc.reason})") from None
+
+
+def write_text(path, text: str) -> None:
+    """Create or replace the file with text's UTF-8 bytes, newlines as given."""
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:  # a short write leaves the rest for the next call
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
+def _parse_floats(line: str, path: str, lineno: int, expected: int) -> list[float]:
     parts = [p for p in line.strip().split(",") if p != ""]
     if len(parts) != expected:
         raise TraceFormatError(f"{path}:{lineno}: expected {expected} values, got {len(parts)}")
@@ -288,7 +316,7 @@ def _parse_floats(line: str, path: Path, lineno: int, expected: int) -> list[flo
         raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
 
 
-def _parse_rows(path: Path, lines: list[str], linenos, width: int) -> np.ndarray:
+def _parse_rows(path: str, lines: list[str], linenos, width: int) -> np.ndarray:
     """(len(lines), width) values of comma-separated lines: one split, one float map.
 
     Empty parts are dropped, as _parse_floats drops them (a trailing comma
@@ -312,17 +340,17 @@ def _parse_rows(path: Path, lines: list[str], linenos, width: int) -> np.ndarray
     raise AssertionError(f"{path}: lines parse one by one but not in bulk")
 
 
-def _read_rows(path: Path, width: int) -> np.ndarray:
+def _read_rows(path: str, width: int) -> np.ndarray:
     """The rows of a comma-separated file; blank lines are skipped."""
-    lines = path.read_text().splitlines()
+    lines = read_text(path).splitlines()
     linenos = [n for n, line in enumerate(lines, start=1) if line.strip()]
     return _parse_rows(path, [lines[n - 1] for n in linenos], linenos, width)
 
 
-def _parse_qd_file(path: Path) -> list[np.ndarray]:
+def _parse_qd_file(path: str) -> list[np.ndarray]:
     """Each timestep block's (7, ray count) rows: delay, gain, phase, then the
     AoD elevation, AoD azimuth, AoA elevation and AoA azimuth."""
-    lines = path.read_text().splitlines()
+    lines = read_text(path).splitlines()
     blocks = []
     i = 0
     while i < len(lines):
@@ -348,10 +376,10 @@ def _parse_qd_file(path: Path) -> list[np.ndarray]:
     return blocks
 
 
-def _read_node_positions(dir_: Path, node: int, num_steps: int) -> np.ndarray | None:
+def _read_node_positions(dir_: str, node: int, num_steps: int) -> np.ndarray | None:
     for role in ("Tx", "Rx"):
-        path = dir_ / f"NodePositions{role}{node}.csv"
-        if path.exists():
+        path = os.path.join(dir_, f"NodePositions{role}{node}.csv")
+        if os.path.exists(path):
             rows = _read_rows(path, 3)
             if len(rows) != num_steps:
                 raise TraceFormatError(
@@ -369,28 +397,31 @@ def import_scenario(directory) -> ChannelTrace:
     1e-12 m raises TraceFormatError, before any run reads the trace.
     """
     root = Path(directory)
-    qd_dir = root / "Output" / "Ns3" / "QdFiles"
-    mpc_dir = root / "Output" / "Visualizer" / "MpcCoordinates"
-    node_dir = root / "Output" / "Visualizer" / "NodePositions"
-    if not qd_dir.is_dir():
+    # file paths are these strings joined to a name: a Path per file costs
+    # a measurable share of reading or writing the file
+    qd_dir = str(root / "Output" / "Ns3" / "QdFiles")
+    mpc_dir = str(root / "Output" / "Visualizer" / "MpcCoordinates")
+    node_dir = str(root / "Output" / "Visualizer" / "NodePositions")
+    ts_file = str(root / "Output" / "Ns3" / "TimeStep.txt")
+    if not os.path.isdir(qd_dir):
         raise TraceFormatError(f"{qd_dir}: missing ray file directory")
 
     qd_files = {}
-    for path in sorted(qd_dir.iterdir()):
-        m = _QD_FILE_RE.match(path.name)
+    for name in sorted(os.listdir(qd_dir)):
+        m = _QD_FILE_RE.match(name)
         if m:
-            qd_files[(int(m.group(1)), int(m.group(2)))] = path
+            qd_files[(int(m.group(1)), int(m.group(2)))] = os.path.join(qd_dir, name)
     if not qd_files:
         raise TraceFormatError(f"{qd_dir}: no TxiRxj.txt ray files")
 
     # pair -> (reflection order, timestep) -> coordinate file
-    mpc_files: dict[tuple[int, int], dict[tuple[int, int], Path]] = {}
-    if mpc_dir.is_dir():
-        for vpath in mpc_dir.iterdir():
-            m = _MPC_FILE_RE.match(vpath.name)
+    mpc_files: dict[tuple[int, int], dict[tuple[int, int], str]] = {}
+    if os.path.isdir(mpc_dir):
+        for name in os.listdir(mpc_dir):
+            m = _MPC_FILE_RE.match(name)
             if m:
                 tx, rx, order, step = map(int, m.groups())
-                mpc_files.setdefault((tx, rx), {})[(order, step)] = vpath
+                mpc_files.setdefault((tx, rx), {})[(order, step)] = os.path.join(mpc_dir, name)
 
     pairs: dict[tuple[int, int], RayTable] = {}
     num_steps = None
@@ -446,15 +477,14 @@ def import_scenario(directory) -> ChannelTrace:
     node_ids = sorted({n for pair in pairs for n in pair})
     node_positions: dict[int, np.ndarray] = {}
     for node in node_ids:
-        pos = _read_node_positions(node_dir, node, num_steps) if node_dir.is_dir() else None
+        pos = _read_node_positions(node_dir, node, num_steps) if os.path.isdir(node_dir) else None
         if pos is None:
             pos = _positions_from_rays(pairs, node, num_steps)
         pos.setflags(write=False)
         node_positions[node] = pos
 
-    ts_file = root / "Output" / "Ns3" / "TimeStep.txt"
-    if ts_file.exists():
-        text = ts_file.read_text().strip()
+    if os.path.exists(ts_file):
+        text = read_text(ts_file).strip()
         try:
             time_step = float(text)
         except ValueError:
@@ -524,11 +554,13 @@ def export_scenario(trace: ChannelTrace, directory, drop_below_db: float = -500.
     holds exactly this trace; other files are left alone.
     """
     root = Path(directory)
-    qd_dir = root / "Output" / "Ns3" / "QdFiles"
-    mpc_dir = root / "Output" / "Visualizer" / "MpcCoordinates"
-    node_dir = root / "Output" / "Visualizer" / "NodePositions"
+    # file paths are these strings joined to a name: a Path per file costs
+    # a measurable share of reading or writing the file
+    qd_dir = str(root / "Output" / "Ns3" / "QdFiles")
+    mpc_dir = str(root / "Output" / "Visualizer" / "MpcCoordinates")
+    node_dir = str(root / "Output" / "Visualizer" / "NodePositions")
     for d in (qd_dir, mpc_dir, node_dir):
-        d.mkdir(parents=True, exist_ok=True)
+        os.makedirs(d, exist_ok=True)
 
     written: set[str] = set()
     for (tx, rx), table in sorted(trace.pairs.items()):
@@ -561,12 +593,12 @@ def export_scenario(trace: ChannelTrace, directory, drop_below_db: float = -500.
             for order, values in sorted(by_order.items()):
                 width = 3 * (order + 2)
                 name = f"MpcTx{tx}Rx{rx}Refl{order}Trc{t}.csv"
-                (mpc_dir / name).write_text(
-                    _template("%.6f", width, len(values) // width) % tuple(values) + "\n")
+                write_text(os.path.join(mpc_dir, name),
+                           _template("%.6f", width, len(values) // width) % tuple(values) + "\n")
                 written.add(name)
             lo = hi
         name = f"Tx{tx}Rx{rx}.txt"
-        (qd_dir / name).write_text("\n".join(lines) + "\n")
+        write_text(os.path.join(qd_dir, name), "\n".join(lines) + "\n")
         written.add(name)
 
     tx_nodes = {tx for tx, _ in trace.pairs}
@@ -576,12 +608,12 @@ def export_scenario(trace: ChannelTrace, directory, drop_below_db: float = -500.
         for role, nodes in (("Tx", tx_nodes), ("Rx", rx_nodes)):
             if node in nodes:
                 name = f"NodePositions{role}{node}.csv"
-                (node_dir / name).write_text(rows + "\n")
+                write_text(os.path.join(node_dir, name), rows + "\n")
                 written.add(name)
 
-    (root / "Output" / "Ns3" / "TimeStep.txt").write_text(f"{trace.time_step:.12g}\n")
+    write_text(str(root / "Output" / "Ns3" / "TimeStep.txt"), f"{trace.time_step:.12g}\n")
     # an earlier export's files would otherwise join this trace on import
     for d, own in ((qd_dir, _QD_FILE_RE), (mpc_dir, _MPC_FILE_RE), (node_dir, _NODE_FILE_RE)):
         for name in os.listdir(d):
             if own.match(name) and name not in written:
-                (d / name).unlink()
+                os.remove(os.path.join(d, name))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_traces_equal, build_los_trace, make_ray, trace_of
-from rayblock import cli
+from rayblock import cli, trace
 from rayblock.cli import (
     SweepGeometry,
     _sha256_tree,
@@ -714,6 +714,58 @@ def test_an_output_dir_that_cannot_be_a_directory_exits_2_before_any_work(
     err = capsys.readouterr().err
     assert "config-error" in err and repr(str(output_dir)) in err
     assert afile.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("name", ["trace", "snr_timeline.csv", "manifest.json",
+                                  "loss_timeline_metis.csv"])
+def test_an_output_in_the_output_dir_that_cannot_be_written_exits_2_before_any_work(
+        tmp_path, small_scenario, capsys, monkeypatch, name):
+    # the trace must be a directory, the other outputs files: each is the other kind here
+    output = tmp_path / "out" / name
+    if name == "trace":
+        output.parent.mkdir()
+        output.write_text("not a directory\n")
+    else:
+        output.mkdir(parents=True)
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out",
+                                             obstacles=[obstacle_entry()],
+                                             models_to_compare=["metis"]))
+    before = _sha256_tree(tmp_path / "out")
+    monkeypatch.setattr(cli, "import_scenario", _no_work)
+    assert main(["run", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert "config-error" in err and repr(str(output)) in err
+    assert _sha256_tree(tmp_path / "out") == before
+    assert output.is_dir() == (name != "trace")
+
+
+def test_a_run_reads_and_writes_each_file_once(tmp_path, small_scenario, monkeypatch):
+    read, written = [], []
+
+    def recording(paths, function):
+        def record(path, *args):
+            paths.append(Path(path))
+            return function(path, *args)
+        return record
+
+    monkeypatch.setattr(trace, "read_text", recording(read, trace.read_text))
+    write = recording(written, trace.write_text)
+    monkeypatch.setattr(trace, "write_text", write)
+    monkeypatch.setattr(cli, "write_text", write)
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out",
+                                             obstacles=[obstacle_entry()],
+                                             models_to_compare=["metis"]))
+    assert main(["run", str(spec)]) == 0
+
+    def files(root: Path) -> list[Path]:
+        return sorted(path for path in root.rglob("*") if path.is_file())
+
+    # the scenario holds no auxiliary file, so import parses every file of it
+    assert sorted(read) == files(small_scenario)
+    assert sorted(written) == files(tmp_path / "out")
+    # 20 coordinate files, one ray file, two node position files and TimeStep.txt;
+    # the run adds the SNR and loss timelines and the manifest
+    assert (len(read), len(written)) == (24, 24 + 3)
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["a directory", "below a file"])

@@ -1,6 +1,8 @@
+import errno
 import json
 import logging
 import math
+import os
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from rayblock.trace import (
     import_scenario,
     path_directions,
     path_lengths,
+    write_text,
 )
 
 
@@ -160,13 +163,13 @@ def test_import_pairs_sharing_an_id_prefix(tmp_path, monkeypatch):
     export_scenario(trace, tmp_path)
 
     listed = []
-    iterdir = type(tmp_path).iterdir
+    listdir = os.listdir
 
-    def counting_iterdir(self):
-        listed.append(self.name)
-        return iterdir(self)
+    def counting_listdir(path):
+        listed.append(os.path.basename(path))
+        return listdir(path)
 
-    monkeypatch.setattr(type(tmp_path), "iterdir", counting_iterdir)
+    monkeypatch.setattr(os, "listdir", counting_listdir)
     loaded = import_scenario(tmp_path)
     assert listed.count("MpcCoordinates") == 1
     assert sorted(loaded.pairs) == [(0, 1), (0, 11)]
@@ -558,3 +561,82 @@ def test_import_drops_empty_parts_and_blank_lines(tmp_path, capsys, case):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"scenario_dir": str(scenario), "output_dir": str(tmp_path / "out")}))
     assert main(["run", str(spec)]) == 0
+
+
+@pytest.mark.parametrize("line_end", [b"\r\n", b"\r"], ids=["CRLF", "CR"])
+def test_other_line_ends_import_as_lf(tmp_path, line_end):
+    lf, other = tmp_path / "lf", tmp_path / "other"
+    export_scenario(build_mixed_trace(), lf)
+    export_scenario(build_mixed_trace(), other)
+    files = [path for path in other.rglob("*") if path.is_file()]
+    for path in files:
+        path.write_bytes(path.read_bytes().replace(b"\n", line_end))
+    assert all(b"\r" in path.read_bytes() for path in files)
+    assert_traces_equal(import_scenario(other), import_scenario(lf))
+
+    # and a malformed line keeps its line number
+    path = other.joinpath(*QD)
+    lines = path.read_bytes().split(line_end)
+    lines[10] = b""
+    path.write_bytes(line_end.join(lines))
+    with pytest.raises(TraceFormatError) as raised:
+        import_scenario(other)
+    assert str(raised.value) == f"{path}:11: expected 2 values, got 0"
+
+
+@pytest.mark.parametrize("parts", [MPC, QD, ("Output", "Ns3", "TimeStep.txt")],
+                         ids=["coordinates", "rays", "time step"])
+def test_a_trace_file_that_is_not_utf8_exits_3(tmp_path, capsys, parts):
+    scenario = tmp_path / "scenario"
+    export_scenario(build_mixed_trace(), scenario)
+    path = scenario.joinpath(*parts)
+    path.write_bytes(path.read_bytes() + b"\xff\xfe")
+    expected = f"{path}: not UTF-8 text"
+    with pytest.raises(TraceFormatError) as raised:
+        import_scenario(scenario)
+    assert str(raised.value).startswith(expected)
+
+    assert main(["inspect", str(scenario)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: trace-format-error: {expected}")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"scenario_dir": str(scenario), "output_dir": str(tmp_path / "out")}))
+    assert main(["run", str(spec)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: trace-format-error: {expected}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_write_text_finishes_short_writes(tmp_path, monkeypatch):
+    text = "3\n1e-08,2e-08,3e-08\nµ,°\n"
+    path = tmp_path / "file.txt"
+    path.write_text("an earlier, longer text\n" * 4)
+    sizes = []
+    write = os.write
+
+    def one_byte(fd, data):
+        sizes.append(len(data))
+        return write(fd, bytes(data[:1]))
+
+    monkeypatch.setattr(os, "write", one_byte)
+    write_text(path, text)
+    monkeypatch.undo()
+    data = text.encode()
+    assert path.read_bytes() == data
+    assert sizes == list(range(len(data), 0, -1))
+
+
+def test_write_text_closes_the_file_when_a_write_fails(tmp_path, monkeypatch):
+    closed = []
+    close = os.close
+
+    def full_disk(fd, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def recording_close(fd):
+        closed.append(fd)
+        close(fd)
+
+    monkeypatch.setattr(os, "write", full_disk)
+    monkeypatch.setattr(os, "close", recording_close)
+    with pytest.raises(OSError, match="No space left"):
+        write_text(tmp_path / "file.txt", "1\n")
+    assert len(closed) == 1
