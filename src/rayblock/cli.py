@@ -47,7 +47,14 @@ from .obstacles import (
     WaypointMobility,
     obstacle_losses,
 )
-from .trace import SPEED_OF_LIGHT, _format_columns, export_scenario, import_scenario, write_text
+from .trace import (
+    SPEED_OF_LIGHT,
+    _format_columns,
+    export_scenario,
+    import_scenario,
+    scenario_paths,
+    write_text,
+)
 
 
 def _version() -> str:
@@ -304,9 +311,12 @@ def _override_model(obstacle: Obstacle, name: str) -> Obstacle:
 def load_run_spec(path) -> RunSpec:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read spec {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: spec is not UTF-8 text (byte {exc.start}: "
+                          f"{exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return parse_run_spec(data)
@@ -495,8 +505,13 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
                           f"it as trace/; choose another directory (one nested in the "
                           f"scenario is fine)")
     _check_output_path(output_dir, True, "output_dir")
-    # and so must every output in it
+    # and so must every output in it, the directories and files the export
+    # writes included
     _check_output_path(output_dir / "trace", True, "output")
+    *trace_dirs, time_step_file = scenario_paths(output_dir / "trace")
+    for trace_dir in trace_dirs:
+        _check_output_path(Path(trace_dir), True, "output")
+    _check_output_path(Path(time_step_file), False, "output")
     loss_names = [f"loss_timeline_{name}.csv" for name in spec.models_to_compare]
     for name in ["snr_timeline.csv", "manifest.json"] + loss_names:
         _check_output_path(output_dir / name, False, "output")
@@ -517,13 +532,12 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
         carrier_frequency_hz=spec.link_budget.carrier_frequency_hz,
     )
 
-    # one model set and one counter set per run, in one pass; runs[0] is
-    # the configured run, then one run per compared model
+    # one model set per run, in one pass: set 0 is the configured run, then
+    # one set per compared model; each pair gets one gain row per set
     model_sets = [tuple(o.model for o in spec.obstacles)]
     model_sets += [tuple(_override_model(o, name).model for o in spec.obstacles)
                    for name in spec.models_to_compare]
-    counters = [InteractionCounters() for _ in model_sets]
-    runs = run_model_sets(trace, cfg, model_sets, workers=workers, counters=counters)
+    gains, counters = run_model_sets(trace, cfg, model_sets, workers=workers)
 
     # the removal floor acts here alone: every SNR column but the baseline
     # reads the rays below it as -inf, one link evaluation per pair
@@ -531,14 +545,14 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
     pairs = sorted(trace.pairs)
     snr = {}
     for pair in pairs:
-        floored = [np.where(out.pairs[pair].gain >= floor, out.pairs[pair].gain, -math.inf)
-                   for out in runs]
+        floored = np.where(gains[pair] >= floor, gains[pair], -math.inf)
         snr[pair] = snr_timeline(trace, pair, spec.link_budget,
-                                 [trace.pairs[pair].gain] + floored)
+                                 [trace.pairs[pair].gain, *floored])
 
     output_dir.mkdir(parents=True, exist_ok=True)
     trace_dir = output_dir / "trace"
-    export_scenario(runs[0], trace_dir, drop_below_db=floor)
+    export_scenario(trace.with_gains({pair: set_gains[0] for pair, set_gains in gains.items()}),
+                    trace_dir, drop_below_db=floor)
 
     # every pair's rows, pair after pair, as columns
     def stacked(column: int) -> np.ndarray:
@@ -546,12 +560,12 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
 
     ids = [np.repeat([pair[i] for pair in pairs], trace.num_steps) for i in (0, 1)]
     times, baseline = stacked(0), stacked(1)
-    columns = [stacked(2 + i) for i in range(len(runs))]
+    columns = [stacked(2 + i) for i in range(len(model_sets))]
     _write_csv(output_dir / "snr_timeline.csv",
                ["tx_id", "rx_id", "t_seconds", "snr_db_baseline", "snr_db"]
                + [f"snr_db_{name}" for name in spec.models_to_compare],
                [*ids, times, baseline, *columns],
-               ["%d", "%d", "%.9g"] + ["%.6f"] * (1 + len(runs)))
+               ["%d", "%d", "%.9g"] + ["%.6f"] * (1 + len(model_sets)))
 
     for name, column in zip(loss_names, columns[1:]):
         _write_csv(output_dir / name, ["tx_id", "rx_id", "t_seconds", "loss_db"],
@@ -573,7 +587,7 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
         c.merge(run_counters)
     clamp_events = c.clamp_events
     rays_in = sum(len(table) for table in trace.pairs.values())
-    dropped = sum(int(np.count_nonzero(t.gain < floor)) for t in runs[0].pairs.values())
+    dropped = sum(int(np.count_nonzero(set_gains[0] < floor)) for set_gains in gains.values())
     print(f"pairs: {len(pairs)}")
     print(f"steps: {trace.num_steps}")
     print(f"rays: {rays_in} in, {dropped} dropped")

@@ -15,11 +15,12 @@ rays is left to the caller (``export_scenario``'s ``drop_below_db``).
 One pass can serve several model sets (``run_model_sets``): the same
 obstacles, each set swapping in its own loss model per obstacle. The
 segment table, poses, cull and screen geometry are computed once per chunk
-and every set reads them; each set's output equals a run of its own.
+and every set reads them; each set's gain column equals a run of its own.
 
-Chunks may run in parallel worker processes; results land in pre-sized
-slots, and a ray's result never depends on the other rays of its chunk, so
-any chunking and the single-threaded mode produce identical output.
+Chunks may run in parallel worker processes. Results come back in chunk
+order and each pair's chunks are joined in step order; a ray's result never
+depends on the other rays of its chunk, so any chunking and the
+single-threaded mode produce identical output.
 """
 
 from __future__ import annotations
@@ -102,12 +103,13 @@ def primary_rays(table: RayTable) -> np.ndarray:
     return primary
 
 
-def _run_chunk(args) -> tuple:
+def _run_chunk(args) -> tuple[np.ndarray, list[InteractionCounters]]:
     """Final gains of the rays of a step range of one pair after all
-    obstacles, once per model set; and each set's counters."""
-    (pair, k_lo, table, obstacles, model_sets, stride, pose_step, wavelength) = args
+    obstacles, one row per model set, shape (sets, rays); and each set's
+    counters."""
+    (k_lo, table, obstacles, model_sets, stride, pose_step, wavelength) = args
     counters = [InteractionCounters() for _ in model_sets]
-    gains = [table.gain.copy() for _ in model_sets]
+    gains = np.tile(table.gain, (len(model_sets), 1))
     if len(table) and obstacles:
         segments = path_segments(table, primary_rays(table), wavelength)
         times = (np.arange(k_lo, k_lo + table.counts.shape[0]) // stride) * pose_step
@@ -117,7 +119,7 @@ def _run_chunk(args) -> tuple:
                                        segments, wavelength, counters)
             for set_gains, (losses, _) in zip(gains, outcomes):
                 set_gains -= losses
-    return pair, k_lo, gains, counters
+    return gains, counters
 
 
 def run(trace: ChannelTrace, cfg: SimulationConfig, workers: int | None = None,
@@ -125,24 +127,27 @@ def run(trace: ChannelTrace, cfg: SimulationConfig, workers: int | None = None,
     """New trace of identical shape with obstacle losses applied; counters,
     when given, takes the run's interaction counts.
 
-    With zero obstacles the output is the input and no worker process
+    With zero obstacles the output equals the input and no worker process
     starts. The incompatible-time-base check runs before any computation.
     """
-    [out] = run_model_sets(trace, cfg, [tuple(o.model for o in cfg.obstacles)], workers,
-                           None if counters is None else [counters])
-    return out
+    gains, [run_counters] = run_model_sets(trace, cfg, [tuple(o.model for o in cfg.obstacles)],
+                                           workers)
+    if counters is not None:
+        counters.merge(run_counters)
+    return trace.with_gains({pair: set_gains[0] for pair, set_gains in gains.items()})
 
 
 def run_model_sets(trace: ChannelTrace, cfg: SimulationConfig,
-                   model_sets: Sequence[Sequence[LossModel]], workers: int | None = None,
-                   counters: Sequence[InteractionCounters] | None = None) -> list[ChannelTrace]:
+                   model_sets: Sequence[Sequence[LossModel]], workers: int | None = None
+                   ) -> tuple[dict[tuple[int, int], np.ndarray], list[InteractionCounters]]:
     """One run() per model set, in one pass: the trace under cfg with each
     obstacle's model swapped for the set's (one model per obstacle, in
     configuration order).
 
-    Each output trace, and each set's counts merged into counters (one per
-    set), equals that of a separate run() with the swapped obstacles. The
-    geometry the sets share is computed once per chunk.
+    Returns (gains, counters): gains[pair] has shape (sets, rays of the
+    pair), and row s with counters[s] equals the gains and counts of a
+    separate run() with set s. The geometry the sets share is computed
+    once per chunk.
     """
     stride, pose_step = _pose_stride(trace, cfg)
     model_sets = [tuple(models) for models in model_sets]
@@ -152,22 +157,16 @@ def run_model_sets(trace: ChannelTrace, cfg: SimulationConfig,
                              f"({len(cfg.obstacles)}), got {len(models)}")
         for obstacle, model in zip(cfg.obstacles, models):
             dataclasses.replace(obstacle, model=model)  # the obstacle's own checks
-    if counters is None:
-        counters = [InteractionCounters() for _ in model_sets]
-    if len(counters) != len(model_sets):
-        raise ValueError("run_model_sets needs one InteractionCounters per model set")
 
     wavelength = SPEED_OF_LIGHT / cfg.carrier_frequency_hz
     n_workers = resolve_workers(workers) if cfg.obstacles else 1  # no work, no pool
 
     chunk_len = (trace.num_steps if n_workers == 1
                  else max(1, math.ceil(trace.num_steps / (n_workers * 4))))
-    chunks = []
-    for pair in sorted(trace.pairs):
-        table = trace.pairs[pair]
-        for k_lo in range(0, trace.num_steps, chunk_len):
-            chunks.append((pair, k_lo, table.step_range(k_lo, k_lo + chunk_len), cfg.obstacles,
-                           model_sets, stride, pose_step, wavelength))
+    pairs = sorted(trace.pairs)
+    starts = range(0, trace.num_steps, chunk_len)
+    chunks = [(k_lo, trace.pairs[pair].step_range(k_lo, k_lo + chunk_len), cfg.obstacles,
+               model_sets, stride, pose_step, wavelength) for pair in pairs for k_lo in starts]
 
     if n_workers > 1 and len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # spares one-worker runs its import
@@ -177,20 +176,17 @@ def run_model_sets(trace: ChannelTrace, cfg: SimulationConfig,
     else:
         results = [_run_chunk(c) for c in chunks]
 
-    outputs = []
-    for s, set_counters in enumerate(counters):
-        run_counters = InteractionCounters()
-        for *_, chunk_counters in results:
-            run_counters.merge(chunk_counters[s])
-        set_counters.merge(run_counters)
-        if run_counters.degenerate_skips:
+    # results come in chunk order: pair by pair in sorted order, steps ascending
+    chunk_gains = iter(g for g, _ in results)
+    gains = {pair: np.concatenate([next(chunk_gains) for _ in starts], axis=1) for pair in pairs}
+    counters = []
+    for s in range(len(model_sets)):
+        set_counters = InteractionCounters()
+        for _, chunk_counters in results:
+            set_counters.merge(chunk_counters[s])
+        if set_counters.degenerate_skips:
             log.warning("skipped %d degenerate segment/screen configurations",
-                        run_counters.degenerate_skips)
-        diffraction.log_itu_se_out_of_regime(run_counters.out_of_regime, wavelength)
-        # results run pair by pair in sorted order, chunks in step order
-        pairs = {pair: dataclasses.replace(table, gain=np.concatenate(
-                     [set_gains[s] for p, _, set_gains, _ in results if p == pair]))
-                 for pair, table in trace.pairs.items()}
-        outputs.append(ChannelTrace(node_positions=dict(trace.node_positions), pairs=pairs,
-                                    time_step=trace.time_step, num_steps=trace.num_steps))
-    return outputs
+                        set_counters.degenerate_skips)
+        diffraction.log_itu_se_out_of_regime(set_counters.out_of_regime, wavelength)
+        counters.append(set_counters)
+    return gains, counters

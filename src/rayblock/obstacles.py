@@ -210,7 +210,8 @@ class LossOutcome(NamedTuple):
 
 @dataclass
 class InteractionCounters:
-    """Bookkeeping for tests and run summaries; one instance per worker."""
+    """Bookkeeping for tests and run summaries: a run counts into one
+    instance per model set and chunk, and merges each set's chunks into one."""
 
     diffraction_evals: int = 0
     obstruction_evals: int = 0

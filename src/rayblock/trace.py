@@ -24,9 +24,9 @@ the original format ignore it, and import falls back to 1.0 s without it.
 
 Every trace file passes through one reader and one writer: read_text reads
 a file's bytes in one call and decodes them as UTF-8, and write_text writes
-a file's UTF-8 bytes. A file that is not UTF-8 raises TraceFormatError
-(exit 3 on the command line), naming the file. Line ends may be LF, CRLF
-or CR.
+a file's UTF-8 bytes. A file that is not UTF-8, or that cannot be read
+(a directory in its place), raises TraceFormatError (exit 3 on the command
+line), naming the file. Line ends may be LF, CRLF or CR.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import logging
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -283,11 +283,22 @@ class ChannelTrace:
     def times(self) -> np.ndarray:
         return np.arange(self.num_steps) * self.time_step
 
+    def with_gains(self, gains: dict[tuple[int, int], np.ndarray]) -> "ChannelTrace":
+        """This trace with each pair's gain column replaced by gains[pair];
+        every other array is shared with this trace."""
+        return ChannelTrace(node_positions=dict(self.node_positions),
+                            pairs={pair: replace(table, gain=gains[pair])
+                                   for pair, table in self.pairs.items()},
+                            time_step=self.time_step, num_steps=self.num_steps)
+
 
 def read_text(path) -> str:
     """The file's text: its bytes in one read, decoded as UTF-8."""
-    with open(path, "rb", buffering=0) as f:
-        data = f.read()
+    try:
+        with open(path, "rb", buffering=0) as f:
+            data = f.read()
+    except OSError as exc:
+        raise TraceFormatError(f"{path}: cannot be read ({exc.strerror or exc})") from None
     try:
         return data.decode()
     except UnicodeDecodeError as exc:
@@ -388,6 +399,19 @@ def _read_node_positions(dir_: str, node: int, num_steps: int) -> np.ndarray | N
     return None
 
 
+def scenario_paths(directory) -> tuple[str, str, str, str]:
+    """The ray file, coordinate file and node position directories and the
+    sampling period file of a scenario directory.
+
+    File paths are these strings joined to a name: a Path per file costs a
+    measurable share of reading or writing the file.
+    """
+    output = Path(directory) / "Output"
+    ns3, visualizer = output / "Ns3", output / "Visualizer"
+    return (str(ns3 / "QdFiles"), str(visualizer / "MpcCoordinates"),
+            str(visualizer / "NodePositions"), str(ns3 / "TimeStep.txt"))
+
+
 def import_scenario(directory) -> ChannelTrace:
     """Load a scenario directory into the in-memory trace model.
 
@@ -396,13 +420,7 @@ def import_scenario(directory) -> ChannelTrace:
     rules, a ray needs a direction: a first or last segment shorter than
     1e-12 m raises TraceFormatError, before any run reads the trace.
     """
-    root = Path(directory)
-    # file paths are these strings joined to a name: a Path per file costs
-    # a measurable share of reading or writing the file
-    qd_dir = str(root / "Output" / "Ns3" / "QdFiles")
-    mpc_dir = str(root / "Output" / "Visualizer" / "MpcCoordinates")
-    node_dir = str(root / "Output" / "Visualizer" / "NodePositions")
-    ts_file = str(root / "Output" / "Ns3" / "TimeStep.txt")
+    qd_dir, mpc_dir, node_dir, ts_file = scenario_paths(directory)
     if not os.path.isdir(qd_dir):
         raise TraceFormatError(f"{qd_dir}: missing ray file directory")
 
@@ -491,7 +509,7 @@ def import_scenario(directory) -> ChannelTrace:
             raise TraceFormatError(
                 f"{ts_file}: expected a sampling period in seconds, got {text!r}") from None
     else:
-        log.warning("no sampling period recorded in %s, assuming 1.0 s", root)
+        log.warning("no sampling period recorded in %s, assuming 1.0 s", Path(directory))
         time_step = 1.0
 
     return ChannelTrace(node_positions=node_positions, pairs=pairs,
@@ -553,12 +571,7 @@ def export_scenario(trace: ChannelTrace, directory, drop_below_db: float = -500.
     did not write (an earlier export's) are removed, so the directory
     holds exactly this trace; other files are left alone.
     """
-    root = Path(directory)
-    # file paths are these strings joined to a name: a Path per file costs
-    # a measurable share of reading or writing the file
-    qd_dir = str(root / "Output" / "Ns3" / "QdFiles")
-    mpc_dir = str(root / "Output" / "Visualizer" / "MpcCoordinates")
-    node_dir = str(root / "Output" / "Visualizer" / "NodePositions")
+    qd_dir, mpc_dir, node_dir, ts_file = scenario_paths(directory)
     for d in (qd_dir, mpc_dir, node_dir):
         os.makedirs(d, exist_ok=True)
 
@@ -611,7 +624,7 @@ def export_scenario(trace: ChannelTrace, directory, drop_below_db: float = -500.
                 write_text(os.path.join(node_dir, name), rows + "\n")
                 written.add(name)
 
-    write_text(str(root / "Output" / "Ns3" / "TimeStep.txt"), f"{trace.time_step:.12g}\n")
+    write_text(ts_file, f"{trace.time_step:.12g}\n")
     # an earlier export's files would otherwise join this trace on import
     for d, own in ((qd_dir, _QD_FILE_RE), (mpc_dir, _MPC_FILE_RE), (node_dir, _NODE_FILE_RE)):
         for name in os.listdir(d):

@@ -89,6 +89,17 @@ def test_validate_bad_json_exits_2(tmp_path):
     assert main(["validate", str(path)]) == 2
 
 
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_a_spec_that_is_not_utf8_exits_2(tmp_path, small_scenario, capsys, verb):
+    data = minimal_spec(small_scenario, tmp_path / "out", obstacles=[obstacle_entry()])
+    spec = write_spec(tmp_path, data)
+    spec.write_bytes(spec.read_bytes().replace(b'"dked"', b'"dk\xffed"'))
+    assert main([verb, str(spec)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config-error: {spec}: spec is not UTF-8 text")
+    assert not (tmp_path / "out").exists()
+
+
 def test_spec_parses_every_field(tmp_path, small_scenario):
     data = minimal_spec(
         small_scenario, tmp_path / "out",
@@ -717,16 +728,22 @@ def test_an_output_dir_that_cannot_be_a_directory_exits_2_before_any_work(
 
 
 @pytest.mark.parametrize("name", ["trace", "snr_timeline.csv", "manifest.json",
-                                  "loss_timeline_metis.csv"])
+                                  "loss_timeline_metis.csv", "trace/Output/Ns3",
+                                  "trace/Output/Visualizer/NodePositions",
+                                  "trace/Output/Ns3/TimeStep.txt"])
 def test_an_output_in_the_output_dir_that_cannot_be_written_exits_2_before_any_work(
         tmp_path, small_scenario, capsys, monkeypatch, name):
-    # the trace must be a directory, the other outputs files: each is the other kind here
+    # the trace and the export's directories must be directories, the other
+    # outputs files: each is the other kind here
     output = tmp_path / "out" / name
-    if name == "trace":
-        output.parent.mkdir()
-        output.write_text("not a directory\n")
-    else:
+    is_dir = name.endswith((".csv", ".json", ".txt"))
+    if is_dir:
         output.mkdir(parents=True)
+    else:
+        output.parent.mkdir(parents=True)
+        output.write_text("not a directory\n")
+    # a file at Ns3 leaves no room for the ray file directory below it
+    named = output / "QdFiles" if name == "trace/Output/Ns3" else output
     spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out",
                                              obstacles=[obstacle_entry()],
                                              models_to_compare=["metis"]))
@@ -734,9 +751,9 @@ def test_an_output_in_the_output_dir_that_cannot_be_written_exits_2_before_any_w
     monkeypatch.setattr(cli, "import_scenario", _no_work)
     assert main(["run", str(spec)]) == 2
     err = capsys.readouterr().err
-    assert "config-error" in err and repr(str(output)) in err
+    assert "config-error" in err and repr(str(named)) in err
     assert _sha256_tree(tmp_path / "out") == before
-    assert output.is_dir() == (name != "trace")
+    assert output.is_dir() == is_dir
 
 
 def test_a_run_reads_and_writes_each_file_once(tmp_path, small_scenario, monkeypatch):

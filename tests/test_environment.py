@@ -317,13 +317,12 @@ def test_endpoint_on_a_horizontal_edge_is_degenerate_for_metis_only():
     screen = Obstacle(shape=shape, mobility=Static(center), model=Dked(),
                       distance_threshold=5.0)
     cfg = SimulationConfig(obstacles=(screen,))
-    counters = [InteractionCounters(), InteractionCounters()]
-    dked, metis = run_model_sets(trace, cfg, [(Dked(),), (Metis(),)], workers=1,
-                                 counters=counters)
+    gains, counters = run_model_sets(trace, cfg, [(Dked(),), (Metis(),)], workers=1)
     assert (counters[0].diffraction_evals, counters[0].degenerate_skips) == (6, 0)
     assert (counters[1].diffraction_evals, counters[1].degenerate_skips) == (0, 6)
-    assert np.all(dked.pairs[(0, 1)].gain < -80.0)
-    assert np.all(metis.pairs[(0, 1)].gain == -80.0)
+    dked, metis = gains[(0, 1)]
+    assert np.all(dked < -80.0)
+    assert np.all(metis == -80.0)
     # the blocked flags too are per model, whichever model comes first
     wavelength = 299792458.0 / cfg.carrier_frequency_hz
     (_, metis_blocked), (_, dked_blocked) = obstacles.obstacle_losses(
@@ -337,7 +336,7 @@ def test_endpoint_on_a_horizontal_edge_is_degenerate_for_metis_only():
         alone = run(trace, SimulationConfig(obstacles=(Obstacle(
             shape=shape, mobility=Static(center), model=models[0], distance_threshold=5.0),)),
             workers=1, counters=want)
-        assert_traces_equal(out, alone)
+        np.testing.assert_array_equal(out, alone.pairs[(0, 1)].gain)
         assert got == want
 
 
@@ -350,6 +349,32 @@ def test_model_sets_are_checked_against_the_obstacles():
         run_model_sets(trace, cfg, [(Dked(),)], workers=1)
     with pytest.raises(ValueError):
         run_model_sets(trace, cfg, [(Obstruction(1.0), Obstruction(2.0))], workers=1)
+
+
+def test_run_model_sets_returns_gain_rows_and_leaves_the_trace_untouched():
+    # two pairs of different ray counts; a step without rays on one of them
+    three = multi_ray_trace(num_steps=8)
+    rx2 = (8.0, 1.0, 1.6)
+    one = [[make_ray((0.0, 0.0, 1.6), rx2, gain_db=-81.0)]] * 7 + [[]]
+    trace = trace_of({(0, 1): steps_of(three.pairs[(0, 1)]), (0, 2): one},
+                     {**three.node_positions, 2: np.tile(rx2, (8, 1))}, 0.005)
+    columns = ("counts", "delay", "gain", "phase", "vertices", "ends")
+    before = {pair: {column: getattr(table, column).copy() for column in columns}
+              for pair, table in trace.pairs.items()}
+    cfg = SimulationConfig(obstacles=(
+        Obstacle(shape=OrthoScreenShape(0.2, 1.7), model=Dked(),
+                 mobility=LinearMobility((4.0, -0.3, 0.85), (0.0, 5.0, 0.0))),))
+    sets = [(Dked(),), (Metis(),), (Obstruction(10.0),)]
+    gains, counters = run_model_sets(trace, cfg, sets, workers=1)
+    assert sorted(gains) == sorted(trace.pairs)
+    assert len(counters) == len(sets)
+    for pair, table in trace.pairs.items():
+        assert gains[pair].shape == (len(sets), len(table))
+        assert not np.shares_memory(gains[pair], table.gain)
+        for column, values in before[pair].items():
+            np.testing.assert_array_equal(getattr(table, column), values)
+            assert not getattr(table, column).flags.writeable
+    assert np.any(gains[(0, 1)][0] != trace.pairs[(0, 1)].gain)  # the screen acts
 
 
 def _count_calls(monkeypatch, module, name) -> list:
@@ -387,8 +412,7 @@ def test_geometry_is_computed_once_for_every_model(monkeypatch, compared):
     chunks = _count_calls(monkeypatch, environment, "_run_chunk")
     sections = _count_calls(monkeypatch, obstacles, "_screen_cross_section")
     fermat = _count_calls(monkeypatch, _kernels, "fermat_on_segment_batch")
-    counters = [InteractionCounters() for _ in model_sets]
-    run_model_sets(trace, cfg, model_sets, workers=1, counters=counters)
+    _, counters = run_model_sets(trace, cfg, model_sets, workers=1)
     assert len(chunks) == 2
     assert len(sections) == 2 * len(screens)
     edges = 4 if compared else 2  # the configured dked reads two edges, metis all four

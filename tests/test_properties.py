@@ -233,17 +233,17 @@ def test_any_chunking_gives_the_same_gains(data):
 
     def chunk(lo, hi):
         # one model set: the obstacles' own models
-        return _run_chunk(((0, 1), lo, table.step_range(lo, hi), obstacle_list,
+        return _run_chunk((lo, table.step_range(lo, hi), obstacle_list,
                            [tuple(o.model for o in obstacle_list)], stride,
                            stride * trace.time_step, WAVELENGTH))
 
-    _, _, [whole], [whole_counters] = chunk(0, num_steps)
+    whole, [whole_counters] = chunk(0, num_steps)
     parts = [chunk(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    assert whole.shape == (len(table),)
-    np.testing.assert_array_equal(whole, np.concatenate([part[2][0] for part in parts]))
+    assert whole.shape == (1, len(table))
+    np.testing.assert_array_equal(whole, np.concatenate([gains for gains, _ in parts], axis=1))
     counters = InteractionCounters()
-    for part in parts:
-        counters.merge(part[3][0])
+    for _, [part_counters] in parts:
+        counters.merge(part_counters)
     assert counters == whole_counters  # clamp events included
 
 
@@ -277,12 +277,14 @@ def test_one_pass_equals_a_run_per_model_set(fallback, data):
                                              min_size=1, max_size=4)))
     sets = data.draw(model_sets(obstacle_list))
     cfg = SimulationConfig(obstacles=obstacle_list)
-    counters = [InteractionCounters() for _ in sets]
-    combined = run_model_sets(trace, cfg, sets, workers=1, counters=counters)
-    assert len(combined) == len(sets)
-    for models, out, got in zip(sets, combined, counters):
+    gains, counters = run_model_sets(trace, cfg, sets, workers=1)
+    assert len(counters) == len(sets)
+    for s, (models, got) in enumerate(zip(sets, counters)):
         want = InteractionCounters()
-        assert_traces_equal(out, run(trace, swapped(cfg, models), workers=1, counters=want))
+        alone = run(trace, swapped(cfg, models), workers=1, counters=want)
+        for pair, table in alone.pairs.items():
+            assert gains[pair].shape == (len(sets), len(table))
+            np.testing.assert_array_equal(gains[pair][s], table.gain)
         assert got == want  # interaction counters and clamp events
 
 

@@ -605,6 +605,33 @@ def test_a_trace_file_that_is_not_utf8_exits_3(tmp_path, capsys, parts):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("parts", [MPC, QD, ("Output", "Ns3", "QdFiles", "Tx9Rx9.txt"),
+                                   ("Output", "Visualizer", "NodePositions",
+                                    "NodePositionsTx0.csv"),
+                                   ("Output", "Ns3", "TimeStep.txt")],
+                         ids=["coordinates", "rays", "extra rays", "node positions",
+                              "time step"])
+def test_a_directory_in_place_of_a_trace_file_exits_3(tmp_path, capsys, parts):
+    scenario = tmp_path / "scenario"
+    export_scenario(build_mixed_trace(), scenario)
+    path = scenario.joinpath(*parts)
+    if path.exists():
+        path.unlink()
+    path.mkdir()
+    expected = f"{path}: cannot be read"
+    with pytest.raises(TraceFormatError) as raised:
+        import_scenario(scenario)
+    assert str(raised.value).startswith(expected)
+
+    assert main(["inspect", str(scenario)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: trace-format-error: {expected}")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"scenario_dir": str(scenario), "output_dir": str(tmp_path / "out")}))
+    assert main(["run", str(spec)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: trace-format-error: {expected}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_write_text_finishes_short_writes(tmp_path, monkeypatch):
     text = "3\n1e-08,2e-08,3e-08\nµ,°\n"
     path = tmp_path / "file.txt"
