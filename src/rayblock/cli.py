@@ -349,10 +349,10 @@ class SweepGeometry:
 
 
 def _sweep_losses(geom: SweepGeometry, centers: np.ndarray, names: tuple[str, ...],
-                  wavelength: float) -> list[tuple[np.ndarray, np.ndarray]]:
+                  wavelength: float) -> list[tuple[np.ndarray, np.ndarray, InteractionCounters]]:
     """Loss and blocked flag of the screen at each of centers (n, 3) against
-    the direct path, one pair per named model, from one table with no range
-    gating: sweeps plot the raw model."""
+    the direct path, with their counts, one triple per named model, from one
+    table with no range gating: sweeps plot the raw model."""
     if not names:
         raise ConfigError("a sweep needs at least one model")
     models = [Obstruction(geom.obstruction_db) if name == "obstruction"
@@ -368,11 +368,10 @@ def _sweep_losses(geom: SweepGeometry, centers: np.ndarray, names: tuple[str, ..
         ends=np.tile([geom.distance_m, 0.0, geom.node_height_m], (n, 1)),
         step=np.arange(n), slot=np.arange(n), primary=np.ones(n, dtype=bool),
         thresholds=np.full(n, np.inf), num_slots=n)
-    counters = [InteractionCounters() for _ in models]
-    losses = obstacle_losses(obstacle, models, centers, segments, wavelength, counters)
-    for c in counters:
-        log_itu_se_out_of_regime(c.out_of_regime, wavelength)
-    return losses
+    outcomes = obstacle_losses(obstacle, models, centers, segments, wavelength)
+    for _, _, counts in outcomes:
+        log_itu_se_out_of_regime(counts.out_of_regime, wavelength)
+    return outcomes
 
 
 def run_crossing_sweep(geom: SweepGeometry = SweepGeometry(),
@@ -390,7 +389,7 @@ def run_crossing_sweep(geom: SweepGeometry = SweepGeometry(),
                         np.full(len(offsets), 0.5 * geom.screen_height_m)], axis=1)
     columns: dict = {"offset_m": offsets}
     outcomes = _sweep_losses(geom, centers, models, wavelength)
-    for name, (losses, _) in zip(models, outcomes):
+    for name, (losses, *_) in zip(models, outcomes):
         columns[f"loss_db_{name}"] = losses
     columns["blocked"] = outcomes[-1][1].astype(np.int64)
     return columns
@@ -412,7 +411,7 @@ def run_position_sweep(geom: SweepGeometry = SweepGeometry(), samples: int = 101
     centers = np.stack([positions, np.zeros(samples),
                         np.full(samples, 0.5 * geom.screen_height_m)], axis=1)
     columns: dict = {"position_m": positions}
-    for name, (losses, _) in zip(models, _sweep_losses(geom, centers, models, wavelength)):
+    for name, (losses, *_) in zip(models, _sweep_losses(geom, centers, models, wavelength)):
         columns[f"loss_db_{name}"] = losses
     return columns
 

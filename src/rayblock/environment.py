@@ -116,24 +116,21 @@ def _run_chunk(args) -> tuple[np.ndarray, list[InteractionCounters]]:
         for i, obstacle in enumerate(obstacles):
             centers = positions_at(obstacle.mobility, times)
             outcomes = obstacle_losses(obstacle, [models[i] for models in model_sets], centers,
-                                       segments, wavelength, counters)
-            for set_gains, (losses, _) in zip(gains, outcomes):
+                                       segments, wavelength)
+            for set_gains, set_counters, (losses, _, counts) in zip(gains, counters, outcomes):
                 set_gains -= losses
+                set_counters.merge(counts)
     return gains, counters
 
 
-def run(trace: ChannelTrace, cfg: SimulationConfig, workers: int | None = None,
-        counters: InteractionCounters | None = None) -> ChannelTrace:
-    """New trace of identical shape with obstacle losses applied; counters,
-    when given, takes the run's interaction counts.
+def run(trace: ChannelTrace, cfg: SimulationConfig, workers: int | None = None) -> ChannelTrace:
+    """New trace of identical shape with obstacle losses applied. Its
+    interaction counts come from run_model_sets.
 
     With zero obstacles the output equals the input and no worker process
     starts. The incompatible-time-base check runs before any computation.
     """
-    gains, [run_counters] = run_model_sets(trace, cfg, [tuple(o.model for o in cfg.obstacles)],
-                                           workers)
-    if counters is not None:
-        counters.merge(run_counters)
+    gains, _ = run_model_sets(trace, cfg, [tuple(o.model for o in cfg.obstacles)], workers)
     return trace.with_gains({pair: set_gains[0] for pair, set_gains in gains.items()})
 
 

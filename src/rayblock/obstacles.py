@@ -18,7 +18,7 @@ model then reads its own, and each of its diffraction candidates' losses
 comes from one call of the model's row_loss (``_segment_outcome``).
 Losses add in dB across a ray's segments, in segment order (and across
 obstacles in configuration order, handled by the environment); spheres
-only ever obstruct.
+only ever obstruct. Each model's losses come back with its interaction counts.
 """
 
 from __future__ import annotations
@@ -210,8 +210,8 @@ class LossOutcome(NamedTuple):
 
 @dataclass
 class InteractionCounters:
-    """Bookkeeping for tests and run summaries: a run counts into one
-    instance per model set and chunk, and merges each set's chunks into one."""
+    """What one obstacle pass did for one model (obstacle_losses returns
+    one per model); a run merges each model set's over obstacles and chunks."""
 
     diffraction_evals: int = 0
     obstruction_evals: int = 0
@@ -361,24 +361,23 @@ def path_segments(table: RayTable, primary: np.ndarray, wavelength: float) -> Pa
 
 
 def obstacle_losses(obstacle: Obstacle, models, centers: np.ndarray, segments: PathSegments,
-                    wavelength: float,
-                    counters) -> list[tuple[np.ndarray, np.ndarray]]:
+                    wavelength: float) -> list[tuple[np.ndarray, np.ndarray, InteractionCounters]]:
     """Per-ray loss (dB) and blocked flag one obstacle imposes on a segment
-    table, once per loss model.
+    table, and the interaction counts behind them, once per loss model.
 
-    models holds one loss model per run (or sweep column) and counters one
-    InteractionCounters each; the obstacle's own model is not read. centers
-    is the obstacle's center at every step of the table, shape (steps, 3);
-    its mobility is not read. Segments farther from the obstacle than the
-    distance threshold are skipped outright: first by the bounding sphere,
-    then for screens by screen_beyond_threshold. The others add their
-    losses in dB to their ray, in segment order. A ray is blocked when any
-    of its segments is geometrically obstructed. Segments of non-primary
-    rays take the constant fallback loss when the obstacle asks for it.
+    models holds one loss model per run (or sweep column); the obstacle's
+    own model is not read. centers is the obstacle's center at every step
+    of the table, shape (steps, 3); its mobility is not read. Segments
+    farther from the obstacle than the distance threshold are skipped
+    outright: first by the bounding sphere, then for screens by
+    screen_beyond_threshold. The others add their losses in dB to their
+    ray, in segment order. A ray is blocked when any of its segments is
+    geometrically obstructed. Segments of non-primary rays take the
+    constant fallback loss when the obstacle asks for it.
 
     The cull and the screen geometry are computed once and read by every
     model; each model then makes only its own selection and scalar calls,
-    so each (loss, blocked) pair equals a call with that model alone.
+    so each (loss, blocked, counts) equals a call with that model alone.
     """
     shape = obstacle.shape
     thresholds = segments.thresholds
@@ -392,25 +391,33 @@ def obstacle_losses(obstacle: Obstacle, models, centers: np.ndarray, segments: P
             at[near], shape.height_axis, 0.5 * shape.width, 0.5 * shape.height,
             segments.starts[near], segments.ends[near], thresholds[near])
     rows = np.flatnonzero(near)
-    for c in counters:
-        c.far_skips += dists.shape[0] - rows.shape[0]
 
     if isinstance(shape, SphereShape):
         blocked = dists[rows] <= shape.radius + _BOUNDARY_TOL
-        outcomes = [(np.where(blocked, model.loss_db, 0.0), blocked) for model in models]
-        for c in counters:
-            c.obstruction_evals += rows.shape[0]
+        degenerate = fallback = np.zeros_like(blocked)
+        table = None  # spheres only obstruct
     else:
-        outcomes = _screen_losses(obstacle, models, at[rows], segments.starts[rows],
-                                  segments.ends[rows], segments.primary[rows], wavelength,
-                                  counters)
+        blocked, degenerate, fallback, table = _screen_rows(
+            obstacle, models, at[rows], segments.starts[rows], segments.ends[rows],
+            segments.primary[rows], wavelength)
+    num_degenerate = int(np.count_nonzero(degenerate))
     slots = segments.slot[rows]
     per_ray = []
-    for loss, blocked in outcomes:
+    for model in models:
+        counts = InteractionCounters(far_skips=dists.shape[0] - rows.shape[0],
+                                     degenerate_skips=num_degenerate)
+        if isinstance(model, Obstruction):
+            counts.obstruction_evals = blocked.shape[0] - num_degenerate
+            loss, model_blocked = np.where(blocked, model.loss_db, 0.0), blocked
+        else:
+            counts.obstruction_evals = int(np.count_nonzero(fallback & ~degenerate))
+            loss = np.where(blocked & fallback, obstacle.fallback_loss_db, 0.0)
+            model_blocked = blocked.copy()
+            counts.merge(_diffraction_pass(model, shape, table, loss, model_blocked, wavelength))
         ray_blocked = np.zeros(segments.num_slots, dtype=bool)
-        ray_blocked[slots[blocked]] = True
+        ray_blocked[slots[model_blocked]] = True
         per_ray.append((np.bincount(slots, weights=loss, minlength=segments.num_slots),
-                        ray_blocked))
+                        ray_blocked, counts))
     return per_ray
 
 
@@ -462,84 +469,65 @@ def _edge_table(shape, models, centers, u, v, starts, ends, depths, rows,
     return table
 
 
-def _screen_losses(obstacle: Obstacle, models, centers, starts, ends, primary,
-                   wavelength: float, counters) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Loss and blocked flag of each candidate row of one screen obstacle,
-    once per model."""
+def _screen_rows(obstacle: Obstacle, models, centers, starts, ends, primary, wavelength: float):
+    """(blocked, degenerate, fallback, table) of each candidate row of one
+    screen, read by every model: degenerate rows (vertical against an
+    orthogonal screen, or parallel to the plane) are never blocked, fallback
+    rows take the constant loss, and table holds the diffraction models'
+    edge values of the other rows (None without such a model)."""
     shape = obstacle.shape
-    half_w, half_h = 0.5 * shape.width, 0.5 * shape.height
     u, v, degenerate = _screen_axes(shape, starts, ends)
-    depths, blocked, parallel = _screen_cross_section(centers, u, v, half_w, half_h,
-                                                      starts, ends)
+    depths, blocked, parallel = _screen_cross_section(centers, u, v, 0.5 * shape.width,
+                                                      0.5 * shape.height, starts, ends)
     degenerate |= parallel
     blocked &= ~degenerate
     fallback = (~primary if obstacle.obstruction_fallback_for_secondary
                 else np.zeros_like(blocked))
-    num_degenerate = int(np.count_nonzero(degenerate))
     diffracting = [m for m in models if not isinstance(m, Obstruction)]
-    if diffracting:
-        table = _edge_table(shape, diffracting, centers, u, v, starts, ends, depths,
-                            np.flatnonzero(~fallback & ~degenerate), wavelength)
-
-    outcomes = []
-    for model, c in zip(models, counters):
-        c.degenerate_skips += num_degenerate
-        if isinstance(model, Obstruction):
-            c.obstruction_evals += blocked.shape[0] - num_degenerate
-            outcomes.append((np.where(blocked, model.loss_db, 0.0), blocked))
-            continue
-        c.obstruction_evals += int(np.count_nonzero(fallback & ~degenerate))
-        loss = np.where(blocked & fallback, obstacle.fallback_loss_db, 0.0)
-        model_blocked = blocked.copy()
-        _diffraction_pass(model, shape, table, loss, model_blocked, wavelength, c)
-        outcomes.append((loss, model_blocked))
-    return outcomes
+    table = (_edge_table(shape, diffracting, centers, u, v, starts, ends, depths,
+                         np.flatnonzero(~fallback & ~degenerate), wavelength)
+             if diffracting else None)
+    return blocked, degenerate, fallback, table
 
 
 def _diffraction_pass(model: LossModel, shape, table: _EdgeTable, loss: np.ndarray,
-                      blocked: np.ndarray, wavelength: float,
-                      counters: InteractionCounters) -> None:
-    """One diffraction model's losses over the edge table, written into loss.
+                      blocked: np.ndarray, wavelength: float) -> InteractionCounters:
+    """One diffraction model's losses over the edge table, written into loss;
+    returns the pass's counts.
 
     Rows with an endpoint on one of the model's own edges are degenerate for
     it and lose their blocked flag; every other row makes one scalar call
     with the values the model reads.
     """
     on_an_edge = np.any([table.on_edge[name] for name in model.edges], axis=0)
-    counters.degenerate_skips += int(np.count_nonzero(on_an_edge))
     blocked[table.rows[on_an_edge]] = False
     ok = ~on_an_edge
     rows = table.rows[ok]
-    counters.diffraction_evals += rows.shape[0]
+    counts = InteractionCounters(diffraction_evals=rows.shape[0],
+                                 degenerate_skips=int(np.count_nonzero(on_an_edge)))
     if isinstance(model, ItuSe) and not diffraction.itu_se_in_regime(
             wavelength, shape.width, shape.height):
-        counters.out_of_regime += rows.shape[0]
+        counts.out_of_regime = rows.shape[0]
     columns = [zip(*(getattr(table, column)[name][ok].tolist() for name in model.edges))
                for column in model.columns]
     capped_before = diffraction.diagnostics.total
     loss[rows] = [_segment_outcome(model, wavelength, b, *row).loss_db
                   for b, *row in zip(blocked[rows].tolist(), *columns)]
-    counters.clamp_events += diffraction.diagnostics.total - capped_before
+    counts.clamp_events = diffraction.diagnostics.total - capped_before
+    return counts
 
 
 def interact(obstacle: Obstacle, ray, t: float, wavelength: float,
-             is_primary_ray: bool = True,
-             counters: InteractionCounters | None = None) -> LossOutcome:
+             is_primary_ray: bool = True) -> LossOutcome:
     """Total loss an obstacle imposes on one ray at time t (see obstacle_losses).
 
-    Without caller counters, an itu_se evaluation outside the model's
-    regime logs its warning here; callers that pass counters report it.
+    An itu_se evaluation outside the model's regime logs its warning here.
     """
     if not 0 < wavelength < math.inf:
         raise ConfigError(f"wavelength must be finite and positive, got {wavelength!r}")
-    own = counters is None
-    if own:
-        counters = InteractionCounters()
-    [(losses, blocked)] = obstacle_losses(
+    [(losses, blocked, counts)] = obstacle_losses(
         obstacle, (obstacle.model,), position_at(obstacle.mobility, t)[np.newaxis],
         path_segments(RayTable.from_steps([[ray]]), np.array([is_primary_ray]), wavelength),
-        wavelength,
-        [counters])
-    if own:
-        diffraction.log_itu_se_out_of_regime(counters.out_of_regime, wavelength)
+        wavelength)
+    diffraction.log_itu_se_out_of_regime(counts.out_of_regime, wavelength)
     return LossOutcome(float(losses[0]), bool(blocked[0]))

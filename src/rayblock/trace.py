@@ -26,7 +26,8 @@ Every trace file passes through one reader and one writer: read_text reads
 a file's bytes in one call and decodes them as UTF-8, and write_text writes
 a file's UTF-8 bytes. A file that is not UTF-8, or that cannot be read
 (a directory in its place), raises TraceFormatError (exit 3 on the command
-line), naming the file. Line ends may be LF, CRLF or CR.
+line), naming the file; one that cannot be written raises ConfigError (exit
+2). Line ends may be LF, CRLF or CR.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GeometryError, TraceFormatError
+from .errors import ConfigError, GeometryError, TraceFormatError
 
 log = logging.getLogger(__name__)
 
@@ -307,9 +308,16 @@ def read_text(path) -> str:
 
 
 def write_text(path, text: str) -> None:
-    """Create or replace the file with text's UTF-8 bytes, newlines as given."""
+    """Create or replace the file with text's UTF-8 bytes, newlines as given.
+
+    A file that cannot be opened (a directory in its place, say) raises a
+    ConfigError naming it.
+    """
     data = memoryview(text.encode())
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot be written ({exc.strerror or exc})") from None
     try:
         while data:  # a short write leaves the rest for the next call
             data = data[os.write(fd, data):]

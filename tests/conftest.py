@@ -30,6 +30,19 @@ def make_ray(*points, gain_db: float = -80.0, frequency_hz: float = 60e9) -> Ray
                vertices=vertices)
 
 
+def interaction(obstacle, ray, t: float, wavelength: float, is_primary_ray: bool = True):
+    """interact's outcome, and the interaction counts of its one-ray
+    obstacle_losses pass, which the outcome must equal."""
+    [(losses, blocked, counts)] = obstacles.obstacle_losses(
+        obstacle, (obstacle.model,), obstacles.positions_at(obstacle.mobility, [t]),
+        obstacles.path_segments(RayTable.from_steps([[ray]]), np.array([is_primary_ray]),
+                                wavelength),
+        wavelength)
+    out = obstacles.interact(obstacle, ray, t, wavelength, is_primary_ray)
+    assert out == (float(losses[0]), bool(blocked[0]))
+    return out, counts
+
+
 def steps_of(table: RayTable) -> list[list[Ray]]:
     """Every step's rays of a table, one Ray list per step."""
     return [table.rays(k) for k in range(table.counts.shape[0])]

@@ -756,6 +756,23 @@ def test_an_output_in_the_output_dir_that_cannot_be_written_exits_2_before_any_w
     assert output.is_dir() == is_dir
 
 
+@pytest.mark.parametrize("name", ["Ns3/QdFiles/Tx0Rx1.txt",
+                                  "Visualizer/MpcCoordinates/MpcTx0Rx1Refl0Trc3.csv"],
+                         ids=["ray file", "coordinate file"])
+def test_a_directory_in_place_of_an_export_file_exits_2(tmp_path, small_scenario, capsys,
+                                                        name):
+    # the export meets the directory when it writes that file, after the work
+    taken = tmp_path / "out" / "trace" / "Output" / name
+    taken.mkdir(parents=True)
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out",
+                                             obstacles=[obstacle_entry()]))
+    assert main(["run", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert f"config-error: {taken}: cannot be written (Is a directory)" in err
+    assert taken.is_dir()
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_a_run_reads_and_writes_each_file_once(tmp_path, small_scenario, monkeypatch):
     read, written = [], []
 

@@ -22,7 +22,6 @@ from rayblock.environment import (
 )
 from rayblock.errors import ConfigError, TraceFormatError
 from rayblock.obstacles import (
-    InteractionCounters,
     LinearMobility,
     Obstacle,
     OrthoScreenShape,
@@ -31,6 +30,13 @@ from rayblock.obstacles import (
     Static,
 )
 from rayblock.trace import ChannelTrace, Ray, RayTable
+
+
+def run_counts(trace, cfg: SimulationConfig):
+    """The interaction counts of run(trace, cfg) on one worker."""
+    _, [counters] = run_model_sets(trace, cfg, [tuple(o.model for o in cfg.obstacles)],
+                                   workers=1)
+    return counters
 
 
 def multi_ray_trace(num_steps=6, time_step=0.005):
@@ -82,13 +88,13 @@ def test_shape_preserved_however_weak_a_ray_gets():
     trace = multi_ray_trace()
     harsh = Obstacle(shape=SphereShape(0.3), mobility=Static((4.0, 0.0, 1.6)),
                      model=Obstruction(30.0))
-    counters = InteractionCounters()
-    out = run(trace, SimulationConfig(obstacles=(harsh,)), counters=counters)
+    cfg = SimulationConfig(obstacles=(harsh,))
+    out = run(trace, cfg)
     assert out.num_steps == trace.num_steps
     assert set(out.pairs) == set(trace.pairs)
     assert out.pairs[(0, 1)].counts.tolist() == [3] * trace.num_steps
     assert out.pairs[(0, 1)].gain[::3].tolist() == [-110.0] * trace.num_steps
-    assert counters.obstruction_evals == trace.num_steps
+    assert run_counts(trace, cfg).obstruction_evals == trace.num_steps
 
 
 def test_adding_an_obstacle_never_raises_gain(rng):
@@ -231,9 +237,8 @@ def test_degenerate_segments_log_one_summary_line(caplog):
                      time_step=0.005)
     screen = Obstacle(shape=OrthoScreenShape(0.2, 1.7), mobility=Static((2.0, 0.3, 0.85)),
                       model=Dked(), distance_threshold=5.0)
-    counters = InteractionCounters()
     with caplog.at_level(logging.WARNING):
-        run(trace, SimulationConfig(obstacles=(screen,)), workers=1, counters=counters)
+        counters = run_counts(trace, SimulationConfig(obstacles=(screen,)))
     assert counters.degenerate_skips == 50
     warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
     assert len(warnings) <= 1
@@ -265,9 +270,9 @@ def test_a_run_result_is_the_input_table_with_new_gains(monkeypatch):
 
 def test_a_nan_gain_column_raises(monkeypatch):
     # the gain column of every model set is checked once, as Ray checks a gain
-    def nan_losses(obstacle, models, centers, segments, wavelength, counters):
-        return [(np.full(segments.num_slots, math.nan), np.zeros(segments.num_slots, bool))
-                for _ in models]
+    def nan_losses(obstacle, models, centers, segments, wavelength):
+        return [(np.full(segments.num_slots, math.nan), np.zeros(segments.num_slots, bool),
+                 obstacles.InteractionCounters()) for _ in models]
 
     monkeypatch.setattr(environment, "obstacle_losses", nan_losses)
     sphere = Obstacle(shape=SphereShape(0.3), mobility=Static((4.0, 0.0, 1.6)),
@@ -282,10 +287,9 @@ def test_itu_se_out_of_regime_logs_one_line_per_run(caplog):
     trace = multi_ray_trace(num_steps=40)
     screen = Obstacle(shape=OrthoScreenShape(0.2, 1.7), model=ItuSe(),
                       mobility=LinearMobility((4.0, -0.3, 0.85), (0.0, 3.0, 0.0)))
-    counters = InteractionCounters()
     with caplog.at_level(logging.WARNING):
-        run(trace, SimulationConfig(obstacles=(screen,), carrier_frequency_hz=2.4e9),
-            workers=1, counters=counters)
+        counters = run_counts(trace, SimulationConfig(obstacles=(screen,),
+                                                      carrier_frequency_hz=2.4e9))
     assert counters.diffraction_evals > 20
     assert counters.out_of_regime == counters.diffraction_evals
     lines = [r.getMessage() for r in caplog.records if "small-wavelength" in r.getMessage()]
@@ -296,10 +300,8 @@ def test_itu_se_out_of_regime_logs_one_line_per_run(caplog):
 def test_itu_se_in_regime_logs_nothing(caplog):
     screen = Obstacle(shape=OrthoScreenShape(0.2, 1.7), model=ItuSe(),
                       mobility=LinearMobility((4.0, -0.3, 0.85), (0.0, 3.0, 0.0)))
-    counters = InteractionCounters()
     with caplog.at_level(logging.WARNING):
-        run(multi_ray_trace(num_steps=40), SimulationConfig(obstacles=(screen,)),
-            workers=1, counters=counters)
+        counters = run_counts(multi_ray_trace(num_steps=40), SimulationConfig(obstacles=(screen,)))
     assert counters.diffraction_evals > 0
     assert counters.out_of_regime == 0
     assert not [r for r in caplog.records if "small-wavelength" in r.getMessage()]
@@ -325,19 +327,16 @@ def test_endpoint_on_a_horizontal_edge_is_degenerate_for_metis_only():
     assert np.all(metis == -80.0)
     # the blocked flags too are per model, whichever model comes first
     wavelength = 299792458.0 / cfg.carrier_frequency_hz
-    (_, metis_blocked), (_, dked_blocked) = obstacles.obstacle_losses(
+    (_, metis_blocked, _), (_, dked_blocked, _) = obstacles.obstacle_losses(
         screen, (Metis(), Dked()), np.array([center]),
         obstacles.path_segments(RayTable.from_steps([[ray]]), np.array([True]), wavelength),
-        wavelength,
-        [obstacles.InteractionCounters(), obstacles.InteractionCounters()])
+        wavelength)
     assert dked_blocked[0] and not metis_blocked[0]
     for models, out, got in zip([(Dked(),), (Metis(),)], (dked, metis), counters):
-        want = InteractionCounters()
-        alone = run(trace, SimulationConfig(obstacles=(Obstacle(
-            shape=shape, mobility=Static(center), model=models[0], distance_threshold=5.0),)),
-            workers=1, counters=want)
-        np.testing.assert_array_equal(out, alone.pairs[(0, 1)].gain)
-        assert got == want
+        alone = SimulationConfig(obstacles=(Obstacle(
+            shape=shape, mobility=Static(center), model=models[0], distance_threshold=5.0),))
+        np.testing.assert_array_equal(out, run(trace, alone, workers=1).pairs[(0, 1)].gain)
+        assert got == run_counts(trace, alone)
 
 
 def test_model_sets_are_checked_against_the_obstacles():
@@ -439,15 +438,26 @@ class InProcessPool:
 
 def test_more_workers_split_each_pair_into_chunks(monkeypatch):
     # two workers get four chunks each to share; the split changes no gain
+    # and no count of any model set
     trace = multi_ray_trace(num_steps=16)
+    sphere = Obstacle(shape=SphereShape(0.3), mobility=Static((4.0, 0.0, 1.6)),
+                      model=Obstruction(10.0))
     cfg = SimulationConfig(obstacles=(
         Obstacle(shape=OrthoScreenShape(0.2, 1.7), model=Dked(),
-                 mobility=LinearMobility((4.0, -0.3, 0.85), (0.0, 5.0, 0.0))),))
-    want = run(trace, cfg, workers=1)
+                 mobility=LinearMobility((4.0, -0.3, 0.85), (0.0, 5.0, 0.0))), sphere))
+    model_sets = [tuple(o.model for o in cfg.obstacles)]
+    model_sets += [(m, sphere.model) for m in COMPARED]
+    want_gains, want_counters = run_model_sets(trace, cfg, model_sets, workers=1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     chunks = _count_calls(monkeypatch, environment, "_run_chunk")
-    assert_traces_equal(run(trace, cfg, workers=2), want)
+    gains, counters = run_model_sets(trace, cfg, model_sets, workers=2)
     assert len(chunks) == 8
+    assert gains.keys() == want_gains.keys()
+    for pair, set_gains in gains.items():
+        np.testing.assert_array_equal(set_gains, want_gains[pair])
+    assert counters == want_counters  # clamp events included
+    assert all(c.diffraction_evals > 0 for c, models in zip(counters, model_sets)
+               if not isinstance(models[0], Obstruction))
 
 
 def test_default_workers_are_the_cpus_the_process_may_run_on(monkeypatch):

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from conftest import make_ray
+from conftest import interaction, make_ray
 from rayblock.diffraction import Obstruction
 from rayblock.errors import ConfigError
 from rayblock._kernels import point_segment_distance_batch
 from rayblock.obstacles import (
-    InteractionCounters,
     Obstacle,
     OrthoScreenShape,
     ScreenShape,
@@ -21,7 +20,6 @@ from rayblock.obstacles import (
     Static,
     _screen_axes,
     _screen_cross_section,
-    interact,
 )
 
 WAVELENGTH = 299792458.0 / 60e9
@@ -96,11 +94,16 @@ def test_distance_invariant_under_rigid_motion(rng):
         assert d1 == pytest.approx(d0, abs=1e-9)
 
 
-def _obstruct(shape, center, *points, counters=None):
-    """Outcome of a 10 dB obstruction of the given shape, with no range gating."""
+def _obstruction(shape, center, *points):
+    """Outcome of a 10 dB obstruction of the given shape, with no range
+    gating, and its interaction counts."""
     obstacle = Obstacle(shape=shape, mobility=Static(tuple(float(c) for c in center)),
                         model=Obstruction(10.0), distance_threshold=1e3)
-    return interact(obstacle, make_ray(*points), 0.0, WAVELENGTH, counters=counters)
+    return interaction(obstacle, make_ray(*points), 0.0, WAVELENGTH)
+
+
+def _obstruct(shape, center, *points):
+    return _obstruction(shape, center, *points)[0]
 
 
 def _axes(shape, a, b) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -159,9 +162,7 @@ def test_rect_intersection_coplanar_raises():
     # parallel and the obstacle skips the segment as degenerate
     assert _cross_section(ScreenShape(1.0, 1.0), (1, 0, 1), (1, -2, 1),
                           (1, 2, 1))[1:] == (False, True)
-    counters = InteractionCounters()
-    out = _obstruct(ScreenShape(1.0, 1.0), (1, 0, 1), (1, -2, 1), (1, 2, 1),
-                    counters=counters)
+    out, counters = _obstruction(ScreenShape(1.0, 1.0), (1, 0, 1), (1, -2, 1), (1, 2, 1))
     assert (out.loss_db, out.blocked) == (0.0, False)
     assert counters.degenerate_skips == 1
 
@@ -176,10 +177,9 @@ def test_rect_intersection_reversal_symmetry(rng):
         # segments pass near the center, so both outcomes occur often
         a = center + rng.normal(size=3) * 3
         b = 2.0 * center - a + rng.normal(size=3)
-        counters = InteractionCounters()
-        fwd = _obstruct(shape, center, a, b, counters=counters)
-        bwd = _obstruct(shape, center, b, a, counters=counters)
-        assert counters.degenerate_skips in (0, 2)
+        fwd, fwd_counters = _obstruction(shape, center, a, b)
+        bwd, bwd_counters = _obstruction(shape, center, b, a)
+        assert fwd_counters.degenerate_skips + bwd_counters.degenerate_skips in (0, 2)
         assert fwd == bwd
         checked += fwd.blocked
     assert 20 < checked < 180
@@ -216,9 +216,7 @@ def test_orthogonalize_rotated_screen():
 
 def test_orthogonalize_vertical_segment_raises():
     assert _axes(OrthoScreenShape(1.0, 1.0), (1, 1, 0), (1, 1, 3))[2]
-    counters = InteractionCounters()
-    out = _obstruct(OrthoScreenShape(1.0, 1.0), (1, 1.1, 1), (1, 1, 0), (1, 1, 3),
-                    counters=counters)
+    out, counters = _obstruction(OrthoScreenShape(1.0, 1.0), (1, 1.1, 1), (1, 1, 0), (1, 1, 3))
     assert (out.loss_db, out.blocked) == (0.0, False)
     assert counters.degenerate_skips == 1
 

@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import edge_row, make_ray
+from conftest import edge_row, interaction, make_ray
 from rayblock import _kernels
 from rayblock.diffraction import Dked, DkedPc, ItuSe, Metis, Obstruction
 from rayblock.environment import SimulationConfig
 from rayblock.errors import ConfigError
 from rayblock.linkeval import ArrayConfig, LinkBudget
 from rayblock.obstacles import (
-    InteractionCounters,
     LinearMobility,
     Obstacle,
     OrthoScreenShape,
@@ -148,10 +147,9 @@ def test_sphere_only_ever_obstructs(rng):
 
 
 def test_far_screen_skipped_by_default_threshold():
-    counters = InteractionCounters()
     obstacle = Obstacle(shape=OrthoScreenShape(0.2, 1.7),
                         mobility=Static((4.0, 2.0, 0.85)), model=Dked())
-    out = interact(obstacle, LOS_RAY, 0.0, WAVELENGTH, counters=counters)
+    out, counters = interaction(obstacle, LOS_RAY, 0.0, WAVELENGTH)
     # 2 m lateral clearance is beyond 10 first-Fresnel radii (~1 m)
     assert out.loss_db == 0.0
     assert not out.blocked
@@ -166,11 +164,10 @@ def test_screen_up_to_half_a_width_beyond_the_threshold_is_evaluated():
     # its width is 0.1 m away: evaluated. 1.05 m below, farther than the
     # threshold plus half the width: skipped as far.
     for gap, want in ((0.6, (1, 0)), (1.05, (0, 1))):
-        counters = InteractionCounters()
         obstacle = Obstacle(shape=OrthoScreenShape(1.0, 1.0),
                             mobility=Static((4.0, 0.0, 1.6 - gap - 0.5)), model=Dked(),
                             distance_threshold=0.5)
-        interact(obstacle, LOS_RAY, 0.0, WAVELENGTH, counters=counters)
+        _, counters = interaction(obstacle, LOS_RAY, 0.0, WAVELENGTH)
         assert (counters.diffraction_evals, counters.far_skips) == want
 
 
@@ -181,22 +178,18 @@ def test_default_threshold_value():
 
 
 def test_secondary_ray_fallback_uses_constant_loss_only():
-    counters = InteractionCounters()
     bounce = make_ray((0, 0, 1.6), (4, -2.5, 1.5), (5.5, 2.0, 1.5), (8, 0, 1.6))
     # screen blocks only the middle segment
     obstacle = Obstacle(shape=OrthoScreenShape(0.6, 3.0),
                         mobility=Static((4.75, -0.25, 1.5)), model=Dked(),
                         obstruction_fallback_for_secondary=True, fallback_loss_db=7.0)
-    out = interact(obstacle, bounce, 0.0, WAVELENGTH, is_primary_ray=False,
-                   counters=counters)
+    out, counters = interaction(obstacle, bounce, 0.0, WAVELENGTH, is_primary_ray=False)
     assert counters.diffraction_evals == 0
     assert counters.obstruction_evals >= 1
     assert out.loss_db == 7.0
     assert out.blocked
     # the same obstacle on a primary ray does run the diffraction model
-    counters2 = InteractionCounters()
-    out2 = interact(obstacle, bounce, 0.0, WAVELENGTH, is_primary_ray=True,
-                    counters=counters2)
+    out2, counters2 = interaction(obstacle, bounce, 0.0, WAVELENGTH, is_primary_ray=True)
     assert counters2.diffraction_evals >= 1
     assert out2.loss_db != 7.0
 
@@ -219,13 +212,13 @@ def test_threshold_monotonicity_via_counters(rng):
     centers = [tuple(rng.uniform([1, -2, 0.5], [7, 2, 2.0])) for _ in range(10)]
 
     def evals(threshold):
-        counters = InteractionCounters()
+        total = 0
         for center in centers:
             obstacle = Obstacle(shape=OrthoScreenShape(0.3, 1.7), mobility=Static(center),
                                 model=Dked(), distance_threshold=threshold)
             for ray in rays:
-                interact(obstacle, ray, 0.0, WAVELENGTH, counters=counters)
-        return counters.diffraction_evals
+                total += interaction(obstacle, ray, 0.0, WAVELENGTH)[1].diffraction_evals
+        return total
 
     counts = [evals(t) for t in (0.05, 0.2, 0.8, 2.0, 8.0)]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
@@ -299,11 +292,10 @@ def test_fermat_search_matches_closed_form(rng):
 
 
 def test_vertical_segment_degenerate_is_skipped():
-    counters = InteractionCounters()
     vertical = make_ray((2, 0, 0.2), (2, 0, 2.8))
     obstacle = Obstacle(shape=OrthoScreenShape(0.2, 1.7), mobility=Static((2.0, 0.1, 0.85)),
                         model=Dked(), distance_threshold=5.0)
-    out = interact(obstacle, vertical, 0.0, WAVELENGTH, counters=counters)
+    out, counters = interaction(obstacle, vertical, 0.0, WAVELENGTH)
     assert out.loss_db == 0.0
     assert not out.blocked
     assert counters.degenerate_skips == 1
@@ -312,9 +304,8 @@ def test_vertical_segment_degenerate_is_skipped():
 def test_node_on_a_screen_edge_is_skipped_as_degenerate():
     # the receiver sits exactly on the screen's left edge: the edge's
     # diffraction point coincides with the node, leaving no edge-to-node path
-    counters = InteractionCounters()
     obstacle = Obstacle(shape=OrthoScreenShape(0.2, 1.7), mobility=Static((8.0, 0.1, 0.85)),
                         model=Dked(), distance_threshold=5.0)
-    out = interact(obstacle, LOS_RAY, 0.0, WAVELENGTH, counters=counters)
+    out, counters = interaction(obstacle, LOS_RAY, 0.0, WAVELENGTH)
     assert (out.loss_db, out.blocked) == (0.0, False)
     assert counters.degenerate_skips == 1

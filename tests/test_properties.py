@@ -280,12 +280,37 @@ def test_one_pass_equals_a_run_per_model_set(fallback, data):
     gains, counters = run_model_sets(trace, cfg, sets, workers=1)
     assert len(counters) == len(sets)
     for s, (models, got) in enumerate(zip(sets, counters)):
-        want = InteractionCounters()
-        alone = run(trace, swapped(cfg, models), workers=1, counters=want)
-        for pair, table in alone.pairs.items():
+        # a run is the one-set pass of its obstacles' own models
+        alone, [want] = run_model_sets(trace, swapped(cfg, models), [models], workers=1)
+        for pair, table in trace.pairs.items():
             assert gains[pair].shape == (len(sets), len(table))
-            np.testing.assert_array_equal(gains[pair][s], table.gain)
+            np.testing.assert_array_equal(gains[pair][s], alone[pair][0])
         assert got == want  # interaction counters and clamp events
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_each_model_of_an_obstacle_pass_equals_a_pass_with_it_alone(data):
+    """obstacle_losses with several models returns, per model, the loss,
+    blocked flags and counts of a call with that model alone: spheres,
+    secondary-ray fallback, tilted screens, and itu_se both in and (at
+    12.5 cm) outside its regime."""
+    trace, anchors = data.draw(scenes(max_steps=6, vary_rays=True))
+    obstacle = data.draw(obstacles(anchors))
+    models = [m for (m,) in data.draw(model_sets((obstacle,)))
+              + data.draw(model_sets((obstacle,)))]
+    wavelength = data.draw(st.sampled_from([WAVELENGTH, 0.125]))
+    table = trace.pairs[(0, 1)]
+    segments = path_segments(table, primary_rays(table), wavelength)
+    centers = positions_at(obstacle.mobility, trace.times())
+    together = obstacle_losses(obstacle, models, centers, segments, wavelength)
+    assert len(together) == len(models)
+    for model, (loss, blocked, counts) in zip(models, together):
+        [(alone_loss, alone_blocked, alone_counts)] = obstacle_losses(
+            obstacle, [model], centers, segments, wavelength)
+        np.testing.assert_array_equal(loss, alone_loss)
+        np.testing.assert_array_equal(blocked, alone_blocked)
+        assert counts == alone_counts  # clamp events and out-of-regime counts included
 
 
 def scalar_position(mobility, t: float) -> np.ndarray:
@@ -513,11 +538,9 @@ def test_far_culling_changes_only_losses_beyond_the_threshold(table):
     rays = RayTable.from_steps([[make_ray(s, e)] for s, e in zip(starts, ends)])
     segments = path_segments(rays, np.array(primary), WAVELENGTH)
     centers = np.zeros((n, 3))
-    [culled] = obstacle_losses(obstacle, (obstacle.model,), centers, segments, WAVELENGTH,
-                               [InteractionCounters()])
+    [culled] = obstacle_losses(obstacle, (obstacle.model,), centers, segments, WAVELENGTH)
     [unculled] = obstacle_losses(dataclasses.replace(obstacle, distance_threshold=math.inf),
-                                 (obstacle.model,), centers, segments, WAVELENGTH,
-                                 [InteractionCounters()])
+                                 (obstacle.model,), centers, segments, WAVELENGTH)
     thresholds = (segments.thresholds if obstacle.distance_threshold is None
                   else np.full(n, obstacle.distance_threshold))
     for i in range(n):
