@@ -13,8 +13,8 @@ A spec's removal floor acts on the run's outputs alone: the exported trace
 and every SNR column but the baseline leave out the rays below it.
 
 Exit codes: 0 ok, 2 config error, 3 trace format error, 4 numeric failure
-(clamp event budget exceeded). Worker count comes from --workers or the
-RAYBLOCK_WORKERS environment variable, defaulting to the available cores.
+(clamp event budget exceeded). Worker count comes from --workers, defaulting
+to the available cores and never above them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffraction import MODEL_REGISTRY, LossModel, Obstruction, log_itu_se_out_of_regime
-from .environment import SimulationConfig, resolve_workers, run_model_sets
+from .environment import SimulationConfig, run_model_sets
 from .errors import ConfigError, NumericBudgetError, RayBlockError, TraceFormatError
 from .linkeval import ArrayConfig, LinkBudget, snr_timeline
 from .obstacles import (
@@ -494,7 +494,6 @@ def _sha256_tree(root: Path, skip: Path | None = None) -> str:
 
 
 def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
-    workers = resolve_workers(workers)  # a malformed RAYBLOCK_WORKERS fails before any work
     scenario_dir = Path(spec.scenario_dir)
     output_dir = Path(spec.output_dir)
     if scenario_dir.resolve() in (output_dir.resolve(), (output_dir / "trace").resolve()):
@@ -628,9 +627,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario described by a JSON spec")
     p_run.add_argument("spec", type=Path)
-    p_run.add_argument("--scenario-dir", type=Path, help="override spec scenario_dir")
     p_run.add_argument("--output-dir", type=Path, help="override spec output_dir")
-    p_run.add_argument("--workers", type=int, help="worker process count")
+    p_run.add_argument("--workers", type=int,
+                       help="worker processes (default and upper bound: the available cores)")
 
     p_sweep = sub.add_parser("sweep", help="analytic single-ray model comparisons")
     p_sweep.add_argument("kind", choices=("crossing", "position", "frequency"))
@@ -672,8 +671,6 @@ def _sweep_offsets(span: float, step: float) -> np.ndarray:
 def _dispatch(args) -> int:
     if args.command == "run":
         spec = load_run_spec(args.spec)
-        if args.scenario_dir is not None:
-            spec = dataclasses.replace(spec, scenario_dir=str(args.scenario_dir))
         if args.output_dir is not None:
             spec = dataclasses.replace(spec, output_dir=str(args.output_dir))
         return cmd_run(spec, args.spec, args.workers)

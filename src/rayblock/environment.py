@@ -17,7 +17,8 @@ obstacles, each set swapping in its own loss model per obstacle. The
 segment table, poses, cull and screen geometry are computed once per chunk
 and every set reads them; each set's gain column equals a run of its own.
 
-Chunks may run in parallel worker processes. Results come back in chunk
+Chunks may run in parallel worker processes, never more of them than the
+CPUs the process may run on or the chunks. Results come back in chunk
 order and each pair's chunks are joined in step order; a ray's result never
 depends on the other rays of its chunk, so any chunking and the
 single-threaded mode produce identical output.
@@ -42,8 +43,6 @@ from .trace import SPEED_OF_LIGHT, ChannelTrace, RayTable
 
 log = logging.getLogger(__name__)
 
-WORKERS_ENV_VAR = "RAYBLOCK_WORKERS"
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -60,18 +59,12 @@ class SimulationConfig:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """workers, else RAYBLOCK_WORKERS, else the CPUs this process may run on."""
-    if workers is not None:
-        return max(int(workers), 1)
-    env = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
+    """The CPUs this process may run on, or workers clamped to between 1 and them."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return cpus if workers is None else min(max(int(workers), 1), cpus)
 
 
 def _pose_stride(trace: ChannelTrace, cfg: SimulationConfig) -> tuple[int, float]:
@@ -168,7 +161,8 @@ def run_model_sets(trace: ChannelTrace, cfg: SimulationConfig,
     if n_workers > 1 and len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # spares one-worker runs its import
 
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        # a forking pool starts all max_workers processes at its first task
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(chunks))) as pool:
             results = list(pool.map(_run_chunk, chunks))
     else:
         results = [_run_chunk(c) for c in chunks]

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -28,6 +30,42 @@ def make_ray(*points, gain_db: float = -80.0, frequency_hz: float = 60e9) -> Ray
     delay = length / SPEED_OF_LIGHT
     return Ray(delay=delay, path_gain_db=gain_db, phase_rad=carrier_phase(delay, frequency_hz),
                vertices=vertices)
+
+
+class InProcessPool:
+    """Stands in for the process pool: maps in this process, in order, and
+    starts no process."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def patch_cpus(monkeypatch, cpus: int) -> None:
+    """The process may run on cpus CPUs, as far as the worker count sees."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def in_process_pools(monkeypatch, cpus: int) -> list[InProcessPool]:
+    """Patches the CPU count to cpus and the process pool to InProcessPool;
+    returns the pools made, in order."""
+    pools = []
+
+    def pool(max_workers):
+        pools.append(InProcessPool(max_workers))
+        return pools[-1]
+
+    patch_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    return pools
 
 
 def interaction(obstacle, ray, t: float, wavelength: float, is_primary_ray: bool = True):

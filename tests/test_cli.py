@@ -8,7 +8,7 @@ from pathlib import Path, PurePosixPath
 import numpy as np
 import pytest
 
-from conftest import assert_traces_equal, build_los_trace, make_ray, trace_of
+from conftest import assert_traces_equal, build_los_trace, in_process_pools, make_ray, trace_of
 from rayblock import cli, trace
 from rayblock.cli import (
     SweepGeometry,
@@ -402,15 +402,6 @@ def test_sweep_with_no_model_exits_2(tmp_path, capsys, kind, sweep):
         sweep(SweepGeometry(), models=())
 
 
-@pytest.mark.parametrize("value", ["abc", "2.5"])
-def test_malformed_workers_variable_exits_2(tmp_path, small_scenario, capsys, monkeypatch,
-                                            value):
-    monkeypatch.setenv("RAYBLOCK_WORKERS", value)
-    spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out"))
-    assert main(["run", str(spec)]) == 2
-    assert f"RAYBLOCK_WORKERS must be an integer, got {value!r}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
 def test_position_sweep_requires_odd_samples():
     with pytest.raises(ConfigError):
         run_position_sweep(SweepGeometry(), samples=10)
@@ -680,6 +671,40 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False False"
+
+
+def test_run_has_no_scenario_dir_flag(tmp_path, small_scenario, capsys):
+    # the spec's scenario_dir is the one source of the scenario
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out"))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", str(spec), "--scenario-dir", str(small_scenario)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --scenario-dir" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_is_the_same_on_1_and_2_workers(tmp_path, small_scenario, capsys, monkeypatch):
+    # the summary lines and every output file, with two compared models
+    pools = in_process_pools(monkeypatch, cpus=2)
+    screen = obstacle_entry(mobility={"kind": "linear", "start": [5.0, 2.9, 0.85],
+                                      "velocity": [0.0, 1.2, 0.0]})
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out",
+                                             obstacles=[screen],
+                                             models_to_compare=["metis", "itu_se"]))
+    summaries, files = {}, {}
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        assert main(["run", str(spec), "--workers", str(workers), "--output-dir", str(out)]) == 0
+        summaries[workers] = [line for line in capsys.readouterr().out.splitlines()
+                              if line.startswith(("rays:", "clamp events:", "interactions:"))]
+        files[workers] = {path.relative_to(out): path.read_bytes()
+                          for path in sorted(out.rglob("*")) if path.is_file()}
+    assert [pool.max_workers for pool in pools] == [2]  # only the 2-worker run pools
+    assert len(summaries[1]) == 3
+    assert not summaries[1][2].startswith("interactions: 0 diffraction")
+    assert summaries[1] == summaries[2]
+    assert len(files[1]) > 3
+    assert files[1] == files[2]
 
 
 def test_output_dir_equal_to_the_scenario_exits_2(tmp_path, small_scenario, capsys):

@@ -1,11 +1,18 @@
-import concurrent.futures
 import logging
 import math
 
 import numpy as np
 import pytest
 
-from conftest import assert_traces_equal, build_los_trace, make_ray, steps_of, trace_of
+from conftest import (
+    assert_traces_equal,
+    build_los_trace,
+    in_process_pools,
+    make_ray,
+    patch_cpus,
+    steps_of,
+    trace_of,
+)
 from rayblock import _kernels, environment, obstacles
 from rayblock.diffraction import (
     Dked,
@@ -420,22 +427,6 @@ def test_geometry_is_computed_once_for_every_model(monkeypatch, compared):
                if not isinstance(models[0], Obstruction))
 
 
-class InProcessPool:
-    """Stands in for the process pool: maps in this process, in order."""
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 def test_more_workers_split_each_pair_into_chunks(monkeypatch):
     # two workers get four chunks each to share; the split changes no gain
     # and no count of any model set
@@ -448,10 +439,11 @@ def test_more_workers_split_each_pair_into_chunks(monkeypatch):
     model_sets = [tuple(o.model for o in cfg.obstacles)]
     model_sets += [(m, sphere.model) for m in COMPARED]
     want_gains, want_counters = run_model_sets(trace, cfg, model_sets, workers=1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    pools = in_process_pools(monkeypatch, cpus=2)
     chunks = _count_calls(monkeypatch, environment, "_run_chunk")
     gains, counters = run_model_sets(trace, cfg, model_sets, workers=2)
     assert len(chunks) == 8
+    assert [pool.max_workers for pool in pools] == [2]
     assert gains.keys() == want_gains.keys()
     for pair, set_gains in gains.items():
         np.testing.assert_array_equal(set_gains, want_gains[pair])
@@ -462,10 +454,35 @@ def test_more_workers_split_each_pair_into_chunks(monkeypatch):
 
 def test_default_workers_are_the_cpus_the_process_may_run_on(monkeypatch):
     # the host has more cores than the process may use
-    monkeypatch.delenv("RAYBLOCK_WORKERS", raising=False)
     monkeypatch.setattr(environment.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(environment.os, "sched_getaffinity", lambda pid: {2, 5, 7},
-                        raising=False)
+    patch_cpus(monkeypatch, 3)
     assert environment.resolve_workers(None) == 3
     monkeypatch.delattr(environment.os, "sched_getaffinity")
     assert environment.resolve_workers(None) == 64
+
+
+@pytest.mark.parametrize("workers,want", [(-5, 1), (0, 1), (1, 1), (2, 2), (3, 3), (1000, 3)])
+def test_a_worker_count_is_clamped_to_the_cpus(monkeypatch, workers, want):
+    patch_cpus(monkeypatch, 3)
+    assert environment.resolve_workers(workers) == want
+
+
+@pytest.mark.parametrize("cpus,chunks", [(3, 8), (64, 16)])
+def test_a_pool_starts_no_more_processes_than_cpus_or_chunks(monkeypatch, cpus, chunks):
+    # a fake pool records its size and starts no process; 16 steps of one
+    # pair give 8 chunks on 3 CPUs, and at most one chunk per step on more
+    trace = multi_ray_trace(num_steps=16)
+    cfg = SimulationConfig(obstacles=(
+        Obstacle(shape=OrthoScreenShape(0.2, 1.7), model=Dked(),
+                 mobility=LinearMobility((4.0, -0.3, 0.85), (0.0, 5.0, 0.0))),))
+    model_sets = [(Dked(),), (Metis(),)]
+    want_gains, want_counters = run_model_sets(trace, cfg, model_sets, workers=1)
+    pools = in_process_pools(monkeypatch, cpus)
+    calls = _count_calls(monkeypatch, environment, "_run_chunk")
+    gains, counters = run_model_sets(trace, cfg, model_sets, workers=1000)
+    assert len(calls) == chunks
+    assert [pool.max_workers for pool in pools] == [min(cpus, chunks)]
+    for pair, set_gains in gains.items():
+        np.testing.assert_array_equal(set_gains, want_gains[pair])
+    assert counters == want_counters
+    assert all(c.diffraction_evals > 0 for c in counters)

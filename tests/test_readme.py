@@ -4,7 +4,7 @@ removed or renamed public name fails here."""
 import re
 from pathlib import Path
 
-from conftest import build_los_trace
+from conftest import build_los_trace, patch_cpus
 from rayblock.trace import export_scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -22,7 +22,7 @@ def test_readme_library_use_runs(tmp_path, monkeypatch):
     export_scenario(build_los_trace((1, 3, 1.6), (9, 3, 1.6), num_steps=20, time_step=0.005),
                     tmp_path / "scenario")
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("RAYBLOCK_WORKERS", "1")
+    patch_cpus(monkeypatch, 1)  # one worker: the examples start no process pool
     blocks = library_use_blocks()
     assert len(blocks) == 2
     namespace: dict = {}
