@@ -183,16 +183,19 @@ def _parse_mobility(data: dict, context: str):
     raise ConfigError(f"{context}: unknown mobility kind {kind!r}")
 
 
+def _model(name: str, loss_db: float) -> LossModel:
+    """The registered loss model of a name; only obstruction reads loss_db."""
+    model = MODEL_REGISTRY[name]
+    return model(loss_db) if model is Obstruction else model()
+
+
 def _parse_model(data: dict, context: str) -> LossModel:
     kind = _require(_object(data, context), "kind", context)
     if kind not in MODEL_REGISTRY:
         raise ConfigError(f"{context}: unknown model kind {kind!r}, "
                           f"expected one of {sorted(MODEL_REGISTRY)}")
-    if kind == "obstruction":
-        _check_keys(data, ("kind", "loss_db"), context)
-        return Obstruction(loss_db=_number(data.get("loss_db", 10.0), context))
-    _check_keys(data, ("kind",), context)
-    return MODEL_REGISTRY[kind]()
+    _check_keys(data, ("kind", "loss_db") if kind == "obstruction" else ("kind",), context)
+    return _model(kind, _number(data.get("loss_db", 10.0), context))
 
 
 def _parse_obstacle(data: dict, index: int) -> Obstacle:
@@ -285,27 +288,29 @@ def parse_run_spec(data: dict) -> RunSpec:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"spec: {exc}") from None
-    # swap the models here, so validate rejects what run would (Obstacle's rules)
-    for name in spec.models_to_compare:
-        for i, obstacle in enumerate(spec.obstacles):
-            try:
-                _override_model(obstacle, name)
-            except ConfigError as exc:
-                raise ConfigError(f"spec: models_to_compare {name!r} "
-                                  f"cannot model obstacles[{i}]: {exc}") from None
+    _model_sets(spec)  # so validate rejects what run would
     return spec
 
 
-def _override_model(obstacle: Obstacle, name: str) -> Obstacle:
-    """The obstacle with its model swapped for the named compared model;
-    Obstacle rejects a pair it cannot model (a tilted screen with metis)."""
-    if isinstance(obstacle.shape, SphereShape):
-        return obstacle  # spheres only ever obstruct
-    if name == "obstruction":
-        model = obstacle.model if isinstance(obstacle.model, Obstruction) else Obstruction(10.0)
-    else:
-        model = MODEL_REGISTRY[name]()
-    return dataclasses.replace(obstacle, model=model)
+def _model_sets(spec: RunSpec) -> list[tuple[LossModel, ...]]:
+    """Set 0 holds the configured models, then one set per compared model:
+    spheres and, under obstruction, obstruction obstacles keep their own;
+    any other obstacle takes the compared model (obstruction at 10 dB), if
+    Obstacle accepts the pair (metis rejects a tilted screen)."""
+    sets = [tuple(o.model for o in spec.obstacles)]
+    for name in spec.models_to_compare:
+        compared = _model(name, 10.0)
+        models = []
+        for i, o in enumerate(spec.obstacles):
+            keep = isinstance(o.shape, SphereShape) or (isinstance(compared, Obstruction)
+                                                        and isinstance(o.model, Obstruction))
+            try:
+                models.append(o.model if keep else dataclasses.replace(o, model=compared).model)
+            except ConfigError as exc:
+                raise ConfigError(f"spec: models_to_compare {name!r} "
+                                  f"cannot model obstacles[{i}]: {exc}") from None
+        sets.append(tuple(models))
+    return sets
 
 
 def load_run_spec(path) -> RunSpec:
@@ -326,7 +331,7 @@ def load_run_spec(path) -> RunSpec:
 # Analytic sweeps (single direct ray, loss normalized out of the received power)
 
 DEFAULT_SWEEP_MODELS = tuple(MODEL_REGISTRY)
-MAX_SWEEP_POINTS = 1_000_000  # offsets or positions of one sweep
+MAX_SWEEP_POINTS = 1_000_000  # rows of one sweep
 
 
 @dataclass(frozen=True)
@@ -348,6 +353,15 @@ class SweepGeometry:
                                   f"{'positive' if positive else 'non-negative'}, got {value}")
 
 
+def _sweep_offsets(span: float, step: float) -> np.ndarray:
+    if not (math.isfinite(span) and math.isfinite(step) and span > 0 and step > 0):
+        raise ConfigError(f"--span and --step must be finite and positive, got {span} and {step}")
+    intervals = 2.0 * span / step
+    if not intervals < MAX_SWEEP_POINTS - 0.5:  # so the rounded count + 1 is in bounds
+        raise ConfigError(f"--span and --step give more than {MAX_SWEEP_POINTS} offsets")
+    return -span + step * np.arange(int(round(intervals)) + 1)
+
+
 def _sweep_losses(geom: SweepGeometry, centers: np.ndarray, names: tuple[str, ...],
                   wavelength: float) -> list[tuple[np.ndarray, np.ndarray, InteractionCounters]]:
     """Loss and blocked flag of the screen at each of centers (n, 3) against
@@ -355,8 +369,7 @@ def _sweep_losses(geom: SweepGeometry, centers: np.ndarray, names: tuple[str, ..
     table with no range gating: sweeps plot the raw model."""
     if not names:
         raise ConfigError("a sweep needs at least one model")
-    models = [Obstruction(geom.obstruction_db) if name == "obstruction"
-              else MODEL_REGISTRY[name]() for name in names]
+    models = [_model(name, geom.obstruction_db) for name in names]
     obstacle = Obstacle(
         shape=OrthoScreenShape(width=geom.screen_width_m, height=geom.screen_height_m),
         mobility=Static(position=(0.0, 0.0, 0.0)),  # the table gives the centers
@@ -381,10 +394,8 @@ def run_crossing_sweep(geom: SweepGeometry = SweepGeometry(),
 
     The blocked column is the last model's (every model blocks alike but on
     its own degenerate rows)."""
-    if offsets is None:
-        offsets = -1.5 + 0.004 * np.arange(751)
+    offsets = _sweep_offsets(1.5, 0.004) if offsets is None else np.asarray(offsets, float)
     wavelength = SPEED_OF_LIGHT / geom.frequency_hz
-    offsets = np.asarray(offsets, dtype=np.float64)
     centers = np.stack([np.full(len(offsets), 0.5 * geom.distance_m), offsets,
                         np.full(len(offsets), 0.5 * geom.screen_height_m)], axis=1)
     columns: dict = {"offset_m": offsets}
@@ -420,15 +431,17 @@ def run_frequency_sweep(geom: SweepGeometry = SweepGeometry(),
                         frequencies_hz: tuple[float, ...] = (10e9, 30e9, 60e9, 100e9),
                         offsets: np.ndarray | None = None,
                         models: tuple[str, ...] = DEFAULT_SWEEP_MODELS) -> dict:
-    """Crossing curves per carrier; rows are (frequency, offset) pairs."""
-    tables = []
-    for f in frequencies_hz:
-        table = run_crossing_sweep(dataclasses.replace(geom, frequency_hz=float(f)),
-                                   offsets=offsets, models=models)
-        table["frequency_ghz"] = np.full(len(table["offset_m"]), f / 1e9)
-        tables.append(table)
-    keys = ["frequency_ghz", "offset_m"] + [f"loss_db_{m}" for m in models] + ["blocked"]
-    return {key: np.concatenate([t[key] for t in tables]) for key in keys}
+    """Crossing curves per carrier; rows are (frequency, offset) pairs. Every
+    carrier and the row count are checked before the first crossing."""
+    geoms = [dataclasses.replace(geom, frequency_hz=float(f)) for f in frequencies_hz]
+    offsets = _sweep_offsets(1.5, 0.004) if offsets is None else np.asarray(offsets, float)
+    if len(geoms) * len(offsets) > MAX_SWEEP_POINTS:
+        raise ConfigError(f"a frequency sweep writes at most {MAX_SWEEP_POINTS} rows, "
+                          f"got {len(geoms)} frequencies x {len(offsets)} offsets")
+    tables = [run_crossing_sweep(g, offsets, models) for g in geoms]
+    keys = ["offset_m"] + [f"loss_db_{m}" for m in models] + ["blocked"]
+    return {"frequency_ghz": np.repeat([g.frequency_hz / 1e9 for g in geoms], len(offsets)),
+            **{key: np.concatenate([t[key] for t in tables]) for key in keys}}
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray],
@@ -530,11 +543,8 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
         carrier_frequency_hz=spec.link_budget.carrier_frequency_hz,
     )
 
-    # one model set per run, in one pass: set 0 is the configured run, then
-    # one set per compared model; each pair gets one gain row per set
-    model_sets = [tuple(o.model for o in spec.obstacles)]
-    model_sets += [tuple(_override_model(o, name).model for o in spec.obstacles)
-                   for name in spec.models_to_compare]
+    # every model set in one pass; each pair gets one gain row per set
+    model_sets = _model_sets(spec)
     gains, counters = run_model_sets(trace, cfg, model_sets, workers=workers)
 
     # the removal floor acts here alone: every SNR column but the baseline
@@ -631,23 +641,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--workers", type=int,
                        help="worker processes (default and upper bound: the available cores)")
 
+    shared = argparse.ArgumentParser(add_help=False)  # the flags every sweep kind reads
+    shared.add_argument("-o", "--output", type=Path, required=True, help="CSV destination")
+    shared.add_argument("--distance", type=float, default=8.0, help="node separation, m")
+    shared.add_argument("--height", type=float, default=1.6, help="node height, m")
+    shared.add_argument("--screen-width", type=float, default=0.2)
+    shared.add_argument("--screen-height", type=float, default=1.7)
+    shared.add_argument("--obstruction-db", type=float, default=10.0)
+    shared.add_argument("--models", default=",".join(DEFAULT_SWEEP_MODELS))
     p_sweep = sub.add_parser("sweep", help="analytic single-ray model comparisons")
-    p_sweep.add_argument("kind", choices=("crossing", "position", "frequency"))
-    p_sweep.add_argument("-o", "--output", type=Path, required=True, help="CSV destination")
-    p_sweep.add_argument("--frequency-ghz", type=float, default=60.0)
-    p_sweep.add_argument("--frequencies-ghz", type=str, default="10,30,60,100",
-                         help="comma list, frequency sweep only")
-    p_sweep.add_argument("--distance", type=float, default=8.0, help="node separation, m")
-    p_sweep.add_argument("--height", type=float, default=1.6, help="node height, m")
-    p_sweep.add_argument("--screen-width", type=float, default=0.2)
-    p_sweep.add_argument("--screen-height", type=float, default=1.7)
-    p_sweep.add_argument("--obstruction-db", type=float, default=10.0)
-    p_sweep.add_argument("--span", type=float, default=1.5, help="lateral half-span, m")
-    p_sweep.add_argument("--step", type=float, default=0.004, help="lateral step, m")
-    p_sweep.add_argument("--samples", type=int, default=101, help="position sweep samples")
-    p_sweep.add_argument("--margin", type=float, default=0.25,
-                         help="position sweep distance from the nodes, m")
-    p_sweep.add_argument("--models", type=str, default=",".join(DEFAULT_SWEEP_MODELS))
+    kinds = p_sweep.add_subparsers(dest="kind", required=True)
+    crossing, position, frequency = (kinds.add_parser(kind, parents=[shared])
+                                     for kind in ("crossing", "position", "frequency"))
+    for p_kind in (crossing, position):
+        p_kind.add_argument("--frequency-ghz", type=float, default=60.0)
+    frequency.add_argument("--frequencies-ghz", default="10,30,60,100", help="comma list")
+    for p_kind in (crossing, frequency):
+        p_kind.add_argument("--span", type=float, default=1.5, help="lateral half-span, m")
+        p_kind.add_argument("--step", type=float, default=0.004, help="lateral step, m")
+    position.add_argument("--samples", type=int, default=101, help="positions along the path")
+    position.add_argument("--margin", type=float, default=0.25, help="distance from the nodes, m")
 
     p_val = sub.add_parser("validate", help="schema-check a run spec")
     p_val.add_argument("spec", type=Path)
@@ -656,16 +669,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ins.add_argument("scenario_dir", type=Path)
 
     return parser
-
-
-def _sweep_offsets(span: float, step: float) -> np.ndarray:
-    if not (math.isfinite(span) and math.isfinite(step) and span > 0 and step > 0):
-        raise ConfigError(f"--span and --step must be finite and positive, got {span} and {step}")
-    intervals = 2.0 * span / step
-    if not intervals < MAX_SWEEP_POINTS:
-        raise ConfigError(f"--span and --step give more than {MAX_SWEEP_POINTS} offsets")
-    n = int(round(intervals)) + 1
-    return -span + step * np.arange(n)
 
 
 def _dispatch(args) -> int:
@@ -679,14 +682,11 @@ def _dispatch(args) -> int:
         models = tuple(m.strip() for m in args.models.split(",") if m.strip())
         _check_model_names(models, "--models")
         _check_output_path(args.output, False, "--output")
-        geom = SweepGeometry(
-            frequency_hz=args.frequency_ghz * 1e9,
-            distance_m=args.distance,
-            node_height_m=args.height,
-            screen_width_m=args.screen_width,
-            screen_height_m=args.screen_height,
-            obstruction_db=args.obstruction_db,
-        )
+        geom = SweepGeometry(distance_m=args.distance, node_height_m=args.height,
+                             screen_width_m=args.screen_width, screen_height_m=args.screen_height,
+                             obstruction_db=args.obstruction_db)
+        if args.kind != "frequency":
+            geom = dataclasses.replace(geom, frequency_hz=args.frequency_ghz * 1e9)
         if args.kind == "crossing":
             columns = run_crossing_sweep(geom, _sweep_offsets(args.span, args.step), models)
         elif args.kind == "position":
@@ -697,8 +697,8 @@ def _dispatch(args) -> int:
             except ValueError:
                 raise ConfigError(f"--frequencies-ghz: expected a comma list of numbers, "
                                   f"got {args.frequencies_ghz!r}") from None
-            columns = run_frequency_sweep(geom, freqs,
-                                          _sweep_offsets(args.span, args.step), models)
+            offsets = _sweep_offsets(args.span, args.step)
+            columns = run_frequency_sweep(geom, freqs, offsets, models)
         _write_sweep_csv(args.output, columns)
         print(f"wrote {args.output}")
         return 0

@@ -170,8 +170,10 @@ def metis_edge_term(excess: float, wavelength: float, sign: float) -> float:
     """
     if sign not in (1.0, -1.0, 1, -1):
         raise GeometryError("sign must be +1 or -1")
-    if excess < -1e-9:
-        raise GeometryError("edge path shorter than the direct path")
+    if not excess >= -1e-9:  # NaN too
+        raise GeometryError(f"edge path shorter than the direct path, got excess {excess!r}")
+    if not wavelength > 0:
+        raise GeometryError(f"wavelength must be positive, got {wavelength!r}")
     excess = max(excess, 0.0)
     # beyond the far-field cutoff the arctan has saturated to +-1/2
     if 2.0 * math.sqrt(excess / wavelength) >= FAR_FIELD_NU:
@@ -189,6 +191,9 @@ def metis_loss(excess: tuple[float, float, float, float],
     Shadowed paths take all four terms positive; otherwise only the edge of
     each pair farther from the direct line contributes positively.
     """
+    if any(map(math.isnan, los_distance)):
+        raise GeometryError(f"edge distances from the direct path must not be NaN, "
+                            f"got {los_distance!r}")
     signs = [1.0] * 4
     if not blocked:
         for a, b in ((0, 1), (2, 3)):
@@ -237,10 +242,10 @@ def dked_pc_loss(nu1: float, nu2: float, delta1: float, delta2: float,
     delta1/delta2 are the excess lengths of the two diffracted paths over
     the direct path, in meters; they must be non-negative.
     """
-    if delta1 < 0 or delta2 < 0:
-        raise GeometryError("excess path lengths must be >= 0")
-    if wavelength <= 0:
-        raise GeometryError("wavelength must be positive")
+    if not (delta1 >= 0 and delta2 >= 0):  # NaN too
+        raise GeometryError(f"excess path lengths must be >= 0, got {delta1!r} and {delta2!r}")
+    if not wavelength > 0:
+        raise GeometryError(f"wavelength must be positive, got {wavelength!r}")
     total = (sked(nu1) * _turn_phasor(delta1, wavelength)
              + sked(nu2) * _turn_phasor(delta2, wavelength))
     return _magnitude_loss(abs(total))
@@ -251,18 +256,18 @@ def _itu_edge_factor(nu: float) -> complex:
 
     Shadow side: amplitude from the knife-edge loss approximation, phase
     from the stationary excess path (pi nu^2 / 2 plus the quarter-turn of
-    the edge wave). Lit side by Babinet complement, which produces the
-    fringes near the transition.
+    the edge wave). Lit side (nu < 0) by Babinet complement of the shadow
+    side's factor at -nu, which produces the fringes near the transition.
     """
     if nu >= FAR_FIELD_NU:
         return 0.0 + 0.0j
     if nu <= -FAR_FIELD_NU:
         return 1.0 + 0.0j
-    if nu >= 0.0:
-        amp = 10.0 ** (-_kernels.knife_edge_loss_db(nu) / 20.0)
-        phase = -(0.25 * math.pi + 0.5 * math.pi * nu * nu)
-        return amp * complex(math.cos(phase), math.sin(phase))
-    return 1.0 - _itu_edge_factor(-nu)
+    shadow_nu = nu if nu >= 0.0 else -nu
+    amp = 10.0 ** (-_kernels.knife_edge_loss_db(shadow_nu) / 20.0)
+    phase = -(0.25 * math.pi + 0.5 * math.pi * shadow_nu * shadow_nu)
+    factor = amp * complex(math.cos(phase), math.sin(phase))
+    return factor if nu >= 0.0 else 1.0 - factor
 
 
 def itu_se_in_regime(wavelength: float, width: float, height: float) -> bool:
@@ -289,6 +294,8 @@ def itu_se_loss(nus: tuple[float, float, float, float], blocked: bool) -> float:
     (itu_se_in_regime); callers test the regime once per obstacle and
     report it with log_itu_se_out_of_regime.
     """
+    if any(map(math.isnan, nus)):
+        raise GeometryError(f"diffraction parameters must not be NaN, got {nus!r}")
     if blocked:
         power = 0.0
         for nu in nus:

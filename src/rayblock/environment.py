@@ -170,14 +170,14 @@ def run_model_sets(trace: ChannelTrace, cfg: SimulationConfig,
     # results come in chunk order: pair by pair in sorted order, steps ascending
     chunk_gains = iter(g for g, _ in results)
     gains = {pair: np.concatenate([next(chunk_gains) for _ in starts], axis=1) for pair in pairs}
-    counters = []
-    for s in range(len(model_sets)):
-        set_counters = InteractionCounters()
-        for _, chunk_counters in results:
-            set_counters.merge(chunk_counters[s])
-        if set_counters.degenerate_skips:
-            log.warning("skipped %d degenerate segment/screen configurations",
-                        set_counters.degenerate_skips)
-        diffraction.log_itu_se_out_of_regime(set_counters.out_of_regime, wavelength)
-        counters.append(set_counters)
+    counters = [InteractionCounters() for _ in model_sets]
+    total = InteractionCounters()  # every set's: one warning line each for the whole run
+    for _, chunk_counters in results:
+        for set_counters, counts in zip(counters, chunk_counters):
+            set_counters.merge(counts)
+            total.merge(counts)
+    if total.degenerate_skips:
+        log.warning("skipped %d degenerate segment/screen configurations",
+                    total.degenerate_skips)
+    diffraction.log_itu_se_out_of_regime(total.out_of_regime, wavelength)
     return gains, counters

@@ -372,7 +372,9 @@ def obstacle_losses(obstacle: Obstacle, models, centers: np.ndarray, segments: P
     outright: first by the bounding sphere, then for screens by
     screen_beyond_threshold. The others add their losses in dB to their
     ray, in segment order. A ray is blocked when any of its segments is
-    geometrically obstructed. Segments of non-primary rays take the
+    geometrically obstructed; the flag is per model, since a segment that
+    is degenerate for a diffraction model (an endpoint on one of the edges
+    it reads) is not blocked for it. Segments of non-primary rays take the
     constant fallback loss when the obstacle asks for it.
 
     The cull and the screen geometry are computed once and read by every

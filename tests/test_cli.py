@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -324,12 +326,14 @@ def test_sweep_csv_columns_are_the_sweep_dict_in_order(tmp_path):
                                 "a": np.array([2.5, 3.0])})
     assert path.read_text() == "b,blocked,a\n1.000000,0,2.500000\n0.000000,1,3.000000\n"
     geom = SweepGeometry()
-    for kind, columns in (("crossing", run_crossing_sweep(geom, np.array([0.0]))),
-                          ("position", run_position_sweep(geom, samples=3)),
-                          ("frequency", run_frequency_sweep(geom, (60e9,), np.array([0.0])))):
+    offsets = ["--span", "0.1", "--step", "0.1"]
+    for kind, flags, columns in (
+            ("crossing", offsets, run_crossing_sweep(geom, np.array([0.0]))),
+            ("position", ["--samples", "3"], run_position_sweep(geom, samples=3)),
+            ("frequency", ["--frequencies-ghz", "60", *offsets],
+             run_frequency_sweep(geom, (60e9,), np.array([0.0])))):
         out = tmp_path / f"{kind}.csv"
-        assert main(["sweep", kind, "-o", str(out), "--samples", "3", "--span", "0.1",
-                     "--step", "0.1", "--frequencies-ghz", "60"]) == 0
+        assert main(["sweep", kind, "-o", str(out), *flags]) == 0
         assert out.read_text().splitlines()[0] == ",".join(columns)
 
 
@@ -376,6 +380,7 @@ def test_sweep_rejects_unknown_model(tmp_path):
     ["crossing", "--span", "1e308"],
     ["frequency", "--step", "0"],
     ["crossing", "--step", "1e-12"],
+    ["crossing", "--span", "999999.75", "--step", "2"],  # 1,000,001 offsets
     ["position", "--margin", "nan"],
     ["position", "--samples", "4"],
     ["position", "--samples", "2000001"],
@@ -412,6 +417,76 @@ def test_crossing_sweep_obstruction_is_two_valued():
                               models=("obstruction",))
     values = set(np.round(cols["loss_db_obstruction"], 12))
     assert values == {0.0, 10.0}
+
+
+# the flags each sweep kind does not read: argparse rejects them
+FOREIGN_SWEEP_FLAGS = [("crossing", "--frequencies-ghz", "60"), ("crossing", "--samples", "3"),
+                       ("crossing", "--margin", "0.5"), ("position", "--frequencies-ghz", "60"),
+                       ("position", "--span", "0.1"), ("position", "--step", "0.1"),
+                       ("frequency", "--frequency-ghz", "60"), ("frequency", "--samples", "3"),
+                       ("frequency", "--margin", "0.5")]
+
+
+@pytest.mark.parametrize("kind, flag, value", FOREIGN_SWEEP_FLAGS,
+                         ids=[f"{kind}{flag}" for kind, flag, _ in FOREIGN_SWEEP_FLAGS])
+def test_a_flag_its_sweep_kind_does_not_read_exits_2(tmp_path, capsys, kind, flag, value):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", kind, "-o", str(out), flag, value])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+MODELS = ("obstruction", "dked")
+
+
+@pytest.mark.parametrize("kind, flags, sweep", [
+    ("crossing", ["--frequency-ghz", "30", "--span", "0.2", "--step", "0.1"],
+     lambda geom: run_crossing_sweep(dataclasses.replace(geom, frequency_hz=30e9),
+                                     -0.2 + 0.1 * np.arange(5), MODELS)),
+    ("position", ["--frequency-ghz", "30", "--samples", "5", "--margin", "0.5"],
+     lambda geom: run_position_sweep(dataclasses.replace(geom, frequency_hz=30e9), 5, 0.5,
+                                     MODELS)),
+    ("frequency", ["--frequencies-ghz", "30,45", "--span", "0.2", "--step", "0.1"],
+     lambda geom: run_frequency_sweep(geom, (30e9, 45e9), -0.2 + 0.1 * np.arange(5), MODELS)),
+], ids=["crossing", "position", "frequency"])
+def test_each_sweep_kind_reads_every_flag_it_lists(tmp_path, kind, flags, sweep):
+    geom = SweepGeometry(distance_m=6.0, node_height_m=1.5, screen_width_m=0.3,
+                         screen_height_m=1.8, obstruction_db=12.0)
+    shared = ["--distance", "6", "--height", "1.5", "--screen-width", "0.3",
+              "--screen-height", "1.8", "--obstruction-db", "12", "--models", ",".join(MODELS)]
+    out, expected = tmp_path / "sweep.csv", tmp_path / "expected.csv"
+    assert main(["sweep", kind, "-o", str(out), *shared, *flags]) == 0
+    cli._write_sweep_csv(expected, sweep(geom))
+    assert out.read_bytes() == expected.read_bytes()
+    assert len(out.read_text().splitlines()) == 1 + (10 if kind == "frequency" else 5)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--frequencies-ghz", "10,20", "--span", "300", "--step", "0.001"],  # 2 x 600,001 rows
+    ["--frequencies-ghz", "10,-30"],
+], ids=["rows", "negative_carrier"])
+def test_a_frequency_sweep_checks_its_whole_input_before_its_first_crossing(
+        tmp_path, capsys, monkeypatch, flags):
+    calls = []
+    losses = cli.obstacle_losses
+    monkeypatch.setattr(cli, "obstacle_losses", lambda *args: calls.append(1) or losses(*args))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "frequency", "-o", str(out), *flags]) == 2
+    assert "error: config-error:" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("model", ["itu_se", "metis"])
+def test_a_sweep_whose_edge_geometry_is_nan_exits_2(tmp_path, capsys, model):
+    # a 1e-300 m wide screen: its horizontal edges' squared length underflows to 0
+    out = tmp_path / "sweep.csv"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert main(["sweep", "crossing", "--screen-width", "1e-300", "--models", model,
+                     "--span", "0.1", "--step", "0.1", "-o", str(out)]) == 2
+    assert "error: config-error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_summary_reports_the_configured_run(tmp_path, small_scenario, capsys):
@@ -924,3 +999,35 @@ def test_run_outputs_match_the_pinned_digest(tmp_path, small_scenario, capsys, m
     digests = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out.rglob("*") if p.is_file()}
     assert digests == PINNED_RUN_DIGESTS
+
+
+@pytest.mark.parametrize("model, y", [("itu_se", 3.05), ("itu_se", 3.0), ("metis", 3.0)],
+                         ids=["itu_se_clear", "itu_se_blocking", "metis_blocking"])
+def test_a_run_whose_edge_geometry_is_nan_exits_2_before_any_output(
+        tmp_path, small_scenario, capsys, model, y):
+    # a 1e-300 m wide screen beside or across the path at y = 3 m
+    screen = obstacle_entry(shape={"kind": "ortho_screen", "width": 1e-300, "height": 0.9},
+                            mobility={"kind": "static", "position": [5.0, y, 1.6]},
+                            model={"kind": model})
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out",
+                                             obstacles=[screen]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert main(["run", str(spec), "--workers", "1"]) == 2
+    assert "error: config-error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_run_logs_each_warning_once_over_its_model_sets(tmp_path, small_scenario, caplog):
+    # at 1 GHz (0.3 m) the 0.2 m wide itu_se screen is outside the model's
+    # regime in the configured run and in the compared itu_se run alike
+    screen = obstacle_entry(mobility={"kind": "static", "position": [5.0, 3.3, 0.85]},
+                            model={"kind": "itu_se"})
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out",
+                                             obstacles=[screen],
+                                             models_to_compare=["itu_se", "dked"],
+                                             link_budget={"carrier_frequency_hz": 1e9}))
+    with caplog.at_level(logging.WARNING):
+        assert main(["run", str(spec)]) == 0
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+        "semi-empirical screen model outside its small-wavelength regime in 40 evaluations "
+        "(lambda=0.3 m)"]

@@ -19,9 +19,12 @@ from rayblock.diffraction import (
     Metis,
     Obstruction,
     diagnostics,
+    _itu_edge_factor,
     dked_loss,
     dked_pc_loss,
+    itu_se_loss,
     metis_edge_term,
+    metis_loss,
     sked,
 )
 from conftest import edge_row, make_ray
@@ -247,6 +250,59 @@ def test_itu_se_warns_outside_small_wavelength_regime(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "semi-empirical screen model outside its small-wavelength regime "
         "in 1 evaluations (lambda=0.125 m)"]
+
+
+def test_itu_edge_factor_lit_side_is_the_babinet_complement():
+    # the lit side's own branch gives the bits of 1 - (shadow side at -nu)
+    for nu in np.linspace(-FAR_FIELD_NU, -1e-9, 2001).tolist() + [-1e-300, -5e-324]:
+        assert _itu_edge_factor(nu) == 1.0 - _itu_edge_factor(-nu)
+    assert _itu_edge_factor(-0.0) == _itu_edge_factor(0.0)
+
+
+# --- non-finite arguments -------------------------------------------------------
+
+def _with_nan(values: tuple, i: int) -> tuple:
+    return values[:i] + (math.nan,) + values[i + 1:]
+
+
+EXCESS = (0.01, 0.02, 0.03, 0.04)
+NUS = (0.3, -0.5, 1.2, -2.0)
+NAN_CALLS = {
+    **{f"metis_excess{i}_blocked{b}": (lambda i=i, b=b: metis_loss(
+        _with_nan(EXCESS, i), EXCESS, 0.005, b)) for i in range(4) for b in (0, 1)},
+    **{f"metis_los{i}_blocked{b}": (lambda i=i, b=b: metis_loss(
+        EXCESS, _with_nan(EXCESS, i), 0.005, b)) for i in range(4) for b in (0, 1)},
+    **{f"metis_wavelength_blocked{b}": (lambda b=b: metis_loss(EXCESS, EXCESS, math.nan, b))
+       for b in (0, 1)},
+    "metis_edge_term_excess": lambda: metis_edge_term(math.nan, 0.005, 1.0),
+    "metis_edge_term_wavelength": lambda: metis_edge_term(0.01, math.nan, 1.0),
+    **{f"dked_arg{i}": (lambda i=i: dked_loss(*_with_nan((0.3, -0.5), i))) for i in range(2)},
+    **{f"dked_pc_arg{i}": (lambda i=i: dked_pc_loss(*_with_nan((0.3, -0.5, 0.01, 0.02, 0.005), i)))
+       for i in range(5)},
+    **{f"itu_se_nu{i}_blocked{b}": (lambda i=i, b=b: itu_se_loss(_with_nan(NUS, i), b))
+       for i in range(4) for b in (0, 1)},
+    "obstruction": lambda: Obstruction(math.nan),
+}
+
+
+@pytest.mark.parametrize("call", list(NAN_CALLS.values()), ids=list(NAN_CALLS))
+def test_every_loss_model_rejects_a_nan_argument(call):
+    # a NaN would otherwise print as a loss, be skipped as a far edge, or
+    # recurse without end (itu_se's lit side)
+    with pytest.raises(GeometryError):
+        call()
+
+
+def test_infinite_arguments_stay_asymptotic():
+    inf = math.inf
+    assert metis_edge_term(inf, 0.005, 1.0) == 0.5
+    assert metis_edge_term(inf, 0.005, -1.0) == -0.5
+    assert metis_loss((inf,) * 4, (1.0, 2.0, 3.0, 4.0), 0.005, True) == LOSS_CAP_DB
+    assert dked_loss(inf, -inf) == 0.0
+    assert dked_loss(inf, inf) == LOSS_CAP_DB
+    assert itu_se_loss((-inf, inf, -inf, inf), False) == 0.0
+    assert itu_se_loss((inf, inf, inf, inf), True) == LOSS_CAP_DB
+    assert _itu_edge_factor(inf) == 0.0 and _itu_edge_factor(-inf) == 1.0
 
 
 def test_itu_se_fluctuates_across_shadow_transition():

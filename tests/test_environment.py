@@ -252,6 +252,27 @@ def test_degenerate_segments_log_one_summary_line(caplog):
     assert "50" in warnings[0].getMessage()
 
 
+def test_a_pass_over_several_model_sets_logs_each_warning_once(caplog):
+    # the vertical last segments are degenerate for every set, and at
+    # 2.4 GHz (12.5 cm) the 0.2 m wide screen is outside itu_se's regime
+    tx, top, rx = (0.0, 0.0, 1.6), (2.0, 0.0, 1.6), (2.0, 0.0, 2.8)
+    steps = [[make_ray(tx, top, rx)] for _ in range(50)]
+    trace = trace_of({(0, 1): steps}, {0: np.tile(tx, (50, 1)), 1: np.tile(rx, (50, 1))},
+                     time_step=0.005)
+    screen = Obstacle(shape=OrthoScreenShape(0.2, 1.7), mobility=Static((2.0, 0.3, 0.85)),
+                      model=ItuSe(), distance_threshold=5.0)
+    cfg = SimulationConfig(obstacles=(screen,), carrier_frequency_hz=2.4e9)
+    with caplog.at_level(logging.WARNING):
+        _, counters = run_model_sets(trace, cfg, [(ItuSe(),), (Dked(),), (ItuSe(),)], workers=1)
+    assert [c.degenerate_skips for c in counters] == [50, 50, 50]
+    out_of_regime = [c.out_of_regime for c in counters]
+    assert out_of_regime[0] == out_of_regime[2] > 0 and out_of_regime[1] == 0
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+        "skipped 150 degenerate segment/screen configurations",
+        f"semi-empirical screen model outside its small-wavelength regime in "
+        f"{2 * out_of_regime[0]} evaluations (lambda=0.125 m)"]
+
+
 def test_a_run_result_is_the_input_table_with_new_gains(monkeypatch):
     # a run builds no Ray, and its result shares every column of the input
     # table but the gains
