@@ -71,6 +71,10 @@ class SamplingSpec:
     time_step: float
     num_steps: int | None = None
 
+    def __post_init__(self):
+        if not self.time_step > 0:
+            raise ConfigError("time_step must be positive")
+
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -91,18 +95,6 @@ def _object(value, context: str) -> dict:
     return value
 
 
-def _check_keys(data: dict, allowed: tuple[str, ...], context: str) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {unknown}")
-
-
-def _require(data: dict, key: str, context: str):
-    if key not in data:
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return data[key]
-
-
 def _number(value, context: str) -> float:
     """Every number of a spec passes here: JSON admits NaN, Infinity and
     integers too large for a float, and Python counts true and false as
@@ -118,178 +110,162 @@ def _number(value, context: str) -> float:
     return number
 
 
-def _string(value, context: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{context}: expected a string, got {value!r}")
-    return value
+def _typed(kind: type, noun: str):
+    """The check of a value of one JSON type."""
+    def check(value, context: str):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{context}: expected {noun}, got {value!r}")
+        return value
+    return check
 
 
-def _integer(value, context: str, minimum: int | None = None) -> int:
-    """A spec number that must be integral (2.0 passes, 2.7 does not)."""
-    number = _number(value, context)
-    if not number.is_integer():
-        raise ConfigError(f"{context}: expected an integer, got {value!r}")
-    if minimum is not None and number < minimum:
-        raise ConfigError(f"{context}: expected an integer >= {minimum}, got {value!r}")
-    return int(number)
+_list, _string, _boolean = (_typed(list, "a list"), _typed(str, "a string"),
+                            _typed(bool, "true or false"))
+
+
+def _integer(minimum: int):
+    """The check of a spec count: integral (2.0 passes, 2.7 does not), >= minimum."""
+    def check(value, context: str) -> int:
+        number = _number(value, context)
+        if not (number.is_integer() and number >= minimum):
+            raise ConfigError(f"{context}: expected an integer >= {minimum}, got {value!r}")
+        return int(number)
+    return check
 
 
 def _vec3(value, context: str) -> tuple[float, float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"{context}: expected [x, y, z]")
-    return tuple(_number(v, context) for v in value)
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"{context}: expected [x, y, z], got {value!r}")
+    return tuple(_number(v, f"{context}[{i}]") for i, v in enumerate(value))
 
 
-def _parse_shape(data: dict, context: str):
-    kind = _require(_object(data, context), "kind", context)
-    if kind == "ortho_screen":
-        _check_keys(data, ("kind", "width", "height"), context)
-        return OrthoScreenShape(width=_number(_require(data, "width", context), context),
-                                height=_number(_require(data, "height", context), context))
-    if kind == "screen":
-        _check_keys(data, ("kind", "width", "height", "azimuth", "elevation"), context)
-        return ScreenShape(width=_number(_require(data, "width", context), context),
-                           height=_number(_require(data, "height", context), context),
-                           azimuth=_number(data.get("azimuth", 0.0), context),
-                           elevation=_number(data.get("elevation", 0.0), context))
-    if kind == "sphere":
-        _check_keys(data, ("kind", "radius"), context)
-        return SphereShape(radius=_number(_require(data, "radius", context), context))
-    raise ConfigError(f"{context}: unknown shape kind {kind!r}")
+def _waypoints(value, context: str) -> tuple[tuple, tuple]:
+    """The times and the points of a list of [time, [x, y, z]]."""
+    for i, item in enumerate(_list(value, context)):
+        if not isinstance(item, list) or len(item) != 2:
+            raise ConfigError(f"{context}[{i}]: expected [time, [x, y, z]], got {item!r}")
+    return (tuple(_number(t, f"{context}[{i}][0]") for i, (t, _) in enumerate(value)),
+            tuple(_vec3(p, f"{context}[{i}][1]") for i, (_, p) in enumerate(value)))
 
 
-def _parse_mobility(data: dict, context: str):
-    kind = _require(_object(data, context), "kind", context)
-    if kind == "static":
-        _check_keys(data, ("kind", "position"), context)
-        return Static(position=_vec3(_require(data, "position", context), context))
-    if kind == "linear":
-        _check_keys(data, ("kind", "start", "velocity"), context)
-        return LinearMobility(start=_vec3(_require(data, "start", context), context),
-                              velocity=_vec3(_require(data, "velocity", context), context))
-    if kind == "waypoints":
-        _check_keys(data, ("kind", "waypoints"), context)
-        points = _require(data, "waypoints", context)
-        if not isinstance(points, list) or not points:
-            raise ConfigError(f"{context}: waypoints must be a non-empty list")
-        times = []
-        coords = []
-        for item in points:
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise ConfigError(f"{context}: each waypoint is [time, [x, y, z]]")
-            times.append(_number(item[0], context))
-            coords.append(_vec3(item[1], context))
-        return WaypointMobility(times=tuple(times), points=tuple(coords))
-    raise ConfigError(f"{context}: unknown mobility kind {kind!r}")
+def _model_names(value, context: str) -> tuple[str, ...]:
+    """Distinct registered model names: a spec's models_to_compare, a sweep's --models."""
+    for name in _list(value, context):
+        if not isinstance(name, str) or name not in MODEL_REGISTRY:
+            raise ConfigError(f"{context}: unknown model {name!r}, "
+                              f"expected one of {sorted(MODEL_REGISTRY)}")
+    repeated = sorted({name for name in value if value.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"{context}: lists {repeated} more than once")
+    return tuple(value)
+
+
+def _build(build, data, context: str, keys: dict):
+    """The spec object data at context, built by the dataclass build.
+
+    keys maps each allowed key to (parameter, check), or to a tuple of
+    parameters whose values its check returns. A parameter without a
+    default is a required key, a missing key keeps build's default, and
+    null stands for a default of None. Each check gets its value's place,
+    and an error of build's own rules is prefixed with the object's.
+    """
+    unknown = sorted(set(_object(data, context)) - set(keys))
+    if unknown:
+        raise ConfigError(f"{context}: unknown keys {unknown}")
+    defaults = {field.name: field.default for field in dataclasses.fields(build)}
+    values = {}
+    for key, (parameter, check) in keys.items():
+        names = parameter if isinstance(parameter, tuple) else (parameter,)
+        default = defaults[names[0]]
+        if key not in data:
+            if default is dataclasses.MISSING:
+                raise ConfigError(f"{context}: missing required key {key!r}")
+        elif data[key] is not None or default is not None:
+            value = check(data[key], f"{context}.{key}")
+            values.update(zip(names, value if isinstance(parameter, tuple) else (value,)))
+    try:
+        return build(**values)
+    except RayBlockError as exc:  # Obstruction raises GeometryError
+        raise ConfigError(f"{context}: {exc}") from None
+
+
+def _nested(build, keys: dict):
+    """The check of an object read by _build."""
+    return lambda data, context: _build(build, data, context, keys)
+
+
+def _kind(noun: str, kinds: dict):
+    """The check of an object whose "kind" picks its (build, keys) among kinds."""
+    def check(data, context: str):
+        if "kind" not in _object(data, context):
+            raise ConfigError(f"{context}: missing required key 'kind'")
+        kind = data["kind"]
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(f"{context}: unknown {noun} kind {kind!r}, "
+                              f"expected one of {sorted(kinds)}")
+        build, keys = kinds[kind]
+        return _build(build, {k: v for k, v in data.items() if k != "kind"}, context, keys)
+    return check
+
+
+def _same(check, *keys: str) -> dict:
+    """Keys that fill the parameters of their own names."""
+    return {key: (key, check) for key in keys}
+
+
+_OBSTACLE = {
+    "shape": ("shape", _kind("shape", {
+        "ortho_screen": (OrthoScreenShape, _same(_number, "width", "height")),
+        "screen": (ScreenShape, _same(_number, "width", "height", "azimuth", "elevation")),
+        "sphere": (SphereShape, _same(_number, "radius")),
+    })),
+    "mobility": ("mobility", _kind("mobility", {
+        "static": (Static, _same(_vec3, "position")),
+        "linear": (LinearMobility, _same(_vec3, "start", "velocity")),
+        "waypoints": (WaypointMobility, {"waypoints": (("times", "points"), _waypoints)}),
+    })),
+    # every model field is a number (obstruction's loss_db)
+    "model": ("model", _kind("model", {
+        name: (model, _same(_number, *(field.name for field in dataclasses.fields(model))))
+        for name, model in MODEL_REGISTRY.items()})),
+    "threshold": ("distance_threshold", _number),
+    "fallback": ("obstruction_fallback_for_secondary", _boolean),
+    **_same(_number, "fallback_loss_db"),
+}
+
+
+def _obstacles(value, context: str) -> tuple[Obstacle, ...]:
+    return tuple(_build(Obstacle, item, f"{context}[{i}]", _OBSTACLE)
+                 for i, item in enumerate(_list(value, context)))
+
+
+_RUN_SPEC = {
+    **_same(_string, "scenario_dir", "output_dir"),
+    "obstacles": ("obstacles", _obstacles),
+    "models_to_compare": ("models_to_compare", _model_names),
+    "link_budget": ("link_budget", _nested(LinkBudget, {
+        **_same(_number, "carrier_frequency_hz", "bandwidth_hz", "tx_power_dbm",
+                "noise_figure_db"),
+        **_same(_nested(ArrayConfig, {**_same(_integer(1), "rows", "cols"),
+                                      **_same(_number, "spacing")}), "tx_array", "rx_array"),
+    })),
+    "sampling": ("sampling", _nested(SamplingSpec, {**_same(_number, "time_step"),
+                                                     **_same(_integer(1), "num_steps")})),
+    "removal_floor_db": ("removal_floor_db", _number),
+    "max_clamp_events": ("max_clamp_events", _integer(0)),
+}
+
+
+def parse_run_spec(data: dict) -> RunSpec:
+    spec = _build(RunSpec, data, "spec", _RUN_SPEC)
+    _model_sets(spec)  # so validate rejects what run would
+    return spec
 
 
 def _model(name: str, loss_db: float) -> LossModel:
     """The registered loss model of a name; only obstruction reads loss_db."""
     model = MODEL_REGISTRY[name]
     return model(loss_db) if model is Obstruction else model()
-
-
-def _parse_model(data: dict, context: str) -> LossModel:
-    kind = _require(_object(data, context), "kind", context)
-    if kind not in MODEL_REGISTRY:
-        raise ConfigError(f"{context}: unknown model kind {kind!r}, "
-                          f"expected one of {sorted(MODEL_REGISTRY)}")
-    _check_keys(data, ("kind", "loss_db") if kind == "obstruction" else ("kind",), context)
-    return _model(kind, _number(data.get("loss_db", 10.0), context))
-
-
-def _parse_obstacle(data: dict, index: int) -> Obstacle:
-    context = f"obstacles[{index}]"
-    _check_keys(_object(data, context), ("shape", "mobility", "model", "threshold",
-                                         "fallback", "fallback_loss_db"), context)
-    threshold = data.get("threshold")
-    fallback = data.get("fallback", False)
-    if not isinstance(fallback, bool):
-        raise ConfigError(f"{context}.fallback: expected true or false, got {fallback!r}")
-    return Obstacle(
-        shape=_parse_shape(_require(data, "shape", context), f"{context}.shape"),
-        mobility=_parse_mobility(_require(data, "mobility", context), f"{context}.mobility"),
-        model=_parse_model(_require(data, "model", context), f"{context}.model"),
-        distance_threshold=None if threshold is None else _number(threshold, context),
-        obstruction_fallback_for_secondary=fallback,
-        fallback_loss_db=_number(data.get("fallback_loss_db", 10.0), context),
-    )
-
-
-def _parse_array(data: dict, context: str) -> ArrayConfig:
-    _check_keys(_object(data, context), ("rows", "cols", "spacing"), context)
-    return ArrayConfig(rows=_integer(_require(data, "rows", context), f"{context}.rows"),
-                       cols=_integer(_require(data, "cols", context), f"{context}.cols"),
-                       spacing=_number(data.get("spacing", 0.5), context))
-
-
-def _parse_link_budget(data: dict, context: str) -> LinkBudget:
-    _check_keys(_object(data, context), ("carrier_frequency_hz", "bandwidth_hz",
-                                         "tx_power_dbm", "noise_figure_db", "tx_array",
-                                         "rx_array"), context)
-    defaults = LinkBudget()
-    return LinkBudget(
-        carrier_frequency_hz=_number(data.get("carrier_frequency_hz",
-                                              defaults.carrier_frequency_hz), context),
-        bandwidth_hz=_number(data.get("bandwidth_hz", defaults.bandwidth_hz), context),
-        tx_power_dbm=_number(data.get("tx_power_dbm", defaults.tx_power_dbm), context),
-        noise_figure_db=_number(data.get("noise_figure_db", defaults.noise_figure_db),
-                                context),
-        tx_array=_parse_array(data["tx_array"], f"{context}.tx_array")
-        if "tx_array" in data else defaults.tx_array,
-        rx_array=_parse_array(data["rx_array"], f"{context}.rx_array")
-        if "rx_array" in data else defaults.rx_array,
-    )
-
-
-def _check_model_names(models, context: str) -> None:
-    for m in models:
-        if not isinstance(m, str) or m not in MODEL_REGISTRY:
-            raise ConfigError(f"{context} contains unknown model {m!r}")
-    repeated = sorted({m for m in models if models.count(m) > 1})
-    if repeated:
-        raise ConfigError(f"{context} lists {repeated} more than once")
-
-
-def parse_run_spec(data: dict) -> RunSpec:
-    _check_keys(_object(data, "spec"), ("scenario_dir", "output_dir", "obstacles",
-                                        "models_to_compare", "link_budget", "sampling",
-                                        "removal_floor_db", "max_clamp_events"), "spec")
-    obstacles = data.get("obstacles", [])
-    if not isinstance(obstacles, list):
-        raise ConfigError("spec: obstacles must be a list")
-    models = data.get("models_to_compare", [])
-    if not isinstance(models, list):
-        raise ConfigError("spec: models_to_compare must be a list")
-    _check_model_names(models, "spec: models_to_compare")
-    sampling = None
-    if data.get("sampling") is not None:
-        sdata = _object(data["sampling"], "spec.sampling")
-        _check_keys(sdata, ("time_step", "num_steps"), "spec.sampling")
-        sampling = SamplingSpec(
-            time_step=_number(_require(sdata, "time_step", "spec.sampling"), "spec.sampling"),
-            num_steps=None if sdata.get("num_steps") is None
-            else _integer(sdata["num_steps"], "spec.sampling.num_steps", minimum=1),
-        )
-        if sampling.time_step <= 0:
-            raise ConfigError("spec.sampling: time_step must be positive")
-    max_clamp = data.get("max_clamp_events")
-    try:
-        spec = RunSpec(
-            scenario_dir=_string(_require(data, "scenario_dir", "spec"), "spec.scenario_dir"),
-            output_dir=_string(_require(data, "output_dir", "spec"), "spec.output_dir"),
-            obstacles=tuple(_parse_obstacle(o, i) for i, o in enumerate(obstacles)),
-            models_to_compare=tuple(models),
-            link_budget=_parse_link_budget(data.get("link_budget", {}), "spec.link_budget"),
-            sampling=sampling,
-            removal_floor_db=_number(data.get("removal_floor_db", -500.0), "spec"),
-            max_clamp_events=None if max_clamp is None
-            else _integer(max_clamp, "spec.max_clamp_events", minimum=0),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"spec: {exc}") from None
-    _model_sets(spec)  # so validate rejects what run would
-    return spec
 
 
 def _model_sets(spec: RunSpec) -> list[tuple[LossModel, ...]]:
@@ -527,12 +503,10 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
     for name in ["snr_timeline.csv", "manifest.json"] + loss_names:
         _check_output_path(output_dir / name, False, "output")
     trace = import_scenario(scenario_dir)
-    if spec.sampling is not None:
-        if (spec.sampling.num_steps is not None
-                and spec.sampling.num_steps != trace.num_steps):
-            raise ConfigError(
-                f"spec.sampling declares {spec.sampling.num_steps} steps but the "
-                f"trace has {trace.num_steps}")
+    declared = None if spec.sampling is None else spec.sampling.num_steps
+    if declared is not None and declared != trace.num_steps:
+        raise ConfigError(f"spec.sampling declares {declared} steps but the trace has "
+                          f"{trace.num_steps}")
     # the manifest hashes the input alone: before any output exists, and
     # without an output directory nested in the scenario
     spec_sha256 = hashlib.sha256(spec_path.read_bytes()).hexdigest()
@@ -679,8 +653,8 @@ def _dispatch(args) -> int:
         return cmd_run(spec, args.spec, args.workers)
 
     if args.command == "sweep":
-        models = tuple(m.strip() for m in args.models.split(",") if m.strip())
-        _check_model_names(models, "--models")
+        models = _model_names([m.strip() for m in args.models.split(",") if m.strip()],
+                              "--models")
         _check_output_path(args.output, False, "--output")
         geom = SweepGeometry(distance_m=args.distance, node_height_m=args.height,
                              screen_width_m=args.screen_width, screen_height_m=args.screen_height,

@@ -240,10 +240,12 @@ def dked_pc_loss(nu1: float, nu2: float, delta1: float, delta2: float,
     """Double knife-edge loss with per-edge phase correction.
 
     delta1/delta2 are the excess lengths of the two diffracted paths over
-    the direct path, in meters; they must be non-negative.
+    the direct path, in meters; they must be finite (an infinite path has
+    no phase) and non-negative.
     """
-    if not (delta1 >= 0 and delta2 >= 0):  # NaN too
-        raise GeometryError(f"excess path lengths must be >= 0, got {delta1!r} and {delta2!r}")
+    if not (0 <= delta1 < math.inf and 0 <= delta2 < math.inf):  # NaN too
+        raise GeometryError(f"excess path lengths must be finite and >= 0, got {delta1!r} "
+                            f"and {delta2!r}")
     if not wavelength > 0:
         raise GeometryError(f"wavelength must be positive, got {wavelength!r}")
     total = (sked(nu1) * _turn_phasor(delta1, wavelength)

@@ -459,6 +459,10 @@ def _edge_table(shape, models, centers, u, v, starts, ends, depths, rows,
         if name not in edges:
             continue
         a, b = edge_ends[name]
+        if not np.all(dot3(b - a, b - a) > 0):  # the kernel divides by the edge's length
+            side = "width" if name in ("h1", "h2") else "height"
+            raise ConfigError(f"screen {side} {getattr(shape, side)!r} m is lost against the "
+                              f"screen's coordinates: an edge has zero length")
         d_tx, d_rx = _kernels.fermat_on_segment_batch(a, b, starts, ends)
         table.on_edge[name] = (d_tx == 0.0) | (d_rx == 0.0)
         if "nu" in columns:

@@ -5,6 +5,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path, PurePosixPath
 
 import numpy as np
@@ -480,13 +481,30 @@ def test_a_frequency_sweep_checks_its_whole_input_before_its_first_crossing(
 
 @pytest.mark.parametrize("model", ["itu_se", "metis"])
 def test_a_sweep_whose_edge_geometry_is_nan_exits_2(tmp_path, capsys, model):
-    # a 1e-300 m wide screen: its horizontal edges' squared length underflows to 0
+    # a 1e-300 m wide screen: its horizontal edges' squared length underflows
+    # to 0; a 1e-17 m one: half of it is lost against the 4 m midspan
     out = tmp_path / "sweep.csv"
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert main(["sweep", "crossing", "--screen-width", "1e-300", "--models", model,
-                     "--span", "0.1", "--step", "0.1", "-o", str(out)]) == 2
-    assert "error: config-error:" in capsys.readouterr().err
-    assert not out.exists()
+    for width in ("1e-300", "1e-17"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert main(["sweep", "crossing", "--screen-width", width, "--models", model,
+                         "--span", "0.1", "--step", "0.1", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: config-error:" in err
+        assert f"screen width {float(width)!r} m" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("model, code", [("itu_se", 2), ("metis", 2), ("dked", 0)])
+def test_a_screen_width_lost_against_its_coordinates_warns_nothing(tmp_path, capsys, model,
+                                                                   code):
+    # half of 1e-17 m is lost against the 4 m midspan: a model that reads the
+    # horizontal edges stops before the edge kernel divides by their zero
+    # length; dked reads only the lateral edges
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "crossing", "--screen-width", "1e-17", "--models", model,
+                     "--span", "0.1", "--step", "0.1", "-o", str(tmp_path / "c.csv")]) == code
+    assert ("screen width 1e-17 m" in capsys.readouterr().err) == (code == 2)
 
 
 def test_run_summary_reports_the_configured_run(tmp_path, small_scenario, capsys):
@@ -657,6 +675,43 @@ def test_value_that_is_not_a_spec_number_exits_2(tmp_path, small_scenario, capsy
     assert main([verb, str(spec)]) == 2
     assert words in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _spec_place(path) -> str:
+    """The place of a path into the spec, as errors name it: spec.obstacles[0].shape.width."""
+    return "spec" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES) + sorted(NOT_A_SPEC_NUMBER_CASES))
+def test_a_spec_value_error_names_its_key_path(tmp_path, small_scenario, capsys, case):
+    path, value = {**NON_FINITE_CASES, **NOT_A_SPEC_NUMBER_CASES}[case][:2]
+    spec = _full_spec_with(tmp_path, small_scenario, path, value)
+    assert main(["validate", str(spec)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config-error: {_spec_place(path)}: ")
+
+
+# (path in the spec, value, the place the error starts with): a value every
+# check passes but its object's own rules reject, and a kind that is no name
+TYPE_RULE_CASES = {
+    "negative_width": (("obstacles", 0, "shape", "width"), -0.2, "obstacles[0].shape"),
+    "negative_threshold": (("obstacles", 0, "threshold"), -1.0, "obstacles[0]"),
+    "sphere_diffraction": (("obstacles", 2, "model"), {"kind": "dked"}, "obstacles[2]"),
+    "obstruction_loss": (("obstacles", 2, "model", "loss_db"), -1.0, "obstacles[2].model"),
+    "waypoint_order": (("obstacles", 2, "mobility", "waypoints"),
+                       [[1.0, [0, 0, 0]], [0.0, [0, 0, 0]]], "obstacles[2].mobility"),
+    "zero_bandwidth": (("link_budget", "bandwidth_hz"), 0.0, "link_budget"),
+    "zero_time_step": (("sampling", "time_step"), 0.0, "sampling"),
+    "model_kind_list": (("obstacles", 1, "model", "kind"), ["dked"], "obstacles[1].model"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPE_RULE_CASES))
+def test_a_type_rule_error_starts_with_its_objects_place(tmp_path, small_scenario, capsys,
+                                                          case):
+    path, value, place = TYPE_RULE_CASES[case]
+    spec = _full_spec_with(tmp_path, small_scenario, path, value)
+    assert main(["validate", str(spec)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config-error: spec.{place}: ")
 
 
 def test_integral_floats_are_spec_integers(tmp_path, small_scenario):
@@ -1005,16 +1060,19 @@ def test_run_outputs_match_the_pinned_digest(tmp_path, small_scenario, capsys, m
                          ids=["itu_se_clear", "itu_se_blocking", "metis_blocking"])
 def test_a_run_whose_edge_geometry_is_nan_exits_2_before_any_output(
         tmp_path, small_scenario, capsys, model, y):
-    # a 1e-300 m wide screen beside or across the path at y = 3 m
-    screen = obstacle_entry(shape={"kind": "ortho_screen", "width": 1e-300, "height": 0.9},
-                            mobility={"kind": "static", "position": [5.0, y, 1.6]},
-                            model={"kind": model})
-    spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out",
-                                             obstacles=[screen]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert main(["run", str(spec), "--workers", "1"]) == 2
-    assert "error: config-error:" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # a 1e-300 or 1e-17 m wide screen beside or across the path at y = 3 m
+    for width in (1e-300, 1e-17):
+        screen = obstacle_entry(shape={"kind": "ortho_screen", "width": width, "height": 0.9},
+                                mobility={"kind": "static", "position": [5.0, y, 1.6]},
+                                model={"kind": model})
+        spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out",
+                                                 obstacles=[screen]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert main(["run", str(spec), "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "error: config-error:" in err
+        assert f"screen width {width!r} m" in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_a_run_logs_each_warning_once_over_its_model_sets(tmp_path, small_scenario, caplog):
@@ -1031,3 +1089,14 @@ def test_a_run_logs_each_warning_once_over_its_model_sets(tmp_path, small_scenar
     assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
         "semi-empirical screen model outside its small-wavelength regime in 40 evaluations "
         "(lambda=0.3 m)"]
+
+
+def test_a_frequency_sweep_logs_one_line_per_carrier_outside_the_regime(tmp_path, caplog):
+    # the 0.2 m wide screen holds itu_se's regime at 60 GHz (5 mm), not at
+    # 1 GHz (0.3 m) or 2 GHz (0.15 m); each of the three offsets counts
+    with caplog.at_level(logging.WARNING):
+        assert main(["sweep", "frequency", "--frequencies-ghz", "1,2,60", "--models", "itu_se",
+                     "--span", "0.1", "--step", "0.1", "-o", str(tmp_path / "f.csv")]) == 0
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+        f"semi-empirical screen model outside its small-wavelength regime in 3 evaluations "
+        f"(lambda={wavelength} m)" for wavelength in ("0.3", "0.15")]

@@ -305,6 +305,14 @@ def test_infinite_arguments_stay_asymptotic():
     assert _itu_edge_factor(inf) == 0.0 and _itu_edge_factor(-inf) == 1.0
 
 
+@pytest.mark.parametrize("excess", [(math.inf, 0.0), (0.0, math.inf), (math.inf, math.inf)])
+def test_dked_pc_rejects_an_infinite_excess_path(excess):
+    # an infinite path has no phase; round() of its turns raised OverflowError
+    with pytest.raises(GeometryError, match="finite"):
+        dked_pc_loss(0.5, 0.5, *excess, 0.005)
+    assert dked_pc_loss(0.5, 0.5, 1e6, 0.0, 0.005) > 0.0  # a long finite path keeps its phase
+
+
 def test_itu_se_fluctuates_across_shadow_transition():
     # fringes on the lit side approaching the shadow edge
     offsets = np.arange(-0.6, -0.101, 0.002)
