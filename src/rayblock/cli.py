@@ -289,10 +289,13 @@ def _model_sets(spec: RunSpec) -> list[tuple[LossModel, ...]]:
     return sets
 
 
-def load_run_spec(path) -> RunSpec:
+def load_run_spec(path) -> tuple[RunSpec, bytes]:
+    """The spec in the file, and the bytes it was parsed from: one read, so a
+    piped spec (/dev/stdin) parses and hashes the same bytes."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        raw = path.read_bytes()
+        data = json.loads(raw.decode("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read spec {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -300,7 +303,7 @@ def load_run_spec(path) -> RunSpec:
                           f"{exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    return parse_run_spec(data)
+    return parse_run_spec(data), raw
 
 
 # ---------------------------------------------------------------------------
@@ -463,26 +466,35 @@ def _tree_files(top: str, parts: tuple[str, ...] = (), skip: tuple[str, ...] | N
                 yield (*parts, entry.name)
 
 
-def _sha256_tree(root: Path, skip: Path | None = None) -> str:
+def _sha256_tree(root: Path, skip: Path | None = None,
+                 texts: dict[str, str] | None = None) -> str:
     """sha256 of each file's relative path, a NUL and its bytes, in path order.
 
     Paths sort part by part, as Path objects do ("a/b" before "a-b"). A
-    skip directory strictly under root is left out of the walk.
+    skip directory strictly under root is left out of the walk. A file whose
+    path (as root / its relative path prints) is in texts is hashed from
+    that text, the UTF-8 text an import read from it: strict UTF-8 decoding
+    loses nothing, so its bytes are the file's. Every other file is read.
     """
     skip_parts = None
     if skip is not None and skip.resolve().is_relative_to(root.resolve()):
         skip_parts = skip.resolve().relative_to(root.resolve()).parts
+    prefix = str(root / "_")[:-1]  # root / rel prints as prefix + rel, without a Path per file
     h = hashlib.sha256()
     for parts in sorted(_tree_files(str(root), skip=skip_parts)):
         rel = os.path.join(*parts)
         h.update(rel.encode())
         h.update(b"\0")
-        with open(os.path.join(root, rel), "rb") as f:
-            h.update(f.read())
+        text = texts.get(prefix + rel) if texts else None
+        if text is None:
+            with open(prefix + rel, "rb") as f:
+                h.update(f.read())
+        else:
+            h.update(text.encode())
     return h.hexdigest()
 
 
-def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
+def cmd_run(spec: RunSpec, spec_sha256: str, workers: int | None) -> int:
     scenario_dir = Path(spec.scenario_dir)
     output_dir = Path(spec.output_dir)
     if scenario_dir.resolve() in (output_dir.resolve(), (output_dir / "trace").resolve()):
@@ -502,15 +514,16 @@ def cmd_run(spec: RunSpec, spec_path: Path, workers: int | None) -> int:
     loss_names = [f"loss_timeline_{name}.csv" for name in spec.models_to_compare]
     for name in ["snr_timeline.csv", "manifest.json"] + loss_names:
         _check_output_path(output_dir / name, False, "output")
-    trace = import_scenario(scenario_dir)
+    trace, texts = import_scenario(scenario_dir, return_texts=True)
     declared = None if spec.sampling is None else spec.sampling.num_steps
     if declared is not None and declared != trace.num_steps:
         raise ConfigError(f"spec.sampling declares {declared} steps but the trace has "
                           f"{trace.num_steps}")
     # the manifest hashes the input alone: before any output exists, and
-    # without an output directory nested in the scenario
-    spec_sha256 = hashlib.sha256(spec_path.read_bytes()).hexdigest()
-    trace_sha256 = _sha256_tree(scenario_dir, skip=output_dir)
+    # without an output directory nested in the scenario; the files the
+    # import parsed are hashed from their text, and the text then dropped
+    trace_sha256 = _sha256_tree(scenario_dir, skip=output_dir, texts=texts)
+    del texts
     cfg = SimulationConfig(
         obstacles=spec.obstacles,
         time_step=None if spec.sampling is None else spec.sampling.time_step,
@@ -647,10 +660,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> int:
     if args.command == "run":
-        spec = load_run_spec(args.spec)
+        spec, raw = load_run_spec(args.spec)
         if args.output_dir is not None:
             spec = dataclasses.replace(spec, output_dir=str(args.output_dir))
-        return cmd_run(spec, args.spec, args.workers)
+        return cmd_run(spec, hashlib.sha256(raw).hexdigest(), args.workers)
 
     if args.command == "sweep":
         models = _model_names([m.strip() for m in args.models.split(",") if m.strip()],

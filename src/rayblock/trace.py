@@ -24,10 +24,11 @@ the original format ignore it, and import falls back to 1.0 s without it.
 
 Every trace file passes through one reader and one writer: read_text reads
 a file's bytes in one call and decodes them as UTF-8, and write_text writes
-a file's UTF-8 bytes. A file that is not UTF-8, or that cannot be read
-(a directory in its place), raises TraceFormatError (exit 3 on the command
-line), naming the file; one that cannot be written raises ConfigError (exit
-2). Line ends may be LF, CRLF or CR.
+a file's UTF-8 bytes over its old ones and trims it to them. A file that is
+not UTF-8, or that cannot be read (a directory in its place), raises
+TraceFormatError (exit 3 on the command line), naming the file; one that
+cannot be written raises ConfigError (exit 2). Line ends may be LF, CRLF or
+CR.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import logging
 import math
 import os
 import re
+import stat
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -308,19 +310,30 @@ def read_text(path) -> str:
 
 
 def write_text(path, text: str) -> None:
-    """Create or replace the file with text's UTF-8 bytes, newlines as given.
+    """Create or rewrite the file with text's UTF-8 bytes, newlines as given.
 
-    A file that cannot be opened (a directory in its place, say) raises a
-    ConfigError naming it.
+    An existing file is rewritten in place: the bytes go over its old ones,
+    and a regular file is then trimmed to them, so a rerun keeps the
+    file's blocks instead of freeing and allocating them again. A write that
+    fails is trimmed too, so the file holds only the bytes written. A FIFO
+    or a device (/dev/null, say) is written and never trimmed. A file that
+    cannot be opened (a directory in its place, say) raises a ConfigError
+    naming it.
     """
     data = memoryview(text.encode())
+    size = len(data)
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot be written ({exc.strerror or exc})") from None
     try:
-        while data:  # a short write leaves the rest for the next call
-            data = data[os.write(fd, data):]
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            while data:  # a short write leaves the rest for the next call
+                data = data[os.write(fd, data):]
+        finally:
+            if regular:
+                os.ftruncate(fd, size - len(data))
     finally:
         os.close(fd)
 
@@ -359,17 +372,18 @@ def _parse_rows(path: str, lines: list[str], linenos, width: int) -> np.ndarray:
     raise AssertionError(f"{path}: lines parse one by one but not in bulk")
 
 
-def _read_rows(path: str, width: int) -> np.ndarray:
-    """The rows of a comma-separated file; blank lines are skipped."""
-    lines = read_text(path).splitlines()
+def _read_rows(path: str, text: str, width: int) -> np.ndarray:
+    """The rows of a comma-separated file's text; blank lines are skipped."""
+    lines = text.splitlines()
     linenos = [n for n, line in enumerate(lines, start=1) if line.strip()]
     return _parse_rows(path, [lines[n - 1] for n in linenos], linenos, width)
 
 
-def _parse_qd_file(path: str) -> list[np.ndarray]:
-    """Each timestep block's (7, ray count) rows: delay, gain, phase, then the
-    AoD elevation, AoD azimuth, AoA elevation and AoA azimuth."""
-    lines = read_text(path).splitlines()
+def _parse_qd_file(path: str, text: str) -> list[np.ndarray]:
+    """Each timestep block's (7, ray count) rows of a ray file's text: delay,
+    gain, phase, then the AoD elevation, AoD azimuth, AoA elevation and AoA
+    azimuth."""
+    lines = text.splitlines()
     blocks = []
     i = 0
     while i < len(lines):
@@ -395,15 +409,11 @@ def _parse_qd_file(path: str) -> list[np.ndarray]:
     return blocks
 
 
-def _read_node_positions(dir_: str, node: int, num_steps: int) -> np.ndarray | None:
+def _node_position_file(dir_: str, node: int) -> str | None:
     for role in ("Tx", "Rx"):
         path = os.path.join(dir_, f"NodePositions{role}{node}.csv")
         if os.path.exists(path):
-            rows = _read_rows(path, 3)
-            if len(rows) != num_steps:
-                raise TraceFormatError(
-                    f"{path}: {len(rows)} position rows, expected {num_steps}")
-            return rows
+            return path
     return None
 
 
@@ -420,15 +430,28 @@ def scenario_paths(directory) -> tuple[str, str, str, str]:
             str(visualizer / "NodePositions"), str(ns3 / "TimeStep.txt"))
 
 
-def import_scenario(directory) -> ChannelTrace:
+def import_scenario(directory, return_texts: bool = False):
     """Load a scenario directory into the in-memory trace model.
 
     Unknown auxiliary files are ignored. Without a recorded sampling
     period, 1.0 s is assumed and a warning logged. Besides RayTable's row
     rules, a ray needs a direction: a first or last segment shorter than
     1e-12 m raises TraceFormatError, before any run reads the trace.
+
+    Returns the ChannelTrace. With return_texts, returns (trace, texts):
+    the text of each file read, by the path it was opened as, which is
+    the directory as Path(directory) prints it joined to the file's
+    relative path. A run hashes these texts, so it opens each file once.
     """
     qd_dir, mpc_dir, node_dir, ts_file = scenario_paths(directory)
+    texts: dict[str, str] = {}
+
+    def read(path: str) -> str:
+        text = read_text(path)
+        if return_texts:
+            texts[path] = text
+        return text
+
     if not os.path.isdir(qd_dir):
         raise TraceFormatError(f"{qd_dir}: missing ray file directory")
 
@@ -453,7 +476,7 @@ def import_scenario(directory) -> ChannelTrace:
     num_steps = None
     delay_mismatches = 0
     for pair, path in sorted(qd_files.items()):
-        blocks = _parse_qd_file(path)
+        blocks = _parse_qd_file(path, read(path))
         if num_steps is None:
             num_steps = len(blocks)
         elif len(blocks) != num_steps:
@@ -474,7 +497,8 @@ def import_scenario(directory) -> ChannelTrace:
             for k in orders:
                 vpath = vertex_files.get((k, t))
                 if vpath is not None:
-                    tables.append(_read_rows(vpath, 3 * (k + 2)).reshape(-1, k + 2, 3))
+                    rows = _read_rows(vpath, read(vpath), 3 * (k + 2))
+                    tables.append(rows.reshape(-1, k + 2, 3))
                     held += tables[-1].shape[0]
             if held != count:
                 raise TraceFormatError(
@@ -503,14 +527,19 @@ def import_scenario(directory) -> ChannelTrace:
     node_ids = sorted({n for pair in pairs for n in pair})
     node_positions: dict[int, np.ndarray] = {}
     for node in node_ids:
-        pos = _read_node_positions(node_dir, node, num_steps) if os.path.isdir(node_dir) else None
-        if pos is None:
+        path = _node_position_file(node_dir, node) if os.path.isdir(node_dir) else None
+        if path is None:
             pos = _positions_from_rays(pairs, node, num_steps)
+        else:
+            pos = _read_rows(path, read(path), 3)
+            if len(pos) != num_steps:
+                raise TraceFormatError(
+                    f"{path}: {len(pos)} position rows, expected {num_steps}")
         pos.setflags(write=False)
         node_positions[node] = pos
 
     if os.path.exists(ts_file):
-        text = read_text(ts_file).strip()
+        text = read(ts_file).strip()
         try:
             time_step = float(text)
         except ValueError:
@@ -520,8 +549,9 @@ def import_scenario(directory) -> ChannelTrace:
         log.warning("no sampling period recorded in %s, assuming 1.0 s", Path(directory))
         time_step = 1.0
 
-    return ChannelTrace(node_positions=node_positions, pairs=pairs,
-                        time_step=time_step, num_steps=num_steps)
+    trace = ChannelTrace(node_positions=node_positions, pairs=pairs,
+                         time_step=time_step, num_steps=num_steps)
+    return (trace, texts) if return_texts else trace
 
 
 def _positions_from_rays(pairs: dict[tuple[int, int], RayTable], node: int,

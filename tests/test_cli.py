@@ -1,5 +1,7 @@
+import builtins
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import os
@@ -292,6 +294,12 @@ def test_inspect_summarizes(small_scenario, capsys):
     assert "pairs: 1" in out
     assert "steps: 20" in out
     assert "Tx0Rx1" in out
+
+
+def test_a_sweep_into_dev_null_exits_0(capsys):
+    # a device is written and never trimmed
+    assert main(["sweep", "position", "-o", os.devnull]) == 0
+    assert capsys.readouterr().out == f"wrote {os.devnull}\n"
 
 
 def test_sweep_crossing_writes_csv(tmp_path):
@@ -928,8 +936,25 @@ def test_a_directory_in_place_of_an_export_file_exits_2(tmp_path, small_scenario
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+def _record_opens(monkeypatch, opened: list[str]) -> None:
+    """Record the absolute path of every file opened by name, through open,
+    io.open (pathlib's) or os.open."""
+    for module in (builtins, io, os):
+        function = module.open
+
+        def record(file, *args, _function=function, **kwargs):
+            if isinstance(file, (str, bytes, os.PathLike)):
+                opened.append(os.path.abspath(os.fsdecode(file)))
+            return _function(file, *args, **kwargs)
+        monkeypatch.setattr(module, "open", record)
+
+
+def _files(root: Path) -> list[Path]:
+    return sorted(path for path in root.rglob("*") if path.is_file())
+
+
 def test_a_run_reads_and_writes_each_file_once(tmp_path, small_scenario, monkeypatch):
-    read, written = [], []
+    read, written, opened = [], [], []
 
     def recording(paths, function):
         def record(path, *args):
@@ -944,17 +969,87 @@ def test_a_run_reads_and_writes_each_file_once(tmp_path, small_scenario, monkeyp
     spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out",
                                              obstacles=[obstacle_entry()],
                                              models_to_compare=["metis"]))
+    _record_opens(monkeypatch, opened)
     assert main(["run", str(spec)]) == 0
-
-    def files(root: Path) -> list[Path]:
-        return sorted(path for path in root.rglob("*") if path.is_file())
+    monkeypatch.undo()
 
     # the scenario holds no auxiliary file, so import parses every file of it
-    assert sorted(read) == files(small_scenario)
-    assert sorted(written) == files(tmp_path / "out")
+    assert sorted(read) == _files(small_scenario)
+    assert sorted(written) == _files(tmp_path / "out")
     # 20 coordinate files, one ray file, two node position files and TimeStep.txt;
     # the run adds the SNR and loss timelines and the manifest
     assert (len(read), len(written)) == (24, 24 + 3)
+    # and the manifest hashes what the import and the spec parser read:
+    # nothing of the scenario or the spec is opened a second time
+    assert sorted(Path(path) for path in opened
+                  if Path(path).is_relative_to(small_scenario)) == _files(small_scenario)
+    assert opened.count(str(spec)) == 1
+
+
+def test_a_run_from_inside_its_scenario_opens_each_file_once(tmp_path, small_scenario,
+                                                              monkeypatch):
+    # a scenario_dir of "." names its files without the "./" its walk would add
+    opened = []
+    spec = write_spec(tmp_path, minimal_spec(".", tmp_path / "out",
+                                             obstacles=[obstacle_entry()]))
+    monkeypatch.chdir(small_scenario)
+    _record_opens(monkeypatch, opened)
+    assert main(["run", str(spec)]) == 0
+    monkeypatch.undo()
+    assert sorted(Path(path) for path in opened
+                  if Path(path).is_relative_to(small_scenario)) == _files(small_scenario)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["trace_sha256"] == sha256_tree_by_pathlib(small_scenario)
+
+
+def test_the_manifest_hashes_the_spec_bytes_that_were_parsed(tmp_path, small_scenario,
+                                                             monkeypatch):
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out",
+                                             obstacles=[obstacle_entry()]))
+    parsed = spec.read_bytes()
+    parse = cli.parse_run_spec
+
+    def parse_then_rewrite(data):
+        spec.write_text(json.dumps(data))  # the same spec in other bytes
+        return parse(data)
+
+    monkeypatch.setattr(cli, "parse_run_spec", parse_then_rewrite)
+    assert main(["run", str(spec)]) == 0
+    assert spec.read_bytes() != parsed
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["spec_sha256"] == hashlib.sha256(parsed).hexdigest()
+
+
+def test_a_piped_spec_is_hashed_from_the_bytes_it_was_parsed_from(tmp_path, small_scenario):
+    data = json.dumps(minimal_spec(small_scenario, tmp_path / "out",
+                                   obstacles=[obstacle_entry()])).encode()
+    reader, writer = os.pipe()
+    os.write(writer, data)
+    os.close(writer)
+    try:
+        assert main(["run", f"/dev/fd/{reader}"]) == 0
+    finally:
+        os.close(reader)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["spec_sha256"] == hashlib.sha256(data).hexdigest()
+    assert manifest["spec_sha256"] != hashlib.sha256(b"").hexdigest()
+
+
+def test_the_manifest_hash_of_a_scenario_equals_the_pathlib_walk(tmp_path, small_scenario):
+    # an auxiliary file the import ignores is hashed from disk; node
+    # positions behind a symlinked directory are imported but not hashed,
+    # and an output directory nested in the scenario is not hashed either
+    (small_scenario / "Output" / "notes.txt").write_text("an auxiliary file\n")
+    nodes = small_scenario / "Output" / "Visualizer" / "NodePositions"
+    nodes.rename(tmp_path / "positions")
+    nodes.symlink_to(tmp_path / "positions", target_is_directory=True)
+    expected = sha256_tree_by_pathlib(small_scenario)
+    out = small_scenario / "results"
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, out, obstacles=[obstacle_entry()]))
+    for _ in range(2):  # the second run finds the first one's outputs in the scenario
+        assert main(["run", str(spec)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["trace_sha256"] == expected
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["a directory", "below a file"])

@@ -667,3 +667,50 @@ def test_write_text_closes_the_file_when_a_write_fails(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="No space left"):
         write_text(tmp_path / "file.txt", "1\n")
     assert len(closed) == 1
+
+
+def test_write_text_rewrites_a_fifo_or_a_device_without_trimming_it(tmp_path, monkeypatch):
+    trimmed = []
+    ftruncate = os.ftruncate
+
+    def recording_ftruncate(fd, size):
+        trimmed.append(size)
+        ftruncate(fd, size)
+
+    monkeypatch.setattr(os, "ftruncate", recording_ftruncate)
+    write_text(os.devnull, "discarded\n")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_text(fifo, "through a pipe\n")
+        assert os.read(reader, 100) == b"through a pipe\n"
+    finally:
+        os.close(reader)
+    assert trimmed == []
+    # a regular file is trimmed to the bytes written, over an earlier longer text
+    path = tmp_path / "file.txt"
+    path.write_text("an earlier, longer text\n")
+    write_text(path, "1\n")
+    assert trimmed == [2]
+    assert path.read_bytes() == b"1\n"
+
+
+def test_a_failed_write_leaves_only_the_bytes_written(tmp_path, monkeypatch):
+    text = "3\n1e-08,2e-08,3e-08\n"
+    path = tmp_path / "file.txt"
+    path.write_text("an earlier, longer text\n" * 4)
+    write = os.write
+    calls = []
+
+    def full_after_four_bytes(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write(fd, bytes(data[:4]))
+
+    monkeypatch.setattr(os, "write", full_after_four_bytes)
+    with pytest.raises(OSError, match="No space left"):
+        write_text(path, text)
+    monkeypatch.undo()
+    assert path.read_bytes() == text.encode()[:4]
