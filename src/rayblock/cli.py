@@ -544,6 +544,13 @@ def cmd_run(spec: RunSpec, spec_sha256: str, workers: int | None) -> int:
         snr[pair] = snr_timeline(trace, pair, spec.link_budget,
                                  [trace.pairs[pair].gain, *floored])
 
+    # no manifest, no finished run: the old one goes before the first write
+    # and the new one comes last
+    manifest_path = output_dir / "manifest.json"
+    try:
+        manifest_path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{manifest_path}: cannot be removed ({exc.strerror or exc})") from None
     output_dir.mkdir(parents=True, exist_ok=True)
     trace_dir = output_dir / "trace"
     export_scenario(trace.with_gains({pair: set_gains[0] for pair, set_gains in gains.items()}),
@@ -572,8 +579,7 @@ def cmd_run(spec: RunSpec, spec_sha256: str, workers: int | None) -> int:
         "trace_sha256": trace_sha256,
         "outputs": sorted(["snr_timeline.csv", "trace"] + loss_names),
     }
-    write_text(output_dir / "manifest.json",
-               json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     # rays describe the configured run; clamp events and interactions sum
     # every run, the compared models' included
@@ -719,5 +725,33 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> None:
+    """The process entry of `rayblock` and `python -m rayblock.cli`: main's
+    exit code, once stdout and stderr are flushed, without tearing the
+    interpreter down (clearing every module and the final garbage
+    collections, which cost a short command a tenth of its CPU and do
+    nothing for it).
+
+    Skipping the teardown loses nothing, because
+    - every output goes through trace.write_text, which closes its file
+      descriptor;
+    - the worker pool is joined by its with block;
+    - warnings reach stderr through logging's last-resort handler;
+    - rayblock registers no atexit work.
+    A flush that fails (stdout a closed pipe, say) leaves the exit to
+    sys.exit, so the status and message stay the interpreter's. An exception
+    out of main, argparse's exit included, ends the process as usual. Tools
+    that run this module and report at the interpreter's exit (a profiler,
+    coverage) get nothing from it: they call main instead.
+    """
+    code = main(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -317,25 +317,25 @@ def write_text(path, text: str) -> None:
     file's blocks instead of freeing and allocating them again. A write that
     fails is trimmed too, so the file holds only the bytes written. A FIFO
     or a device (/dev/null, say) is written and never trimmed. A file that
-    cannot be opened (a directory in its place, say) raises a ConfigError
-    naming it.
+    cannot be opened, written, trimmed or closed (a directory in its place,
+    a full disk) raises a ConfigError naming it.
     """
     data = memoryview(text.encode())
     size = len(data)
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            try:
+                while data:  # a short write leaves the rest for the next call
+                    data = data[os.write(fd, data):]
+            finally:
+                if regular:
+                    os.ftruncate(fd, size - len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot be written ({exc.strerror or exc})") from None
-    try:
-        regular = stat.S_ISREG(os.fstat(fd).st_mode)
-        try:
-            while data:  # a short write leaves the rest for the next call
-                data = data[os.write(fd, data):]
-        finally:
-            if regular:
-                os.ftruncate(fd, size - len(data))
-    finally:
-        os.close(fd)
 
 
 def _parse_floats(line: str, path: str, lineno: int, expected: int) -> list[float]:

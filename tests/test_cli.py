@@ -1,19 +1,32 @@
+import ast
 import builtins
+import concurrent.futures
 import dataclasses
+import errno
 import hashlib
 import io
 import json
 import logging
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path, PurePosixPath
 
 import numpy as np
 import pytest
 
-from conftest import assert_traces_equal, build_los_trace, in_process_pools, make_ray, trace_of
+from conftest import (
+    assert_traces_equal,
+    build_los_trace,
+    in_process_pools,
+    make_ray,
+    patch_cpus,
+    trace_of,
+)
 from rayblock import cli, trace
 from rayblock.cli import (
     SweepGeometry,
@@ -1195,3 +1208,146 @@ def test_a_frequency_sweep_logs_one_line_per_carrier_outside_the_regime(tmp_path
     assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
         f"semi-empirical screen model outside its small-wavelength regime in 3 evaluations "
         f"(lambda={wavelength} m)" for wavelength in ("0.3", "0.15")]
+
+
+# ---------------------------------------------------------------------------
+# write failures and the manifest
+
+def _full_disk(fd, data):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_a_run_whose_write_fails_exits_2_naming_the_file(tmp_path, small_scenario, capsys,
+                                                        monkeypatch):
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out",
+                                             obstacles=[obstacle_entry()]))
+    monkeypatch.setattr(os, "write", _full_disk)  # one worker: no pool pipe to break
+    assert main(["run", str(spec), "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config-error: {tmp_path / 'out'}/")
+    assert err.endswith(": cannot be written (No space left on device)\n")
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_a_sweep_whose_write_fails_exits_2_naming_the_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "p.csv"
+    monkeypatch.setattr(os, "write", _full_disk)
+    assert main(["sweep", "position", "--samples", "3", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: config-error: {out}: cannot be written "
+                                       f"(No space left on device)\n")
+    assert out.read_bytes() == b""
+
+
+def test_a_rerun_is_byte_identical_and_a_failed_one_leaves_no_manifest(tmp_path, small_scenario,
+                                                                      capsys):
+    out = tmp_path / "out"
+    spec_a = write_spec(tmp_path, minimal_spec(small_scenario, out, obstacles=[obstacle_entry()]))
+    assert main(["run", str(spec_a)]) == 0
+    first = {p.relative_to(out): p.read_bytes() for p in _files(out)}
+    assert main(["run", str(spec_a)]) == 0
+    assert {p.relative_to(out): p.read_bytes() for p in _files(out)} == first
+    # a run that fails before its first write leaves the finished run alone
+    mismatch = tmp_path / "mismatch.json"
+    mismatch.write_text(json.dumps(minimal_spec(small_scenario, out, sampling={
+        "time_step": 0.0034, "num_steps": 99})))
+    assert main(["run", str(mismatch)]) == 2
+    assert {p.relative_to(out): p.read_bytes() for p in _files(out)} == first
+    # the next spec's export meets a directory in place of its ray file
+    ray_file = out / "trace" / "Output" / "Ns3" / "QdFiles" / "Tx0Rx1.txt"
+    ray_file.unlink()
+    ray_file.mkdir()
+    spec_b = tmp_path / "b.json"
+    spec_b.write_text(json.dumps(minimal_spec(small_scenario, out, obstacles=[
+        obstacle_entry(model={"kind": "metis"})])))
+    capsys.readouterr()
+    assert main(["run", str(spec_b)]) == 2
+    assert f"{ray_file}: cannot be written" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_a_manifest_that_cannot_be_removed_exits_2_naming_it(tmp_path, small_scenario, capsys,
+                                                             monkeypatch):
+    out = tmp_path / "out"
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, out))
+    assert main(["run", str(spec)]) == 0
+    first = {p.relative_to(out): p.read_bytes() for p in _files(out)}
+
+    def read_only(self, missing_ok=False):
+        raise OSError(errno.EROFS, "Read-only file system")
+
+    monkeypatch.setattr(Path, "unlink", read_only)
+    capsys.readouterr()
+    assert main(["run", str(spec)]) == 2
+    assert capsys.readouterr().err == (f"error: config-error: {out / 'manifest.json'}: cannot be "
+                                       f"removed (Read-only file system)\n")
+    assert {p.relative_to(out): p.read_bytes() for p in _files(out)} == first
+
+
+# ---------------------------------------------------------------------------
+# the process entry
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _module_run(argv, cwd) -> subprocess.CompletedProcess:
+    """python -m rayblock.cli with argv, stdout a pipe and so block-buffered."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "rayblock.cli", *argv], cwd=cwd, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep", "validate", "validate_bad", "inspect"])
+def test_the_module_entry_prints_and_exits_as_main_returns(tmp_path, small_scenario, capsys,
+                                                           monkeypatch, verb):
+    # the entry ends the process without the interpreter's teardown: every
+    # line main printed still reaches the pipe, and main's code is the status
+    spec = write_spec(tmp_path, minimal_spec("scenario", "out", obstacles=[obstacle_entry()],
+                                             models_to_compare=["metis"]))
+    (tmp_path / "bad.json").write_text("{")
+    argv = {"run": ["run", "spec.json", "--workers", "2"],
+            "sweep": ["sweep", "position", "-o", "p.csv"],
+            "validate": ["validate", spec.name],
+            "validate_bad": ["validate", "bad.json"],
+            "inspect": ["inspect", "scenario"]}[verb]
+    spawned = _module_run(argv, tmp_path)
+    outputs = {p: p.read_bytes() for p in _files(tmp_path)}
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (spawned.returncode, spawned.stdout, spawned.stderr) == (code, captured.out,
+                                                                    captured.err)
+    assert code == (2 if verb == "validate_bad" else 0)
+    assert (spawned.stdout != "") == (code == 0)
+    assert {p: p.read_bytes() for p in _files(tmp_path)} == outputs
+
+
+def test_the_console_script_is_the_entry_the_module_runs():
+    [function] = re.findall(r'^rayblock = "rayblock\.cli:(\w+)"$',
+                            (SRC.parent / "pyproject.toml").read_text(), flags=re.MULTILINE)
+    [main_block] = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+                    if isinstance(node, ast.If) and ast.unparse(node.test)
+                    == "__name__ == '__main__'"]
+    assert ast.unparse(main_block) == f"if __name__ == '__main__':\n    {function}()"
+    assert callable(getattr(cli, function))
+
+
+def test_a_run_on_two_workers_leaves_no_process_or_thread(tmp_path, small_scenario,
+                                                          monkeypatch):
+    # the entry skips the interpreter's teardown, so nothing may be left
+    # for it: the pool's processes and its manager thread are joined
+    pools = []
+    pool = concurrent.futures.ProcessPoolExecutor
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    patch_cpus(monkeypatch, 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    spec = write_spec(tmp_path, minimal_spec(small_scenario, tmp_path / "out",
+                                             obstacles=[obstacle_entry()]))
+    assert main(["run", str(spec), "--workers", "2"]) == 0
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+    assert threading.enumerate() == [threading.main_thread()]

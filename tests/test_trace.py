@@ -18,7 +18,7 @@ from conftest import (
     trace_of,
 )
 from rayblock.cli import main
-from rayblock.errors import GeometryError, TraceFormatError
+from rayblock.errors import ConfigError, GeometryError, TraceFormatError
 from rayblock.trace import (
     SPEED_OF_LIGHT,
     ChannelTrace,
@@ -664,9 +664,27 @@ def test_write_text_closes_the_file_when_a_write_fails(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "write", full_disk)
     monkeypatch.setattr(os, "close", recording_close)
-    with pytest.raises(OSError, match="No space left"):
+    with pytest.raises(ConfigError, match="file.txt: cannot be written "
+                                          r"\(No space left on device\)"):
         write_text(tmp_path / "file.txt", "1\n")
     assert len(closed) == 1
+
+
+@pytest.mark.parametrize("call", ["ftruncate", "close"])
+def test_write_text_names_its_file_when_a_trim_or_a_close_fails(tmp_path, monkeypatch, call):
+    # the bytes are all written, and the file is closed even so
+    function = getattr(os, call)
+
+    def failing(fd, *args):
+        function(fd, *args)
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(os, call, failing)
+    path = tmp_path / "file.txt"
+    with pytest.raises(ConfigError, match=r"file.txt: cannot be written \(Input/output error\)"):
+        write_text(path, "1\n")
+    monkeypatch.undo()
+    assert path.read_bytes() == b"1\n"
 
 
 def test_write_text_rewrites_a_fifo_or_a_device_without_trimming_it(tmp_path, monkeypatch):
@@ -710,7 +728,7 @@ def test_a_failed_write_leaves_only_the_bytes_written(tmp_path, monkeypatch):
         return write(fd, bytes(data[:4]))
 
     monkeypatch.setattr(os, "write", full_after_four_bytes)
-    with pytest.raises(OSError, match="No space left"):
+    with pytest.raises(ConfigError, match="No space left"):
         write_text(path, text)
     monkeypatch.undo()
     assert path.read_bytes() == text.encode()[:4]
